@@ -44,6 +44,7 @@ def write_tokens(docs: Sequence[dict], path: Path) -> None:
 
 
 def read_tokens(path: Path) -> list[dict]:
+    """Parse a JSONL token file; a malformed record raises UsageError naming its line."""
     docs = []
     with path.open("r", encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
@@ -53,12 +54,24 @@ def read_tokens(path: Path) -> list[dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{path}: line {line_num}: invalid JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise UsageError(f"{path}: line {line_num}: expected a JSON object")
             for fieldname in ("post_id", "user_id", "label", "tokens"):
                 if fieldname not in row:
                     raise UsageError(f"{path}: line {line_num}: missing field '{fieldname}'")
-            if row["label"] is not None:
-                row["label"] = int(row["label"])
-                if not 0 <= row["label"] <= 3:
+            for fieldname in ("post_id", "user_id"):
+                if not isinstance(row[fieldname], str):
+                    raise UsageError(f"{path}: line {line_num}: '{fieldname}' must be a string")
+            tokens = row["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise UsageError(f"{path}: line {line_num}: 'tokens' must be a list of strings")
+            label = row["label"]
+            if label is not None:
+                # bool is an int subclass; JSON true/false is not a class id
+                if type(label) is not int:
+                    raise UsageError(f"{path}: line {line_num}: 'label' must be null or an "
+                                     f"integer, got {json.dumps(label)}")
+                if not 0 <= label <= 3:
                     raise UsageError(f"{path}: line {line_num}: label out of range")
             docs.append(row)
     if not docs:

@@ -178,11 +178,22 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     return out, (p, (B, T, D, H), steps)
 
 
+_GATES = ("f", "i", "o", "u")
+
+
 def lstm_backward(cache, dH: np.ndarray):
-    """Full BPTT. Returns (param grads dict, dX)."""
+    """Full BPTT. Returns (param grads dict, dX).
+
+    Only the recurrent GEMM ``dh_next = dA[t] @ U^T`` stays in the time loop;
+    each step stores its gate pre-activation gradients in ``dA`` and the
+    weight, bias and input gradients are then single GEMMs over all steps
+    (Appleyard et al. 2016, arXiv:1604.01946).  Gate blocks are stacked in
+    the order f, i, o, u.
+    """
     p, (B, T, D, H), steps = cache
-    g = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
-    dX = np.empty((B, T, D), dtype=dH.dtype)
+    W_cat = np.concatenate([getattr(p, f"W_{gate}") for gate in _GATES], axis=1)  # (D, 4H)
+    U_cat = np.concatenate([getattr(p, f"U_{gate}") for gate in _GATES], axis=1)  # (H, 4H)
+    dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
     for t in range(T - 1, -1, -1):
@@ -194,25 +205,26 @@ def lstm_backward(cache, dH: np.ndarray):
         di = dc * u
         du = dc * i
         dc_next = dc * f
-        da_f = df * f * (1.0 - f)
-        da_i = di * i * (1.0 - i)
-        da_o = do * o * (1.0 - o)
-        da_u = du * (1.0 - u * u)
-        g["W_f"] += x.T @ da_f
-        g["W_i"] += x.T @ da_i
-        g["W_o"] += x.T @ da_o
-        g["W_u"] += x.T @ da_u
-        g["U_f"] += h_prev.T @ da_f
-        g["U_i"] += h_prev.T @ da_i
-        g["U_o"] += h_prev.T @ da_o
-        g["U_u"] += h_prev.T @ da_u
-        g["b_f"] += da_f.sum(axis=0)
-        g["b_i"] += da_i.sum(axis=0)
-        g["b_o"] += da_o.sum(axis=0)
-        g["b_u"] += da_u.sum(axis=0)
-        dX[:, t, :] = da_f @ p.W_f.T + da_i @ p.W_i.T + da_o @ p.W_o.T + da_u @ p.W_u.T
-        dh_next = da_f @ p.U_f.T + da_i @ p.U_i.T + da_o @ p.U_o.T + da_u @ p.U_u.T
-    return g, dX
+        da = dA[t]
+        da[:, :H] = df * f * (1.0 - f)
+        da[:, H : 2 * H] = di * i * (1.0 - i)
+        da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
+        da[:, 3 * H :] = du * (1.0 - u * u)
+        dh_next = da @ U_cat.T
+    dA2 = dA.reshape(T * B, 4 * H)
+    Xs = np.stack([s[0] for s in steps]).reshape(T * B, D)
+    Hs = np.stack([s[1] for s in steps]).reshape(T * B, H)
+    dW = Xs.T @ dA2
+    dU = Hs.T @ dA2
+    db = dA2.sum(axis=0)
+    dX = (dA2 @ W_cat.T).reshape(T, B, D).transpose(1, 0, 2)
+    g = {}
+    for k, gate in enumerate(_GATES):
+        cols = slice(k * H, (k + 1) * H)
+        g[f"W_{gate}"] = dW[:, cols].copy()
+        g[f"U_{gate}"] = dU[:, cols].copy()
+        g[f"b_{gate}"] = db[cols].copy()
+    return g, np.ascontiguousarray(dX)
 
 
 # ---------------------------------------------------------------- attention
@@ -271,11 +283,12 @@ def conv1d_relu_backward(cache, dout: np.ndarray):
     k = p.kernels.shape[0]
     pl, _ = conv_padding(k)
     dz = dout * (z > 0.0)
+    dz2 = dz.reshape(B * T, -1)
     g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
     dXp = np.zeros_like(Xp)
     for j in range(k):
-        window = Xp[:, j : j + T, :]
-        g["kernels"][j] = np.einsum("btc,btf->cf", window, dz)
+        window = np.ascontiguousarray(Xp[:, j : j + T, :]).reshape(B * T, d_in)
+        g["kernels"][j] = window.T @ dz2
         dXp[:, j : j + T, :] += dz @ p.kernels[j].T
     return g, dXp[:, pl : pl + T, :]
 

@@ -239,6 +239,32 @@ def test_empty_token_file_exits_1(tmp_path):
     assert run("annotate", "--dataset", empty, "--out", tmp_path / "o") == 1
 
 
+_GOOD_RECORD = {"post_id": "p1", "user_id": "u1", "label": None, "tokens": ["feel", "fine"]}
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    # a string used to be encoded character by character, with exit 0
+    (json.dumps(dict(_GOOD_RECORD, tokens="hello world")), "'tokens' must be a list of strings"),
+    (json.dumps(dict(_GOOD_RECORD, tokens=[1, 2, 3])), "'tokens' must be a list of strings"),
+    # a float label used to be truncated to an int
+    (json.dumps(dict(_GOOD_RECORD, label=2.7)), "'label' must be null or an integer, got 2.7"),
+    (json.dumps(dict(_GOOD_RECORD, label="x")), "'label' must be null or an integer, got \"x\""),
+    (json.dumps(dict(_GOOD_RECORD, label=True)), "'label' must be null or an integer, got true"),
+    # a bare JSON value or a list user_id used to end in a TypeError and exit 2
+    ("5", "expected a JSON object"),
+    (json.dumps(dict(_GOOD_RECORD, user_id=["u", 1])), "'user_id' must be a string"),
+], ids=["tokens_string", "tokens_ints", "label_float", "label_string", "label_bool",
+        "not_an_object", "user_id_list"])
+def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path, capsys,
+                                                             bad_line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + bad_line + "\n", encoding="utf-8")
+    assert run("predict", "--model", pipeline / "train" / "model.rkn",
+               "--dataset", path, "--out", tmp_path / "pred") == 1
+    assert f"{path}: line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 def test_help_exits_0():
     assert run("--help") == 0
 

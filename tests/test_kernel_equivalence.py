@@ -1,0 +1,200 @@
+"""Old-vs-new equivalence of the rewritten training kernels.
+
+The reference oracles below are the straightforward implementations the
+production kernels replaced: a per-step BPTT that accumulates every weight
+GEMM inside the time loop, a conv kernel gradient by plain ``einsum``, and an
+out-of-place Adam update.  Adam keeps its operation order, so it must match
+bit for bit; the LSTM and conv gradients sum in a different order, so they
+are compared with a tolerance fixed by the dtype.
+"""
+
+import numpy as np
+import pytest
+
+from risknet.layers import (
+    Conv1DParams,
+    LSTMParams,
+    conv1d_relu_backward,
+    conv1d_relu_forward,
+    conv_padding,
+    lstm_backward,
+    lstm_forward,
+)
+from risknet.train import Adam, AdamHyper
+
+# rtol per dtype; atol is rtol times the largest reference magnitude, so that
+# entries that cancel to near zero are judged against the array's scale
+RTOL = {np.float64: 1e-10, np.float32: 1e-4}
+
+# (B, T, D, H): the acceptance shape (embed 32, LSTM 16, max-len 48) and a
+# short paper-like one (embed 300, LSTM 100)
+LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
+# (B, T, d_in, k, F): conv over the LSTM output at both shapes, and over the
+# embedding as in the cnn-only variant
+CONV_SHAPES = [(32, 48, 16, 8, 3), (4, 32, 100, 8, 3), (4, 32, 300, 8, 3), (3, 9, 5, 4, 2)]
+
+
+def ref_lstm_backward(cache, dH):
+    p, (B, T, D, H), steps = cache
+    g = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
+    dX = np.empty((B, T, D), dtype=dH.dtype)
+    dh_next = np.zeros((B, H), dtype=dH.dtype)
+    dc_next = np.zeros((B, H), dtype=dH.dtype)
+    for t in range(T - 1, -1, -1):
+        x, h_prev, c_prev, f, i, o, u, tc = steps[t]
+        dh = dH[:, t, :] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        df = dc * c_prev
+        di = dc * u
+        du = dc * i
+        dc_next = dc * f
+        da_f = df * f * (1.0 - f)
+        da_i = di * i * (1.0 - i)
+        da_o = do * o * (1.0 - o)
+        da_u = du * (1.0 - u * u)
+        g["W_f"] += x.T @ da_f
+        g["W_i"] += x.T @ da_i
+        g["W_o"] += x.T @ da_o
+        g["W_u"] += x.T @ da_u
+        g["U_f"] += h_prev.T @ da_f
+        g["U_i"] += h_prev.T @ da_i
+        g["U_o"] += h_prev.T @ da_o
+        g["U_u"] += h_prev.T @ da_u
+        g["b_f"] += da_f.sum(axis=0)
+        g["b_i"] += da_i.sum(axis=0)
+        g["b_o"] += da_o.sum(axis=0)
+        g["b_u"] += da_u.sum(axis=0)
+        dX[:, t, :] = da_f @ p.W_f.T + da_i @ p.W_i.T + da_o @ p.W_o.T + da_u @ p.W_u.T
+        dh_next = da_f @ p.U_f.T + da_i @ p.U_i.T + da_o @ p.U_o.T + da_u @ p.U_u.T
+    return g, dX
+
+
+def ref_conv1d_relu_backward(cache, dout):
+    p, Xp, z, (B, T, d_in) = cache
+    k = p.kernels.shape[0]
+    pl, _ = conv_padding(k)
+    dz = dout * (z > 0.0)
+    g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
+    dXp = np.zeros_like(Xp)
+    for j in range(k):
+        window = Xp[:, j : j + T, :]
+        g["kernels"][j] = np.einsum("btc,btf->cf", window, dz)
+        dXp[:, j : j + T, :] += dz @ p.kernels[j].T
+    return g, dXp[:, pl : pl + T, :]
+
+
+def ref_adam_step(params, grads, m, v, t, h):
+    """Out-of-place Adam; rebinds m[name] and v[name], returns the new t."""
+    t += 1
+    bc1 = 1.0 - h.beta1**t
+    bc2 = 1.0 - h.beta2**t
+    for name, theta in params:
+        g = grads[name]
+        mn = m[name] = h.beta1 * m[name] + (1.0 - h.beta1) * g
+        vn = v[name] = h.beta2 * v[name] + (1.0 - h.beta2) * (g * g)
+        theta -= h.lr * (mn / bc1) / (np.sqrt(vn / bc2) + h.epsilon)
+    return t
+
+
+def assert_close(new, ref, dtype, name):
+    assert new.shape == ref.shape, name
+    assert new.dtype == ref.dtype == dtype, name
+    rtol = RTOL[dtype]
+    np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * float(np.abs(ref).max()),
+                               err_msg=name)
+
+
+def random_lstm(rng, D, H, dtype):
+    def mat(r, c):
+        return rng.normal(scale=0.3, size=(r, c)).astype(dtype)
+
+    kw = {}
+    for gate in "fiou":
+        kw[f"W_{gate}"] = mat(D, H)
+        kw[f"U_{gate}"] = mat(H, H)
+        kw[f"b_{gate}"] = rng.normal(scale=0.2, size=H).astype(dtype)
+    return LSTMParams(**kw)
+
+
+# --------------------------------------------------------------------- lstm
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES)
+def test_lstm_backward_matches_per_step_reference(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 1000 + T)
+    p = random_lstm(rng, D, H, dtype)
+    X = rng.normal(size=(B, T, D)).astype(dtype)
+    _, cache = lstm_forward(p, X)
+    dH = rng.normal(size=(B, T, H)).astype(dtype)
+    grads, dX = lstm_backward(cache, dH)
+    ref_grads, ref_dX = ref_lstm_backward(cache, dH)
+    for name, ref in ref_grads.items():
+        assert_close(grads[name], ref, dtype, name)
+    assert_close(dX, ref_dX, dtype, "dX")
+    assert dX.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_backward_returns_exactly_the_per_gate_keys(dtype):
+    rng = np.random.default_rng(5)
+    p = random_lstm(rng, 7, 3, dtype)
+    _, cache = lstm_forward(p, rng.normal(size=(2, 4, 7)).astype(dtype))
+    grads, _ = lstm_backward(cache, rng.normal(size=(2, 4, 3)).astype(dtype))
+    named = dict(p.named_arrays())
+    assert list(grads) == list(named)
+    for name, arr in named.items():
+        assert grads[name].shape == arr.shape, name
+        assert grads[name].dtype == arr.dtype, name
+
+
+# --------------------------------------------------------------------- conv
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,d_in,k,F", CONV_SHAPES)
+def test_conv_backward_matches_einsum_reference(B, T, d_in, k, F, dtype):
+    rng = np.random.default_rng(B * 1000 + d_in)
+    p = Conv1DParams(kernels=rng.normal(scale=0.3, size=(k, d_in, F)).astype(dtype),
+                     bias=rng.normal(scale=0.1, size=F).astype(dtype))
+    X = rng.normal(size=(B, T, d_in)).astype(dtype)
+    out, cache = conv1d_relu_forward(p, X)
+    assert 0 < np.count_nonzero(out) < out.size  # both ReLU branches are exercised
+    dout = rng.normal(size=out.shape).astype(dtype)
+    grads, dX = conv1d_relu_backward(cache, dout)
+    ref_grads, ref_dX = ref_conv1d_relu_backward(cache, dout)
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert_close(grads[name], ref, dtype, name)
+    assert_close(dX, ref_dX, dtype, "dX")
+
+
+# --------------------------------------------------------------------- adam
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
+    rng = np.random.default_rng(3)
+    # the embedding spans several update blocks, the last one partial
+    shapes = {"embedding": (5003, 30), "conv.kernels": (8, 16, 3), "lstm.W_f": (30, 5),
+              "lstm.b_f": (5,)}
+    params = [(n, rng.normal(size=s).astype(dtype)) for n, s in shapes.items()]
+    ref_params = [(n, a.copy()) for n, a in params]
+    hyper = AdamHyper(lr=0.01)
+    opt = Adam(params, hyper)
+    ref_m = {n: np.zeros_like(a) for n, a in params}
+    ref_v = {n: np.zeros_like(a) for n, a in params}
+    ref_t = 0
+    for step in range(4):
+        grads = {n: rng.normal(size=a.shape).astype(dtype) for n, a in params}
+        # like the embedding gradient: most rows untouched by the batch
+        grads["embedding"][rng.random(shapes["embedding"][0]) < 0.9] = 0.0
+        opt.step(params, grads)
+        ref_t = ref_adam_step(ref_params, grads, ref_m, ref_v, ref_t, hyper)
+        assert opt.t == ref_t
+        for (name, theta), (_, ref_theta) in zip(params, ref_params):
+            assert theta.dtype == dtype
+            assert np.array_equal(theta, ref_theta), f"step {step}: {name}"
+            assert np.array_equal(opt.m[name], ref_m[name]), f"step {step}: m[{name}]"
+            assert np.array_equal(opt.v[name], ref_v[name]), f"step {step}: v[{name}]"

@@ -14,7 +14,6 @@ from risknet.train import (
     AdamHyper,
     History,
     TrainConfig,
-    adam_step,
     cce_grad_logits,
     cce_grad_probs,
     evaluate,
@@ -152,13 +151,6 @@ def test_adam_aborts_on_nonfinite_gradient_naming_param():
     bad = np.array([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(NumericsError, match="non-finite gradient for parameter 'dense.W'"):
         opt.step(params, {"dense.W": bad})
-
-
-def test_adam_step_wrapper_returns_state():
-    params = scalar_param()
-    state = Adam(params)
-    out = adam_step(params, {"theta": np.array([0.5])}, state)
-    assert out is state and state.t == 1
 
 
 def test_adam_default_hyper():

@@ -8,7 +8,7 @@ baseline, an ablation suite, binary model files, and a batch CLI.
 
 __version__ = "0.1.0"
 
-from .corpus import Document, Post, RiskLabel, load_posts, save_posts, split_train_test
+from .corpus import Document, Post, RiskLabel, load_posts, save_posts
 from .embed import EmbeddingMatrix, Vocabulary, build_vocab, encode, load_embeddings
 from .metrics import Metrics, compute_metrics
 from .model import Model, ModelConfig, ModelParams, init_params
@@ -49,7 +49,6 @@ __all__ = [
     "preprocess",
     "save_model",
     "save_posts",
-    "split_train_test",
     "sparse_cce",
     "tfidf_weights",
     "__version__",

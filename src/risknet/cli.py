@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import baselines, corpus, embed, metrics, modelio, synth, textprep, train, weaklabel
+from . import baselines, corpus, embed, modelio, synth, textprep, train, weaklabel
 from .corpus import Document, RiskLabel
 from .model import VARIANTS, ModelConfig
 
@@ -65,6 +64,8 @@ def read_tokens(path: Path) -> list[dict]:
             tokens = row["tokens"]
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise UsageError(f"{path}: line {line_num}: 'tokens' must be a list of strings")
+            if not tokens:
+                raise UsageError(f"{path}: line {line_num}: 'tokens' must not be empty")
             label = row["label"]
             if label is not None:
                 # bool is an int subclass; JSON true/false is not a class id
@@ -95,28 +96,23 @@ def _to_documents(docs: list[dict]) -> list[Document]:
 
 # ------------------------------------------------------------- run configs
 
-_MODEL_KEYS = ("max_len", "embed_dim", "lstm_units", "dropout_rate", "filters",
-               "kernel", "pool", "seed", "variant", "dtype")
+# train and ablate share every flag but --variant
+_FIT_DEFAULTS = {
+    "seed": 0, "epochs": 10, "batch_size": 32, "train_fraction": 0.8,
+    "embeddings": None, "min_count": 1, "max_len": None, "embed_dim": 300,
+    "lstm_units": 100, "dropout_rate": 0.5, "filters": 3, "kernel": 8,
+    "pool": 2, "dtype": "float32",
+}
 
 _DEFAULTS: dict[str, dict] = {
     "synth": {"posts": 2000, "seed": 7},
     "preprocess": {"format": None},
-    "annotate": {"top_k": 300, "fractions": None, "seed": 0},
+    "annotate": {"top_k": 300, "fractions": None},
     "report-ngrams": {"top": 300},
-    "train": {
-        "seed": 0, "epochs": 10, "batch_size": 32, "train_fraction": 0.8,
-        "embeddings": None, "min_count": 1, "max_len": None, "embed_dim": 300,
-        "lstm_units": 100, "dropout_rate": 0.5, "filters": 3, "kernel": 8,
-        "pool": 2, "variant": "lstm_attention_cnn", "dtype": "float32",
-    },
+    "train": {**_FIT_DEFAULTS, "variant": "lstm_attention_cnn"},
     "evaluate": {},
     "predict": {},
-    "ablate": {
-        "seed": 0, "epochs": 10, "batch_size": 32, "train_fraction": 0.8,
-        "embeddings": None, "min_count": 1, "max_len": None, "embed_dim": 300,
-        "lstm_units": 100, "dropout_rate": 0.5, "filters": 3, "kernel": 8,
-        "pool": 2, "dtype": "float32",
-    },
+    "ablate": _FIT_DEFAULTS,
 }
 
 
@@ -127,21 +123,44 @@ def _effective_params(cmd: str, args: argparse.Namespace) -> dict:
         if hasattr(args, key):
             params[key] = getattr(args, key)
     if args.config is not None:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--config {args.config}: invalid JSON ({exc.msg})") from None
-        if loaded.get("command") != cmd:
-            raise UsageError(
-                f"--config was written by '{loaded.get('command')}', not '{cmd}'")
-        for key, value in loaded.get("params", {}).items():
+        for key, value in _read_config(args.config, cmd).items():
             if key in params:
+                if not _config_value_fits(value, params[key]):
+                    raise UsageError(f"--config {args.config}: bad value for '{key}': "
+                                     f"{json.dumps(value)}")
                 params[key] = value
     for key in params:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             params[key] = flag_value
     return params
+
+
+def _read_config(path: str, cmd: str) -> dict:
+    """The params of a run.json written by `cmd`."""
+    try:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"--config {path}: cannot read ({exc.strerror})") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config {path}: invalid JSON ({exc.msg})") from None
+    if not isinstance(loaded, dict):
+        raise UsageError(f"--config {path}: expected a JSON object")
+    if loaded.get("command") != cmd:
+        raise UsageError(f"--config was written by '{loaded.get('command')}', not '{cmd}'")
+    params = loaded.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError(f"--config {path}: 'params' must be a JSON object")
+    return params
+
+
+def _config_value_fits(value, default) -> bool:
+    """A replayed value has its default's JSON type (int for a float is fine)."""
+    if default is None:  # optional path, string or number
+        return value is None or type(value) in (str, int, float)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def _write_run_json(out_dir: Path, cmd: str, params: dict, stats: dict | None = None) -> None:
@@ -191,14 +210,15 @@ def _cmd_preprocess(params: dict) -> int:
     for doc in docs:
         tokens = textprep.lemmatize(
             textprep.drop_stopwords(textprep.tokenize(doc.text), stopwords), exceptions)
-        rows.append({
-            "post_id": doc.post_id, "user_id": doc.user_id,
-            "label": None if doc.label is None else int(doc.label), "tokens": tokens,
-        })
+        if tokens:  # a post of stop words only has none left
+            rows.append({
+                "post_id": doc.post_id, "user_id": doc.user_id,
+                "label": None if doc.label is None else int(doc.label), "tokens": tokens,
+            })
     write_tokens(rows, out / "tokens.jsonl")
     stats = {
         "posts_read": len(result.posts),
-        "dropped_empty": len(cleaned) - len(non_empty),
+        "dropped_empty": len(cleaned) - len(non_empty) + len(docs) - len(rows),
         "dropped_duplicate": len(non_empty) - len(docs),
     }
     _write_run_json(out, "preprocess", params, stats=stats)
@@ -301,7 +321,9 @@ def _cmd_train(params: dict) -> int:
     tcfg = train.TrainConfig(
         model=mcfg, epochs=int(params["epochs"]), batch_size=int(params["batch_size"]),
         train_fraction=float(params["train_fraction"]), seed=int(params["seed"]))
-    model, history = fit_verbose(tcfg, X_train, y_train, matrix)
+    log = lambda epoch, loss, acc: print(
+        f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
+    model, history = train.fit(tcfg, X_train, y_train, matrix, on_epoch=log)
     modelio.save_model(model, vocab, out / "model.rkn")
     history.save_csv(out / "history.csv")
     embed.save_vocab(vocab, out / "vocab.csv")
@@ -309,12 +331,6 @@ def _cmd_train(params: dict) -> int:
     params = dict(params, max_len=max_len, embed_dim=embed_dim)
     _write_run_json(out, "train", params)
     return 0
-
-
-def fit_verbose(tcfg, X, y, matrix):
-    def log(epoch, loss, acc):
-        print(f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
-    return train.fit(tcfg, X, y, matrix, on_epoch=log)
 
 
 def _load_and_encode(params: dict, require_labels: bool):
@@ -433,7 +449,6 @@ def build_parser() -> _Parser:
     s = subs.add_parser("annotate", help="weak-label posts from user labels")
     s.add_argument("--top-k", dest="top_k", type=int)
     s.add_argument("--fractions", help="4 comma-separated target class fractions")
-    s.add_argument("--seed", type=int)
     _add_common(s)
 
     s = subs.add_parser("report-ngrams", help="top n-grams per class")

@@ -1,4 +1,4 @@
-"""Post collections: loading, merging, deduplication, and splitting.
+"""Post collections: loading, merging, and deduplication.
 
 A post record carries six fields (id, user, timestamp, subreddit, title,
 body) plus an optional integer risk label in 0..3.  Two interchange formats
@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Optional
-
-from .rng import Xoshiro256StarStar
 
 
 class RiskLabel(IntEnum):
@@ -218,25 +215,3 @@ def dedupe(docs: list[Document]) -> list[Document]:
             out.append(doc)
     return out
 
-
-def split_train_test(
-    docs: list[Document], train_fraction: float, seed: int
-) -> tuple[list[Document], list[Document]]:
-    """Deterministic shuffled split: floor(train_fraction * n) documents train.
-
-    The permutation is Fisher-Yates driven by xoshiro256** seeded from the
-    given 64-bit seed, so the exact split can be recomputed anywhere.
-    """
-    if not docs:
-        raise ValueError("cannot split an empty document list")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
-    for i, doc in enumerate(docs):
-        if doc.label is None:
-            raise ValueError(f"document {i} is unlabeled; split requires labels")
-    idx = list(range(len(docs)))
-    Xoshiro256StarStar(seed).shuffle(idx)
-    n_train = math.floor(train_fraction * len(docs))
-    train = [docs[i] for i in idx[:n_train]]
-    test = [docs[i] for i in idx[n_train:]]
-    return train, test

@@ -43,9 +43,6 @@ class _ParamBase:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
-    def astype(self, dtype):
-        return type(self)(**{n: a.astype(dtype) for n, a in self.named_arrays()})
-
 
 @dataclass
 class LSTMParams(_ParamBase):

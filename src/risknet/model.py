@@ -16,7 +16,7 @@ parameter array, keyed by dotted names ("lstm.W_f", "dense.b", ...).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,17 +56,61 @@ _CHAINS = {
     "cnn": ("embedding", "dropout", "conv", "pool", "flatten", "dense"),
 }
 
-_LAYER_LABELS = {
-    "embedding": "embedding",
-    "dropout": "dropout",
-    "lstm": "lstm",
-    "attention": "attention",
-    "conv": "conv1d_relu",
-    "pool": "maxpool1d",
-    "flatten": "flatten",
-    "last_step": "last_step",
-    "dense": "dense_softmax",
+
+def _last_step_backward(shape, dout: np.ndarray) -> np.ndarray:
+    full = np.zeros(shape, dtype=dout.dtype)
+    full[:, -1, :] = dout
+    return full
+
+
+class _Op(NamedTuple):
+    """One layer-table row.  The lambdas look the layer functions up in this
+    module at call time, so a wrapper on `risknet.model.<layer>_forward` sees
+    every call."""
+
+    label: str  # layer name in NaN/Inf errors
+    group: Optional[str]  # the ModelParams field holding the op's parameters
+    params: Optional[type]  # that field's class
+    forward: Callable  # (w = the op's group, x, cfg, mode, step) -> (out, cache)
+    backward: Callable  # (cache, dout) -> (gradients by name within the group, dx)
+
+
+_OPS = {
+    # the embedding group is one array, named by the group alone
+    "embedding": _Op("embedding", "embedding", EmbeddingMatrix,
+                     lambda w, x, *_: embedding_forward(w.matrix, x),
+                     lambda c, d: ({"": embedding_backward(c, d)}, None)),
+    "dropout": _Op("dropout", None, None,
+                   lambda w, x, cfg, mode, step: dropout_forward(x, cfg.dropout_rate, mode,
+                                                                 cfg.seed, step),
+                   lambda c, d: ({}, dropout_backward(c, d))),
+    "lstm": _Op("lstm", "lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
+                lambda c, d: lstm_backward(c, d)),
+    "attention": _Op("attention", "attention", AttentionParams,
+                     lambda w, x, *_: attention_forward(w, x),
+                     lambda c, d: attention_backward(c, d)),
+    "conv": _Op("conv1d_relu", "conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
+                lambda c, d: conv1d_relu_backward(c, d)),
+    "pool": _Op("maxpool1d", None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
+                lambda c, d: ({}, maxpool1d_backward(c, d))),
+    "flatten": _Op("flatten", None, None, lambda w, x, *_: flatten_forward(x),
+                   lambda c, d: ({}, flatten_backward(c, d))),
+    "last_step": _Op("last_step", None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
+                     lambda c, d: ({}, _last_step_backward(c, d))),
+    # dout of the dense head is the loss gradient, {"dprobs": ...} or {"dlogits": ...}
+    "dense": _Op("dense_softmax", "dense", DenseParams,
+                 lambda w, x, *_: dense_softmax_forward(w, x),
+                 lambda c, d: dense_softmax_backward(c, **d)),
 }
+
+# parameter group -> class, in file and optimizer order (embedding first)
+_PARAM_GROUPS = {op.group: op.params for op in _OPS.values() if op.group is not None}
+
+
+def param_groups(variant: str) -> dict[str, type]:
+    """The parameter groups a variant's chain uses, in file order."""
+    used = {_OPS[op].group for op in _CHAINS[variant]}
+    return {g: cls for g, cls in _PARAM_GROUPS.items() if g in used}
 
 
 @dataclass
@@ -119,17 +163,11 @@ class ModelParams:
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         out = [("embedding", self.embedding.matrix)]
-        for group in ("lstm", "attention", "conv", "dense"):
+        for group in list(_PARAM_GROUPS)[1:]:
             params = getattr(self, group)
             if params is not None:
                 out.extend((f"{group}.{n}", a) for n, a in params.named_arrays())
         return out
-
-    def get(self, name: str) -> np.ndarray:
-        for n, a in self.named_arrays():
-            if n == name:
-                return a
-        raise KeyError(name)
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -148,10 +186,10 @@ def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> ModelParams:
     dt = cfg.np_dtype
     rng = bulk_generator(cfg.seed, STREAM_INIT, 1)
     D, H, T = cfg.embed_dim, cfg.lstm_units, cfg.max_len
-    chain = _CHAINS[cfg.variant]
+    groups = param_groups(cfg.variant)
 
     lstm = None
-    if "lstm" in chain:
+    if "lstm" in groups:
         kw = {}
         for gate in ("f", "i", "o", "u"):
             kw[f"W_{gate}"] = _glorot(rng, (D, H), D, H, dt)
@@ -160,14 +198,14 @@ def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> ModelParams:
         lstm = LSTMParams(**kw)
 
     attention = None
-    if "attention" in chain:
+    if "attention" in groups:
         attention = AttentionParams(
             w=rng.normal(0.0, 0.05, size=(H, 1)).astype(dt),
             b=np.zeros((T, 1), dtype=dt),
         )
 
     conv = None
-    if "conv" in chain:
+    if "conv" in groups:
         d_in = cfg.conv_in_dim()
         k, F = cfg.kernel, cfg.filters
         conv = Conv1DParams(
@@ -198,26 +236,10 @@ class Model:
         x = batch
         trace = []
         for op in _CHAINS[cfg.variant]:
-            if op == "embedding":
-                x, cache = embedding_forward(p.embedding.matrix, x)
-            elif op == "dropout":
-                x, cache = dropout_forward(x, cfg.dropout_rate, mode, cfg.seed, step)
-            elif op == "lstm":
-                x, cache = lstm_forward(p.lstm, x)
-            elif op == "attention":
-                x, cache = attention_forward(p.attention, x)
-            elif op == "conv":
-                x, cache = conv1d_relu_forward(p.conv, x)
-            elif op == "pool":
-                x, cache = maxpool1d_forward(x, cfg.pool)
-            elif op == "flatten":
-                x, cache = flatten_forward(x)
-            elif op == "last_step":
-                cache = x.shape
-                x = x[:, -1, :]
-            else:  # dense
-                x, cache = dense_softmax_forward(p.dense, x)
-            check_finite(_LAYER_LABELS[op], x)
+            row = _OPS[op]
+            w = getattr(p, row.group) if row.group else None
+            x, cache = row.forward(w, x, cfg, mode, step)
+            check_finite(row.label, x)
             trace.append((op, cache))
         return x, trace
 
@@ -225,32 +247,11 @@ class Model:
                  dlogits: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Gradients for every parameter array from dprobs or fused dlogits."""
         grads: dict[str, np.ndarray] = {}
-        dx: np.ndarray | None = None
+        dx = {"dprobs": dprobs, "dlogits": dlogits}  # upstream of the dense head
         for op, cache in reversed(trace):
-            if op == "dense":
-                g, dx = dense_softmax_backward(cache, dprobs=dprobs, dlogits=dlogits)
-                grads.update({f"dense.{n}": a for n, a in g.items()})
-            elif op == "last_step":
-                full = np.zeros(cache, dtype=dx.dtype)
-                full[:, -1, :] = dx
-                dx = full
-            elif op == "flatten":
-                dx = flatten_backward(cache, dx)
-            elif op == "pool":
-                dx = maxpool1d_backward(cache, dx)
-            elif op == "conv":
-                g, dx = conv1d_relu_backward(cache, dx)
-                grads.update({f"conv.{n}": a for n, a in g.items()})
-            elif op == "attention":
-                g, dx = attention_backward(cache, dx)
-                grads.update({f"attention.{n}": a for n, a in g.items()})
-            elif op == "lstm":
-                g, dx = lstm_backward(cache, dx)
-                grads.update({f"lstm.{n}": a for n, a in g.items()})
-            elif op == "dropout":
-                dx = dropout_backward(cache, dx)
-            else:  # embedding
-                grads["embedding"] = embedding_backward(cache, dx)
+            row = _OPS[op]
+            g, dx = row.backward(cache, dx)
+            grads.update({f"{row.group}.{n}" if n else row.group: a for n, a in g.items()})
         return grads
 
     def predict(self, batch: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed import EmbeddingMatrix, Vocabulary
-from .layers import AttentionParams, Conv1DParams, DenseParams, LSTMParams
-from .model import Model, ModelConfig, ModelParams
+from .model import Model, ModelConfig, ModelParams, param_groups
 
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<I")
@@ -97,25 +96,31 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
         flat = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)), offset=start)
         arrays[entry["name"]] = flat.reshape(shape).astype(cfg.np_dtype)
 
-    def group(prefix: str, cls):
-        names = [n for n in arrays if n.startswith(prefix + ".")]
-        if not names:
-            return None
-        return cls(**{n.split(".", 1)[1]: arrays[n] for n in names})
-
     if "embedding" not in arrays:
         raise ModelFileError("corrupted manifest: missing tensor 'embedding'")
+    # the tensor groups must be exactly those the variant's layer chain uses
+    wanted = param_groups(cfg.variant)
+    found = {name.partition(".")[0] for name in arrays}
+    for g in wanted:
+        if g not in found:
+            raise ModelFileError(f"corrupted manifest: missing tensor group '{g}'")
+    unexpected = sorted(found.difference(wanted))
+    if unexpected:
+        raise ModelFileError(f"corrupted manifest: unexpected tensor group '{unexpected[0]}' "
+                             f"for variant '{cfg.variant}'")
+    members = {g: {} for g in wanted}
+    for name, arr in arrays.items():
+        g, _, member = name.partition(".")
+        members[g][member] = arr
     try:
-        params = ModelParams(
-            embedding=EmbeddingMatrix(arrays["embedding"]),
-            dense=group("dense", DenseParams),
-            lstm=group("lstm", LSTMParams),
-            attention=group("attention", AttentionParams),
-            conv=group("conv", Conv1DParams),
-        )
+        params = ModelParams(embedding=EmbeddingMatrix(arrays["embedding"]), **{
+            g: cls(**members[g]) for g, cls in wanted.items() if g != "embedding"})
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"corrupted manifest: inconsistent tensors ({exc})") from None
-    if params.dense is None:
-        raise ModelFileError("corrupted manifest: missing tensor group 'dense'")
+    # PAD and UNK take the first two embedding rows
+    n_rows = params.embedding.vocab_size
+    if len(vocab_tokens) + 2 != n_rows:
+        raise ModelFileError(f"corrupted manifest: {len(vocab_tokens)} vocabulary tokens need "
+                             f"{len(vocab_tokens) + 2} embedding rows, the file has {n_rows}")
     vocab = Vocabulary({tok: i + 2 for i, tok in enumerate(vocab_tokens)})
     return Model(cfg, params), vocab

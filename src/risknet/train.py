@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .embed import EmbeddingMatrix
 from .layers import NumericsError
 from .metrics import Metrics, compute_metrics
-from .model import Model, ModelConfig, ModelParams, init_params
+from .model import Model, ModelConfig, init_params
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
 
 CLIP_EPS = 1e-7
@@ -47,19 +47,6 @@ def cce_grad_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     g = probs.copy()
     g[np.arange(B), labels] -= 1.0
     return g / B
-
-
-def cce_grad_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Loss gradient w.r.t. probabilities (zero where the clip is active)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    B = probs.shape[0]
-    picked = probs[np.arange(B), labels]
-    inside = (picked > CLIP_EPS) & (picked < 1.0 - CLIP_EPS)
-    vals = np.zeros_like(picked)
-    np.divide(-1.0, B * picked, out=vals, where=inside)
-    g = np.zeros_like(probs)
-    g[np.arange(B), labels] = vals
-    return g
 
 
 @dataclass
@@ -156,20 +143,13 @@ class TrainConfig:
 class History:
     loss: list[float] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
-    val_accuracy: Optional[list[float]] = None
 
     def save_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = ["epoch", "loss", "accuracy"]
-            if self.val_accuracy is not None:
-                header.append("val_accuracy")
-            writer.writerow(header)
+            writer.writerow(["epoch", "loss", "accuracy"])
             for i, (l, a) in enumerate(zip(self.loss, self.accuracy), start=1):
-                row = [i, repr(l), repr(a)]
-                if self.val_accuracy is not None:
-                    row.append(repr(self.val_accuracy[i - 1]))
-                writer.writerow(row)
+                writer.writerow([i, repr(l), repr(a)])
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

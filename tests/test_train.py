@@ -15,7 +15,6 @@ from risknet.train import (
     History,
     TrainConfig,
     cce_grad_logits,
-    cce_grad_probs,
     evaluate,
     fit,
     sparse_cce,
@@ -91,15 +90,6 @@ def test_fused_gradient_formula():
     assert np.allclose(g, want / 2.0, atol=1e-15)
 
 
-def test_prob_route_gradient_zero_under_clip():
-    probs = np.array([[1.0, 0.0, 0.0, 0.0]])
-    g = cce_grad_probs(probs, [1])  # true-class prob 0.0 sits at the clip
-    assert np.all(g == 0.0)
-    g2 = cce_grad_probs(np.array([[0.4, 0.6, 0.0, 0.0]]), [1])
-    assert g2[0, 1] == pytest.approx(-1.0 / 0.6, abs=1e-12)
-    assert np.all(g2[0, [0, 2, 3]] == 0.0)
-
-
 # --------------------------------------------------------------------- adam
 
 
@@ -168,13 +158,6 @@ def test_history_csv_format(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         "epoch,loss,accuracy\n1,1.5,0.5\n2,0.75,0.875\n"
     )
-
-
-def test_history_csv_with_validation(tmp_path):
-    hist = History(loss=[1.0], accuracy=[0.25], val_accuracy=[0.3])
-    path = tmp_path / "history.csv"
-    hist.save_csv(path)
-    assert path.read_text(encoding="utf-8").splitlines()[0] == "epoch,loss,accuracy,val_accuracy"
 
 
 # ------------------------------------------------------------------- splits

@@ -2,8 +2,9 @@
 
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
 backward(cache, dout) -> gradients.  Caches hold exactly the arrays the
-backward pass needs.  All math is plain numpy; dtype follows the inputs
-(float64 in gradient tests, float32 in training).
+backward pass needs.  `lstm_infer` is the one forward-only kernel: the LSTM
+for inference, which keeps no cache.  All math is plain numpy; dtype follows
+the inputs (float64 in gradient tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -149,6 +150,14 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------- lstm
 
+_GATES = ("f", "i", "o", "u")
+
+
+def _fused(p: LSTMParams, kind: str) -> np.ndarray:
+    """The four gates' `kind` ("W", "U" or "b") arrays side by side in gate
+    order: (D, 4H), (H, 4H) or (4H,)."""
+    return np.concatenate([getattr(p, f"{kind}_{gate}") for gate in _GATES], axis=-1)
+
 
 def lstm_forward(p: LSTMParams, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out."""
@@ -175,7 +184,39 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     return out, (p, (B, T, D, H), steps)
 
 
-_GATES = ("f", "i", "o", "u")
+def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Forward-only `lstm_forward` output (B, T, H), with no cache kept.
+
+    `rows` (U, D) are a batch's distinct input rows and `inv` (B, T) gives the
+    row of every position, as `np.unique(..., return_inverse=True)` yields
+    them.  The input projection `rows @ W` is done once for all gates and
+    distinct rows (Appleyard et al. 2016, arXiv:1604.01946); each step then
+    gathers its rows of it and runs one recurrent GEMM `h @ U`.  Every step
+    keeps the operation order of `lstm_forward`, so the output is the same.
+    """
+    B, T = inv.shape
+    D = rows.shape[1]
+    H = p.b_f.shape[0]
+    if p.W_f.shape[0] != D:
+        raise ValueError(f"LSTM input dim mismatch: params expect {p.W_f.shape[0]}, got {D}")
+    U_cat = _fused(p, "U")
+    b_cat = _fused(p, "b")
+    xW = rows @ _fused(p, "W")  # (U, 4H)
+    at = np.ascontiguousarray(inv.T)  # (T, B): row of each position, step by step
+    h = np.zeros((B, H), dtype=rows.dtype)
+    c = np.zeros((B, H), dtype=rows.dtype)
+    out = np.empty((B, T, H), dtype=rows.dtype)
+    a = np.empty((B, 4 * H), dtype=xW.dtype)
+    for t in range(T):
+        np.take(xW, at[t], axis=0, out=a)
+        a += h @ U_cat
+        a += b_cat
+        fio = sigmoid(a[:, : 3 * H])
+        u = np.tanh(a[:, 3 * H :])
+        c = fio[:, :H] * c + fio[:, H : 2 * H] * u
+        h = fio[:, 2 * H :] * np.tanh(c)
+        out[:, t, :] = h
+    return out
 
 
 def lstm_backward(cache, dH: np.ndarray):
@@ -188,8 +229,7 @@ def lstm_backward(cache, dH: np.ndarray):
     the order f, i, o, u.
     """
     p, (B, T, D, H), steps = cache
-    W_cat = np.concatenate([getattr(p, f"W_{gate}") for gate in _GATES], axis=1)  # (D, 4H)
-    U_cat = np.concatenate([getattr(p, f"U_{gate}") for gate in _GATES], axis=1)  # (H, 4H)
+    W_cat, U_cat = _fused(p, "W"), _fused(p, "U")
     dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)

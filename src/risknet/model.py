@@ -11,6 +11,8 @@ layer chain with pieces removed, so the ablation runs share one engine:
 
 Backward consumes the forward cache in reverse and returns one gradient per
 parameter array, keyed by dotted names ("lstm.W_f", "dense.b", ...).
+Inference (`forward(..., cache=False)`, which `predict` runs) keeps no cache
+and runs the LSTM over each batch's distinct tokens through `lstm_infer`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .layers import (
     flatten_forward,
     lstm_backward,
     lstm_forward,
+    lstm_infer,
     maxpool1d_backward,
     maxpool1d_forward,
 )
@@ -102,6 +105,10 @@ _OPS = {
                  lambda w, x, *_: dense_softmax_forward(w, x),
                  lambda c, d: dense_softmax_backward(c, **d)),
 }
+
+# the chain prefix that cache-free inference runs as one `lstm_infer` call:
+# dropout is the identity at inference, so the LSTM input is E[batch]
+_FOLDED = ("embedding", "dropout", "lstm")
 
 # parameter group -> class, in file and optimizer order (embedding first)
 _PARAM_GROUPS = {op.group: op.params for op in _OPS.values() if op.group is not None}
@@ -227,20 +234,37 @@ class Model:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, batch: np.ndarray, mode: str = "infer", step: int = 0):
-        """(B, T) indices -> (probs (B, C), cache). Train mode applies dropout."""
+    def forward(self, batch: np.ndarray, mode: str = "infer", step: int = 0,
+                cache: bool = True):
+        """(B, T) indices -> (probs (B, C), cache). Train mode applies dropout.
+
+        With cache=False (inference only) no layer keeps a cache, the cache
+        returned is None, and the embedding -> dropout -> LSTM prefix runs as
+        one `lstm_infer` over the batch's distinct indices; the probabilities
+        are the same as with the cache.
+        """
         cfg, p = self.cfg, self.params
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != cfg.max_len:
             raise ValueError(f"batch must be (B, {cfg.max_len}), got {batch.shape}")
-        x = batch
-        trace = []
-        for op in _CHAINS[cfg.variant]:
+        if not cache and mode != "infer":
+            raise ValueError(f"cache=False runs inference only, got mode {mode!r}")
+        x, chain = batch, _CHAINS[cfg.variant]
+        if not cache and chain[: len(_FOLDED)] == _FOLDED:
+            uniq, inv = np.unique(batch, return_inverse=True)
+            rows, _ = embedding_forward(p.embedding.matrix, uniq)
+            check_finite("embedding", rows)
+            # the shape of `inv` differs across NumPy releases
+            x = check_finite("lstm", lstm_infer(p.lstm, rows, inv.reshape(batch.shape)))
+            chain = chain[len(_FOLDED) :]
+        trace = [] if cache else None
+        for op in chain:
             row = _OPS[op]
             w = getattr(p, row.group) if row.group else None
-            x, cache = row.forward(w, x, cfg, mode, step)
+            x, c = row.forward(w, x, cfg, mode, step)
             check_finite(row.label, x)
-            trace.append((op, cache))
+            if cache:
+                trace.append((op, c))
         return x, trace
 
     def backward(self, trace, dprobs: np.ndarray | None = None,
@@ -259,6 +283,6 @@ class Model:
         batch = np.asarray(batch)
         out = np.empty(batch.shape[0], dtype=np.int64)
         for start in range(0, batch.shape[0], batch_size):
-            probs, _ = self.forward(batch[start : start + batch_size], mode="infer")
+            probs, _ = self.forward(batch[start : start + batch_size], cache=False)
             out[start : start + batch_size] = probs.argmax(axis=1)
         return out

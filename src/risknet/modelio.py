@@ -11,6 +11,7 @@ prediction.  save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,6 +59,10 @@ def _require(manifest: dict, field: str):
     return manifest[field]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -69,6 +74,8 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
         manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"corrupted manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ModelFileError("corrupted manifest: expected a JSON object")
     version = _require(manifest, "format_version")
     if version != FORMAT_VERSION:
         raise ModelFileError(f"format version mismatch: file has {version}, expected {FORMAT_VERSION}")
@@ -78,29 +85,38 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"corrupted manifest: bad config ({exc})") from None
     vocab_tokens = _require(manifest, "vocab")
+    if not isinstance(vocab_tokens, list) or not all(isinstance(t, str) for t in vocab_tokens):
+        raise ModelFileError("corrupted manifest: 'vocab' must be a list of strings")
     tensors = _require(manifest, "tensors")
+    if not isinstance(tensors, list) or not all(isinstance(e, dict) for e in tensors):
+        raise ModelFileError("corrupted manifest: 'tensors' must be a list of objects")
     declared = _require(manifest, "blob_bytes")
     blob = data[_HEADER.size + mlen :]
     if len(blob) != declared:
         raise ModelFileError(f"blob length mismatch: expected {declared} bytes, got {len(blob)}")
-    arrays: dict[str, np.ndarray] = {}
+    names: set[str] = set()
     for entry in tensors:
         for key in ("name", "shape", "offset"):
             if key not in entry:
                 raise ModelFileError(f"corrupted manifest: tensor entry missing '{key}'")
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
-        start = entry["offset"]
-        if start + nbytes > len(blob):
-            raise ModelFileError(f"blob length mismatch: tensor '{entry['name']}' overruns blob")
-        flat = np.frombuffer(blob, dtype="<f4", count=int(np.prod(shape)), offset=start)
-        arrays[entry["name"]] = flat.reshape(shape).astype(cfg.np_dtype)
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if not isinstance(name, str):
+            raise ModelFileError(f"corrupted manifest: tensor name {json.dumps(name)} "
+                                 "is not a string")
+        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+            raise ModelFileError(f"corrupted manifest: tensor '{name}' shape must be a list "
+                                 "of non-negative integers")
+        if not _is_int(offset):
+            raise ModelFileError(f"corrupted manifest: tensor '{name}' offset must be an integer")
+        if name in names:
+            raise ModelFileError(f"corrupted manifest: duplicated tensor '{name}'")
+        names.add(name)
 
-    if "embedding" not in arrays:
+    if "embedding" not in names:
         raise ModelFileError("corrupted manifest: missing tensor 'embedding'")
     # the tensor groups must be exactly those the variant's layer chain uses
     wanted = param_groups(cfg.variant)
-    found = {name.partition(".")[0] for name in arrays}
+    found = {name.partition(".")[0] for name in names}
     for g in wanted:
         if g not in found:
             raise ModelFileError(f"corrupted manifest: missing tensor group '{g}'")
@@ -108,6 +124,24 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     if unexpected:
         raise ModelFileError(f"corrupted manifest: unexpected tensor group '{unexpected[0]}' "
                              f"for variant '{cfg.variant}'")
+
+    # tensors lie back to back in manifest order and fill the blob, as
+    # save_model writes them, so no two share bytes
+    arrays: dict[str, np.ndarray] = {}
+    end = 0
+    for entry in tensors:
+        name, shape = entry["name"], tuple(entry["shape"])
+        if entry["offset"] != end:
+            raise ModelFileError(f"corrupted manifest: tensor '{name}' starts at byte "
+                                 f"{entry['offset']}, expected {end}")
+        count = math.prod(shape)
+        end += 4 * count
+        if end > len(blob):
+            raise ModelFileError(f"blob length mismatch: tensor '{name}' overruns blob")
+        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
+        arrays[name] = flat.reshape(shape).astype(cfg.np_dtype)
+    if end != len(blob):
+        raise ModelFileError(f"blob length mismatch: tensors cover {end} of {len(blob)} bytes")
     members = {g: {} for g in wanted}
     for name, arr in arrays.items():
         g, _, member = name.partition(".")

@@ -73,18 +73,6 @@ def ngrams(tokens: Sequence[str], n: int) -> Iterable[str]:
         yield " ".join(tokens[i : i + n])
 
 
-def propagate_user_labels(
-    docs: list[Document], user_labels: Mapping[str, RiskLabel]
-) -> list[Document]:
-    """Stamp every document with its user's label."""
-    out = []
-    for doc in docs:
-        if doc.user_id not in user_labels:
-            raise ValueError(f"no label for user '{doc.user_id}'")
-        out.append(Document(doc.user_id, doc.text, user_labels[doc.user_id], doc.post_id))
-    return out
-
-
 def count_ngrams(docs: list[Document], n: int) -> NgramTable:
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")

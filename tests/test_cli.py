@@ -295,6 +295,30 @@ def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path,
     assert not (tmp_path / "pred" / "predictions.csv").exists()
 
 
+def _rewrite_manifest(src, dst, mutate):
+    data = src.read_bytes()
+    mlen = int.from_bytes(data[:4], "little")
+    manifest = json.loads(data[4 : 4 + mlen])
+    mutate(manifest)
+    payload = json.dumps(manifest).encode()
+    dst.write_bytes(len(payload).to_bytes(4, "little") + payload + data[4 + mlen :])
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # used to end in a TypeError, exit 2
+    (lambda m: m.update(vocab=5), "'vocab' must be a list of strings"),
+    # used to load and predict, exit 0
+    (lambda m: m["tensors"][2].update(offset=m["tensors"][1]["offset"]), "starts at byte"),
+], ids=["vocab_number", "offset_shared"])
+def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
+    model = tmp_path / "model.rkn"
+    _rewrite_manifest(pipeline / "train" / "model.rkn", model, mutate)
+    assert run("predict", "--model", model, "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", tmp_path / "pred") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 def test_help_exits_0():
     assert run("--help") == 0
 

@@ -1,11 +1,12 @@
-"""Old-vs-new equivalence of the rewritten training kernels.
+"""Old-vs-new equivalence of the rewritten kernels.
 
 The reference oracles below are the straightforward implementations the
 production kernels replaced: a per-step BPTT that accumulates every weight
 GEMM inside the time loop, a conv kernel gradient by plain ``einsum``, and an
 out-of-place Adam update.  Adam keeps its operation order, so it must match
 bit for bit; the LSTM and conv gradients sum in a different order, so they
-are compared with a tolerance fixed by the dtype.
+are compared with a tolerance fixed by the dtype.  The cache-free inference
+LSTM, `lstm_infer`, is checked against `lstm_forward` on embedded ids.
 """
 
 import numpy as np
@@ -19,12 +20,15 @@ from risknet.layers import (
     conv_padding,
     lstm_backward,
     lstm_forward,
+    lstm_infer,
 )
 from risknet.train import Adam, AdamHyper
 
 # rtol per dtype; atol is rtol times the largest reference magnitude, so that
 # entries that cancel to near zero are judged against the array's scale
 RTOL = {np.float64: 1e-10, np.float32: 1e-4}
+# lstm_infer keeps lstm_forward's per-step operation order
+INFER_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 # (B, T, D, H): the acceptance shape (embed 32, LSTM 16, max-len 48) and a
 # short paper-like one (embed 300, LSTM 100)
@@ -97,10 +101,10 @@ def ref_adam_step(params, grads, m, v, t, h):
     return t
 
 
-def assert_close(new, ref, dtype, name):
+def assert_close(new, ref, dtype, name, rtols=RTOL):
     assert new.shape == ref.shape, name
     assert new.dtype == ref.dtype == dtype, name
-    rtol = RTOL[dtype]
+    rtol = rtols[dtype]
     np.testing.assert_allclose(new, ref, rtol=rtol, atol=rtol * float(np.abs(ref).max()),
                                err_msg=name)
 
@@ -134,6 +138,23 @@ def test_lstm_backward_matches_per_step_reference(B, T, D, H, dtype):
         assert_close(grads[name], ref, dtype, name)
     assert_close(dX, ref_dX, dtype, "dX")
     assert dX.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES)
+def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 1000 + T + 1)
+    p = random_lstm(rng, D, H, dtype)
+    V = 3 * T  # fewer ids than positions, so ids repeat
+    E = rng.normal(size=(V, D)).astype(dtype)
+    E[0] = 0.0
+    ids = rng.integers(1, V, size=(B, T))
+    ids[::2, T // 2 :] = 0  # padded tails
+    ref, _ = lstm_forward(p, E[ids])
+    uniq, inv = np.unique(ids, return_inverse=True)
+    assert uniq.size < ids.size and uniq[0] == 0
+    out = lstm_infer(p, E[uniq], inv.reshape(B, T))
+    assert_close(out, ref, dtype, "out", rtols=INFER_RTOL)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -165,18 +165,55 @@ def test_forward_train_seeded_dropout_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_forward_nan_tripwire_names_layer():
+@pytest.mark.parametrize("poisoned,run", [
+    ("lstm", "forward"),
+    ("embedding", "predict"),
+    ("lstm", "predict"),
+], ids=["lstm-forward", "embedding-predict", "lstm-predict"])
+def test_forward_nan_tripwire_names_layer(poisoned, run):
     model = build()
-    model.params.lstm.W_f[0, 0] = np.nan
-    with pytest.raises(NumericsError, match="after layer 'lstm'"):
-        model.forward(batch_for(model.cfg))
+    X = batch_for(model.cfg)
+    if poisoned == "lstm":
+        model.params.lstm.W_f[0, 0] = np.nan
+    else:
+        model.params.embedding.matrix[X[1, 2], 0] = np.nan
+    with pytest.raises(NumericsError, match=f"after layer '{poisoned}'"):
+        model.forward(X) if run == "forward" else model.predict(X)
 
 
-def test_predict_argmax_batched():
-    model = build()
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_argmax_batched(variant):
+    model = build(variant)
     X = batch_for(model.cfg, B=23)
+    X[::3, 4:] = PAD_INDEX
     probs, _ = model.forward(X)
     assert np.array_equal(model.predict(X, batch_size=7), probs.argmax(axis=1))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cache_free_forward_matches_cached(variant):
+    model = build(variant)
+    X = batch_for(model.cfg, B=11)
+    X[::2, 3:] = PAD_INDEX
+    probs, trace = model.forward(X)
+    fast, none = model.forward(X, cache=False)
+    assert none is None and len(trace) == len(risknet.model._CHAINS[variant])
+    np.testing.assert_allclose(fast, probs, rtol=1e-12, atol=0.0)
+
+
+def test_cache_free_forward_is_inference_only():
+    model = build()
+    with pytest.raises(ValueError, match="inference only, got mode 'train'"):
+        model.forward(batch_for(model.cfg), mode="train", cache=False)
+
+
+@pytest.mark.parametrize("bad", [9, -1], ids=["id_ge_vocab", "negative_id"])
+def test_predict_rejects_index_outside_embedding(bad):
+    model = build()  # 9 embedding rows
+    X = batch_for(model.cfg)
+    X[1, 2] = bad
+    with pytest.raises(IndexError, match=r"embedding index out of range \[0, 9\)"):
+        model.predict(X)
 
 
 # ------------------------------------------------------------------ backward

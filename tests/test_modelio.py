@@ -214,3 +214,37 @@ def test_vocab_longer_than_embedding(tmp_path):
     with pytest.raises(ModelFileError, match="55 vocabulary tokens need 57 embedding rows, "
                                              "the file has 7"):
         load_model(path)
+
+
+# the first six used to end in a TypeError, AttributeError or UFuncTypeError
+# (exit 2 in predict); the last four used to load and predict with exit 0
+@pytest.mark.parametrize("mutate,message", [
+    (lambda m: m.update(vocab=5), "'vocab' must be a list of strings"),
+    (lambda m: m["tensors"][1].update(name=7), "tensor name 7 is not a string"),
+    (lambda m: m["tensors"][0].update(shape="ab"),
+     "tensor 'embedding' shape must be a list of non-negative integers"),
+    (lambda m: m["tensors"][1].update(offset="0"), "tensor 'lstm.W_f' offset must be an integer"),
+    (lambda m: m["tensors"][1].update(offset=1.5), "tensor 'lstm.W_f' offset must be an integer"),
+    (lambda m: m.update(tensors=[1]), "'tensors' must be a list of objects"),
+    (lambda m: m.update(vocab=list(range(len(m["vocab"])))), "'vocab' must be a list of strings"),
+    (lambda m: m["tensors"][-1].update(shape=[-4]),
+     "tensor 'dense.b' shape must be a list of non-negative integers"),
+    (lambda m: m["tensors"][2].update(offset=m["tensors"][1]["offset"]),
+     r"tensor 'lstm.U_f' starts at byte 112, expected 160"),
+    (lambda m: m["tensors"].insert(1, dict(m["tensors"][1])), "duplicated tensor 'lstm.W_f'"),
+], ids=["vocab_number", "name_number", "shape_string", "offset_string", "offset_float",
+        "tensors_numbers", "vocab_ints", "shape_negative", "offset_shared", "entry_duplicated"])
+def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
+    path = saved(tmp_path)
+    rewrite(path, mutate)
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+def test_tensors_must_fill_the_blob(tmp_path):
+    # 8 trailing blob bytes that no tensor claims used to load silently
+    path = saved(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    rewrite(path, lambda m: m.update(blob_bytes=m["blob_bytes"] + 8))
+    with pytest.raises(ModelFileError, match=r"tensors cover \d+ of \d+ bytes"):
+        load_model(path)

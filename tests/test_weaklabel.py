@@ -21,7 +21,6 @@ from risknet.weaklabel import (
     count_ngrams,
     ngrams,
     post_score,
-    propagate_user_labels,
     tfidf_weights,
     top_terms,
     top_terms_for_class,
@@ -76,14 +75,6 @@ def test_per_class_counts_conserve_total():
         for gram, total in table.counts.items():
             assert total == sum(m.get(gram, 0) for m in table.per_class.values())
             assert total >= 1
-
-
-def test_propagate_user_labels():
-    docs = [Document("u1", "x"), Document("u2", "y"), Document("u1", "z")]
-    out = propagate_user_labels(docs, {"u1": RiskLabel.SEVERE_RISK, "u2": RiskLabel.NO_RISK})
-    assert [d.label for d in out] == [RiskLabel.SEVERE_RISK, RiskLabel.NO_RISK, RiskLabel.SEVERE_RISK]
-    with pytest.raises(ValueError, match="no label for user 'u3'"):
-        propagate_user_labels([Document("u3", "w")], {"u1": RiskLabel.NO_RISK})
 
 
 # --------------------------------------------------------------- top terms

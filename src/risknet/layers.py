@@ -47,25 +47,19 @@ class _ParamBase:
 
 @dataclass
 class LSTMParams(_ParamBase):
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
-    W_i: np.ndarray
-    U_i: np.ndarray
-    b_i: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    b_o: np.ndarray
-    W_u: np.ndarray
-    U_u: np.ndarray
-    b_u: np.ndarray
+    """The four gates fused side by side in the order f, i, o, u."""
+
+    W: np.ndarray  # (D, 4H)
+    U: np.ndarray  # (H, 4H)
+    b: np.ndarray  # (4H,)
 
     def __post_init__(self):
-        D, H = self.W_f.shape
+        H = self.U.shape[0]
+        want = {"W": (self.W.shape[0], 4 * H), "U": (H, 4 * H), "b": (4 * H,)}
         for name, arr in self.named_arrays():
-            want = (D, H) if name.startswith("W_") else (H, H) if name.startswith("U_") else (H,)
-            if arr.shape != want:
-                raise ValueError(f"LSTM param {name}: expected shape {want}, got {arr.shape}")
+            if arr.shape != want[name]:
+                raise ValueError(f"LSTM param {name}: expected shape {want[name]}, "
+                                 f"got {arr.shape}")
 
 
 @dataclass
@@ -150,35 +144,25 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------- lstm
 
-_GATES = ("f", "i", "o", "u")
-
-
-def _fused(p: LSTMParams, kind: str) -> np.ndarray:
-    """The four gates' `kind` ("W", "U" or "b") arrays side by side in gate
-    order: (D, 4H), (H, 4H) or (4H,)."""
-    return np.concatenate([getattr(p, f"{kind}_{gate}") for gate in _GATES], axis=-1)
-
-
 def lstm_forward(p: LSTMParams, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out."""
     B, T, D = X.shape
-    H = p.b_f.shape[0]
-    if p.W_f.shape[0] != D:
-        raise ValueError(f"LSTM input dim mismatch: params expect {p.W_f.shape[0]}, got {D}")
+    H = p.U.shape[0]
+    if p.W.shape[0] != D:
+        raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
     h = np.zeros((B, H), dtype=X.dtype)
     c = np.zeros((B, H), dtype=X.dtype)
     out = np.empty((B, T, H), dtype=X.dtype)
     steps = []
     for t in range(T):
         x = X[:, t, :]
-        f = sigmoid(x @ p.W_f + h @ p.U_f + p.b_f)
-        i = sigmoid(x @ p.W_i + h @ p.U_i + p.b_i)
-        o = sigmoid(x @ p.W_o + h @ p.U_o + p.b_o)
-        u = np.tanh(x @ p.W_u + h @ p.U_u + p.b_u)
-        c_new = f * c + i * u
+        a = x @ p.W + h @ p.U + p.b
+        fio = sigmoid(a[:, : 3 * H])
+        u = np.tanh(a[:, 3 * H :])
+        c_new = fio[:, :H] * c + fio[:, H : 2 * H] * u
         tc = np.tanh(c_new)
-        steps.append((x, h, c, f, i, o, u, tc))
-        h = o * tc
+        steps.append((x, h, c, fio, u, tc))
+        h = fio[:, 2 * H :] * tc
         c = c_new
         out[:, t, :] = h
     return out, (p, (B, T, D, H), steps)
@@ -189,19 +173,17 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
     `rows` (U, D) are a batch's distinct input rows and `inv` (B, T) gives the
     row of every position, as `np.unique(..., return_inverse=True)` yields
-    them.  The input projection `rows @ W` is done once for all gates and
-    distinct rows (Appleyard et al. 2016, arXiv:1604.01946); each step then
-    gathers its rows of it and runs one recurrent GEMM `h @ U`.  Every step
-    keeps the operation order of `lstm_forward`, so the output is the same.
+    them.  The input projection `rows @ W` is done once for all distinct rows
+    (Appleyard et al. 2016, arXiv:1604.01946); each step then gathers its rows
+    of it and runs one recurrent GEMM `h @ U`.  Every step keeps the operation
+    order of `lstm_forward`, so the output is the same.
     """
     B, T = inv.shape
     D = rows.shape[1]
-    H = p.b_f.shape[0]
-    if p.W_f.shape[0] != D:
-        raise ValueError(f"LSTM input dim mismatch: params expect {p.W_f.shape[0]}, got {D}")
-    U_cat = _fused(p, "U")
-    b_cat = _fused(p, "b")
-    xW = rows @ _fused(p, "W")  # (U, 4H)
+    H = p.U.shape[0]
+    if p.W.shape[0] != D:
+        raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
+    xW = rows @ p.W  # (U, 4H)
     at = np.ascontiguousarray(inv.T)  # (T, B): row of each position, step by step
     h = np.zeros((B, H), dtype=rows.dtype)
     c = np.zeros((B, H), dtype=rows.dtype)
@@ -209,8 +191,8 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     a = np.empty((B, 4 * H), dtype=xW.dtype)
     for t in range(T):
         np.take(xW, at[t], axis=0, out=a)
-        a += h @ U_cat
-        a += b_cat
+        a += h @ p.U
+        a += p.b
         fio = sigmoid(a[:, : 3 * H])
         u = np.tanh(a[:, 3 * H :])
         c = fio[:, :H] * c + fio[:, H : 2 * H] * u
@@ -226,15 +208,15 @@ def lstm_backward(cache, dH: np.ndarray):
     each step stores its gate pre-activation gradients in ``dA`` and the
     weight, bias and input gradients are then single GEMMs over all steps
     (Appleyard et al. 2016, arXiv:1604.01946).  Gate blocks are stacked in
-    the order f, i, o, u.
+    the order f, i, o, u, as in the parameters.
     """
     p, (B, T, D, H), steps = cache
-    W_cat, U_cat = _fused(p, "W"), _fused(p, "U")
     dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
     for t in range(T - 1, -1, -1):
-        x, h_prev, c_prev, f, i, o, u, tc = steps[t]
+        x, h_prev, c_prev, fio, u, tc = steps[t]
+        f, i, o = fio[:, :H], fio[:, H : 2 * H], fio[:, 2 * H :]
         dh = dH[:, t, :] + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
@@ -247,20 +229,12 @@ def lstm_backward(cache, dH: np.ndarray):
         da[:, H : 2 * H] = di * i * (1.0 - i)
         da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
         da[:, 3 * H :] = du * (1.0 - u * u)
-        dh_next = da @ U_cat.T
+        dh_next = da @ p.U.T
     dA2 = dA.reshape(T * B, 4 * H)
     Xs = np.stack([s[0] for s in steps]).reshape(T * B, D)
     Hs = np.stack([s[1] for s in steps]).reshape(T * B, H)
-    dW = Xs.T @ dA2
-    dU = Hs.T @ dA2
-    db = dA2.sum(axis=0)
-    dX = (dA2 @ W_cat.T).reshape(T, B, D).transpose(1, 0, 2)
-    g = {}
-    for k, gate in enumerate(_GATES):
-        cols = slice(k * H, (k + 1) * H)
-        g[f"W_{gate}"] = dW[:, cols].copy()
-        g[f"U_{gate}"] = dU[:, cols].copy()
-        g[f"b_{gate}"] = db[cols].copy()
+    dX = (dA2 @ p.W.T).reshape(T, B, D).transpose(1, 0, 2)
+    g = {"W": Xs.T @ dA2, "U": Hs.T @ dA2, "b": dA2.sum(axis=0)}
     return g, np.ascontiguousarray(dX)
 
 

@@ -10,14 +10,15 @@ layer chain with pieces removed, so the ablation runs share one engine:
     cnn                 convolution directly over the embeddings
 
 Backward consumes the forward cache in reverse and returns one gradient per
-parameter array, keyed by dotted names ("lstm.W_f", "dense.b", ...).
+parameter array, keyed by dotted names ("lstm.W", "dense.b", ...);
+`param_shapes` gives every array's shape from the config alone.
 Inference (`forward(..., cache=False)`, which `predict` runs) keeps no cache
 and runs the LSTM over each batch's distinct tokens through `lstm_infer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -120,6 +121,33 @@ def param_groups(variant: str) -> dict[str, type]:
     return {g: cls for g, cls in _PARAM_GROUPS.items() if g in used}
 
 
+def param_shapes(cfg: ModelConfig, rows: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter array's dotted name and shape, in file order, for `cfg`
+    and an embedding of `rows` rows."""
+    D, H, F, C = cfg.embed_dim, cfg.lstm_units, cfg.filters, cfg.classes
+    shapes = {
+        "embedding": (rows, D),
+        "lstm.W": (D, 4 * H), "lstm.U": (H, 4 * H), "lstm.b": (4 * H,),
+        "attention.w": (H, 1), "attention.b": (cfg.max_len, 1),
+        "conv.kernels": (cfg.kernel, cfg.conv_in_dim(), F), "conv.bias": (F,),
+        "dense.W": (cfg.flattened_dim(), C), "dense.b": (C,),
+    }
+    groups = param_groups(cfg.variant)
+    return {name: s for name, s in shapes.items() if name.partition(".")[0] in groups}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a ModelConfig field of each annotated type accepts
+_ACCEPTS = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 @dataclass
 class ModelConfig:
     max_len: int
@@ -135,6 +163,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _ACCEPTS[f.type](value):
+                raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.dtype not in ("float32", "float64"):
@@ -197,12 +229,13 @@ def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> ModelParams:
 
     lstm = None
     if "lstm" in groups:
-        kw = {}
-        for gate in ("f", "i", "o", "u"):
-            kw[f"W_{gate}"] = _glorot(rng, (D, H), D, H, dt)
-            kw[f"U_{gate}"] = _glorot(rng, (H, H), H, H, dt)
-            kw[f"b_{gate}"] = (np.ones(H, dtype=dt) if gate == "f" else np.zeros(H, dtype=dt))
-        lstm = LSTMParams(**kw)
+        # a W and then a U draw per gate, in the gate order f, i, o, u
+        draws = [(_glorot(rng, (D, H), D, H, dt), _glorot(rng, (H, H), H, H, dt))
+                 for _ in range(4)]
+        b = np.zeros(4 * H, dtype=dt)
+        b[:H] = 1.0
+        lstm = LSTMParams(W=np.concatenate([w for w, _ in draws], axis=1),
+                          U=np.concatenate([u for _, u in draws], axis=1), b=b)
 
     attention = None
     if "attention" in groups:

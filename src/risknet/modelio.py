@@ -3,9 +3,11 @@
 File layout: a 4-byte little-endian unsigned manifest length, the UTF-8 JSON
 manifest, then every parameter tensor as float32 little-endian bytes
 concatenated in manifest order.  The manifest carries the format version,
-the full model config (including seed), the vocabulary, and per-tensor
-name/shape/byte-offset entries, so a model file is self-contained for
-prediction.  save -> load -> save is byte-identical.
+the full model config (including seed), the vocabulary, per-tensor
+name/shape/byte-offset entries and the CRC32 of the blob, so a model file is
+self-contained for prediction.  Version 2 stores the LSTM as the fused
+`lstm.W`, `lstm.U` and `lstm.b`; version-1 files are rejected, not converted.
+save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .embed import EmbeddingMatrix, Vocabulary
-from .model import Model, ModelConfig, ModelParams, param_groups
+from .model import Model, ModelConfig, ModelParams, _is_int, param_groups, param_shapes
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<I")
 
 
@@ -31,12 +34,13 @@ class ModelFileError(ValueError):
 def save_model(model: Model, vocab: Vocabulary, path: str | Path) -> None:
     blobs = []
     tensors = []
-    offset = 0
+    offset = crc = 0
     for name, arr in model.params.named_arrays():
         raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(raw)
         offset += len(raw)
+        crc = zlib.crc32(raw, crc)
     index_order = sorted(vocab.token_to_index, key=vocab.token_to_index.get)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -44,6 +48,7 @@ def save_model(model: Model, vocab: Vocabulary, path: str | Path) -> None:
         "vocab": index_order,
         "tensors": tensors,
         "blob_bytes": offset,
+        "blob_crc32": crc,
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with Path(path).open("wb") as fh:
@@ -57,10 +62,6 @@ def _require(manifest: dict, field: str):
     if field not in manifest:
         raise ModelFileError(f"corrupted manifest: missing field '{field}'")
     return manifest[field]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
@@ -91,6 +92,7 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     if not isinstance(tensors, list) or not all(isinstance(e, dict) for e in tensors):
         raise ModelFileError("corrupted manifest: 'tensors' must be a list of objects")
     declared = _require(manifest, "blob_bytes")
+    crc = _require(manifest, "blob_crc32")
     blob = data[_HEADER.size + mlen :]
     if len(blob) != declared:
         raise ModelFileError(f"blob length mismatch: expected {declared} bytes, got {len(blob)}")
@@ -112,36 +114,52 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
             raise ModelFileError(f"corrupted manifest: duplicated tensor '{name}'")
         names.add(name)
 
-    if "embedding" not in names:
-        raise ModelFileError("corrupted manifest: missing tensor 'embedding'")
-    # the tensor groups must be exactly those the variant's layer chain uses
+    # the tensors must be exactly those of the config; PAD and UNK take the
+    # first two embedding rows
+    expected = param_shapes(cfg, len(vocab_tokens) + 2)
     wanted = param_groups(cfg.variant)
     found = {name.partition(".")[0] for name in names}
-    for g in wanted:
-        if g not in found:
-            raise ModelFileError(f"corrupted manifest: missing tensor group '{g}'")
-    unexpected = sorted(found.difference(wanted))
-    if unexpected:
-        raise ModelFileError(f"corrupted manifest: unexpected tensor group '{unexpected[0]}' "
-                             f"for variant '{cfg.variant}'")
+    for name in expected:
+        if name not in names:
+            g = name.partition(".")[0]
+            what = f"tensor group '{g}'" if g != name and g not in found else f"tensor '{name}'"
+            raise ModelFileError(f"corrupted manifest: missing {what}")
+    extra = next((e["name"] for e in tensors if e["name"] not in expected), None)
+    if extra is not None:
+        g = extra.partition(".")[0]
+        if g not in wanted:
+            raise ModelFileError(f"corrupted manifest: unexpected tensor group '{g}' "
+                                 f"for variant '{cfg.variant}'")
+        raise ModelFileError(f"corrupted manifest: unexpected tensor '{extra}'")
 
     # tensors lie back to back in manifest order and fill the blob, as
     # save_model writes them, so no two share bytes
-    arrays: dict[str, np.ndarray] = {}
     end = 0
     for entry in tensors:
-        name, shape = entry["name"], tuple(entry["shape"])
         if entry["offset"] != end:
-            raise ModelFileError(f"corrupted manifest: tensor '{name}' starts at byte "
+            raise ModelFileError(f"corrupted manifest: tensor '{entry['name']}' starts at byte "
                                  f"{entry['offset']}, expected {end}")
-        count = math.prod(shape)
-        end += 4 * count
+        end += 4 * math.prod(entry["shape"])
         if end > len(blob):
-            raise ModelFileError(f"blob length mismatch: tensor '{name}' overruns blob")
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-        arrays[name] = flat.reshape(shape).astype(cfg.np_dtype)
+            raise ModelFileError(f"blob length mismatch: tensor '{entry['name']}' overruns blob")
     if end != len(blob):
         raise ModelFileError(f"blob length mismatch: tensors cover {end} of {len(blob)} bytes")
+    actual = zlib.crc32(blob)
+    if actual != crc:
+        raise ModelFileError(f"blob checksum mismatch: manifest has {json.dumps(crc)}, "
+                             f"blob has {actual}")
+
+    arrays: dict[str, np.ndarray] = {}
+    for entry in tensors:
+        name, shape, want = entry["name"], tuple(entry["shape"]), expected[entry["name"]]
+        if shape != want:
+            if name == "embedding" and shape[1:] == want[1:]:
+                raise ModelFileError(f"corrupted manifest: {len(vocab_tokens)} vocabulary tokens "
+                                     f"need {want[0]} embedding rows, the file has {shape[0]}")
+            raise ModelFileError(f"corrupted manifest: tensor '{name}' has shape {list(shape)}, "
+                                 f"the config needs {list(want)}")
+        flat = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=entry["offset"])
+        arrays[name] = flat.reshape(shape).astype(cfg.np_dtype)
     members = {g: {} for g in wanted}
     for name, arr in arrays.items():
         g, _, member = name.partition(".")
@@ -149,12 +167,7 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     try:
         params = ModelParams(embedding=EmbeddingMatrix(arrays["embedding"]), **{
             g: cls(**members[g]) for g, cls in wanted.items() if g != "embedding"})
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"corrupted manifest: inconsistent tensors ({exc})") from None
-    # PAD and UNK take the first two embedding rows
-    n_rows = params.embedding.vocab_size
-    if len(vocab_tokens) + 2 != n_rows:
-        raise ModelFileError(f"corrupted manifest: {len(vocab_tokens)} vocabulary tokens need "
-                             f"{len(vocab_tokens) + 2} embedding rows, the file has {n_rows}")
+    except ValueError as exc:
+        raise ModelFileError(f"corrupted model: bad tensor values ({exc})") from None
     vocab = Vocabulary({tok: i + 2 for i, tok in enumerate(vocab_tokens)})
     return Model(cfg, params), vocab

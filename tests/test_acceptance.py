@@ -67,7 +67,9 @@ def _lstm_params(rng, dtype=np.float64) -> LSTMParams:
     def w(shape):
         return rng.normal(0.0, 0.4, size=shape).astype(dtype)
 
-    return LSTMParams(*(arr for _ in "fiou" for arr in (w((D, H)), w((H, H)), w((H,)))))
+    # a W, U and b draw per gate, in the gate order f, i, o, u, side by side
+    gates = [(w((D, H)), w((H, H)), w((H,))) for _ in "fiou"]
+    return LSTMParams(*(np.concatenate(arrs, axis=-1) for arrs in zip(*gates)))
 
 
 def _small_model(seed: int = 0) -> tuple[Model, np.ndarray]:
@@ -112,9 +114,11 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     R, loss = projection_loss(rng, (B, T, H))
     out, cache = lstm_forward(p, X)
     grads, dX = lstm_backward(cache, R)
-    for name, arr in p.named_arrays():
-        fd_check(lambda: loss(lstm_forward(p, X)[0]), arr, grads[name], rng,
-                 samples=4, name=f"lstm.{name}")
+    for k, gate in enumerate("fiou"):  # every gate block of W, U and b
+        cols = np.s_[..., k * H : (k + 1) * H]
+        for name, arr in p.named_arrays():
+            fd_check(lambda: loss(lstm_forward(p, X)[0]), arr[cols], grads[name][cols], rng,
+                     samples=4, name=f"lstm.{name}[{gate}]")
     fd_check(lambda: loss(lstm_forward(p, X)[0]), X, dX, rng, name="lstm.X")
 
     # attention weights, bias, and input
@@ -214,9 +218,7 @@ def test_lstm_unit_cell_matches_high_precision_hand_value():
     50-digit evaluation: sigmoid(2) = 0.88079707797788244406...,
     tanh(2) = 0.96402758007581688395..., giving h1 below.
     """
-    ones = [np.ones((1, 1)) for _ in range(8)]
-    p = LSTMParams(ones[0], ones[1], np.ones(1), ones[2], ones[3], np.ones(1),
-                   ones[4], ones[5], np.ones(1), ones[6], ones[7], np.ones(1))
+    p = LSTMParams(np.ones((1, 4)), np.ones((1, 4)), np.ones(4))
     out, _ = lstm_forward(p, np.ones((1, 1, 1)))
     assert abs(float(out[0, 0, 0]) - 0.6082834181835159) < 1e-3
 

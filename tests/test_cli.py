@@ -296,20 +296,37 @@ def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path,
 
 
 def _rewrite_manifest(src, dst, mutate):
+    """Copy a model file; `mutate(manifest, blob)` edits the manifest dict and
+    the blob bytearray in place."""
     data = src.read_bytes()
     mlen = int.from_bytes(data[:4], "little")
     manifest = json.loads(data[4 : 4 + mlen])
-    mutate(manifest)
+    blob = bytearray(data[4 + mlen :])
+    mutate(manifest, blob)
     payload = json.dumps(manifest).encode()
-    dst.write_bytes(len(payload).to_bytes(4, "little") + payload + data[4 + mlen :])
+    dst.write_bytes(len(payload).to_bytes(4, "little") + payload + blob)
+
+
+def _flip_last_byte(blob):
+    blob[-1] ^= 0x01
 
 
 @pytest.mark.parametrize("mutate,message", [
     # used to end in a TypeError, exit 2
-    (lambda m: m.update(vocab=5), "'vocab' must be a list of strings"),
+    (lambda m, _: m.update(vocab=5), "'vocab' must be a list of strings"),
+    (lambda m, _: m["config"].update(max_len=16.5), "max_len must be of type int"),
+    (lambda m, _: m["config"].update(pool=True), "pool must be of type int"),
     # used to load and predict, exit 0
-    (lambda m: m["tensors"][2].update(offset=m["tensors"][1]["offset"]), "starts at byte"),
-], ids=["vocab_number", "offset_shared"])
+    (lambda m, _: m["tensors"][2].update(offset=m["tensors"][1]["offset"]), "starts at byte"),
+    (lambda m, b: _flip_last_byte(b), "blob checksum mismatch"),
+    (lambda m, _: m["config"].update(dropout_rate="x"), "dropout_rate must be of type float"),
+    (lambda m, _: m["config"].update(seed="7"), "seed must be of type int"),
+    (lambda m, _: m["config"].update(classes=3), "tensor 'dense.W' has shape"),
+    (lambda m, _: m["config"].update(filters=5), "tensor 'conv.kernels' has shape"),
+    (lambda m, _: m["config"].update(lstm_units=5), "tensor 'lstm.W' has shape"),
+    (lambda m, _: m["config"].update(kernel=3), "tensor 'conv.kernels' has shape"),
+], ids=["vocab_number", "max_len_float", "pool_bool", "offset_shared", "blob_byte_flipped",
+        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"
     _rewrite_manifest(pipeline / "train" / "model.rkn", model, mutate)

@@ -1,12 +1,14 @@
 """Old-vs-new equivalence of the rewritten kernels.
 
 The reference oracles below are the straightforward implementations the
-production kernels replaced: a per-step BPTT that accumulates every weight
-GEMM inside the time loop, a conv kernel gradient by plain ``einsum``, and an
-out-of-place Adam update.  Adam keeps its operation order, so it must match
-bit for bit; the LSTM and conv gradients sum in a different order, so they
-are compared with a tolerance fixed by the dtype.  The cache-free inference
-LSTM, `lstm_infer`, is checked against `lstm_forward` on embedded ids.
+production kernels replaced: an LSTM that runs each gate on its own column
+block of the fused parameters, a per-step BPTT that accumulates every
+per-gate weight GEMM inside the time loop, a conv kernel gradient by plain
+``einsum``, and an out-of-place Adam update.  Adam keeps its operation order,
+so it must match bit for bit; the LSTM and conv kernels sum in a different
+order, so they are compared with a tolerance fixed by the dtype.  The
+cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
+on embedded ids.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from risknet.layers import (
     lstm_backward,
     lstm_forward,
     lstm_infer,
+    sigmoid,
 )
 from risknet.train import Adam, AdamHyper
 
@@ -38,9 +41,46 @@ LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
 CONV_SHAPES = [(32, 48, 16, 8, 3), (4, 32, 100, 8, 3), (4, 32, 300, 8, 3), (3, 9, 5, 4, 2)]
 
 
+def gate(arr, k):
+    """Gate k's column block (order f, i, o, u) of a fused LSTM array."""
+    H = arr.shape[-1] // 4
+    return arr[..., k * H : (k + 1) * H]
+
+
+def ref_lstm_forward(p, X):
+    """Per-gate recurrence; its steps hold each gate's activation apart."""
+    B, T, D = X.shape
+    (W_f, W_i, W_o, W_u), (U_f, U_i, U_o, U_u), (b_f, b_i, b_o, b_u) = (
+        [gate(a, k) for k in range(4)] for a in (p.W, p.U, p.b))
+    H = U_f.shape[0]
+    h = np.zeros((B, H), dtype=X.dtype)
+    c = np.zeros((B, H), dtype=X.dtype)
+    out = np.empty((B, T, H), dtype=X.dtype)
+    steps = []
+    for t in range(T):
+        x = X[:, t, :]
+        f = sigmoid(x @ W_f + h @ U_f + b_f)
+        i = sigmoid(x @ W_i + h @ U_i + b_i)
+        o = sigmoid(x @ W_o + h @ U_o + b_o)
+        u = np.tanh(x @ W_u + h @ U_u + b_u)
+        c_new = f * c + i * u
+        tc = np.tanh(c_new)
+        steps.append((x, h, c, f, i, o, u, tc))
+        h = o * tc
+        c = c_new
+        out[:, t, :] = h
+    return out, (p, steps)
+
+
 def ref_lstm_backward(cache, dH):
-    p, (B, T, D, H), steps = cache
-    g = {name: np.zeros_like(arr) for name, arr in p.named_arrays()}
+    p, steps = cache
+    B, T, H = dH.shape
+    D = p.W.shape[0]
+    W = [gate(p.W, k) for k in range(4)]
+    U = [gate(p.U, k) for k in range(4)]
+    gW = [np.zeros((D, H), dtype=dH.dtype) for _ in range(4)]
+    gU = [np.zeros((H, H), dtype=dH.dtype) for _ in range(4)]
+    gb = [np.zeros(H, dtype=dH.dtype) for _ in range(4)]
     dX = np.empty((B, T, D), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
@@ -53,25 +93,15 @@ def ref_lstm_backward(cache, dH):
         di = dc * u
         du = dc * i
         dc_next = dc * f
-        da_f = df * f * (1.0 - f)
-        da_i = di * i * (1.0 - i)
-        da_o = do * o * (1.0 - o)
-        da_u = du * (1.0 - u * u)
-        g["W_f"] += x.T @ da_f
-        g["W_i"] += x.T @ da_i
-        g["W_o"] += x.T @ da_o
-        g["W_u"] += x.T @ da_u
-        g["U_f"] += h_prev.T @ da_f
-        g["U_i"] += h_prev.T @ da_i
-        g["U_o"] += h_prev.T @ da_o
-        g["U_u"] += h_prev.T @ da_u
-        g["b_f"] += da_f.sum(axis=0)
-        g["b_i"] += da_i.sum(axis=0)
-        g["b_o"] += da_o.sum(axis=0)
-        g["b_u"] += da_u.sum(axis=0)
-        dX[:, t, :] = da_f @ p.W_f.T + da_i @ p.W_i.T + da_o @ p.W_o.T + da_u @ p.W_u.T
-        dh_next = da_f @ p.U_f.T + da_i @ p.U_i.T + da_o @ p.U_o.T + da_u @ p.U_u.T
-    return g, dX
+        da = [df * f * (1.0 - f), di * i * (1.0 - i), do * o * (1.0 - o), du * (1.0 - u * u)]
+        for k in range(4):
+            gW[k] += x.T @ da[k]
+            gU[k] += h_prev.T @ da[k]
+            gb[k] += da[k].sum(axis=0)
+        dX[:, t, :] = sum(da[k] @ W[k].T for k in range(4))
+        dh_next = sum(da[k] @ U[k].T for k in range(4))
+    cat = lambda arrs: np.concatenate(arrs, axis=-1)  # noqa: E731
+    return {"W": cat(gW), "U": cat(gU), "b": cat(gb)}, dX
 
 
 def ref_conv1d_relu_backward(cache, dout):
@@ -113,12 +143,8 @@ def random_lstm(rng, D, H, dtype):
     def mat(r, c):
         return rng.normal(scale=0.3, size=(r, c)).astype(dtype)
 
-    kw = {}
-    for gate in "fiou":
-        kw[f"W_{gate}"] = mat(D, H)
-        kw[f"U_{gate}"] = mat(H, H)
-        kw[f"b_{gate}"] = rng.normal(scale=0.2, size=H).astype(dtype)
-    return LSTMParams(**kw)
+    return LSTMParams(mat(D, 4 * H), mat(H, 4 * H),
+                      rng.normal(scale=0.2, size=4 * H).astype(dtype))
 
 
 # --------------------------------------------------------------------- lstm
@@ -131,13 +157,33 @@ def test_lstm_backward_matches_per_step_reference(B, T, D, H, dtype):
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     _, cache = lstm_forward(p, X)
+    _, ref_cache = ref_lstm_forward(p, X)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
     grads, dX = lstm_backward(cache, dH)
-    ref_grads, ref_dX = ref_lstm_backward(cache, dH)
+    ref_grads, ref_dX = ref_lstm_backward(ref_cache, dH)
+    assert list(grads) == list(ref_grads) == ["W", "U", "b"]
     for name, ref in ref_grads.items():
         assert_close(grads[name], ref, dtype, name)
     assert_close(dX, ref_dX, dtype, "dX")
     assert dX.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES)
+def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 1000 + T + 2)
+    p = random_lstm(rng, D, H, dtype)
+    X = rng.normal(size=(B, T, D)).astype(dtype)
+    out, (_, _, steps) = lstm_forward(p, X)
+    ref, (_, ref_steps) = ref_lstm_forward(p, X)
+    assert_close(out, ref, dtype, "out")
+    for t in (0, T - 1):  # the cached activations, gate by gate
+        _, _, _, fio, u, tc = steps[t]
+        _, _, _, f, i, o, ref_u, ref_tc = ref_steps[t]
+        pairs = {"f": (fio[:, :H], f), "i": (fio[:, H : 2 * H], i), "o": (fio[:, 2 * H :], o),
+                 "u": (u, ref_u), "tc": (tc, ref_tc)}
+        for name, (new, old) in pairs.items():
+            assert_close(new, old, dtype, f"{name} at step {t}")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -158,7 +204,7 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_lstm_backward_returns_exactly_the_per_gate_keys(dtype):
+def test_lstm_backward_returns_exactly_the_param_keys(dtype):
     rng = np.random.default_rng(5)
     p = random_lstm(rng, 7, 3, dtype)
     _, cache = lstm_forward(p, rng.normal(size=(2, 4, 7)).astype(dtype))
@@ -198,8 +244,8 @@ def test_conv_backward_matches_einsum_reference(B, T, d_in, k, F, dtype):
 def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
     rng = np.random.default_rng(3)
     # the embedding spans several update blocks, the last one partial
-    shapes = {"embedding": (5003, 30), "conv.kernels": (8, 16, 3), "lstm.W_f": (30, 5),
-              "lstm.b_f": (5,)}
+    shapes = {"embedding": (5003, 30), "conv.kernels": (8, 16, 3), "lstm.W": (30, 20),
+              "lstm.b": (20,)}
     params = [(n, rng.normal(size=s).astype(dtype)) for n, s in shapes.items()]
     ref_params = [(n, a.copy()) for n, a in params]
     hyper = AdamHyper(lr=0.01)

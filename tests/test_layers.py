@@ -49,12 +49,10 @@ def lstm_params(D, H, rng, dtype=np.float64):
     def mat(r, c):
         return rng.normal(scale=0.4, size=(r, c)).astype(dtype)
 
-    return LSTMParams(
-        W_f=mat(D, H), U_f=mat(H, H), b_f=rng.normal(scale=0.2, size=H).astype(dtype),
-        W_i=mat(D, H), U_i=mat(H, H), b_i=rng.normal(scale=0.2, size=H).astype(dtype),
-        W_o=mat(D, H), U_o=mat(H, H), b_o=rng.normal(scale=0.2, size=H).astype(dtype),
-        W_u=mat(D, H), U_u=mat(H, H), b_u=rng.normal(scale=0.2, size=H).astype(dtype),
-    )
+    # a W, U and b draw per gate, in the gate order f, i, o, u
+    gates = [(mat(D, H), mat(H, H), rng.normal(scale=0.2, size=H).astype(dtype))
+             for _ in range(4)]
+    return LSTMParams(*(np.concatenate(arrs, axis=-1) for arrs in zip(*gates)))
 
 
 # ---------------------------------------------------------------- embedding
@@ -175,14 +173,14 @@ def test_dropout_backward_applies_same_mask():
 
 def test_lstm_zero_params_fixed_point():
     D, H = 3, 4
-    zeros = LSTMParams(*[np.zeros(s) for s in [(D, H), (H, H), (H,)] * 4])
+    zeros = LSTMParams(np.zeros((D, 4 * H)), np.zeros((H, 4 * H)), np.zeros(4 * H))
     X = RNG(0).normal(size=(2, 5, D))
     out, _ = lstm_forward(zeros, X)
     assert np.all(out == 0.0)
 
 
 def test_lstm_scalar_all_ones_oracle():
-    ones = LSTMParams(*[np.ones(s) for s in [(1, 1), (1, 1), (1,)] * 4])
+    ones = LSTMParams(np.ones((1, 4)), np.ones((1, 4)), np.ones(4))
     X = np.ones((1, 1, 1))
     out, _ = lstm_forward(ones, X)
     assert out[0, 0, 0] == pytest.approx(LSTM_SCALAR_H1, abs=1e-12)
@@ -198,9 +196,8 @@ def test_lstm_gate_ranges():
     p = lstm_params(4, 6, RNG(3))
     X = RNG(4).normal(size=(3, 8, 4)) * 3.0
     _, (_, _, steps) = lstm_forward(p, X)
-    for _, _, _, f, i, o, u, tc in steps:
-        for gate in (f, i, o):
-            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+    for _, _, _, fio, u, tc in steps:
+        assert np.all(fio > 0.0) and np.all(fio < 1.0)
         assert np.all(u > -1.0) and np.all(u < 1.0)
         assert np.all(tc > -1.0) and np.all(tc < 1.0)
 
@@ -221,7 +218,8 @@ def test_lstm_input_dim_mismatch():
 
 def test_lstm_gradients_finite_difference():
     rng = RNG(8)
-    p = lstm_params(3, 4, rng)
+    H = 4
+    p = lstm_params(3, H, rng)
     X = rng.normal(size=(2, 5, 3))
     out, cache = lstm_forward(p, X)
     R, loss_of = projection_loss(rng, out.shape)
@@ -230,8 +228,12 @@ def test_lstm_gradients_finite_difference():
     def loss():
         return loss_of(lstm_forward(p, X)[0])
 
-    for name, arr in p.named_arrays():
-        fd_check(loss, arr, grads[name], rng, samples=6, name=name)
+    # six samples in each gate block of W, U and b, so every gate is checked
+    for k, gate in enumerate("fiou"):
+        cols = np.s_[..., k * H : (k + 1) * H]
+        for name, arr in p.named_arrays():
+            fd_check(loss, arr[cols], grads[name][cols], rng, samples=6,
+                     name=f"{name}[{gate}]")
     fd_check(loss, X, dX, rng, samples=10, name="X")
 
 

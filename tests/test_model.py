@@ -7,7 +7,16 @@ import risknet.model
 from conftest import fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError
-from risknet.model import VARIANTS, Model, ModelConfig, ModelParams, init_params
+from risknet.model import (
+    VARIANTS,
+    Model,
+    ModelConfig,
+    ModelParams,
+    _glorot,
+    init_params,
+    param_shapes,
+)
+from risknet.rng import STREAM_INIT, bulk_generator
 
 
 def make_embedding(V, D, seed=0, dtype=np.float64):
@@ -54,6 +63,20 @@ def test_config_validation():
         ModelConfig(max_len=1, pool=2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_len", 16.5), ("pool", True), ("kernel", "8"), ("dropout_rate", "x"),
+    ("dropout_rate", False), ("seed", "7"), ("variant", 3), ("dtype", None),
+])
+def test_config_field_types(field, value):
+    # an int field takes an int but not a bool, a float field an int or a float
+    with pytest.raises(TypeError, match=f"{field} must be of type"):
+        small_cfg(**{field: value})
+
+
+def test_config_float_field_takes_an_int():
+    assert small_cfg(dropout_rate=0).dropout_rate == 0
+
+
 def test_config_derived_dims():
     cfg = small_cfg()  # T=6, pool=2, F=2 -> 3*2
     assert cfg.flattened_dim() == 6
@@ -85,15 +108,43 @@ def test_init_params_deterministic_per_seed():
 
 def test_init_forget_bias_one_other_biases_zero():
     p = init_params(small_cfg(), make_embedding(9, 5))
-    assert np.all(p.lstm.b_f == 1.0)
-    for b in (p.lstm.b_i, p.lstm.b_o, p.lstm.b_u, p.dense.b, p.conv.bias, p.attention.b):
+    H = 4
+    assert np.all(p.lstm.b[:H] == 1.0)  # the forget gate's block
+    for b in (p.lstm.b[H:], p.dense.b, p.conv.bias, p.attention.b):
         assert np.all(b == 0.0)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_init_lstm_equals_the_per_gate_draws_side_by_side(dtype):
+    # init draws each gate's W and then its U, in the gate order f, i, o, u,
+    # from the init stream, and sets the gates side by side
+    cfg = small_cfg(seed=11, dtype=dtype)
+    p = init_params(cfg, make_embedding(9, 5))
+    rng = bulk_generator(11, STREAM_INIT, 1)
+    D, H, dt = 5, 4, cfg.np_dtype
+    W, U = [], []
+    for _ in "fiou":
+        W.append(_glorot(rng, (D, H), D, H, dt))
+        U.append(_glorot(rng, (H, H), H, H, dt))
+    assert np.array_equal(p.lstm.W, np.concatenate(W, axis=1))
+    assert np.array_equal(p.lstm.U, np.concatenate(U, axis=1))
+    assert p.lstm.W.dtype == p.lstm.U.dtype == p.lstm.b.dtype == dt
+    # the draws after the LSTM's are unchanged too
+    assert np.array_equal(p.attention.w, rng.normal(0.0, 0.05, size=(H, 1)).astype(dt))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_param_shapes_match_init(variant):
+    cfg = small_cfg(variant)
+    p = init_params(cfg, make_embedding(9, 5))
+    assert {n: a.shape for n, a in p.named_arrays()} == param_shapes(cfg, 9)
+    assert list(param_shapes(cfg, 9)) == [n for n, _ in p.named_arrays()]
 
 
 def test_init_shapes_follow_config():
     cfg = small_cfg()
     p = init_params(cfg, make_embedding(9, 5))
-    assert p.lstm.W_f.shape == (5, 4) and p.lstm.U_f.shape == (4, 4)
+    assert p.lstm.W.shape == (5, 16) and p.lstm.U.shape == (4, 16) and p.lstm.b.shape == (16,)
     assert p.attention.w.shape == (4, 1) and p.attention.b.shape == (6, 1)
     assert p.conv.kernels.shape == (3, 4, 2) and p.conv.bias.shape == (2,)
     assert p.dense.W.shape == (6, 4)
@@ -123,10 +174,10 @@ def test_named_arrays_order_stable():
     p = init_params(small_cfg(), make_embedding(9, 5))
     names = [n for n, _ in p.named_arrays()]
     assert names[0] == "embedding"
-    assert names[1:13] == [f"lstm.{g}_{x}" for x in "fiou" for g in ("W", "U", "b")]
-    assert names[13:15] == ["attention.w", "attention.b"]
-    assert names[15:17] == ["conv.kernels", "conv.bias"]
-    assert names[17:] == ["dense.W", "dense.b"]
+    assert names[1:4] == ["lstm.W", "lstm.U", "lstm.b"]
+    assert names[4:6] == ["attention.w", "attention.b"]
+    assert names[6:8] == ["conv.kernels", "conv.bias"]
+    assert names[8:] == ["dense.W", "dense.b"]
 
 
 # ------------------------------------------------------------------- forward
@@ -174,7 +225,7 @@ def test_forward_nan_tripwire_names_layer(poisoned, run):
     model = build()
     X = batch_for(model.cfg)
     if poisoned == "lstm":
-        model.params.lstm.W_f[0, 0] = np.nan
+        model.params.lstm.W[0, 0] = np.nan
     else:
         model.params.embedding.matrix[X[1, 2], 0] = np.nan
     with pytest.raises(NumericsError, match=f"after layer '{poisoned}'"):
@@ -295,7 +346,7 @@ def test_lstm_variant_routes_last_step_only():
     # grads flow: upstream on probs affects only via last step, so earlier
     # steps receive gradient solely through the recurrence
     grads = model.backward(trace, dprobs=np.ones_like(probs))
-    assert grads["lstm.W_f"].shape == model.params.lstm.W_f.shape
+    assert grads["lstm.W"].shape == model.params.lstm.W.shape
 
 
 # ------------------------------------------------------------------ tracing

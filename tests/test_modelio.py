@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -122,11 +123,46 @@ def test_version_mismatch(tmp_path):
         m["format_version"] = FORMAT_VERSION + 1
 
     rewrite(path, bump)
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 2, expected 1"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 3, expected 2"):
         load_model(path)
 
 
-@pytest.mark.parametrize("field", ["format_version", "config", "vocab", "tensors", "blob_bytes"])
+def test_version_1_file_is_rejected(tmp_path):
+    # version 1 stored the LSTM as twelve per-gate tensors; it is not converted
+    path = saved(tmp_path)
+
+    def downgrade(m):
+        m["format_version"] = 1
+        del m["blob_crc32"]
+        lstm = next(i for i, t in enumerate(m["tensors"]) if t["name"] == "lstm.W")
+        m["tensors"][lstm]["name"] = "lstm.W_f"
+
+    rewrite(path, downgrade)
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 2"):
+        load_model(path)
+
+
+def test_manifest_carries_the_blob_crc32(tmp_path):
+    data = saved(tmp_path).read_bytes()
+    (mlen,) = HEADER.unpack_from(data)
+    manifest = json.loads(data[HEADER.size : HEADER.size + mlen])
+    assert manifest["format_version"] == FORMAT_VERSION == 2
+    assert manifest["blob_crc32"] == zlib.crc32(data[HEADER.size + mlen :])
+    assert [t["name"] for t in manifest["tensors"]][1:4] == ["lstm.W", "lstm.U", "lstm.b"]
+
+
+def test_flipped_blob_byte(tmp_path):
+    # a flipped bit in the last dense bias used to load and predict silently
+    path = saved(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="blob checksum mismatch"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", ["format_version", "config", "vocab", "tensors", "blob_bytes",
+                                   "blob_crc32"])
 def test_missing_manifest_field_named(tmp_path, field):
     path = saved(tmp_path)
     rewrite(path, lambda m: {k: v for k, v in m.items() if k != field})
@@ -223,17 +259,45 @@ def test_vocab_longer_than_embedding(tmp_path):
     (lambda m: m["tensors"][1].update(name=7), "tensor name 7 is not a string"),
     (lambda m: m["tensors"][0].update(shape="ab"),
      "tensor 'embedding' shape must be a list of non-negative integers"),
-    (lambda m: m["tensors"][1].update(offset="0"), "tensor 'lstm.W_f' offset must be an integer"),
-    (lambda m: m["tensors"][1].update(offset=1.5), "tensor 'lstm.W_f' offset must be an integer"),
+    (lambda m: m["tensors"][1].update(offset="0"), "tensor 'lstm.W' offset must be an integer"),
+    (lambda m: m["tensors"][1].update(offset=1.5), "tensor 'lstm.W' offset must be an integer"),
     (lambda m: m.update(tensors=[1]), "'tensors' must be a list of objects"),
     (lambda m: m.update(vocab=list(range(len(m["vocab"])))), "'vocab' must be a list of strings"),
     (lambda m: m["tensors"][-1].update(shape=[-4]),
      "tensor 'dense.b' shape must be a list of non-negative integers"),
     (lambda m: m["tensors"][2].update(offset=m["tensors"][1]["offset"]),
-     r"tensor 'lstm.U_f' starts at byte 112, expected 160"),
-    (lambda m: m["tensors"].insert(1, dict(m["tensors"][1])), "duplicated tensor 'lstm.W_f'"),
+     r"tensor 'lstm.U' starts at byte 112, expected 304"),
+    (lambda m: m["tensors"].insert(1, dict(m["tensors"][1])), "duplicated tensor 'lstm.W'"),
+    # the rest used to load, and predict either exited 0 or ended in a
+    # TypeError with exit 2
+    (lambda m: m.update(blob_crc32=m["blob_crc32"] ^ 1), "blob checksum mismatch"),
+    (lambda m: m.update(blob_crc32=str(m["blob_crc32"])), "blob checksum mismatch"),
+    (lambda m: m["config"].update(max_len=6.5), r"bad config \(max_len must be of type int"),
+    (lambda m: m["config"].update(pool=True), r"bad config \(pool must be of type int"),
+    (lambda m: m["config"].update(dropout_rate="x"),
+     r"bad config \(dropout_rate must be of type float"),
+    (lambda m: m["config"].update(seed="7"), r"bad config \(seed must be of type int"),
+    (lambda m: m["config"].update(classes=3),
+     r"tensor 'dense.W' has shape \[6, 4\], the config needs \[6, 3\]"),
+    (lambda m: m["config"].update(filters=5),
+     r"tensor 'conv.kernels' has shape \[3, 3, 2\], the config needs \[3, 3, 5\]"),
+    (lambda m: m["config"].update(lstm_units=5),
+     r"tensor 'lstm.W' has shape \[4, 12\], the config needs \[4, 20\]"),
+    (lambda m: m["config"].update(kernel=5),
+     r"tensor 'conv.kernels' has shape \[3, 3, 2\], the config needs \[5, 3, 2\]"),
+    (lambda m: m["config"].update(embed_dim=5),
+     r"tensor 'embedding' has shape \[7, 4\], the config needs \[7, 5\]"),
+    (lambda m: m["config"].update(max_len=8),
+     r"tensor 'attention.b' has shape \[6, 1\], the config needs \[8, 1\]"),
+    (lambda m: m["tensors"][1].update(name="lstm.W_f"), "missing tensor 'lstm.W'"),
+    (lambda m: m["tensors"].append({"name": "lstm.peephole", "shape": [0],
+                                    "offset": m["blob_bytes"]}),
+     "unexpected tensor 'lstm.peephole'"),
 ], ids=["vocab_number", "name_number", "shape_string", "offset_string", "offset_float",
-        "tensors_numbers", "vocab_ints", "shape_negative", "offset_shared", "entry_duplicated"])
+        "tensors_numbers", "vocab_ints", "shape_negative", "offset_shared", "entry_duplicated",
+        "crc_changed", "crc_string", "max_len_float", "pool_bool", "dropout_string",
+        "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_5", "embed_dim_5",
+        "max_len_8", "per_gate_name", "extra_tensor"])
 def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
     path = saved(tmp_path)
     rewrite(path, mutate)

@@ -320,7 +320,7 @@ def _cmd_train(params: dict) -> int:
     mcfg = _build_model_config(params, max_len, embed_dim, str(params["variant"]))
     tcfg = train.TrainConfig(
         model=mcfg, epochs=int(params["epochs"]), batch_size=int(params["batch_size"]),
-        train_fraction=float(params["train_fraction"]), seed=int(params["seed"]))
+        seed=int(params["seed"]))
     log = lambda epoch, loss, acc: print(
         f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
     model, history = train.fit(tcfg, X_train, y_train, matrix, on_epoch=log)
@@ -380,7 +380,7 @@ def _cmd_ablate(params: dict) -> int:
     mcfg = _build_model_config(params, max_len, embed_dim, "lstm_attention_cnn")
     tcfg = train.TrainConfig(
         model=mcfg, epochs=int(params["epochs"]), batch_size=int(params["batch_size"]),
-        train_fraction=float(params["train_fraction"]), seed=int(params["seed"]))
+        seed=int(params["seed"]))
     rows = baselines.ablation_suite(tcfg, X_train, y_train, X_test, y_test, matrix)
     baselines.save_ablation_csv(rows, out / "ablation.csv")
     params = dict(params, max_len=max_len, embed_dim=embed_dim)

@@ -168,12 +168,6 @@ def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> list[int]:
     return [PAD_INDEX] * (max_len - len(ids)) + ids
 
 
-def decode(indices: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Tokens for non-PAD indices; UNK positions come back as the UNK marker."""
-    inv = vocab.index_to_token()
-    return [inv[i] for i in indices if i != PAD_INDEX]
-
-
 def encode_batch(docs: Sequence[Sequence[str]], vocab: Vocabulary, max_len: int) -> np.ndarray:
     """B x max_len int64 index matrix."""
     return np.array([encode(toks, vocab, max_len) for toks in docs], dtype=np.int64)

@@ -40,15 +40,7 @@ def _mix64(z: int) -> int:
 
 def splitmix64_sequence(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of splitmix64 started at ``seed``."""
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(z ^ (z >> 31))
-    return out
+    return [_mix64((seed + k * 0x9E3779B97F4A7C15) & _MASK64) for k in range(count)]
 
 
 def derive_seed(seed: int, *tags: int) -> int:

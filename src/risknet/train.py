@@ -126,7 +126,6 @@ class TrainConfig:
     model: ModelConfig
     epochs: int = 10
     batch_size: int = 32
-    train_fraction: float = 0.8
     seed: int = 0
     adam: AdamHyper = field(default_factory=AdamHyper)
 
@@ -135,8 +134,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import zlib
 
 import pytest
 
@@ -297,14 +298,19 @@ def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path,
 
 def _rewrite_manifest(src, dst, mutate):
     """Copy a model file; `mutate(manifest, blob)` edits the manifest dict and
-    the blob bytearray in place."""
+    the blob bytearray in place.  The CRC trailer is resealed over the edited
+    manifest and the blob as it was, so a manifest edit reaches the loader's
+    own check for it and a blob edit fails the checksum."""
     data = src.read_bytes()
     mlen = int.from_bytes(data[:4], "little")
     manifest = json.loads(data[4 : 4 + mlen])
-    blob = bytearray(data[4 + mlen :])
+    blob = bytearray(data[4 + mlen : -4])
+    original = bytes(blob)
     mutate(manifest, blob)
     payload = json.dumps(manifest).encode()
-    dst.write_bytes(len(payload).to_bytes(4, "little") + payload + blob)
+    head = len(payload).to_bytes(4, "little") + payload
+    crc = zlib.crc32(original, zlib.crc32(head))
+    dst.write_bytes(head + blob + crc.to_bytes(4, "little"))
 
 
 def _flip_last_byte(blob):
@@ -316,16 +322,17 @@ def _flip_last_byte(blob):
     (lambda m, _: m.update(vocab=5), "'vocab' must be a list of strings"),
     (lambda m, _: m["config"].update(max_len=16.5), "max_len must be of type int"),
     (lambda m, _: m["config"].update(pool=True), "pool must be of type int"),
+    # used to end in a ValueError, exit 2
+    (lambda m, _: m["vocab"].__setitem__(1, m["vocab"][0]), "'vocab' repeats a token"),
     # used to load and predict, exit 0
-    (lambda m, _: m["tensors"][2].update(offset=m["tensors"][1]["offset"]), "starts at byte"),
-    (lambda m, b: _flip_last_byte(b), "blob checksum mismatch"),
+    (lambda m, b: _flip_last_byte(b), "checksum mismatch"),
     (lambda m, _: m["config"].update(dropout_rate="x"), "dropout_rate must be of type float"),
     (lambda m, _: m["config"].update(seed="7"), "seed must be of type int"),
-    (lambda m, _: m["config"].update(classes=3), "tensor 'dense.W' has shape"),
-    (lambda m, _: m["config"].update(filters=5), "tensor 'conv.kernels' has shape"),
-    (lambda m, _: m["config"].update(lstm_units=5), "tensor 'lstm.W' has shape"),
-    (lambda m, _: m["config"].update(kernel=3), "tensor 'conv.kernels' has shape"),
-], ids=["vocab_number", "max_len_float", "pool_bool", "offset_shared", "blob_byte_flipped",
+    (lambda m, _: m["config"].update(classes=3), "blob length mismatch: the config and"),
+    (lambda m, _: m["config"].update(filters=5), "blob length mismatch: the config and"),
+    (lambda m, _: m["config"].update(lstm_units=5), "blob length mismatch: the config and"),
+    (lambda m, _: m["config"].update(kernel=3), "blob length mismatch: the config and"),
+], ids=["vocab_number", "max_len_float", "pool_bool", "vocab_repeated", "blob_byte_flipped",
         "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"
@@ -334,6 +341,24 @@ def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, me
                "--out", tmp_path / "pred") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+def test_evaluate_rejects_swapped_vocab_tokens(pipeline, tmp_path, capsys):
+    # with the CRC over the blob only, swapping two tokens in the manifest
+    # loaded, and evaluate exited 0 with a wrong accuracy
+    data = (pipeline / "train" / "model.rkn").read_bytes()
+    mlen = int.from_bytes(data[:4], "little")
+    manifest = json.loads(data[4 : 4 + mlen])
+    vocab = manifest["vocab"]
+    vocab[0], vocab[1] = vocab[1], vocab[0]
+    payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    assert len(payload) == mlen
+    model = tmp_path / "model.rkn"
+    model.write_bytes(data[:4] + payload + data[4 + mlen :])
+    assert run("evaluate", "--model", model, "--dataset", pipeline / "train" / "test.jsonl",
+               "--out", tmp_path / "eval") == 1
+    assert "checksum mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 def test_help_exits_0():

@@ -15,7 +15,6 @@ from risknet.embed import (
     EmbeddingMatrix,
     Vocabulary,
     build_vocab,
-    decode,
     encode,
     encode_batch,
     init_embeddings,
@@ -189,13 +188,13 @@ def test_encode_rejects_bad_max_len():
         encode(["a"], VOCAB, 0)
 
 
-def test_decode_round_trip_skips_pad():
+def test_encode_maps_known_tokens_to_their_indices_in_order():
     tokens = ["want", "die", "b"]
-    assert decode(encode(tokens, VOCAB, 6), VOCAB) == tokens
+    assert encode(tokens, VOCAB, 6) == [PAD_INDEX] * 3 + [9, 5, 3]
 
 
-def test_decode_marks_unk():
-    assert decode(encode(["want", "zzz"], VOCAB, 4), VOCAB) == ["want", UNK_TOKEN]
+def test_encode_maps_oov_to_unk_index():
+    assert encode(["want", "zzz"], VOCAB, 4) == [PAD_INDEX, PAD_INDEX, 9, UNK_INDEX]
 
 
 def test_encode_batch_shape_dtype():
@@ -221,8 +220,9 @@ def test_encode_length_and_range(tokens, max_len):
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "die"]), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_decode_recovers_short_known_sequences(tokens):
-    assert decode(encode(tokens, VOCAB, 8), VOCAB) == tokens
+def test_encode_keeps_short_known_sequences_whole(tokens):
+    out = encode(tokens, VOCAB, 8)
+    assert out == [PAD_INDEX] * (8 - len(tokens)) + [VOCAB.index(t) for t in tokens]
 
 
 # ------------------------------------------------------------------- dump

@@ -32,15 +32,25 @@ def saved(tmp_path, model=None, name="model.rkn"):
     return path
 
 
-def rewrite(path, mutate):
-    """Load, mutate, and re-pack the manifest; blob bytes untouched."""
-    data = path.read_bytes()
+def seal(body):
+    """`body` followed by the CRC32 trailer that covers it."""
+    return body + HEADER.pack(zlib.crc32(body))
+
+
+def split(data):
+    """A model file's manifest dict and tensor bytes."""
     (mlen,) = HEADER.unpack_from(data)
-    manifest = json.loads(data[HEADER.size : HEADER.size + mlen])
-    blob = data[HEADER.size + mlen :]
+    return json.loads(data[HEADER.size : HEADER.size + mlen]), data[HEADER.size + mlen : -4]
+
+
+def rewrite(path, mutate=lambda m: None, edit_blob=lambda b: b):
+    """Re-pack a model file with `mutate` applied to its manifest and
+    `edit_blob` to its tensor bytes, and reseal the CRC, so the edit reaches
+    the loader's own check for it."""
+    manifest, blob = split(path.read_bytes())
     manifest = mutate(manifest) or manifest
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(HEADER.pack(len(payload)) + payload + blob)
+    path.write_bytes(seal(HEADER.pack(len(payload)) + payload + edit_blob(blob)))
 
 
 # ------------------------------------------------------------- round trips
@@ -103,7 +113,7 @@ def test_truncated_header(tmp_path):
 
 def test_manifest_shorter_than_declared(tmp_path):
     path = tmp_path / "m.rkn"
-    path.write_bytes(HEADER.pack(100) + b"{}")
+    path.write_bytes(seal(HEADER.pack(100) + b"{}"))
     with pytest.raises(ModelFileError, match="manifest shorter than declared"):
         load_model(path)
 
@@ -111,58 +121,91 @@ def test_manifest_shorter_than_declared(tmp_path):
 def test_garbage_manifest(tmp_path):
     path = tmp_path / "m.rkn"
     payload = b"not json at all"
-    path.write_bytes(HEADER.pack(len(payload)) + payload)
+    path.write_bytes(seal(HEADER.pack(len(payload)) + payload))
     with pytest.raises(ModelFileError, match="corrupted manifest"):
         load_model(path)
 
 
 def test_version_mismatch(tmp_path):
     path = saved(tmp_path)
-
-    def bump(m):
-        m["format_version"] = FORMAT_VERSION + 1
-
-    rewrite(path, bump)
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 3, expected 2"):
+    rewrite(path, lambda m: m.update(format_version=FORMAT_VERSION + 1))
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 4, expected 3"):
         load_model(path)
 
 
 def test_version_1_file_is_rejected(tmp_path):
     # version 1 stored the LSTM as twelve per-gate tensors; it is not converted
     path = saved(tmp_path)
-
-    def downgrade(m):
-        m["format_version"] = 1
-        del m["blob_crc32"]
-        lstm = next(i for i, t in enumerate(m["tensors"]) if t["name"] == "lstm.W")
-        m["tensors"][lstm]["name"] = "lstm.W_f"
-
-    rewrite(path, downgrade)
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 2"):
+    rewrite(path, lambda m: m.update(format_version=1))
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 3"):
         load_model(path)
 
 
-def test_manifest_carries_the_blob_crc32(tmp_path):
+def test_version_2_file_is_rejected_at_the_checksum(tmp_path):
+    # version 2 had no trailing CRC, so its last four bytes do not seal the file
+    path = saved(tmp_path)
+    manifest, blob = split(path.read_bytes())
+    manifest.update(format_version=2, blob_bytes=len(blob), blob_crc32=zlib.crc32(blob))
+    payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(HEADER.pack(len(payload)) + payload + blob)
+    with pytest.raises(ModelFileError, match="checksum mismatch: .* older than format version 3"):
+        load_model(path)
+
+
+def test_file_is_manifest_tensors_and_a_crc32_of_every_byte_before(tmp_path):
     data = saved(tmp_path).read_bytes()
-    (mlen,) = HEADER.unpack_from(data)
-    manifest = json.loads(data[HEADER.size : HEADER.size + mlen])
-    assert manifest["format_version"] == FORMAT_VERSION == 2
-    assert manifest["blob_crc32"] == zlib.crc32(data[HEADER.size + mlen :])
-    assert [t["name"] for t in manifest["tensors"]][1:4] == ["lstm.W", "lstm.U", "lstm.b"]
+    manifest, blob = split(data)
+    assert manifest["format_version"] == FORMAT_VERSION == 3
+    assert sorted(manifest) == ["config", "format_version", "vocab"]
+    assert manifest["vocab"] == ["help", "die", "want", "lost", "end"]
+    # 7 x 4 embedding, 4 x 12 + 3 x 12 + 12 LSTM, 3 + 6 attention, 3 x 3 x 2 + 2
+    # conv, 6 x 4 + 4 dense
+    assert len(blob) == 4 * 181
+    assert HEADER.unpack_from(data, len(data) - 4) == (zlib.crc32(data[:-4]),)
 
 
 def test_flipped_blob_byte(tmp_path):
     # a flipped bit in the last dense bias used to load and predict silently
     path = saved(tmp_path)
     data = bytearray(path.read_bytes())
-    data[-1] ^= 0x01
+    data[-5] ^= 0x01
     path.write_bytes(bytes(data))
-    with pytest.raises(ModelFileError, match="blob checksum mismatch"):
+    with pytest.raises(ModelFileError, match="checksum mismatch"):
         load_model(path)
 
 
-@pytest.mark.parametrize("field", ["format_version", "config", "vocab", "tensors", "blob_bytes",
-                                   "blob_crc32"])
+def _load_outcome(path, data):
+    """None when `data` ends in ModelFileError, else what happened instead."""
+    path.write_bytes(data)
+    try:
+        load_model(path)
+    except ModelFileError:
+        return None
+    except Exception as exc:  # any other error is a finding
+        return type(exc).__name__
+    return "loaded"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_bit_flip_and_truncation_is_rejected(tmp_path, variant):
+    # with the blob-only CRC of format version 2, 137 of the full model's
+    # 11,904 single-bit flips loaded (most of them in the manifest) and one
+    # ended in a ZeroDivisionError
+    data = saved(tmp_path, small_model(variant)).read_bytes()
+    path = tmp_path / "bad.rkn"
+    escaped = {}
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        if (outcome := _load_outcome(path, bytes(flipped))) is not None:
+            escaped[f"bit {bit}"] = outcome
+    for size in range(len(data)):
+        if (outcome := _load_outcome(path, data[:size])) is not None:
+            escaped[f"first {size} bytes"] = outcome
+    assert escaped == {}
+
+
+@pytest.mark.parametrize("field", ["format_version", "config", "vocab"])
 def test_missing_manifest_field_named(tmp_path, field):
     path = saved(tmp_path)
     rewrite(path, lambda m: {k: v for k, v in m.items() if k != field})
@@ -172,74 +215,57 @@ def test_missing_manifest_field_named(tmp_path, field):
 
 def test_bad_config_rejected(tmp_path):
     path = saved(tmp_path)
-
-    def poison(m):
-        m["config"]["variant"] = "perceptron"
-
-    rewrite(path, poison)
+    rewrite(path, lambda m: m["config"].update(variant="perceptron"))
     with pytest.raises(ModelFileError, match="bad config"):
         load_model(path)
 
 
 def test_blob_truncated(tmp_path):
     path = saved(tmp_path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ModelFileError, match="blob length mismatch: expected"):
+    rewrite(path, edit_blob=lambda b: b[:-8])
+    with pytest.raises(ModelFileError, match="blob length mismatch: the config and 5 vocabulary "
+                                             "tokens need 724 bytes, the file has 716"):
         load_model(path)
 
 
 def test_tensor_overruns_blob(tmp_path):
+    # a blob that ends inside the last tensor's final float
     path = saved(tmp_path)
-
-    def stretch(m):
-        m["tensors"][-1]["shape"] = [10_000]
-
-    rewrite(path, stretch)
-    with pytest.raises(ModelFileError, match="overruns blob"):
+    rewrite(path, edit_blob=lambda b: b[:-2])
+    with pytest.raises(ModelFileError, match="need 724 bytes, the file has 722"):
         load_model(path)
 
 
-def test_tensor_entry_missing_key(tmp_path):
+def test_tensors_must_fill_the_blob(tmp_path):
+    # 8 trailing blob bytes that no tensor claims used to load silently
     path = saved(tmp_path)
-
-    def strip(m):
-        del m["tensors"][0]["shape"]
-
-    rewrite(path, strip)
-    with pytest.raises(ModelFileError, match="tensor entry missing 'shape'"):
+    rewrite(path, edit_blob=lambda b: b + bytes(8))
+    with pytest.raises(ModelFileError, match="need 724 bytes, the file has 732"):
         load_model(path)
 
 
 def test_missing_embedding_tensor(tmp_path):
     path = saved(tmp_path)
-
-    def drop(m):
-        m["tensors"] = [t for t in m["tensors"] if t["name"] != "embedding"]
-
-    rewrite(path, drop)
-    with pytest.raises(ModelFileError, match="missing tensor 'embedding'"):
+    rewrite(path, edit_blob=lambda b: b[7 * 4 * 4 :])
+    with pytest.raises(ModelFileError, match="need 724 bytes, the file has 612"):
         load_model(path)
 
 
 def test_missing_dense_group(tmp_path):
     # without attention the file used to load, and predict ended in an AttributeError
-    for group in ("dense", "attention", "lstm", "conv"):
+    spans = {"lstm": (112, 496), "attention": (496, 532), "conv": (532, 612), "dense": (612, 724)}
+    for group, (start, end) in spans.items():
         path = saved(tmp_path)
-
-        def drop(m):
-            m["tensors"] = [t for t in m["tensors"] if not t["name"].startswith(group + ".")]
-
-        rewrite(path, drop)
-        with pytest.raises(ModelFileError, match=f"missing tensor group '{group}'"):
+        rewrite(path, edit_blob=lambda b: b[:start] + b[end:])
+        with pytest.raises(ModelFileError, match=f"the file has {724 - (end - start)}$"):
             load_model(path)
 
 
 def test_tensor_group_the_variant_does_not_use(tmp_path):
+    # lstm_cnn has no attention group, so the attention bytes are surplus
     path = saved(tmp_path)
     rewrite(path, lambda m: m["config"].update(variant="lstm_cnn"))
-    with pytest.raises(ModelFileError,
-                       match="unexpected tensor group 'attention' for variant 'lstm_cnn'"):
+    with pytest.raises(ModelFileError, match="need 688 bytes, the file has 724"):
         load_model(path)
 
 
@@ -247,68 +273,35 @@ def test_vocab_longer_than_embedding(tmp_path):
     # the file used to load, and predict ended in an IndexError
     path = saved(tmp_path)
     rewrite(path, lambda m: m["vocab"].extend(f"extra{i}" for i in range(50)))
-    with pytest.raises(ModelFileError, match="55 vocabulary tokens need 57 embedding rows, "
-                                             "the file has 7"):
+    with pytest.raises(ModelFileError, match="the config and 55 vocabulary tokens need 1524 "
+                                             "bytes, the file has 724"):
         load_model(path)
 
 
-# the first six used to end in a TypeError, AttributeError or UFuncTypeError
-# (exit 2 in predict); the last four used to load and predict with exit 0
+# the first three used to end in a TypeError, AttributeError or UFuncTypeError
+# (exit 2 in predict); vocab_repeated ended in a plain ValueError (exit 2)
 @pytest.mark.parametrize("mutate,message", [
     (lambda m: m.update(vocab=5), "'vocab' must be a list of strings"),
-    (lambda m: m["tensors"][1].update(name=7), "tensor name 7 is not a string"),
-    (lambda m: m["tensors"][0].update(shape="ab"),
-     "tensor 'embedding' shape must be a list of non-negative integers"),
-    (lambda m: m["tensors"][1].update(offset="0"), "tensor 'lstm.W' offset must be an integer"),
-    (lambda m: m["tensors"][1].update(offset=1.5), "tensor 'lstm.W' offset must be an integer"),
-    (lambda m: m.update(tensors=[1]), "'tensors' must be a list of objects"),
     (lambda m: m.update(vocab=list(range(len(m["vocab"])))), "'vocab' must be a list of strings"),
-    (lambda m: m["tensors"][-1].update(shape=[-4]),
-     "tensor 'dense.b' shape must be a list of non-negative integers"),
-    (lambda m: m["tensors"][2].update(offset=m["tensors"][1]["offset"]),
-     r"tensor 'lstm.U' starts at byte 112, expected 304"),
-    (lambda m: m["tensors"].insert(1, dict(m["tensors"][1])), "duplicated tensor 'lstm.W'"),
+    (lambda m: m["config"].update(max_len=6.5), r"bad config \(max_len must be of type int"),
+    (lambda m: m["vocab"].__setitem__(1, m["vocab"][0]), "'vocab' repeats a token"),
     # the rest used to load, and predict either exited 0 or ended in a
     # TypeError with exit 2
-    (lambda m: m.update(blob_crc32=m["blob_crc32"] ^ 1), "blob checksum mismatch"),
-    (lambda m: m.update(blob_crc32=str(m["blob_crc32"])), "blob checksum mismatch"),
-    (lambda m: m["config"].update(max_len=6.5), r"bad config \(max_len must be of type int"),
     (lambda m: m["config"].update(pool=True), r"bad config \(pool must be of type int"),
     (lambda m: m["config"].update(dropout_rate="x"),
      r"bad config \(dropout_rate must be of type float"),
     (lambda m: m["config"].update(seed="7"), r"bad config \(seed must be of type int"),
-    (lambda m: m["config"].update(classes=3),
-     r"tensor 'dense.W' has shape \[6, 4\], the config needs \[6, 3\]"),
-    (lambda m: m["config"].update(filters=5),
-     r"tensor 'conv.kernels' has shape \[3, 3, 2\], the config needs \[3, 3, 5\]"),
-    (lambda m: m["config"].update(lstm_units=5),
-     r"tensor 'lstm.W' has shape \[4, 12\], the config needs \[4, 20\]"),
-    (lambda m: m["config"].update(kernel=5),
-     r"tensor 'conv.kernels' has shape \[3, 3, 2\], the config needs \[5, 3, 2\]"),
-    (lambda m: m["config"].update(embed_dim=5),
-     r"tensor 'embedding' has shape \[7, 4\], the config needs \[7, 5\]"),
-    (lambda m: m["config"].update(max_len=8),
-     r"tensor 'attention.b' has shape \[6, 1\], the config needs \[8, 1\]"),
-    (lambda m: m["tensors"][1].update(name="lstm.W_f"), "missing tensor 'lstm.W'"),
-    (lambda m: m["tensors"].append({"name": "lstm.peephole", "shape": [0],
-                                    "offset": m["blob_bytes"]}),
-     "unexpected tensor 'lstm.peephole'"),
-], ids=["vocab_number", "name_number", "shape_string", "offset_string", "offset_float",
-        "tensors_numbers", "vocab_ints", "shape_negative", "offset_shared", "entry_duplicated",
-        "crc_changed", "crc_string", "max_len_float", "pool_bool", "dropout_string",
-        "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_5", "embed_dim_5",
-        "max_len_8", "per_gate_name", "extra_tensor"])
+    (lambda m: m["config"].update(classes=3), "need 696 bytes, the file has 724"),
+    (lambda m: m["config"].update(filters=5), "need 988 bytes, the file has 724"),
+    (lambda m: m["config"].update(lstm_units=5), "need 1196 bytes, the file has 724"),
+    (lambda m: m["config"].update(kernel=5), "need 772 bytes, the file has 724"),
+    (lambda m: m["config"].update(embed_dim=5), "need 800 bytes, the file has 724"),
+    (lambda m: m["config"].update(max_len=8), "need 764 bytes, the file has 724"),
+], ids=["vocab_number", "vocab_ints", "max_len_float", "vocab_repeated", "pool_bool",
+        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_5",
+        "embed_dim_5", "max_len_8"])
 def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
     path = saved(tmp_path)
     rewrite(path, mutate)
     with pytest.raises(ModelFileError, match=message):
-        load_model(path)
-
-
-def test_tensors_must_fill_the_blob(tmp_path):
-    # 8 trailing blob bytes that no tensor claims used to load silently
-    path = saved(tmp_path)
-    path.write_bytes(path.read_bytes() + bytes(8))
-    rewrite(path, lambda m: m.update(blob_bytes=m["blob_bytes"] + 8))
-    with pytest.raises(ModelFileError, match=r"tensors cover \d+ of \d+ bytes"):
         load_model(path)

@@ -269,8 +269,6 @@ def test_fit_validation_errors():
         TrainConfig(model=ModelConfig(max_len=8), epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(model=ModelConfig(max_len=8), batch_size=0)
-    with pytest.raises(ValueError, match="train_fraction"):
-        TrainConfig(model=ModelConfig(max_len=8), train_fraction=1.5)
 
 
 def test_evaluate_returns_metrics_over_all_rows():

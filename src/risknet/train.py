@@ -167,7 +167,11 @@ def fit(
     embedding: EmbeddingMatrix,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[Model, History]:
-    """Train on encoded sequences X (N, T) with integer labels y (N,)."""
+    """Train on encoded sequences X (N, T) with integer labels y (N,).
+
+    A ``NumericsError`` is re-raised with the epoch (from 1), the global step
+    and the batch index within the epoch (both from 0) in front.
+    """
     X = np.asarray(X)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -186,14 +190,17 @@ def fit(
         order = shuffled_indices(n, derive_seed(cfg.seed, STREAM_EPOCH, epoch))
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
-            probs, trace = model.forward(xb, mode="train", step=step)
-            loss_sum += sparse_cce(probs, yb) * len(idx)
-            correct += int((probs.argmax(axis=1) == yb).sum())
-            grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))
-            opt.step(params.named_arrays(), grads)
+            try:
+                probs, trace = model.forward(xb, mode="train", step=step)
+                loss_sum += sparse_cce(probs, yb) * len(idx)
+                correct += int((probs.argmax(axis=1) == yb).sum())
+                grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))
+                opt.step(params.named_arrays(), grads)
+            except NumericsError as exc:
+                raise NumericsError(f"epoch {epoch + 1}, step {step}, batch {batch}: {exc}") from exc
             step += 1
         epoch_loss = loss_sum / n
         epoch_acc = correct / n

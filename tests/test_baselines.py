@@ -1,19 +1,26 @@
 """Mean-embedding SVM baseline and the five-variant ablation table."""
 
+import contextlib
+import dataclasses
+import math
+import os
+
 import numpy as np
 import pytest
 
 from risknet.baselines import (
     ABLATION_VARIANTS,
     LinearSVM,
+    _ablation_row,
     ablation_suite,
     mean_embedding_features,
     save_ablation_csv,
     svm_baseline,
 )
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
+from risknet.layers import NumericsError
 from risknet.model import ModelConfig
-from risknet.train import TrainConfig
+from risknet.train import AdamHyper, TrainConfig
 
 
 def embedding_with_rows(rows):
@@ -108,9 +115,9 @@ def test_svm_baseline_separable_vocab_bands():
 # ----------------------------------------------------------------- ablation
 
 
-def small_cfg(seed=0):
+def small_cfg(seed=0, dtype="float64"):
     model = ModelConfig(max_len=6, embed_dim=4, lstm_units=4, dropout_rate=0.0,
-                        filters=2, kernel=3, pool=2, seed=seed, dtype="float64")
+                        filters=2, kernel=3, pool=2, seed=seed, dtype=dtype)
     return TrainConfig(model=model, epochs=2, batch_size=8, seed=seed)
 
 
@@ -149,6 +156,48 @@ def test_ablation_subset_of_variants():
     rows = ablation_suite(small_cfg(), X[:32], y[:32], X[32:], y[32:], emb,
                           variants=("svm", "cnn"))
     assert [r["model"] for r in rows] == ["svm", "cnn"]
+
+
+@pytest.mark.parametrize("dtype, variants", [
+    ("float64", ABLATION_VARIANTS),
+    ("float32", ABLATION_VARIANTS),
+    ("float64", ("svm", "cnn")),
+])
+def test_ablation_pool_equals_in_process_rows(dtype, variants):
+    X, y, emb = band_task()
+    args = (small_cfg(seed=3, dtype=dtype), X[:32], y[:32], X[32:], y[32:], emb)
+    pooled = ablation_suite(*args, variants=variants)
+    assert pooled == [_ablation_row(*args, v) for v in variants]
+
+
+def diverging_cfg():
+    # an infinite step turns every parameter non-finite inside the worker,
+    # and the embedding is the first layer of the next batch to read one
+    return dataclasses.replace(small_cfg(), adam=AdamHyper(lr=math.inf))
+
+
+def test_ablation_error_is_the_first_failing_variant_in_order():
+    X, y, emb = band_task()
+    # the SVM has no Adam step; every neural fit fails, cnn first in order
+    with pytest.raises(NumericsError, match=(
+            r"^cnn: epoch 1, step 1, batch 1: non-finite values after layer 'embedding'$")):
+        ablation_suite(diverging_cfg(), X[:32], y[:32], X[32:], y[32:], emb)
+    keep = y[:32] != 3
+    with pytest.raises(ValueError, match="^class 3 has no training examples$"):
+        ablation_suite(small_cfg(), X[:32][keep], y[:32][keep], X[32:], y[32:], emb)
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_ablation_restores_the_callers_blas_environment(monkeypatch, diverge):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    X, y, emb = band_task()
+    cfg = diverging_cfg() if diverge else small_cfg()
+    with pytest.raises(NumericsError) if diverge else contextlib.nullcontext():
+        ablation_suite(cfg, X[:32], y[:32], X[32:], y[32:], emb, variants=("svm", "cnn"))
+    assert dict(os.environ) == before
 
 
 def test_ablation_csv_format_and_reference_footer(tmp_path):

@@ -1,12 +1,17 @@
 """End-to-end command-line pipeline in temporary directories."""
 
 import csv
+import dataclasses
 import json
+import math
+import os
 import zlib
 
 import pytest
 
+from risknet import baselines
 from risknet.cli import main, read_tokens, write_tokens
+from risknet.train import AdamHyper
 
 
 def run(*argv):
@@ -239,6 +244,42 @@ def test_ablate_writes_five_rows(pipeline, tmp_path):
     assert [l.split(",")[0] for l in lines[1:6]] == [
         "svm", "cnn", "lstm", "lstm_cnn", "lstm_attention_cnn"]
     assert lines[6].startswith("# reference lstm_attention_cnn")
+
+
+ABLATE_FLAGS = ("--epochs", 1, "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16,
+                "--seed", 7, "--dropout", 0.0)
+
+
+def test_ablate_csv_is_byte_identical_for_one_or_two_usable_cpus(pipeline, tmp_path, monkeypatch):
+    csvs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert run("ablate", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
+                   *ABLATE_FLAGS) == 0
+        csvs.append((out / "ablation.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_ablate_train_shard_without_a_class_exits_1(pipeline, tmp_path, capsys):
+    rows = [r for r in read_tokens(pipeline / "prep" / "tokens.jsonl") if r["label"] != 3]
+    write_tokens(rows, tmp_path / "no3.jsonl")
+    assert run("ablate", "--dataset", tmp_path / "no3.jsonl", "--out", tmp_path / "o",
+               *ABLATE_FLAGS) == 1
+    assert capsys.readouterr().err == "error: class 3 has no training examples\n"
+
+
+def test_ablate_numerics_error_in_a_worker_exits_2(pipeline, tmp_path, monkeypatch, capsys):
+    # an infinite learning rate, sent with the config, makes every neural
+    # fit's parameters non-finite inside its worker
+    suite = baselines.ablation_suite
+    monkeypatch.setattr(baselines, "ablation_suite", lambda cfg, *a: suite(
+        dataclasses.replace(cfg, adam=AdamHyper(lr=math.inf)), *a))
+    assert run("ablate", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", tmp_path / "o",
+               *ABLATE_FLAGS) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: NumericsError: cnn: epoch 1, step 1, batch 1: "
+        "non-finite values after layer 'embedding'\n")
 
 
 # -------------------------------------------------------------- exit codes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_check
+from risknet import train
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError, softmax
 from risknet.model import ModelConfig
@@ -269,6 +270,22 @@ def test_fit_validation_errors():
         TrainConfig(model=ModelConfig(max_len=8), epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(model=ModelConfig(max_len=8), batch_size=0)
+
+
+def test_fit_numerics_error_names_epoch_step_and_batch(monkeypatch):
+    # 24 rows at batch 8 make 3 batches per epoch; the sixth gradient is NaN
+    X, y, emb = tiny_task()
+    calls = []
+
+    def poisoned(probs, labels):
+        calls.append(1)
+        g = cce_grad_logits(probs, labels)
+        return g * np.nan if len(calls) == 6 else g
+
+    monkeypatch.setattr(train, "cce_grad_logits", poisoned)
+    with pytest.raises(NumericsError,
+                       match=r"^epoch 2, step 5, batch 2: non-finite gradient for parameter '"):
+        fit(small_train_cfg(), X, y, emb)
 
 
 def test_evaluate_returns_metrics_over_all_rows():

@@ -2,9 +2,10 @@
 
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
 backward(cache, dout) -> gradients.  Caches hold exactly the arrays the
-backward pass needs.  `lstm_infer` is the one forward-only kernel: the LSTM
-for inference, which keeps no cache.  All math is plain numpy; dtype follows
-the inputs (float64 in gradient tests, float32 in training).
+backward pass needs.  The embedding gradient is a `RowGrad`, which holds only
+the rows a batch touched.  `lstm_infer` is the one forward-only kernel: the
+LSTM for inference, which keeps no cache.  All math is plain numpy; dtype
+follows the inputs (float64 in gradient tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -30,6 +31,34 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values after layer '{name}'")
     return arr
+
+
+@dataclass(frozen=True)
+class RowGrad:
+    """A gradient that is zero outside the rows it lists.
+
+    `rows` are distinct and ascending, and `values[k]` is row `rows[k]` of the
+    full gradient of shape `shape`.
+    """
+
+    rows: np.ndarray  # (R,) int
+    values: np.ndarray  # (R,) + shape[1:]
+    shape: tuple[int, ...]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
+def check_finite_grad(name: str, grad, layer: str | None = None) -> None:
+    """NaN/Inf tripwire for the gradient of parameter `name`, dense or a
+    `RowGrad` (whose unlisted rows are zero); `layer` names the backward pass
+    that made it."""
+    values = grad.values if isinstance(grad, RowGrad) else grad
+    if not np.isfinite(values).all():
+        after = f" after layer '{layer}' backward" if layer else ""
+        raise NumericsError(f"non-finite gradient for parameter '{name}'{after}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -98,6 +127,10 @@ class DenseParams(_ParamBase):
 
 # ---------------------------------------------------------------- embedding
 
+# embedding_backward sums the rows seen at most this many times in a batch in
+# rank layers, and each row seen more often by one reduce
+_RANKED_MAX = 8
+
 
 def embedding_forward(E: np.ndarray, indices: np.ndarray):
     """Row gather: (B, T) int indices -> (B, T, D)."""
@@ -107,13 +140,36 @@ def embedding_forward(E: np.ndarray, indices: np.ndarray):
     return E[idx], (idx, E.shape, E.dtype)
 
 
-def embedding_backward(cache, dout: np.ndarray) -> np.ndarray:
-    """Scatter-add per row; PAD row gradient forced to zero."""
+def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
+    """Gradient over the batch's distinct non-PAD rows; the PAD row gets none.
+
+    Each row sums the upstream rows of its positions from +0.0 in position
+    order, as a dense scatter-add with `np.add.at` does, so `.dense()` is
+    bit-identical to it, signs of zero included.
+    """
     idx, shape, dtype = cache
-    dE = np.zeros(shape, dtype=dtype)
-    np.add.at(dE, idx.reshape(-1), dout.reshape(-1, shape[1]).astype(dtype))
-    dE[PAD_INDEX] = 0.0
-    return dE
+    D = shape[1]
+    flat = idx.reshape(-1)
+    d = dout.reshape(-1, D).astype(dtype, copy=False)
+    pos = np.flatnonzero(flat != PAD_INDEX)
+    order = pos[np.argsort(flat[pos], kind="stable")]  # grouped by id, in position order
+    ids = flat[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))  # each id's first slot in `order`
+    counts = np.diff(starts, append=ids.size)
+    values = np.zeros((starts.size, D), dtype=dtype)
+    # A rank layer adds the r-th position of every such row in one call; a
+    # row seen hundreds of times would need as many layers, so it gets a
+    # reduce.  A reduce over axis 0 adds the block's rows in order only while
+    # D > 1: with D == 1 NumPy sums the column pairwise.
+    heavy = counts > _RANKED_MAX if D > 1 else np.zeros(starts.size, dtype=bool)
+    ranked = np.flatnonzero(~heavy)
+    for r in range(counts[ranked].max(initial=0)):
+        ranked = ranked[counts[ranked] > r]
+        values[ranked] += d[order[starts[ranked] + r]]
+    for k in np.flatnonzero(heavy):
+        block = d[order[starts[k] : starts[k] + counts[k]]]
+        values[k] = np.add.reduce(block, axis=0, initial=0.0)
+    return RowGrad(ids[starts], values, shape)
 
 
 # ------------------------------------------------------------------ dropout

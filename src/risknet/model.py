@@ -10,7 +10,9 @@ layer chain with pieces removed, so the ablation runs share one engine:
     cnn                 convolution directly over the embeddings
 
 Backward consumes the forward cache in reverse and returns one gradient per
-parameter array, keyed by dotted names ("lstm.W", "dense.b", ...);
+parameter array, keyed by dotted names ("lstm.W", "dense.b", ...); the
+embedding's is a `RowGrad` over the batch's rows.  Each layer's parameter
+gradients are checked for NaN/Inf as that layer returns them.
 `param_shapes` gives every array's shape from the config alone.
 Inference (`forward(..., cache=False)`, which `predict` runs) keeps no cache
 and runs the LSTM over each batch's distinct tokens through `lstm_infer`.
@@ -29,7 +31,9 @@ from .layers import (
     Conv1DParams,
     DenseParams,
     LSTMParams,
+    RowGrad,
     check_finite,
+    check_finite_grad,
     attention_backward,
     attention_forward,
     conv1d_relu_backward,
@@ -301,14 +305,21 @@ class Model:
         return x, trace
 
     def backward(self, trace, dprobs: np.ndarray | None = None,
-                 dlogits: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Gradients for every parameter array from dprobs or fused dlogits."""
-        grads: dict[str, np.ndarray] = {}
+                 dlogits: np.ndarray | None = None) -> dict[str, np.ndarray | RowGrad]:
+        """Gradients for every parameter array from dprobs or fused dlogits.
+
+        A non-finite gradient raises `NumericsError` naming the parameter and
+        the layer whose backward pass returned it.
+        """
+        grads: dict[str, np.ndarray | RowGrad] = {}
         dx = {"dprobs": dprobs, "dlogits": dlogits}  # upstream of the dense head
         for op, cache in reversed(trace):
             row = _OPS[op]
             g, dx = row.backward(cache, dx)
-            grads.update({f"{row.group}.{n}" if n else row.group: a for n, a in g.items()})
+            for n, a in g.items():
+                name = f"{row.group}.{n}" if n else row.group
+                check_finite_grad(name, a, row.label)
+                grads[name] = a
         return grads
 
     def predict(self, batch: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .layers import NumericsError
+from .layers import NumericsError, RowGrad, check_finite_grad
 from .metrics import Metrics, compute_metrics
 from .model import Model, ModelConfig, init_params
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
@@ -69,6 +69,13 @@ class Adam:
     ``beta1*m + (1-beta1)*g``, ``beta2*v + (1-beta2)*(g*g)`` and
     ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the result is bit-identical to
     the out-of-place expression.
+
+    A gradient may be a `layers.RowGrad`.  That is still dense Adam: every row
+    moves every step.  The rows it does not list take the g = 0 form of the
+    same expression, ``beta1*m + 0.0`` and ``beta2*v``, without reading a
+    gradient; the listed rows take the full update from their pre-step
+    values, gathered before that pass and written back after it.  Both give
+    the bits that the dense gradient, zero outside those rows, gives.
     """
 
     def __init__(self, named_params, hyper: AdamHyper | None = None):
@@ -84,33 +91,50 @@ class Adam:
         self.t = 0
 
     def step(self, named_params, grads: dict) -> None:
-        """In-place parameter update from a name -> gradient map."""
+        """In-place parameter update from a name -> gradient map; a gradient
+        is an array of the parameter's shape or a `RowGrad`."""
         h = self.hyper
         self.t += 1
         bc1 = 1.0 - h.beta1**self.t
         bc2 = 1.0 - h.beta2**self.t
         for name, theta in named_params:
             g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter '{name}'")
+            check_finite_grad(name, g)
             m, v = self.m[name], self.v[name]
-            rows, s1, s2 = self._scratch[name]
-            for r in range(0, theta.shape[0], rows):
-                b = slice(r, r + rows)
-                n = min(rows, theta.shape[0] - r)
-                _adam_block(h, bc1, bc2, theta[b], g[b], m[b], v[b], s1[:n], s2[:n])
+            scratch = self._scratch[name]
+            if isinstance(g, RowGrad):
+                th_r, m_r, v_r = theta[g.rows], m[g.rows], v[g.rows]
+                _adam_blocks(h, bc1, bc2, theta, None, m, v, *scratch)
+                _adam_blocks(h, bc1, bc2, th_r, g.values, m_r, v_r, *scratch)
+                theta[g.rows], m[g.rows], v[g.rows] = th_r, m_r, v_r
+            else:
+                _adam_blocks(h, bc1, bc2, theta, g, m, v, *scratch)
+
+
+def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2) -> None:
+    """`_adam_block` over `rows` leading-axis rows at a time; g None is g = 0."""
+    for r in range(0, theta.shape[0], rows):
+        b = slice(r, r + rows)
+        n = min(rows, theta.shape[0] - r)
+        _adam_block(h, bc1, bc2, theta[b], None if g is None else g[b], m[b], v[b],
+                    s1[:n], s2[:n])
 
 
 def _adam_block(h: AdamHyper, bc1, bc2, theta, g, m, v, s1, s2) -> None:
-    # m = beta1*m + (1-beta1)*g
     np.multiply(m, h.beta1, out=m)
-    np.multiply(g, 1.0 - h.beta1, out=s1)
-    np.add(m, s1, out=m)
-    # v = beta2*v + (1-beta2)*(g*g)
-    np.multiply(g, g, out=s1)
-    np.multiply(s1, 1.0 - h.beta2, out=s1)
     np.multiply(v, h.beta2, out=v)
-    np.add(v, s1, out=v)
+    if g is None:
+        # (1-beta1)*0 is +0.0, and adding it turns a -0.0 in m into +0.0;
+        # (1-beta2)*(0*0) is +0.0 too, but v is never -0.0, so v is done
+        np.add(m, 0.0, out=m)
+    else:
+        # m = beta1*m + (1-beta1)*g
+        np.multiply(g, 1.0 - h.beta1, out=s1)
+        np.add(m, s1, out=m)
+        # v = beta2*v + (1-beta2)*(g*g)
+        np.multiply(g, g, out=s1)
+        np.multiply(s1, 1.0 - h.beta2, out=s1)
+        np.add(v, s1, out=v)
     # theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
     np.divide(m, bc1, out=s1)
     np.multiply(s1, h.lr, out=s1)

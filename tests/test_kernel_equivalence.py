@@ -4,28 +4,37 @@ The reference oracles below are the straightforward implementations the
 production kernels replaced: an LSTM that runs each gate on its own column
 block of the fused parameters, a per-step BPTT that accumulates every
 per-gate weight GEMM inside the time loop, a conv kernel gradient by plain
-``einsum``, and an out-of-place Adam update.  Adam keeps its operation order,
-so it must match bit for bit; the LSTM and conv kernels sum in a different
-order, so they are compared with a tolerance fixed by the dtype.  The
-cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
-on embedded ids.
+``einsum``, an out-of-place Adam update, and a dense embedding gradient
+scattered with ``np.add.at``.  Adam and the embedding gradient keep their
+operation order, so they must match bit for bit, Adam also when it is given
+the row gradient; the LSTM and conv kernels sum in a different order, so
+they are compared with a tolerance fixed by the dtype.  The cache-free
+inference LSTM, `lstm_infer`, is checked against `lstm_forward` on embedded
+ids.
 """
 
 import numpy as np
 import pytest
 
+import risknet.model
+from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.layers import (
     Conv1DParams,
     LSTMParams,
+    NumericsError,
+    RowGrad,
     conv1d_relu_backward,
     conv1d_relu_forward,
     conv_padding,
+    embedding_backward,
+    embedding_forward,
     lstm_backward,
     lstm_forward,
     lstm_infer,
     sigmoid,
 )
-from risknet.train import Adam, AdamHyper
+from risknet.model import VARIANTS, ModelConfig
+from risknet.train import Adam, AdamHyper, TrainConfig, fit
 
 # rtol per dtype; atol is rtol times the largest reference magnitude, so that
 # entries that cancel to near zero are judged against the array's scale
@@ -129,6 +138,15 @@ def ref_adam_step(params, grads, m, v, t, h):
         vn = v[name] = h.beta2 * v[name] + (1.0 - h.beta2) * (g * g)
         theta -= h.lr * (mn / bc1) / (np.sqrt(vn / bc2) + h.epsilon)
     return t
+
+
+def ref_embedding_backward(cache, dout):
+    """Dense scatter-add of every position's upstream row; PAD row zeroed."""
+    idx, shape, dtype = cache
+    dE = np.zeros(shape, dtype=dtype)
+    np.add.at(dE, idx.reshape(-1), dout.reshape(-1, shape[1]).astype(dtype))
+    dE[PAD_INDEX] = 0.0
+    return dE
 
 
 def assert_close(new, ref, dtype, name, rtols=RTOL):
@@ -265,3 +283,116 @@ def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
             assert np.array_equal(theta, ref_theta), f"step {step}: {name}"
             assert np.array_equal(opt.m[name], ref_m[name]), f"step {step}: m[{name}]"
             assert np.array_equal(opt.v[name], ref_v[name]), f"step {step}: v[{name}]"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_row_gradient_is_bit_identical_to_dense(dtype):
+    rng = np.random.default_rng(4)
+    V, D = 5003, 30  # several update blocks, the last one partial
+    # beta1 0.3 lets m decay through tiny negative values to -0.0 on untouched
+    # rows, where the dense update's "+ (1-beta1)*0" makes it +0.0
+    hyper = AdamHyper(lr=0.01, beta1=0.3)
+    shapes = {"embedding": (V, D), "dense.W": (30, 4), "dense.b": (4,)}
+    params = [(n, rng.normal(size=s).astype(dtype)) for n, s in shapes.items()]
+    ref_params = [(n, a.copy()) for n, a in params]
+    opt = Adam(params, hyper)
+    ref_m = {n: np.zeros_like(a) for n, a in params}
+    ref_v = {n: np.zeros_like(a) for n, a in params}
+    ref_t = 0
+    tiny = np.finfo(dtype).smallest_subnormal
+    touched = [rng.choice(V, size=k, replace=False) for k in (700, 40, 0, 1, 300, 0)]
+    decayed = False  # whether some m entry went from negative to zero
+    for step, rows in enumerate(touched):
+        m_before = opt.m["embedding"].copy()
+        rows = np.sort(rows)
+        values = rng.normal(size=(rows.size, D)).astype(dtype)
+        values[:, :3] = -7 * tiny  # drives m to tiny negatives
+        values[:, 3] = -0.0  # dropout sends -0.0 upstream
+        grads = {n: rng.normal(size=a.shape).astype(dtype) for n, a in params[1:]}
+        grads["embedding"] = RowGrad(rows, values, (V, D))
+        ref_grads = dict(grads, embedding=grads["embedding"].dense())
+        opt.step(params, grads)
+        ref_t = ref_adam_step(ref_params, ref_grads, ref_m, ref_v, ref_t, hyper)
+        assert opt.t == ref_t
+        for (name, theta), (_, ref_theta) in zip(params, ref_params):
+            assert theta.dtype == dtype
+            assert np.array_equal(theta, ref_theta), f"step {step}: {name}"
+            assert theta.tobytes() == ref_theta.tobytes(), f"step {step}: {name} bytes"
+            for moment, ref_moment in ((opt.m, ref_m), (opt.v, ref_v)):
+                assert np.array_equal(moment[name], ref_moment[name]), f"step {step}: {name}"
+                assert moment[name].tobytes() == ref_moment[name].tobytes(), f"step {step}"
+        decayed |= bool(np.any((m_before < 0.0) & (opt.m["embedding"] == 0.0)))
+    assert decayed
+
+
+def test_adam_row_gradient_with_nonfinite_values_raises():
+    params = [("embedding", np.zeros((4, 2)))]
+    opt = Adam(params)
+    opt.step(params, {"embedding": RowGrad(np.array([1, 3]), np.ones((2, 2)), (4, 2))})
+    bad = RowGrad(np.array([2]), np.array([[np.inf, 0.0]]), (4, 2))
+    with pytest.raises(NumericsError, match="non-finite gradient for parameter 'embedding'$"):
+        opt.step(params, {"embedding": bad})
+
+
+# ---------------------------------------------------------------- embedding
+
+# (name, ids): PAD positions, rows seen once, rows seen more often than the
+# ranked threshold (8), and a batch of PAD only, which touches no row; id 7
+# gets only -0.0 terms, and in "heavy" it is seen 14 times
+EMBED_BATCHES = {
+    "mixed": np.array([[0, 0, 5, 3, 5, 7, 1, 5], [2, 5, 5, 0, 3, 5, 5, 6],
+                       [5, 5, 4, 5, 5, 0, 0, 9]]),
+    "once_each": np.array([[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "heavy": np.concatenate([np.full((3, 40), 4), np.full((3, 4), 7),
+                             np.arange(27).reshape(3, 9) % 10], axis=1),
+    "all_pad": np.zeros((2, 6), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("D", [1, 2, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", list(EMBED_BATCHES))
+def test_row_gradient_is_bit_identical_to_dense_scatter(batch, dtype, D):
+    rng = np.random.default_rng(len(batch) * 10 + D)
+    ids = EMBED_BATCHES[batch]
+    V = 12
+    E = rng.normal(size=(V, D)).astype(dtype)
+    E[PAD_INDEX] = 0.0
+    out, cache = embedding_forward(E, ids)
+    dout = (rng.normal(size=out.shape) * 10.0 ** rng.integers(-2, 3, size=out.shape)).astype(dtype)
+    dout[rng.random(out.shape) < 0.3] = -0.0  # dropped by dropout
+    dout[ids == 7] = -0.0  # a row whose every term is -0.0 sums to +0.0
+    grad = embedding_backward(cache, dout)
+    ref = ref_embedding_backward(cache, dout)
+    want_rows = np.unique(ids[ids != PAD_INDEX])
+    assert isinstance(grad, RowGrad)
+    assert np.array_equal(grad.rows, want_rows)
+    assert grad.values.shape == (want_rows.size, D) and grad.values.dtype == dtype
+    assert grad.shape == E.shape
+    dense = grad.dense()
+    assert dense.dtype == ref.dtype == dtype
+    assert np.array_equal(dense, ref)
+    assert np.array_equal(np.signbit(dense), np.signbit(ref))
+    assert dense.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_with_dense_embedding_oracle_writes_the_same_parameters(monkeypatch, variant):
+    rng = np.random.default_rng(8)
+    V, T = 40, 12
+    X = rng.integers(0, V, size=(40, T))
+    X[::3, : T // 2] = PAD_INDEX  # padded heads
+    X[1::4, 2::3] = 3  # one id seen many times per batch
+    y = rng.integers(0, 4, size=40)
+    E = rng.uniform(-0.05, 0.05, size=(V, 8))
+    E[PAD_INDEX] = 0.0
+    cfg = TrainConfig(ModelConfig(max_len=T, embed_dim=8, lstm_units=5, kernel=3,
+                                  seed=2, variant=variant), epochs=2, batch_size=16, seed=2)
+    model, history = fit(cfg, X, y, EmbeddingMatrix(E))
+    monkeypatch.setattr(risknet.model, "embedding_backward", ref_embedding_backward)
+    ref_model, ref_history = fit(cfg, X, y, EmbeddingMatrix(E))
+    assert history.loss == ref_history.loss
+    named, ref_named = model.params.named_arrays(), ref_model.params.named_arrays()
+    assert [n for n, _ in named] == [n for n, _ in ref_named]
+    for (name, arr), (_, ref) in zip(named, ref_named):
+        assert arr.tobytes() == ref.tobytes(), name

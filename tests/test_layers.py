@@ -81,7 +81,7 @@ def test_embedding_backward_scatter_adds_repeats():
     idx = np.array([[2, 2, 3]])
     out, cache = embedding_forward(E, idx)
     dout = np.ones_like(out)
-    dE = embedding_backward(cache, dout)
+    dE = embedding_backward(cache, dout).dense()
     assert np.array_equal(dE[2], [2.0, 2.0])  # gathered twice
     assert np.array_equal(dE[3], [1.0, 1.0])
     assert np.all(dE[[0, 1, 4]] == 0.0)
@@ -92,7 +92,7 @@ def test_embedding_backward_pad_row_zeroed():
     E[0] = 0.0
     idx = np.array([[0, 0, 2]])
     out, cache = embedding_forward(E, idx)
-    dE = embedding_backward(cache, np.ones_like(out))
+    dE = embedding_backward(cache, np.ones_like(out)).dense()
     assert np.all(dE[0] == 0.0)
 
 
@@ -102,7 +102,7 @@ def test_embedding_gradient_finite_difference():
     idx = rng.integers(1, 6, size=(3, 5))  # PAD excluded: its grad is zeroed by design
     out, cache = embedding_forward(E, idx)
     R, loss_of = projection_loss(rng, out.shape)
-    dE = embedding_backward(cache, R)
+    dE = embedding_backward(cache, R).dense()
     fd_check(lambda: loss_of(embedding_forward(E, idx)[0]), E, dE, rng, samples=12, name="E")
 
 

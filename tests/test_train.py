@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import fd_check
+import risknet.model
 from risknet import train
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
-from risknet.layers import NumericsError, softmax
+from risknet.layers import NumericsError, lstm_backward, softmax
 from risknet.model import ModelConfig
 from risknet.train import (
     Adam,
@@ -286,6 +287,33 @@ def test_fit_numerics_error_names_epoch_step_and_batch(monkeypatch):
     with pytest.raises(NumericsError,
                        match=r"^epoch 2, step 5, batch 2: non-finite gradient for parameter '"):
         fit(small_train_cfg(), X, y, emb)
+
+
+def _nan_loss_gradient(monkeypatch):
+    monkeypatch.setattr(train, "cce_grad_logits",
+                        lambda probs, labels: cce_grad_logits(probs, labels) * np.nan)
+
+
+def _nan_lstm_input_gradient(monkeypatch):
+    def poisoned(cache, dout):
+        grads, dX = lstm_backward(cache, dout)
+        return grads, dX * np.nan
+
+    monkeypatch.setattr(risknet.model, "lstm_backward", poisoned)
+
+
+@pytest.mark.parametrize("poison,message", [
+    (_nan_loss_gradient, "parameter 'dense.W' after layer 'dense_softmax' backward"),
+    # a non-finite dx is caught at the parameters of the next layer down
+    (_nan_lstm_input_gradient, "parameter 'embedding' after layer 'embedding' backward"),
+], ids=["loss", "lstm-dx"])
+def test_fit_numerics_error_names_the_layer_of_a_nonfinite_gradient(monkeypatch, poison,
+                                                                    message):
+    X, y, emb = tiny_task()
+    poison(monkeypatch)
+    with pytest.raises(NumericsError) as info:
+        fit(small_train_cfg(), X, y, emb)
+    assert str(info.value) == f"epoch 1, step 0, batch 0: non-finite gradient for {message}"
 
 
 def test_evaluate_returns_metrics_over_all_rows():

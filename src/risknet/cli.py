@@ -285,8 +285,11 @@ def _build_model_config(params: dict, max_len: int, embed_dim: int, variant: str
     )
 
 
-def _prepare_training_data(params: dict):
-    """Split, build vocab/embeddings from the train shard, encode both shards."""
+def _prepare_training_data(params: dict) -> dict:
+    """Split, build vocab/embeddings from the train shard, encode both shards.
+
+    The result is a dict, so that `train` can pop the embedding matrix and
+    hand `fit` the only reference to it."""
     rows = read_tokens(Path(params["dataset"]))
     _require_labels(rows, params["dataset"])
     train_idx, test_idx = train.split_indices(
@@ -309,25 +312,30 @@ def _prepare_training_data(params: dict):
         max_len = min(longest, MAX_LEN_CAP)
     enc = lambda rs: embed.encode_batch([r["tokens"] for r in rs], vocab, max_len)
     y = lambda rs: np.array([r["label"] for r in rs], dtype=np.int64)
-    return (train_rows, test_rows, vocab, matrix, embed_dim, max_len,
-            enc(train_rows), y(train_rows), enc(test_rows), y(test_rows))
+    return {"test_rows": test_rows, "vocab": vocab, "matrix": matrix,
+            "embed_dim": embed_dim, "max_len": max_len,
+            "X_train": enc(train_rows), "y_train": y(train_rows),
+            "X_test": enc(test_rows), "y_test": y(test_rows)}
 
 
 def _cmd_train(params: dict) -> int:
     out = _out_dir(params)
-    (train_rows, test_rows, vocab, matrix, embed_dim, max_len,
-     X_train, y_train, _, _) = _prepare_training_data(params)
+    data = _prepare_training_data(params)
+    embed_dim, max_len, vocab = data["embed_dim"], data["max_len"], data["vocab"]
     mcfg = _build_model_config(params, max_len, embed_dim, str(params["variant"]))
     tcfg = train.TrainConfig(
         model=mcfg, epochs=int(params["epochs"]), batch_size=int(params["batch_size"]),
         seed=int(params["seed"]))
     log = lambda epoch, loss, acc: print(
         f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
-    model, history = train.fit(tcfg, X_train, y_train, matrix, on_epoch=log)
+    # fit gets the only reference to the initial embedding, so the matrix is
+    # freed once the model has its own copy
+    model, history = train.fit(tcfg, data["X_train"], data["y_train"], data.pop("matrix"),
+                               on_epoch=log)
     modelio.save_model(model, vocab, out / "model.rkn")
     history.save_csv(out / "history.csv")
     embed.save_vocab(vocab, out / "vocab.csv")
-    write_tokens(test_rows, out / "test.jsonl")
+    write_tokens(data["test_rows"], out / "test.jsonl")
     params = dict(params, max_len=max_len, embed_dim=embed_dim)
     _write_run_json(out, "train", params)
     return 0
@@ -375,13 +383,14 @@ def _cmd_predict(params: dict) -> int:
 
 def _cmd_ablate(params: dict) -> int:
     out = _out_dir(params)
-    (_, _, _, matrix, embed_dim, max_len,
-     X_train, y_train, X_test, y_test) = _prepare_training_data(params)
+    data = _prepare_training_data(params)
+    embed_dim, max_len = data["embed_dim"], data["max_len"]
     mcfg = _build_model_config(params, max_len, embed_dim, "lstm_attention_cnn")
     tcfg = train.TrainConfig(
         model=mcfg, epochs=int(params["epochs"]), batch_size=int(params["batch_size"]),
         seed=int(params["seed"]))
-    rows = baselines.ablation_suite(tcfg, X_train, y_train, X_test, y_test, matrix)
+    rows = baselines.ablation_suite(tcfg, data["X_train"], data["y_train"], data["X_test"],
+                                    data["y_test"], data["matrix"])
     baselines.save_ablation_csv(rows, out / "ablation.csv")
     params = dict(params, max_len=max_len, embed_dim=embed_dim)
     _write_run_json(out, "ablate", params)

@@ -2,10 +2,12 @@
 
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
 backward(cache, dout) -> gradients.  Caches hold exactly the arrays the
-backward pass needs.  The embedding gradient is a `RowGrad`, which holds only
-the rows a batch touched.  `lstm_infer` is the one forward-only kernel: the
-LSTM for inference, which keeps no cache.  All math is plain numpy; dtype
-follows the inputs (float64 in gradient tests, float32 in training).
+backward pass needs.  The LSTM's cache is a few time-major arrays, indexed by
+step first, and holds no view of its input, so the layer below can free its
+output.  The embedding gradient is a `RowGrad`, which holds only the rows a
+batch touched.  `lstm_infer` is the one forward-only kernel: the LSTM for
+inference, which keeps no cache.  All math is plain numpy; dtype follows the
+inputs (float64 in gradient tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -201,27 +203,40 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- lstm
 
 def lstm_forward(p: LSTMParams, X: np.ndarray):
-    """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out."""
+    """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out.
+
+    The cache is time-major.  `Xt` (T, B, D) is the input.  `G` (T, B, 4H)
+    first holds every step's input projection, one `np.matmul` over all
+    steps (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites
+    its row with the gate activations: sigmoid over f, i, o and tanh over u.
+    `C` and `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero
+    initial state, and `TC` (T, B, H) is tanh of `C[1:]`.  A step's gate
+    input is ``(x @ W + h @ U) + b``.
+    """
     B, T, D = X.shape
     H = p.U.shape[0]
     if p.W.shape[0] != D:
         raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
-    h = np.zeros((B, H), dtype=X.dtype)
-    c = np.zeros((B, H), dtype=X.dtype)
-    out = np.empty((B, T, H), dtype=X.dtype)
-    steps = []
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+    # a stacked matmul makes each step's (B, D) @ (D, 4H) product as a
+    # step-by-step loop does, so a one-row batch still gets NumPy's
+    # matrix-vector kernel; one (T*B, D) GEMM would round it differently
+    G = np.matmul(Xt, p.W)
+    C = np.zeros((T + 1, B, H), dtype=X.dtype)
+    Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
+    TC = np.empty((T, B, H), dtype=X.dtype)
     for t in range(T):
-        x = X[:, t, :]
-        a = x @ p.W + h @ p.U + p.b
-        fio = sigmoid(a[:, : 3 * H])
-        u = np.tanh(a[:, 3 * H :])
-        c_new = fio[:, :H] * c + fio[:, H : 2 * H] * u
-        tc = np.tanh(c_new)
-        steps.append((x, h, c, fio, u, tc))
-        h = fio[:, 2 * H :] * tc
-        c = c_new
-        out[:, t, :] = h
-    return out, (p, (B, T, D, H), steps)
+        a = G[t]
+        a += Hs[t] @ p.U
+        a += p.b
+        a[:, : 3 * H] = sigmoid(a[:, : 3 * H])
+        np.tanh(a[:, 3 * H :], out=a[:, 3 * H :])
+        f, i, o, u = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+        C[t + 1] = f * C[t] + i * u
+        np.tanh(C[t + 1], out=TC[t])
+        np.multiply(o, TC[t], out=Hs[t + 1])
+    out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
+    return out, (p, Xt, G, C, Hs, TC)
 
 
 def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -263,20 +278,23 @@ def lstm_backward(cache, dH: np.ndarray):
     Only the recurrent GEMM ``dh_next = dA[t] @ U^T`` stays in the time loop;
     each step stores its gate pre-activation gradients in ``dA`` and the
     weight, bias and input gradients are then single GEMMs over all steps
-    (Appleyard et al. 2016, arXiv:1604.01946).  Gate blocks are stacked in
-    the order f, i, o, u, as in the parameters.
+    (Appleyard et al. 2016, arXiv:1604.01946), with the cached time-major
+    inputs and hidden states as operands.  Gate blocks are stacked in the
+    order f, i, o, u, as in the parameters.
     """
-    p, (B, T, D, H), steps = cache
+    p, Xt, G, C, Hs, TC = cache
+    T, B, D = Xt.shape
+    H = p.U.shape[0]
     dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
     for t in range(T - 1, -1, -1):
-        x, h_prev, c_prev, fio, u, tc = steps[t]
-        f, i, o = fio[:, :H], fio[:, H : 2 * H], fio[:, 2 * H :]
+        a, tc = G[t], TC[t]
+        f, i, o, u = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
         dh = dH[:, t, :] + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * c_prev
+        df = dc * C[t]
         di = dc * u
         du = dc * i
         dc_next = dc * f
@@ -287,10 +305,9 @@ def lstm_backward(cache, dH: np.ndarray):
         da[:, 3 * H :] = du * (1.0 - u * u)
         dh_next = da @ p.U.T
     dA2 = dA.reshape(T * B, 4 * H)
-    Xs = np.stack([s[0] for s in steps]).reshape(T * B, D)
-    Hs = np.stack([s[1] for s in steps]).reshape(T * B, H)
     dX = (dA2 @ p.W.T).reshape(T, B, D).transpose(1, 0, 2)
-    g = {"W": Xs.T @ dA2, "U": Hs.T @ dA2, "b": dA2.sum(axis=0)}
+    g = {"W": Xt.reshape(T * B, D).T @ dA2, "U": Hs[:-1].reshape(T * B, H).T @ dA2,
+         "b": dA2.sum(axis=0)}
     return g, np.ascontiguousarray(dX)
 
 

@@ -193,6 +193,13 @@ def fit(
 ) -> tuple[Model, History]:
     """Train on encoded sequences X (N, T) with integer labels y (N,).
 
+    The model trains its own copy of `embedding`, in the model dtype, and
+    `fit` drops its reference to the argument once that copy is made, so an
+    embedding the caller keeps no reference to is freed before training
+    starts.  Each step's forward caches, probabilities and gradients are
+    freed before the next step's forward pass, so one step's activations are
+    alive at a time.
+
     A ``NumericsError`` is re-raised with the epoch (from 1), the global step
     and the batch index within the epoch (both from 0) in front.
     """
@@ -205,6 +212,7 @@ def fit(
     if y.min() < 0 or y.max() >= cfg.model.classes:
         raise ValueError(f"label out of range [0, {cfg.model.classes})")
     params = init_params(cfg.model, embedding)
+    del embedding
     model = Model(cfg.model, params)
     opt = Adam(params.named_arrays(), cfg.adam)
     history = History()
@@ -216,15 +224,12 @@ def fit(
         correct = 0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = X[idx], y[idx]
             try:
-                probs, trace = model.forward(xb, mode="train", step=step)
-                loss_sum += sparse_cce(probs, yb) * len(idx)
-                correct += int((probs.argmax(axis=1) == yb).sum())
-                grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))
-                opt.step(params.named_arrays(), grads)
+                loss, hits = _train_step(model, opt, X[idx], y[idx], step)
             except NumericsError as exc:
                 raise NumericsError(f"epoch {epoch + 1}, step {step}, batch {batch}: {exc}") from exc
+            loss_sum += loss * len(idx)
+            correct += hits
             step += 1
         epoch_loss = loss_sum / n
         epoch_acc = correct / n
@@ -233,6 +238,19 @@ def fit(
         if on_epoch is not None:
             on_epoch(epoch + 1, epoch_loss, epoch_acc)
     return model, history
+
+
+def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray,
+                step: int) -> tuple[float, int]:
+    """One forward, backward and Adam update on a batch; returns its mean
+    loss and its count of correct argmax predictions.  The step's caches and
+    gradients are locals here, so they are freed when it returns."""
+    probs, trace = model.forward(xb, mode="train", step=step)
+    loss = sparse_cce(probs, yb)
+    hits = int((probs.argmax(axis=1) == yb).sum())
+    grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))
+    opt.step(model.params.named_arrays(), grads)
+    return loss, hits
 
 
 def evaluate(model: Model, X: np.ndarray, y: np.ndarray) -> Metrics:

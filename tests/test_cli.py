@@ -5,13 +5,15 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import weakref
 import zlib
 
 import pytest
 
-from risknet import baselines
+from risknet import baselines, embed
 from risknet.cli import main, read_tokens, write_tokens
-from risknet.train import AdamHyper
+from risknet.train import Adam, AdamHyper
 
 
 def run(*argv):
@@ -183,6 +185,34 @@ def test_train_outputs(pipeline):
     doc = read_json(tdir / "run.json")
     assert doc["command"] == "train"
     assert doc["params"]["max_len"] == 24
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython < 3.11 holds call arguments until return")
+def test_train_frees_the_initial_embedding_before_the_first_update(pipeline, tmp_path,
+                                                                   monkeypatch):
+    refs = []
+    real_init = embed.init_embeddings
+
+    def spy_init(*args, **kwargs):
+        matrix = real_init(*args, **kwargs)
+        refs.append(weakref.ref(matrix.matrix))
+        return matrix
+
+    alive = []
+    real_step = Adam.step
+
+    def spy_step(self, named_params, grads):
+        alive.append(refs[0]() is not None)
+        real_step(self, named_params, grads)
+
+    monkeypatch.setattr(embed, "init_embeddings", spy_init)
+    monkeypatch.setattr(Adam, "step", spy_step)
+    code = run("train", "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", tmp_path / "t", "--epochs", 1, "--embed-dim", 12,
+               "--lstm-units", 6, "--max-len", 24, "--seed", 7)
+    assert code == 0
+    assert len(refs) == 1 and alive and not any(alive)
 
 
 def test_train_then_evaluate(pipeline, tmp_path):

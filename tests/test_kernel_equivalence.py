@@ -7,10 +7,12 @@ per-gate weight GEMM inside the time loop, a conv kernel gradient by plain
 ``einsum``, an out-of-place Adam update, and a dense embedding gradient
 scattered with ``np.add.at``.  Adam and the embedding gradient keep their
 operation order, so they must match bit for bit, Adam also when it is given
-the row gradient; the LSTM and conv kernels sum in a different order, so
-they are compared with a tolerance fixed by the dtype.  The cache-free
-inference LSTM, `lstm_infer`, is checked against `lstm_forward` on embedded
-ids.
+the row gradient; the per-gate LSTM and the conv kernels sum in a different
+order, so they are compared with a tolerance fixed by the dtype.  The fused
+LSTM that kept a list of per-step tuples as its cache runs the same
+operations as the time-major one, so the two must match bit for bit.  The
+cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
+on embedded ids.
 """
 
 import numpy as np
@@ -45,6 +47,10 @@ INFER_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
 # (B, T, D, H): the acceptance shape (embed 32, LSTM 16, max-len 48) and a
 # short paper-like one (embed 300, LSTM 100)
 LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
+# the time-major LSTM against the per-step-list one: LSTM_SHAPES, the paper
+# shape, and one-row batches, whose per-step input product NumPy runs as a
+# matrix-vector product rather than a GEMM
+STEPLIST_SHAPES = LSTM_SHAPES + [(32, 128, 300, 100), (1, 12, 300, 100), (1, 48, 32, 16)]
 # (B, T, d_in, k, F): conv over the LSTM output at both shapes, and over the
 # embedding as in the cnn-only variant
 CONV_SHAPES = [(32, 48, 16, 8, 3), (4, 32, 100, 8, 3), (4, 32, 300, 8, 3), (3, 9, 5, 4, 2)]
@@ -111,6 +117,57 @@ def ref_lstm_backward(cache, dH):
         dh_next = sum(da[k] @ U[k].T for k in range(4))
     cat = lambda arrs: np.concatenate(arrs, axis=-1)  # noqa: E731
     return {"W": cat(gW), "U": cat(gU), "b": cat(gb)}, dX
+
+
+def steplist_lstm_forward(p, X):
+    """The fused LSTM whose cache is a list of per-step tuples."""
+    B, T, D = X.shape
+    H = p.U.shape[0]
+    h = np.zeros((B, H), dtype=X.dtype)
+    c = np.zeros((B, H), dtype=X.dtype)
+    out = np.empty((B, T, H), dtype=X.dtype)
+    steps = []
+    for t in range(T):
+        x = X[:, t, :]
+        a = x @ p.W + h @ p.U + p.b
+        fio = sigmoid(a[:, : 3 * H])
+        u = np.tanh(a[:, 3 * H :])
+        c_new = fio[:, :H] * c + fio[:, H : 2 * H] * u
+        tc = np.tanh(c_new)
+        steps.append((x, h, c, fio, u, tc))
+        h = fio[:, 2 * H :] * tc
+        c = c_new
+        out[:, t, :] = h
+    return out, (p, (B, T, D, H), steps)
+
+
+def steplist_lstm_backward(cache, dH):
+    p, (B, T, D, H), steps = cache
+    dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
+    dh_next = np.zeros((B, H), dtype=dH.dtype)
+    dc_next = np.zeros((B, H), dtype=dH.dtype)
+    for t in range(T - 1, -1, -1):
+        x, h_prev, c_prev, fio, u, tc = steps[t]
+        f, i, o = fio[:, :H], fio[:, H : 2 * H], fio[:, 2 * H :]
+        dh = dH[:, t, :] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        df = dc * c_prev
+        di = dc * u
+        du = dc * i
+        dc_next = dc * f
+        da = dA[t]
+        da[:, :H] = df * f * (1.0 - f)
+        da[:, H : 2 * H] = di * i * (1.0 - i)
+        da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
+        da[:, 3 * H :] = du * (1.0 - u * u)
+        dh_next = da @ p.U.T
+    dA2 = dA.reshape(T * B, 4 * H)
+    Xs = np.stack([s[0] for s in steps]).reshape(T * B, D)
+    Hs = np.stack([s[1] for s in steps]).reshape(T * B, H)
+    dX = (dA2 @ p.W.T).reshape(T, B, D).transpose(1, 0, 2)
+    g = {"W": Xs.T @ dA2, "U": Hs.T @ dA2, "b": dA2.sum(axis=0)}
+    return g, np.ascontiguousarray(dX)
 
 
 def ref_conv1d_relu_backward(cache, dout):
@@ -192,14 +249,14 @@ def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T + 2)
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
-    out, (_, _, steps) = lstm_forward(p, X)
+    out, (_, _, G, _, _, TC) = lstm_forward(p, X)
     ref, (_, ref_steps) = ref_lstm_forward(p, X)
     assert_close(out, ref, dtype, "out")
     for t in (0, T - 1):  # the cached activations, gate by gate
-        _, _, _, fio, u, tc = steps[t]
-        _, _, _, f, i, o, ref_u, ref_tc = ref_steps[t]
-        pairs = {"f": (fio[:, :H], f), "i": (fio[:, H : 2 * H], i), "o": (fio[:, 2 * H :], o),
-                 "u": (u, ref_u), "tc": (tc, ref_tc)}
+        f, i, o, u = (gate(G[t], k) for k in range(4))
+        _, _, _, ref_f, ref_i, ref_o, ref_u, ref_tc = ref_steps[t]
+        pairs = {"f": (f, ref_f), "i": (i, ref_i), "o": (o, ref_o),
+                 "u": (u, ref_u), "tc": (TC[t], ref_tc)}
         for name, (new, old) in pairs.items():
             assert_close(new, old, dtype, f"{name} at step {t}")
 
@@ -219,6 +276,27 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
     assert uniq.size < ids.size and uniq[0] == 0
     out = lstm_infer(p, E[uniq], inv.reshape(B, T))
     assert_close(out, ref, dtype, "out", rtols=INFER_RTOL)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", STEPLIST_SHAPES)
+def test_time_major_lstm_is_bit_identical_to_per_step_list(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 1000 + T + 3)
+    p = random_lstm(rng, D, H, dtype)
+    X = rng.normal(size=(B, T, D)).astype(dtype)
+    dH = rng.normal(size=(B, T, H)).astype(dtype)
+    out, cache = lstm_forward(p, X)
+    ref, ref_cache = steplist_lstm_forward(p, X)
+    grads, dX = lstm_backward(cache, dH)
+    ref_grads, ref_dX = steplist_lstm_backward(ref_cache, dH)
+    assert list(grads) == list(ref_grads) == ["W", "U", "b"]
+    pairs = dict(out=(out, ref), dX=(dX, ref_dX),
+                 **{name: (grads[name], ref_grads[name]) for name in ref_grads})
+    for name, (new, old) in pairs.items():
+        assert new.dtype == old.dtype == dtype, name
+        assert np.array_equal(new, old), name
+        assert new.tobytes() == old.tobytes(), name
+    assert out.flags.c_contiguous and dX.flags.c_contiguous
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

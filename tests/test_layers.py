@@ -195,11 +195,22 @@ def test_lstm_output_shape():
 def test_lstm_gate_ranges():
     p = lstm_params(4, 6, RNG(3))
     X = RNG(4).normal(size=(3, 8, 4)) * 3.0
-    _, (_, _, steps) = lstm_forward(p, X)
-    for _, _, _, fio, u, tc in steps:
-        assert np.all(fio > 0.0) and np.all(fio < 1.0)
-        assert np.all(u > -1.0) and np.all(u < 1.0)
-        assert np.all(tc > -1.0) and np.all(tc < 1.0)
+    _, (_, _, G, _, _, TC) = lstm_forward(p, X)
+    H = p.U.shape[0]
+    fio, u = G[..., : 3 * H], G[..., 3 * H :]  # every step's gates at once
+    assert np.all(fio > 0.0) and np.all(fio < 1.0)
+    assert np.all(u > -1.0) and np.all(u < 1.0)
+    assert np.all(TC > -1.0) and np.all(TC < 1.0)
+
+
+def test_lstm_cache_holds_no_view_of_its_input():
+    # the layer below (dropout in the model) can free its output once the
+    # LSTM forward pass returns
+    p = lstm_params(3, 4, RNG(9))
+    X = RNG(10).normal(size=(2, 5, 3))
+    _, (_, *arrays) = lstm_forward(p, X)
+    assert len(arrays) == 5
+    assert not any(np.shares_memory(a, X) for a in arrays)
 
 
 def test_lstm_deterministic_bitwise():

@@ -1,6 +1,8 @@
 """Loss oracles, Adam update math, and training-loop determinism."""
 
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +316,65 @@ def test_fit_numerics_error_names_the_layer_of_a_nonfinite_gradient(monkeypatch,
     with pytest.raises(NumericsError) as info:
         fit(small_train_cfg(), X, y, emb)
     assert str(info.value) == f"epoch 1, step 0, batch 0: non-finite gradient for {message}"
+
+
+# ------------------------------------------------------------------- memory
+
+
+def cache_arrays(obj):
+    """The ndarrays of a layer cache's nested tuples and lists; parameter
+    dataclasses are not entered."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from cache_arrays(item)
+
+
+def test_fit_frees_each_steps_lstm_cache_before_the_next_forward(monkeypatch):
+    X, y, emb = tiny_task()  # 3 batches per epoch
+    last = []  # weak references to the previous step's LSTM cache arrays
+    freed = []
+    real = risknet.model.lstm_forward
+
+    def spy(p, x):
+        freed.append(all(ref() is None for ref in last))
+        out, cache = real(p, x)
+        last[:] = [weakref.ref(a) for a in cache_arrays(cache)]
+        assert last
+        return out, cache
+
+    monkeypatch.setattr(risknet.model, "lstm_forward", spy)
+    fit(small_train_cfg(epochs=2), X, y, emb)
+    assert freed == [True] * 6
+
+
+# CPython before 3.11 keeps a call's arguments on the caller's stack until the
+# call returns, so a callee cannot free an argument there
+frees_arguments = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="CPython < 3.11 holds call arguments until return")
+
+
+@frees_arguments
+def test_fit_frees_an_embedding_the_caller_keeps_no_reference_to(monkeypatch):
+    X, y, emb = tiny_task()
+    refs = []
+
+    def fresh_embedding():
+        matrix = emb.matrix.copy()
+        refs.append(weakref.ref(matrix))
+        return EmbeddingMatrix(matrix)
+
+    alive = []
+    real_step = Adam.step
+
+    def spy(self, named_params, grads):
+        alive.append(refs[0]() is not None)
+        real_step(self, named_params, grads)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    fit(small_train_cfg(epochs=1), X, y, fresh_embedding())
+    assert alive == [False] * 3
 
 
 def test_evaluate_returns_metrics_over_all_rows():

@@ -48,15 +48,17 @@ def mean_embedding_features(X: np.ndarray, embedding: EmbeddingMatrix) -> np.nda
     return summed / np.maximum(counts, 1.0)
 
 
+# LinearSVM's L2 penalty, epoch count and initial learning rate
+SVM_LAMBDA = 1e-4
+SVM_EPOCHS = 50
+SVM_LR0 = 0.01
+
+
 class LinearSVM:
     """One-vs-rest L2-regularized hinge classifiers, subgradient-trained."""
 
-    def __init__(self, n_classes: int = 4, lam: float = 1e-4, epochs: int = 50,
-                 lr0: float = 0.01, seed: int = 0):
+    def __init__(self, n_classes: int = 4, seed: int = 0):
         self.n_classes = n_classes
-        self.lam = lam
-        self.epochs = epochs
-        self.lr0 = lr0
         self.seed = seed
         self.W: np.ndarray | None = None  # (C, D)
         self.b: np.ndarray | None = None  # (C,)
@@ -77,16 +79,16 @@ class LinearSVM:
             b = 0.0
             rng = Xoshiro256StarStar(derive_seed(self.seed, STREAM_SVM, c))
             order = list(range(n))
-            for epoch in range(1, self.epochs + 1):
+            for epoch in range(1, SVM_EPOCHS + 1):
                 rng.shuffle(order)
-                lr = self.lr0 / epoch  # 1/t decay at epoch granularity
+                lr = SVM_LR0 / epoch  # 1/t decay at epoch granularity
                 for i in order:
                     margin = sign[i] * (w @ X[i] + b)
                     if margin < 1.0:
-                        w -= lr * (self.lam * w - sign[i] * X[i])
+                        w -= lr * (SVM_LAMBDA * w - sign[i] * X[i])
                         b += lr * sign[i]
                     else:
-                        w -= lr * self.lam * w
+                        w -= lr * SVM_LAMBDA * w
             self.b[c] = b
         return self
 

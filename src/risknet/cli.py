@@ -117,7 +117,8 @@ _DEFAULTS: dict[str, dict] = {
 
 
 def _effective_params(cmd: str, args: argparse.Namespace) -> dict:
-    """defaults < --config file < explicit flags."""
+    """defaults < --config file < explicit flags; an input file that is a
+    directory is a usage error naming its flag."""
     params = dict(_DEFAULTS[cmd])
     for key in ("dataset", "model", "out"):
         if hasattr(args, key):
@@ -125,7 +126,7 @@ def _effective_params(cmd: str, args: argparse.Namespace) -> dict:
     if args.config is not None:
         for key, value in _read_config(args.config, cmd).items():
             if key in params:
-                if not _config_value_fits(value, params[key]):
+                if not _config_value_fits(value, params[key], args.flags[key]):
                     raise UsageError(f"--config {args.config}: bad value for '{key}': "
                                      f"{json.dumps(value)}")
                 params[key] = value
@@ -133,6 +134,9 @@ def _effective_params(cmd: str, args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             params[key] = flag_value
+    for key in ("dataset", "model", "embeddings"):
+        if params.get(key) is not None and Path(params[key]).is_dir():
+            raise UsageError(f"--{key} {params[key]}: is a directory, not a file")
     return params
 
 
@@ -154,13 +158,16 @@ def _read_config(path: str, cmd: str) -> dict:
     return params
 
 
-def _config_value_fits(value, default) -> bool:
-    """A replayed value has its default's JSON type (int for a float is fine)."""
-    if default is None:  # optional path, string or number
-        return value is None or type(value) in (str, int, float)
-    if type(default) is float:
-        return type(value) in (int, float)
-    return type(value) is type(default)
+def _config_value_fits(value, default, flag: argparse.Action) -> bool:
+    """A replayed value is one its flag takes: one of the flag's choices, or
+    a JSON value of the flag's type (an int for a float is fine).  Null fits
+    only where the default is null."""
+    if value is None:
+        return default is None
+    if flag.choices is not None:
+        return value in flag.choices
+    want = flag.type or str
+    return type(value) is want or (want is float and type(value) is int)
 
 
 def _write_run_json(out_dir: Path, cmd: str, params: dict, stats: dict | None = None) -> None:
@@ -175,7 +182,10 @@ def _write_run_json(out_dir: Path, cmd: str, params: dict, stats: dict | None = 
 
 def _out_dir(params: dict) -> Path:
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a file is in the way
+        raise UsageError(f"--out {out}: not a directory") from None
     return out
 
 
@@ -198,8 +208,6 @@ def _cmd_preprocess(params: dict) -> int:
         raise UsageError(
             f"{params['dataset']}: {len(result.errors)} malformed records "
             f"(first: line {first.line}: {first.message})")
-    stopwords = textprep.load_stopwords()
-    exceptions = textprep.load_lemma_exceptions()
     cleaned = [
         Document(p.user_id, textprep.clean(corpus.merge_title_body(p)), p.label, p.post_id)
         for p in result.posts
@@ -208,8 +216,7 @@ def _cmd_preprocess(params: dict) -> int:
     docs = corpus.dedupe(non_empty)
     rows = []
     for doc in docs:
-        tokens = textprep.lemmatize(
-            textprep.drop_stopwords(textprep.tokenize(doc.text), stopwords), exceptions)
+        tokens = textprep.content_tokens(doc.text)
         if tokens:  # a post of stop words only has none left
             rows.append({
                 "post_id": doc.post_id, "user_id": doc.user_id,
@@ -481,6 +488,9 @@ def build_parser() -> _Parser:
     _add_train_flags(s)
     _add_common(s)
 
+    for sub in subs.choices.values():
+        # a --config value is checked against the flag that sets its key
+        sub.set_defaults(flags={a.dest: a for a in sub._actions})
     return parser
 
 

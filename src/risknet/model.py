@@ -277,8 +277,10 @@ class Model:
 
         With cache=False (inference only) no layer keeps a cache, the cache
         returned is None, and the embedding -> dropout -> LSTM prefix runs as
-        one `lstm_infer` over the batch's distinct indices; the probabilities
-        are the same as with the cache.
+        one `lstm_infer` over the batch's distinct indices.  The
+        probabilities match the cached forward's to rounding: bit for bit at
+        every measured shape with two or more rows, not for one row (see
+        `lstm_infer`).
         """
         cfg, p = self.cfg, self.params
         batch = np.asarray(batch)

@@ -3,7 +3,7 @@
 Cleaning applies, in this fixed order: URL removal, e-mail removal, newline
 removal, punctuation stripping, lowercasing, whitespace collapse.  URL and
 e-mail matching must run before punctuation stripping or the patterns fall
-apart.  The exact constants live in :data:`DEFAULT_RULES`:
+apart.  The exact constants:
 
 * URLs: ``(?:https?://|www\\.)`` up to the next whitespace, case-insensitive.
 * E-mails: ``nonspace+ @ nonspace+ . nonspace+``.
@@ -20,37 +20,24 @@ rule wins and rules never cascade.
 
 from __future__ import annotations
 
+import functools
 import re
 import string
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 _VOWELS = set("aeiou")
 
-
-@dataclass(frozen=True)
-class CleanRules:
-    url_pattern: re.Pattern = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-    email_pattern: re.Pattern = re.compile(r"\S+@\S+\.\S+")
-    punctuation_set: str = string.punctuation
-    lowercase: bool = True
+_URL_PATTERN = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_EMAIL_PATTERN = re.compile(r"\S+@\S+\.\S+")
+_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 
-DEFAULT_RULES = CleanRules()
-_PUNCT_TABLE = str.maketrans({c: " " for c in DEFAULT_RULES.punctuation_set})
-
-
-def clean(raw: str, rules: CleanRules = DEFAULT_RULES) -> str:
-    s = rules.url_pattern.sub(" ", raw)
-    s = rules.email_pattern.sub(" ", s)
+def clean(raw: str) -> str:
+    s = _URL_PATTERN.sub(" ", raw)
+    s = _EMAIL_PATTERN.sub(" ", s)
     s = s.replace("\r", " ").replace("\n", " ")
-    if rules is DEFAULT_RULES:
-        s = s.translate(_PUNCT_TABLE)
-    else:
-        s = s.translate(str.maketrans({c: " " for c in rules.punctuation_set}))
-    if rules.lowercase:
-        s = s.lower()
+    s = s.translate(_PUNCT_TABLE).lower()
     return " ".join(s.split())
 
 
@@ -59,12 +46,7 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass(frozen=True)
-class StopWordList:
-    words: frozenset[str] = field(default_factory=frozenset)
-
-
-def load_stopwords(path: str | Path | None = None) -> StopWordList:
+def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load the stop-word list, one lowercase token per line (UTF-8).
 
     Without a path the packaged 179-word English list is used.
@@ -73,11 +55,11 @@ def load_stopwords(path: str | Path | None = None) -> StopWordList:
         text = resources.files("risknet.data").joinpath("stopwords.txt").read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
-    return StopWordList(frozenset(w for w in text.splitlines() if w))
+    return frozenset(w for w in text.splitlines() if w)
 
 
-def drop_stopwords(tokens: list[str], stopwords: StopWordList) -> list[str]:
-    return [t for t in tokens if t not in stopwords.words]
+def drop_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
+    return [t for t in tokens if t not in stopwords]
 
 
 def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
@@ -95,14 +77,9 @@ def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
     return table
 
 
-_DEFAULT_EXCEPTIONS: dict[str, str] | None = None
-
-
-def _exceptions() -> dict[str, str]:
-    global _DEFAULT_EXCEPTIONS
-    if _DEFAULT_EXCEPTIONS is None:
-        _DEFAULT_EXCEPTIONS = load_lemma_exceptions()
-    return _DEFAULT_EXCEPTIONS
+# the packaged tables, read once
+_stopwords = functools.cache(load_stopwords)
+_exceptions = functools.cache(load_lemma_exceptions)
 
 
 def _has_vowel(s: str) -> bool:
@@ -146,12 +123,14 @@ def lemmatize(tokens: list[str], exceptions: dict[str, str] | None = None) -> li
     return [lemma(t, exc) for t in tokens]
 
 
-def preprocess(
-    raw: str,
-    stopwords: StopWordList | None = None,
-    exceptions: dict[str, str] | None = None,
-    rules: CleanRules = DEFAULT_RULES,
-) -> list[str]:
-    """Full pipeline: clean, tokenize, drop stop words, lemmatize."""
-    sw = load_stopwords() if stopwords is None else stopwords
-    return lemmatize(drop_stopwords(tokenize(clean(raw, rules)), sw), exceptions)
+def content_tokens(text: str, stopwords: frozenset[str] | None = None,
+                   exceptions: dict[str, str] | None = None) -> list[str]:
+    """Cleaned text -> tokens: tokenize, drop stop words, lemmatize."""
+    sw = _stopwords() if stopwords is None else stopwords
+    return lemmatize(drop_stopwords(tokenize(text), sw), exceptions)
+
+
+def preprocess(raw: str, stopwords: frozenset[str] | None = None,
+               exceptions: dict[str, str] | None = None) -> list[str]:
+    """Full pipeline: clean, then `content_tokens`."""
+    return content_tokens(clean(raw), stopwords, exceptions)

@@ -53,7 +53,6 @@ class NgramTable:
 @dataclass
 class TermWeights:
     weights: dict[str, float]
-    severity: dict[RiskLabel, float]
 
 
 @dataclass(frozen=True)
@@ -116,17 +115,16 @@ def _class_term_counts(
 def tfidf_weights(
     class_corpora: Mapping[RiskLabel, Sequence[str]],
     terms: Sequence[str],
-    severity: Mapping[RiskLabel, float] | None = None,
 ) -> TermWeights:
     """Scalar term weights over the four one-document class corpora.
 
     tf(term, c) is the raw occurrence count in class c; idf(term) is
     ln(4 / df) with df the number of classes containing the term; the final
     weight is the severity-weighted mean of the per-class tf-idf values:
-    sum_c severity(c) * tf * idf / sum_c tf.  Terms absent from every class
-    are left out of the map.
+    sum_c severity(c) * tf * idf / sum_c tf, with the severities of
+    :data:`DEFAULT_SEVERITY`.  Terms absent from every class are left out of
+    the map.
     """
-    severity = dict(DEFAULT_SEVERITY) if severity is None else dict(severity)
     missing = [c for c in RiskLabel if c not in class_corpora]
     if missing:
         raise ValueError(f"class corpora missing {missing}")
@@ -142,8 +140,8 @@ def tfidf_weights(
             continue
         idf = math.log(n_classes / df)
         total_tf = sum(tf.values())
-        weights[term] = idf * sum(severity[c] * tf[c] for c in RiskLabel) / total_tf
-    return TermWeights(weights=weights, severity=severity)
+        weights[term] = idf * sum(DEFAULT_SEVERITY[c] * tf[c] for c in RiskLabel) / total_tf
+    return TermWeights(weights)
 
 
 def post_score(tokens: Sequence[str], w: TermWeights) -> float:
@@ -197,12 +195,6 @@ def assign_label(score: float, t: Thresholds) -> RiskLabel:
     return RiskLabel.SEVERE_RISK
 
 
-def assign_labels(scores: Sequence[float], t: Thresholds) -> np.ndarray:
-    """Vectorized assign_label over a score array."""
-    cuts = np.array([t.t1, t.t2, t.t3], dtype=np.float64)
-    return np.searchsorted(cuts, np.asarray(scores, dtype=np.float64), side="left")
-
-
 @dataclass
 class WeakLabelResult:
     docs: list[Document]
@@ -215,7 +207,6 @@ def weak_label_documents(
     docs: list[Document],
     top_k: int = 300,
     target_fractions: Sequence[float] = DEFAULT_TARGET_FRACTIONS,
-    severity: Mapping[RiskLabel, float] | None = None,
 ) -> WeakLabelResult:
     """Full weak-labeling pass over user-labeled documents.
 
@@ -230,7 +221,7 @@ def weak_label_documents(
     class_corpora: dict[RiskLabel, list[str]] = {c: [] for c in RiskLabel}
     for doc in docs:
         class_corpora[doc.label].extend(doc.text.split())
-    weights = tfidf_weights(class_corpora, terms, severity)
+    weights = tfidf_weights(class_corpora, terms)
     scores = [post_score(doc.text.split(), weights) for doc in docs]
     thresholds = calibrate_thresholds(scores, target_fractions)
     relabeled = [

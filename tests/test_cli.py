@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import errno
+import hashlib
 import json
 import math
 import os
 import sys
 import weakref
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -75,19 +78,71 @@ def test_config_from_other_command_rejected(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("write", [
-    lambda p: p.write_text("[]", encoding="utf-8"),
-    lambda p: p.write_text('{"command": "synth", "params": [1]}', encoding="utf-8"),
-    lambda p: p.write_text('{"command": "synth", "params": {"posts": [5]}}', encoding="utf-8"),
-    lambda p: p.mkdir(),
-], ids=["not_an_object", "params_list", "posts_list", "directory"])
-def test_malformed_config_exits_1_naming_config(tmp_path, capsys, write):
-    # each of these used to end in a TypeError, AttributeError or OSError and exit 2
+def config_params(cmd, params):
+    return lambda p: p.write_text(json.dumps({"command": cmd, "params": params}),
+                                  encoding="utf-8")
+
+
+@pytest.mark.parametrize("cmd,write", [
+    ("synth", lambda p: p.write_text("[]", encoding="utf-8")),
+    ("synth", config_params("synth", [1])),
+    ("synth", config_params("synth", {"posts": [5]})),
+    ("synth", lambda p: p.mkdir()),
+    # keys whose default is null take their flag's type
+    ("train", config_params("train", {"embeddings": 5})),
+    ("train", config_params("train", {"max_len": 12.7})),
+    ("train", config_params("train", {"max_len": "abc"})),
+    ("train", config_params("train", {"max_len": True})),
+    ("train", config_params("train", {"dtype": "float16"})),
+    ("preprocess", config_params("preprocess", {"format": "xml"})),
+    ("annotate", config_params("annotate", {"fractions": 0.25})),
+    ("synth", config_params("synth", {"seed": None})),
+], ids=["not_an_object", "params_list", "posts_list", "directory", "embeddings_int",
+        "max_len_float", "max_len_str", "max_len_bool", "dtype_not_a_choice",
+        "format_not_a_choice", "fractions_float", "seed_null"])
+def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
+    # each of these used to end in a TypeError, AttributeError or OSError and
+    # exit 2, or to be read as some other value
     config = tmp_path / "run.json"
     write(config)
-    assert run("synth", "--out", tmp_path / "s", "--config", config) == 1
+    dataset = () if cmd == "synth" else ("--dataset", tmp_path / "unread.jsonl")
+    assert run(cmd, *dataset, "--out", tmp_path / "s", "--config", config) == 1
     assert f"error: --config {config}: " in capsys.readouterr().err
-    assert not (tmp_path / "s" / "posts.csv").exists()
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--dataset", "{dir}"),
+    ("train", "--dataset", "{file}", "--embeddings", "{dir}"),
+    ("evaluate", "--model", "{dir}", "--dataset", "{file}"),
+    ("predict", "--model", "{file}", "--dataset", "{dir}"),
+    ("preprocess", "--dataset", "{dir}"),
+], ids=["train_dataset", "train_embeddings", "evaluate_model", "predict_dataset",
+        "preprocess_dataset"])
+def test_directory_as_input_file_exits_1_naming_flag(tmp_path, capsys, argv):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("x\n", encoding="utf-8")
+    argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    flag = argv[argv.index(str(tmp_path / "d")) - 1]
+    assert f"error: {flag} {tmp_path / 'd'}: is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["f", "f/sub"])
+def test_file_as_out_exits_1_naming_flag(tmp_path, capsys, out):
+    (tmp_path / "f").write_text("x\n", encoding="utf-8")
+    assert run("synth", "--posts", 5, "--out", tmp_path / out) == 1
+    assert f"error: --out {tmp_path / out}: not a directory" in capsys.readouterr().err
+
+
+def test_out_dir_write_failure_stays_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def full_disk(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", full_disk)
+    assert run("synth", "--posts", 5, "--out", tmp_path / "o") == 2
+    assert "runtime error: OSError: " in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- preprocess
@@ -148,6 +203,26 @@ def test_annotate_outputs(pipeline, tmp_path):
     doc = read_json(out / "run.json")
     t1, t2, t3 = doc["params"]["thresholds"]
     assert t1 < t2 < t3
+
+
+# SHA-256 of the weak-label text chain's outputs: `synth --posts 200 --seed 7`,
+# then `preprocess` and `annotate` with their defaults
+TEXT_CHAIN_DIGESTS = {
+    "prep/tokens.jsonl": "a4e229e43ed5ac2f795d38bb66bda270470db49db10075a0a4c33486c602bc61",
+    "ann/labeled.jsonl": "75c7041d3f3dcf0d0ddddad4c1d7983d6e98f17426d741f0c20f491a9be64ce7",
+    "ann/weights.csv": "3694ffb562c9e8422b421ef82f0a2ae613e85eaf17d9ad79e947e01b8beccec2",
+}
+
+
+def test_text_chain_outputs_are_pinned(tmp_path):
+    assert run("synth", "--posts", 200, "--seed", 7, "--out", tmp_path / "s") == 0
+    assert run("preprocess", "--dataset", tmp_path / "s" / "posts.csv",
+               "--out", tmp_path / "prep") == 0
+    assert run("annotate", "--dataset", tmp_path / "prep" / "tokens.jsonl",
+               "--out", tmp_path / "ann") == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TEXT_CHAIN_DIGESTS}
+    assert got == TEXT_CHAIN_DIGESTS
 
 
 def test_report_ngrams_csv(pipeline, tmp_path):

@@ -12,7 +12,8 @@ order, so they are compared with a tolerance fixed by the dtype.  The fused
 LSTM that kept a list of per-step tuples as its cache runs the same
 operations as the time-major one, so the two must match bit for bit.  The
 cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
-on embedded ids.
+on embedded ids, and bit for bit against its own loop from before it shared
+`lstm_forward`'s gate step.
 """
 
 import numpy as np
@@ -51,6 +52,8 @@ LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
 # shape, and one-row batches, whose per-step input product NumPy runs as a
 # matrix-vector product rather than a GEMM
 STEPLIST_SHAPES = LSTM_SHAPES + [(32, 128, 300, 100), (1, 12, 300, 100), (1, 48, 32, 16)]
+# lstm_infer: LSTM_SHAPES, a one-row batch and a one-unit LSTM
+INFER_SHAPES = LSTM_SHAPES + [(1, 12, 300, 100), (3, 9, 5, 1)]
 # (B, T, d_in, k, F): conv over the LSTM output at both shapes, and over the
 # embedding as in the cnn-only variant
 CONV_SHAPES = [(32, 48, 16, 8, 3), (4, 32, 100, 8, 3), (4, 32, 300, 8, 3), (3, 9, 5, 4, 2)]
@@ -139,6 +142,28 @@ def steplist_lstm_forward(p, X):
         c = c_new
         out[:, t, :] = h
     return out, (p, (B, T, D, H), steps)
+
+
+def loop_lstm_infer(p, rows, inv):
+    """`lstm_infer` with the gate step spelled out, new h and c every step."""
+    B, T = inv.shape
+    H = p.U.shape[0]
+    xW = rows @ p.W
+    at = np.ascontiguousarray(inv.T)
+    h = np.zeros((B, H), dtype=rows.dtype)
+    c = np.zeros((B, H), dtype=rows.dtype)
+    out = np.empty((B, T, H), dtype=rows.dtype)
+    a = np.empty((B, 4 * H), dtype=xW.dtype)
+    for t in range(T):
+        np.take(xW, at[t], axis=0, out=a)
+        a += h @ p.U
+        a += p.b
+        fio = sigmoid(a[:, : 3 * H])
+        u = np.tanh(a[:, 3 * H :])
+        c = fio[:, :H] * c + fio[:, H : 2 * H] * u
+        h = fio[:, 2 * H :] * np.tanh(c)
+        out[:, t, :] = h
+    return out
 
 
 def steplist_lstm_backward(cache, dH):
@@ -261,21 +286,42 @@ def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
             assert_close(new, old, dtype, f"{name} at step {t}")
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES)
-def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
-    rng = np.random.default_rng(B * 1000 + T + 1)
-    p = random_lstm(rng, D, H, dtype)
+def embedded_ids(rng, B, T, D, dtype):
+    """An embedding and (B, T) ids into it with repeats and padded tails."""
     V = 3 * T  # fewer ids than positions, so ids repeat
     E = rng.normal(size=(V, D)).astype(dtype)
     E[0] = 0.0
     ids = rng.integers(1, V, size=(B, T))
     ids[::2, T // 2 :] = 0  # padded tails
+    return E, ids
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", INFER_SHAPES)
+def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
+    # bit-identical for B >= 2; a one-row batch differs in the last bits,
+    # since lstm_forward then projects its input by matrix-vector products
+    rng = np.random.default_rng(B * 1000 + T + 1)
+    p = random_lstm(rng, D, H, dtype)
+    E, ids = embedded_ids(rng, B, T, D, dtype)
     ref, _ = lstm_forward(p, E[ids])
     uniq, inv = np.unique(ids, return_inverse=True)
     assert uniq.size < ids.size and uniq[0] == 0
     out = lstm_infer(p, E[uniq], inv.reshape(B, T))
     assert_close(out, ref, dtype, "out", rtols=INFER_RTOL)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", INFER_SHAPES)
+def test_lstm_infer_is_bit_identical_to_its_step_loop(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 1000 + T + 4)
+    p = random_lstm(rng, D, H, dtype)
+    E, ids = embedded_ids(rng, B, T, D, dtype)
+    uniq, inv = np.unique(ids, return_inverse=True)
+    out = lstm_infer(p, E[uniq], inv.reshape(B, T))
+    ref = loop_lstm_infer(p, E[uniq], inv.reshape(B, T))
+    assert out.dtype == ref.dtype == dtype
+    assert out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risknet.textprep import (
-    StopWordList,
     clean,
     drop_stopwords,
     lemma,
@@ -85,15 +84,15 @@ def test_tokenize_examples():
 
 def test_packaged_stopword_list_has_179_words():
     sw = load_stopwords()
-    assert len(sw.words) == 179
-    assert all(w == w.lower() and " " not in w for w in sw.words)
-    assert {"i", "the", "was", "and"} <= sw.words
+    assert isinstance(sw, frozenset) and len(sw) == 179
+    assert all(w == w.lower() and " " not in w for w in sw)
+    assert {"i", "the", "was", "and"} <= sw
 
 
 def test_drop_stopwords_examples():
-    sw = StopWordList(frozenset({"i"}))
+    sw = frozenset({"i"})
     assert drop_stopwords(["i", "want", "help"], sw) == ["want", "help"]
-    allsw = StopWordList(frozenset({"a", "b"}))
+    allsw = frozenset({"a", "b"})
     assert drop_stopwords(["a", "b", "a"], allsw) == []
     assert drop_stopwords(["x", "y"], allsw) == ["x", "y"]
 
@@ -101,7 +100,7 @@ def test_drop_stopwords_examples():
 def test_load_stopwords_custom_file(tmp_path):
     path = tmp_path / "sw.txt"
     path.write_text("foo\nbar\n\n", encoding="utf-8")
-    assert load_stopwords(path).words == frozenset({"foo", "bar"})
+    assert load_stopwords(path) == frozenset({"foo", "bar"})
 
 
 # -------------------------------------------------------------- lemmatizer
@@ -178,7 +177,7 @@ def test_rules_never_lengthen(token):
 
 
 def test_preprocess_pipeline():
-    sw = StopWordList(frozenset({"i", "was", "to", "the"}))
+    sw = frozenset({"i", "was", "to", "the"})
     out = preprocess("I was running to the STORES!! visit https://x.y", stopwords=sw)
     assert out == ["run", "store", "visit"]
 

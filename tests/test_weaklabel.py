@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from risknet.corpus import Document, RiskLabel
 from risknet.weaklabel import (
-    DEFAULT_SEVERITY,
     DEFAULT_TARGET_FRACTIONS,
     DegenerateScores,
     NgramTable,
     TermWeights,
     Thresholds,
     assign_label,
-    assign_labels,
     calibrate_thresholds,
     count_ngrams,
     ngrams,
@@ -165,7 +163,7 @@ def test_tfidf_weights_finite():
 
 
 def weights_of(d):
-    return TermWeights(weights=d, severity=dict(DEFAULT_SEVERITY))
+    return TermWeights(weights=d)
 
 
 def test_post_score_no_matches():
@@ -224,7 +222,7 @@ def test_calibrate_default_fractions_near_balanced():
     rng = np.random.default_rng(3)
     scores = rng.normal(size=20000)
     t = calibrate_thresholds(scores)
-    labels = assign_labels(scores, t)
+    labels = [assign_label(s, t) for s in scores.tolist()]
     frac = np.bincount(labels, minlength=4) / scores.size
     assert np.all(np.abs(frac - np.asarray(DEFAULT_TARGET_FRACTIONS)) <= 0.02)
 
@@ -266,11 +264,10 @@ def test_assign_label_boundaries():
     assert assign_label(1.0 + 1e-12, t) == RiskLabel.SEVERE_RISK
 
 
-def test_assign_labels_matches_scalar():
+def test_assign_label_at_and_just_past_each_threshold():
     t = Thresholds(-0.3, 0.1, 0.9)
     scores = [-5.0, -0.3, -0.29, 0.1, 0.10001, 0.9, 0.90001, 7.0]
-    vec = assign_labels(scores, t)
-    assert vec.tolist() == [int(assign_label(s, t)) for s in scores]
+    assert [int(assign_label(s, t)) for s in scores] == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 @given(

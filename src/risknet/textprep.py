@@ -24,7 +24,6 @@ import functools
 import re
 import string
 from importlib import resources
-from pathlib import Path
 
 _VOWELS = set("aeiou")
 
@@ -46,15 +45,9 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load the stop-word list, one lowercase token per line (UTF-8).
-
-    Without a path the packaged 179-word English list is used.
-    """
-    if path is None:
-        text = resources.files("risknet.data").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+def load_stopwords() -> frozenset[str]:
+    """The packaged 179-word English stop-word list, one lowercase token per line."""
+    text = resources.files("risknet.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in text.splitlines() if w)
 
 
@@ -62,12 +55,9 @@ def drop_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def load_lemma_exceptions(path: str | Path | None = None) -> dict[str, str]:
-    """Exception dictionary from a TSV of ``surface<TAB>lemma`` rows."""
-    if path is None:
-        text = resources.files("risknet.data").joinpath("lemma_exceptions.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+def load_lemma_exceptions() -> dict[str, str]:
+    """The packaged exception dictionary, a TSV of ``surface<TAB>lemma`` rows."""
+    text = resources.files("risknet.data").joinpath("lemma_exceptions.tsv").read_text("utf-8")
     table = {}
     for line in text.splitlines():
         if not line:
@@ -94,11 +84,14 @@ def _undouble(stem: str) -> str:
     return stem
 
 
-def lemma(token: str, exceptions: dict[str, str] | None = None) -> str:
+def lemma(token: str) -> str:
     """Map one lowercase token to its lemma by exception table, then rules."""
-    exc = _exceptions() if exceptions is None else exceptions
-    if token in exc:
-        return exc[token]
+    exc = _exceptions()
+    return exc[token] if token in exc else rule_lemma(token)
+
+
+def rule_lemma(token: str) -> str:
+    """The suffix rules alone, without the exception table."""
     if token.endswith("ies") and len(token) >= 5:
         return token[:-3] + "y"
     if token.endswith("es") and len(token) >= 4 and token[:-2].endswith(("s", "sh", "ch", "x", "z", "o")):
@@ -118,19 +111,15 @@ def lemma(token: str, exceptions: dict[str, str] | None = None) -> str:
     return token
 
 
-def lemmatize(tokens: list[str], exceptions: dict[str, str] | None = None) -> list[str]:
-    exc = _exceptions() if exceptions is None else exceptions
-    return [lemma(t, exc) for t in tokens]
+def lemmatize(tokens: list[str]) -> list[str]:
+    return [lemma(t) for t in tokens]
 
 
-def content_tokens(text: str, stopwords: frozenset[str] | None = None,
-                   exceptions: dict[str, str] | None = None) -> list[str]:
+def content_tokens(text: str) -> list[str]:
     """Cleaned text -> tokens: tokenize, drop stop words, lemmatize."""
-    sw = _stopwords() if stopwords is None else stopwords
-    return lemmatize(drop_stopwords(tokenize(text), sw), exceptions)
+    return lemmatize(drop_stopwords(tokenize(text), _stopwords()))
 
 
-def preprocess(raw: str, stopwords: frozenset[str] | None = None,
-               exceptions: dict[str, str] | None = None) -> list[str]:
+def preprocess(raw: str) -> list[str]:
     """Full pipeline: clean, then `content_tokens`."""
-    return content_tokens(clean(raw), stopwords, exceptions)
+    return content_tokens(clean(raw))

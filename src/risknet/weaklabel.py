@@ -169,7 +169,7 @@ def calibrate_thresholds(
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("scores must be a non-empty 1-D sequence")
     fr = np.asarray(target_fractions, dtype=np.float64)
-    if fr.shape != (4,) or np.any(fr <= 0):
+    if fr.shape != (4,) or not np.all(fr > 0):  # NaN is not > 0
         raise ValueError("target_fractions must be 4 positive reals")
     if abs(float(fr.sum()) - 1.0) > 1e-9:
         raise ValueError("target_fractions must sum to 1")

@@ -47,7 +47,7 @@ from risknet.model import Model, ModelConfig, init_params
 from risknet.modelio import load_model, save_model
 from risknet.rng import bulk_generator
 from risknet.synth import generate_corpus
-from risknet.textprep import load_lemma_exceptions, load_stopwords, preprocess
+from risknet.textprep import preprocess
 from risknet.metrics import compute_metrics
 from risknet.train import (
     Adam,
@@ -229,9 +229,7 @@ def test_lstm_unit_cell_matches_high_precision_hand_value():
 
 def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
     posts = generate_corpus(32, seed=7)
-    sw = load_stopwords()
-    ex = load_lemma_exceptions()
-    token_lists = [preprocess(merge_title_body(p), sw, ex) for p in posts]
+    token_lists = [preprocess(merge_title_body(p)) for p in posts]
     docs = [Document(p.user_id, " ".join(t), p.label, p.post_id)
             for p, t in zip(posts, token_lists)]
     vocab = build_vocab(docs)

@@ -27,21 +27,51 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+ABLATE_FLAGS = ("--epochs", 1, "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16,
+                "--seed", 7, "--dropout", 0.0)
+
+# The first run of each subcommand under the pipeline root: its input flags
+# (paths relative to the root), its other flags and its output directory.
+FIRST_RUNS = {
+    "synth": ((), ("--posts", 220, "--seed", 7), "synth"),
+    "preprocess": (("--dataset", "synth/posts.csv"), (), "prep"),
+    "annotate": (("--dataset", "prep/tokens.jsonl"),
+                 ("--top-k", 80, "--fractions", "0.4,0.3,0.2,0.1"), "ann"),
+    "report-ngrams": (("--dataset", "prep/tokens.jsonl"), ("--top", 10), "ng"),
+    "train": (("--dataset", "prep/tokens.jsonl"),
+              ("--epochs", 2, "--embed-dim", 12, "--lstm-units", 6, "--max-len", 24,
+               "--seed", 7, "--dropout", 0.0), "train"),
+    "evaluate": (("--model", "train/model.rkn", "--dataset", "train/test.jsonl"), (), "eval"),
+    "predict": (("--model", "train/model.rkn", "--dataset", "prep/tokens.jsonl"), (), "pred"),
+    "ablate": (("--dataset", "prep/tokens.jsonl"), ABLATE_FLAGS, "abl"),
+}
+
+
+def input_flags(root, cmd):
+    inputs = FIRST_RUNS[cmd][0]
+    return [root / a if i % 2 else a for i, a in enumerate(inputs)]
+
+
+def run_first(root, cmd):
+    _, flags, out = FIRST_RUNS[cmd]
+    return run(cmd, *input_flags(root, cmd), *flags, "--out", root / out)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> preprocess -> train once; individual tests inspect the pieces."""
     root = tmp_path_factory.mktemp("pipe")
-    synth_dir = root / "synth"
-    prep_dir = root / "prep"
-    train_dir = root / "train"
-    assert run("synth", "--posts", 220, "--seed", 7, "--out", synth_dir) == 0
-    assert run("preprocess", "--dataset", synth_dir / "posts.csv", "--out", prep_dir) == 0
-    assert run(
-        "train", "--dataset", prep_dir / "tokens.jsonl", "--out", train_dir,
-        "--epochs", 2, "--embed-dim", 12, "--lstm-units", 6, "--max-len", 24,
-        "--seed", 7, "--dropout", 0.0,
-    ) == 0
+    for cmd in ("synth", "preprocess", "train"):
+        assert run_first(root, cmd) == 0, cmd
     return root
+
+
+@pytest.fixture(scope="module")
+def first_runs(pipeline):
+    """The pipeline plus the first run of every other subcommand."""
+    for cmd in ("annotate", "report-ngrams", "evaluate", "predict", "ablate"):
+        assert run_first(pipeline, cmd) == 0, cmd
+    return pipeline
 
 
 # ------------------------------------------------------------------- synth
@@ -63,11 +93,46 @@ def test_synth_deterministic_across_runs(tmp_path):
     assert (a / "posts.csv").read_bytes() == (b / "posts.csv").read_bytes()
 
 
-def test_synth_replay_from_config(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("synth", "--posts", 15, "--seed", 4, "--out", a) == 0
-    assert run("synth", "--config", a / "run.json", "--out", b) == 0
-    assert (a / "posts.csv").read_bytes() == (b / "posts.csv").read_bytes()
+# SHA-256 of each subcommand's first run.json (FIRST_RUNS), with the paths it
+# names replaced by placeholders
+RUN_JSON_DIGESTS = {
+    "synth": "f21a764ae639df63d70dcd1cfe6d62714eb56077744bc4672178d254c3cbc60d",
+    "preprocess": "b9d7f61d14c2eba4ee6c4f454926c502028e316099f7eaa42ef6d5e16b985dab",
+    "annotate": "f31be201463495683a0d34e7f2c478196c3363fc51d7451a60b5782d55d6001f",
+    "report-ngrams": "ebad1dd8de95e2e4d93bb091fe0c095eb75e12b6ed66f51fe0f16e0a83b192fc",
+    "train": "24bf85140c4125909752345cf063234f9b2aa80f546d15e321947968735a5479",
+    "evaluate": "aa22482a5622295eb079cf9f7fa173dc5611cfb81be088ad0b30a2e882d89087",
+    "predict": "41ea4e3185fd0c451b92cd996e6ae1adf3931f5fa8f4de4e9ccdc8ee040d6973",
+    "ablate": "91db71187e3cea0a3b008444363c2de0905c391d42db8a4c0b60b05fbabff32f",
+}
+
+
+def run_json_without_paths(out_dir):
+    doc = read_json(out_dir / "run.json")
+    for key in ("dataset", "model", "out"):
+        if key in doc["params"]:
+            doc["params"][key] = f"<{key}>"
+    return doc
+
+
+@pytest.mark.parametrize("cmd", list(FIRST_RUNS))
+def test_run_json_is_pinned(first_runs, cmd):
+    doc = run_json_without_paths(first_runs / FIRST_RUNS[cmd][2])
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RUN_JSON_DIGESTS[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(FIRST_RUNS))
+def test_replay_from_config(first_runs, tmp_path, cmd):
+    first = first_runs / FIRST_RUNS[cmd][2]
+    assert run(cmd, *input_flags(first_runs, cmd), "--config", first / "run.json",
+               "--out", tmp_path) == 0
+    assert run_json_without_paths(tmp_path) == run_json_without_paths(first)
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        if name != "run.json":
+            assert (tmp_path / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_config_from_other_command_rejected(tmp_path):
@@ -117,15 +182,24 @@ def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     ("evaluate", "--model", "{dir}", "--dataset", "{file}"),
     ("predict", "--model", "{file}", "--dataset", "{dir}"),
     ("preprocess", "--dataset", "{dir}"),
+    ("train", "--dataset", "{missing}"),
+    ("train", "--dataset", "{file}", "--embeddings", "{missing}"),
+    ("evaluate", "--model", "{missing}", "--dataset", "{file}"),
+    ("predict", "--model", "{file}", "--dataset", "{missing}"),
 ], ids=["train_dataset", "train_embeddings", "evaluate_model", "predict_dataset",
-        "preprocess_dataset"])
+        "preprocess_dataset", "train_dataset_missing", "train_embeddings_missing",
+        "evaluate_model_missing", "predict_dataset_missing"])
 def test_directory_as_input_file_exits_1_naming_flag(tmp_path, capsys, argv):
+    # a missing file used to be named only by the bare OSError message, and
+    # --out was made before it was found
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("x\n", encoding="utf-8")
-    argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
-    assert run(*argv, "--out", tmp_path / "o") == 1
-    flag = argv[argv.index(str(tmp_path / "d")) - 1]
-    assert f"error: {flag} {tmp_path / 'd'}: is a directory" in capsys.readouterr().err
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f", "missing": tmp_path / "m"}
+    bad = next(a[1:-1] for a in argv if a in ("{dir}", "{missing}"))
+    flag = argv[argv.index("{" + bad + "}") - 1]
+    problem = {"dir": "is a directory", "missing": "no such file"}[bad]
+    assert run(*[a.format(**paths) for a in argv], "--out", tmp_path / "o") == 1
+    assert f"error: {flag} {paths[bad]}: {problem}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -203,6 +277,22 @@ def test_annotate_outputs(pipeline, tmp_path):
     doc = read_json(out / "run.json")
     t1, t2, t3 = doc["params"]["thresholds"]
     assert t1 < t2 < t3
+
+
+@pytest.mark.parametrize("fractions,message", [
+    # used to print only the bare float() message
+    ("a,b,c,d", "--fractions a,b,c,d: could not convert string to float: 'a'"),
+    # NaN used to pass the positivity and sum checks and end in NumPy's
+    # "Quantiles must be in the range [0, 1]"
+    ("nan,0.2,0.3,0.5", "target_fractions must be 4 positive reals"),
+    ("0.6,-0.1,0.3,0.2", "target_fractions must be 4 positive reals"),
+    ("0.5,0.5", "--fractions needs 4 comma-separated values"),
+], ids=["not_a_number", "nan", "negative", "two_values"])
+def test_bad_fractions_exit_1(pipeline, tmp_path, capsys, fractions, message):
+    assert run("annotate", "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", tmp_path / "o", "--fractions", fractions) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "labeled.jsonl").exists()
 
 
 # SHA-256 of the weak-label text chain's outputs: `synth --posts 200 --seed 7`,
@@ -349,10 +439,6 @@ def test_ablate_writes_five_rows(pipeline, tmp_path):
     assert [l.split(",")[0] for l in lines[1:6]] == [
         "svm", "cnn", "lstm", "lstm_cnn", "lstm_attention_cnn"]
     assert lines[6].startswith("# reference lstm_attention_cnn")
-
-
-ABLATE_FLAGS = ("--epochs", 1, "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16,
-                "--seed", 7, "--dropout", 0.0)
 
 
 def test_ablate_csv_is_byte_identical_for_one_or_two_usable_cpus(pipeline, tmp_path, monkeypatch):

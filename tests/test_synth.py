@@ -11,7 +11,7 @@ from risknet.synth import (
     STOPWORD_NOISE,
     generate_corpus,
 )
-from risknet.textprep import clean, lemma, load_stopwords, preprocess
+from risknet.textprep import clean, lemma, preprocess
 
 
 def test_generate_exact_count_and_ids():
@@ -62,10 +62,9 @@ def test_timestamps_strictly_increasing():
 
 
 def test_keywords_and_filler_survive_preprocessing():
-    sw = load_stopwords()
     pools = [tok for kws in CLASS_KEYWORDS.values() for tok in kws] + list(FILLER)
     for tok in pools:
-        assert preprocess(tok, stopwords=sw) == [tok], tok
+        assert preprocess(tok) == [tok], tok
 
 
 def test_theme_tokens_come_from_the_pools():
@@ -83,16 +82,14 @@ def test_inflections_lemmatize_back_to_base():
 
 
 def test_stopword_noise_is_dropped_by_the_pipeline():
-    sw = load_stopwords()
     for tok in STOPWORD_NOISE:
-        assert preprocess(tok, stopwords=sw) == [], tok
+        assert preprocess(tok) == [], tok
 
 
 def test_generated_posts_clean_to_nonempty_token_streams():
-    sw = load_stopwords()
     posts = generate_corpus(80, seed=7)
     for p in posts:
-        tokens = preprocess(merge_title_body(p), stopwords=sw)
+        tokens = preprocess(merge_title_body(p))
         assert len(tokens) >= 5, p.post_id
         assert all(tok == clean(tok) for tok in tokens)
 
@@ -100,11 +97,10 @@ def test_generated_posts_clean_to_nonempty_token_streams():
 def test_class_signal_present_in_cleaned_tokens():
     # posts should, in aggregate, contain their own tier's keywords more
     # often than any other tier's
-    sw = load_stopwords()
     posts = generate_corpus(400, seed=11)
     hits = {c: {k: 0 for k in RiskLabel} for c in RiskLabel}
     for p in posts:
-        tokens = set(preprocess(merge_title_body(p), stopwords=sw))
+        tokens = set(preprocess(merge_title_body(p)))
         for pool_cls, kws in CLASS_KEYWORDS.items():
             hits[p.label][pool_cls] += len(tokens & set(kws))
     for c in RiskLabel:

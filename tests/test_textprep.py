@@ -14,6 +14,7 @@ from risknet.textprep import (
     load_lemma_exceptions,
     load_stopwords,
     preprocess,
+    rule_lemma,
     tokenize,
 )
 
@@ -97,16 +98,7 @@ def test_drop_stopwords_examples():
     assert drop_stopwords(["x", "y"], allsw) == ["x", "y"]
 
 
-def test_load_stopwords_custom_file(tmp_path):
-    path = tmp_path / "sw.txt"
-    path.write_text("foo\nbar\n\n", encoding="utf-8")
-    assert load_stopwords(path) == frozenset({"foo", "bar"})
-
-
 # -------------------------------------------------------------- lemmatizer
-
-NO_EXC: dict = {}
-
 
 @pytest.mark.parametrize(
     "token,expected",
@@ -131,7 +123,7 @@ NO_EXC: dict = {}
     ],
 )
 def test_suffix_rules(token, expected):
-    assert lemma(token, NO_EXC) == expected
+    assert rule_lemma(token) == expected
 
 
 def test_exception_dictionary_wins_over_rules():
@@ -142,22 +134,18 @@ def test_exception_dictionary_wins_over_rules():
 
 
 def test_explicit_exceptions_override():
-    assert lemma("dogs", {"dogs": "canine"}) == "canine"
+    # the table wins where the rules alone give another lemma
+    assert rule_lemma("worried") == "worri" and lemma("worried") == "worry"
+    assert rule_lemma("has") == "has" and lemma("has") == "have"
 
 
 def test_rules_never_cascade():
     # -ies fires once; the result is not re-lemmatized
-    assert lemma("babies", NO_EXC) == "baby"
+    assert rule_lemma("babies") == "baby"
 
 
 def test_lemmatize_maps_elementwise():
-    assert lemmatize(["dogs", "running", "help"], NO_EXC) == ["dog", "run", "help"]
-
-
-def test_load_lemma_exceptions_custom(tmp_path):
-    path = tmp_path / "exc.tsv"
-    path.write_text("foo\tbar\n", encoding="utf-8")
-    assert load_lemma_exceptions(path) == {"foo": "bar"}
+    assert lemmatize(["dogs", "running", "help"]) == ["dog", "run", "help"]
 
 
 def test_packaged_exceptions_all_lowercase_pairs():
@@ -170,15 +158,14 @@ def test_packaged_exceptions_all_lowercase_pairs():
 @given(st.text(alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz"), max_size=12))
 @settings(max_examples=500, deadline=None)
 def test_rules_never_lengthen(token):
-    assert len(lemma(token, NO_EXC)) <= len(token)
+    assert len(rule_lemma(token)) <= len(token)
 
 
 # ------------------------------------------------------------- preprocess
 
 
 def test_preprocess_pipeline():
-    sw = frozenset({"i", "was", "to", "the"})
-    out = preprocess("I was running to the STORES!! visit https://x.y", stopwords=sw)
+    out = preprocess("I was running to the STORES!! visit https://x.y")
     assert out == ["run", "store", "visit"]
 
 

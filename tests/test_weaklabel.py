@@ -242,6 +242,9 @@ def test_calibrate_rejects_bad_fractions():
         calibrate_thresholds([1, 2, 3, 4], (0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         calibrate_thresholds([1, 2, 3, 4], (0.5, 0.5, 0.0, 0.0))
+    with pytest.raises(ValueError, match="4 positive reals"):
+        # NaN used to pass both checks and reach np.quantile
+        calibrate_thresholds([1, 2, 3, 4], (math.nan, 0.2, 0.3, 0.5))
     with pytest.raises(ValueError):
         calibrate_thresholds([], (0.25, 0.25, 0.25, 0.25))
 

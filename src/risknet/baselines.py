@@ -1,9 +1,10 @@
 """SVM baseline and the five-way ablation comparison.
 
-The SVM uses mean-embedding features and four one-vs-rest linear hinge
-classifiers trained by seeded subgradient descent.  The ablation suite runs
-the SVM plus the four neural variants on identical data and seed and emits a
-CSV of accuracy / macro precision / recall / F1 per variant.
+The SVM uses mean-embedding features and one one-vs-rest linear hinge
+classifier per risk class, trained by seeded subgradient descent.  The
+ablation suite runs the SVM plus the four neural variants on identical data
+and seed and emits a CSV of accuracy / macro precision / recall / F1 per
+variant.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import RiskLabel
 from .embed import EmbeddingMatrix, UNK_INDEX
 from .layers import NumericsError
 from .metrics import Metrics, compute_metrics
@@ -55,10 +57,10 @@ SVM_LR0 = 0.01
 
 
 class LinearSVM:
-    """One-vs-rest L2-regularized hinge classifiers, subgradient-trained."""
+    """One-vs-rest L2-regularized hinge classifiers, one per risk class,
+    subgradient-trained."""
 
-    def __init__(self, n_classes: int = 4, seed: int = 0):
-        self.n_classes = n_classes
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.W: np.ndarray | None = None  # (C, D)
         self.b: np.ndarray | None = None  # (C,)
@@ -67,13 +69,14 @@ class LinearSVM:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
-        present = np.bincount(y, minlength=self.n_classes)
-        for c in range(self.n_classes):
+        n_classes = len(RiskLabel)
+        present = np.bincount(y, minlength=n_classes)
+        for c in range(n_classes):
             if present[c] == 0:
                 raise ValueError(f"class {c} has no training examples")
-        self.W = np.zeros((self.n_classes, d))
-        self.b = np.zeros(self.n_classes)
-        for c in range(self.n_classes):
+        self.W = np.zeros((n_classes, d))
+        self.b = np.zeros(n_classes)
+        for c in range(n_classes):
             sign = np.where(y == c, 1.0, -1.0)
             w = self.W[c]
             b = 0.0
@@ -106,13 +109,12 @@ def svm_baseline(
     y_test: np.ndarray,
     embedding: EmbeddingMatrix,
     seed: int = 0,
-    n_classes: int = 4,
 ) -> Metrics:
     """Train/score the SVM on encoded index matrices via mean embeddings."""
-    clf = LinearSVM(n_classes=n_classes, seed=seed)
+    clf = LinearSVM(seed=seed)
     clf.fit(mean_embedding_features(X_train, embedding), y_train)
     preds = clf.predict(mean_embedding_features(X_test, embedding))
-    return compute_metrics(np.asarray(y_test, dtype=np.int64), preds, n_classes)
+    return compute_metrics(np.asarray(y_test, dtype=np.int64), preds, len(RiskLabel))
 
 
 def _ablation_row(
@@ -127,8 +129,7 @@ def _ablation_row(
     """Train and score one variant; a numerics failure names the variant."""
     try:
         if variant == "svm":
-            m = svm_baseline(X_train, y_train, X_test, y_test, embedding,
-                             seed=cfg.seed, n_classes=cfg.model.classes)
+            m = svm_baseline(X_train, y_train, X_test, y_test, embedding, seed=cfg.seed)
         else:
             vcfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, variant=variant))
             model, _ = fit(vcfg, X_train, y_train, embedding)
@@ -186,12 +187,12 @@ def ablation_suite(
     workers would inherit the caller's BLAS threads and oversubscribe the
     cores.  Rows and errors do not depend on the worker count.  If fits fail,
     the error is the one the first failing variant in ``variants`` order
-    raises, as if they ran one after another; fits of later variants that
-    have not started are cancelled.
+    raises, as if they ran one after another; fits that have not started
+    when it is raised are cancelled.
     """
     # imported here: at module level they would slow every risknet start
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
     if not variants:
         return []
@@ -205,21 +206,9 @@ def ablation_suite(
         with _one_blas_thread():  # the pool starts its workers inside submit()
             for i in order:
                 futures[i] = pool.submit(_ablation_row, *args, variants[i])
-        first_failed = len(variants)
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-            for i, f in enumerate(futures):
-                if f in done and f.exception() is not None:
-                    first_failed = min(first_failed, i)
-            for f in futures[first_failed + 1:]:  # a later variant cannot decide the error
-                f.cancel()
-            pending = {f for f in pending if not f.cancelled()}
+        return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-    if first_failed < len(variants):
-        raise futures[first_failed].exception()
-    return [f.result() for f in futures]
 
 
 def save_ablation_csv(rows: list[dict], path: str | Path) -> None:

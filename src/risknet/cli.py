@@ -231,8 +231,7 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         vocab, matrix = embed.load_embeddings(params["embeddings"], seed=params["seed"])
         params["embed_dim"] = matrix.dim
     else:
-        vocab = embed.build_vocab(_to_documents(train_rows), params["min_count"])
-        matrix = embed.init_embeddings(vocab, params["embed_dim"], params["seed"])
+        vocab, matrix = embed.build_vocab(_to_documents(train_rows), params["min_count"]), None
     if params["max_len"] is None:
         longest = max((len(r["tokens"]) for r in train_rows), default=0)
         if longest == 0:
@@ -243,6 +242,8 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         lstm_units=params["lstm_units"], dropout_rate=params["dropout_rate"],
         filters=params["filters"], kernel=params["kernel"], pool=params["pool"],
         seed=params["seed"], variant=variant, dtype=params["dtype"])
+    if matrix is None:  # drawn once the config has checked embed_dim
+        matrix = embed.init_embeddings(vocab, mcfg.embed_dim, params["seed"])
     tcfg = train.TrainConfig(model=mcfg, epochs=params["epochs"],
                              batch_size=params["batch_size"], seed=params["seed"])
     enc = lambda rs: embed.encode_batch([r["tokens"] for r in rs], vocab, params["max_len"])

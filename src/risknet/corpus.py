@@ -54,9 +54,6 @@ class RecordError:
     line: int
     message: str
 
-    def __str__(self) -> str:
-        return f"line {self.line}: {self.message}"
-
 
 @dataclass
 class LoadResult:

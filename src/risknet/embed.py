@@ -42,9 +42,6 @@ class Vocabulary:
         """Total index count including PAD and UNK."""
         return len(self.token_to_index) + 2
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 
@@ -70,10 +67,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.matrix.shape[0]
 
 
 class EmbeddingFormatError(ValueError):

@@ -1,13 +1,16 @@
 """Layer primitives with hand-derived backward passes.
 
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
-backward(cache, dout) -> gradients.  Caches hold exactly the arrays the
-backward pass needs.  The LSTM's cache is a few time-major arrays, indexed by
-step first, and holds no view of its input, so the layer below can free its
-output.  The embedding gradient is a `RowGrad`, which holds only the rows a
-batch touched.  `lstm_infer` is the one forward-only kernel: the LSTM for
-inference, which keeps no cache.  All math is plain numpy; dtype follows the
-inputs (float64 in gradient tests, float32 in training).
+backward(cache, dout) -> gradients.  These pairs are the training path.
+Caches hold exactly the arrays the backward pass needs.  The LSTM's cache is
+a few time-major arrays, indexed by step first, and holds no view of its
+input, so the layer below can free its output.  The embedding gradient is a
+`RowGrad`, which holds only the rows a batch touched.  The dense head's
+backward starts from the fused softmax + cross-entropy gradient at the
+logits.  Dropout runs in training only.  `lstm_infer` is the one
+forward-only kernel: the LSTM of the inference path, which keeps no cache.
+All math is plain numpy; dtype follows the inputs (float64 in gradient
+tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from .embed import PAD_INDEX
 from .rng import STREAM_DROPOUT, bulk_generator
 
-# layer ids for dropout mask derivation (mask must be a deterministic
-# function of seed, step, and layer id)
+# the layer tag in the dropout mask's stream: a mask is a deterministic
+# function of seed, step and this tag
 LAYER_EMBED_DROPOUT = 1
 
 
@@ -177,22 +180,19 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
 # ------------------------------------------------------------------ dropout
 
 
-def dropout_mask(shape, rate: float, seed: int, step: int, layer_id: int, dtype) -> np.ndarray:
-    """Inverted-dropout mask, deterministic in (seed, step, layer_id)."""
-    rng = bulk_generator(seed, STREAM_DROPOUT, step, layer_id)
+def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
+    """Inverted-dropout mask, deterministic in (seed, step)."""
+    rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
     keep = rng.random(shape) >= rate
     return keep.astype(dtype) / dtype(1.0 - rate)
 
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str, seed: int, step: int,
-                    layer_id: int = LAYER_EMBED_DROPOUT):
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "infer" or rate == 0.0:
+def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int):
+    """Training-time dropout with step `step`'s mask; `ModelConfig` keeps the
+    rate in [0, 1)."""
+    if rate == 0.0:
         return x, None
-    mask = dropout_mask(x.shape, rate, seed, step, layer_id, x.dtype.type)
+    mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
     return x * mask, mask
 
 
@@ -435,22 +435,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def dense_softmax_forward(p: DenseParams, v: np.ndarray):
     if v.shape[1] != p.W.shape[0]:
         raise ValueError(f"dense input dim mismatch: W expects {p.W.shape[0]}, got {v.shape[1]}")
-    probs = softmax(v @ p.W + p.b)
-    return probs, (p, v, probs)
+    return softmax(v @ p.W + p.b), (p, v)
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """dlogits from dprobs through the softmax Jacobian (per row)."""
-    return probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
-
-
-def dense_softmax_backward(cache, dprobs: np.ndarray | None = None,
-                           dlogits: np.ndarray | None = None):
-    """Backward from either dprobs (general) or dlogits (fused loss path)."""
-    p, v, probs = cache
-    if (dprobs is None) == (dlogits is None):
-        raise ValueError("pass exactly one of dprobs, dlogits")
-    if dlogits is None:
-        dlogits = softmax_backward(probs, dprobs)
+def dense_softmax_backward(cache, dlogits: np.ndarray):
+    """Backward from the loss gradient at the logits (the fused softmax +
+    cross-entropy gradient in training)."""
+    p, v = cache
     g = {"W": v.T @ dlogits, "b": dlogits.sum(axis=0)}
     return g, dlogits @ p.W.T

@@ -9,13 +9,16 @@ layer chain with pieces removed, so the ablation runs share one engine:
     lstm                LSTM last step straight into the dense head
     cnn                 convolution directly over the embeddings
 
-Backward consumes the forward cache in reverse and returns one gradient per
-parameter array, keyed by dotted names ("lstm.W", "dense.b", ...); the
-embedding's is a `RowGrad` over the batch's rows.  Each layer's parameter
-gradients are checked for NaN/Inf as that layer returns them.
-`param_shapes` gives every array's shape from the config alone.
-Inference (`forward(..., cache=False)`, which `predict` runs) keeps no cache
-and runs the LSTM over each batch's distinct tokens through `lstm_infer`.
+`Model` has two paths.  Training, `forward(batch, step=k)` then
+`backward(trace, dlogits)`, applies step k's dropout mask and keeps every
+layer's cache in the trace; backward consumes it in reverse from the fused
+loss gradient at the logits and returns one gradient per parameter array,
+keyed by dotted names ("lstm.W", "dense.b", ...); the embedding's is a
+`RowGrad` over the batch's rows.  Each layer's parameter gradients are
+checked for NaN/Inf as that layer returns them.  Inference, `forward(batch)`
+(which `predict` runs), leaves dropout out, keeps no cache and runs the LSTM
+over each batch's distinct tokens through `lstm_infer`.  `param_shapes`
+gives every array's shape from the config alone.
 """
 
 from __future__ import annotations
@@ -56,13 +59,22 @@ from .rng import STREAM_INIT, bulk_generator
 
 VARIANTS = ("cnn", "lstm", "lstm_cnn", "lstm_attention_cnn")
 
-# per-variant layer chains; "last_step" slices h_T for the lstm-only head
+# per-variant training chains of layer names, which NaN/Inf errors print;
+# "last_step" slices h_T for the lstm-only head
 _CHAINS = {
-    "lstm_attention_cnn": ("embedding", "dropout", "lstm", "attention", "conv", "pool", "flatten", "dense"),
-    "lstm_cnn": ("embedding", "dropout", "lstm", "conv", "pool", "flatten", "dense"),
-    "lstm": ("embedding", "dropout", "lstm", "last_step", "dense"),
-    "cnn": ("embedding", "dropout", "conv", "pool", "flatten", "dense"),
+    "lstm_attention_cnn": ("embedding", "dropout", "lstm", "attention", "conv1d_relu",
+                           "maxpool1d", "flatten", "dense_softmax"),
+    "lstm_cnn": ("embedding", "dropout", "lstm", "conv1d_relu", "maxpool1d", "flatten",
+                 "dense_softmax"),
+    "lstm": ("embedding", "dropout", "lstm", "last_step", "dense_softmax"),
+    "cnn": ("embedding", "dropout", "conv1d_relu", "maxpool1d", "flatten", "dense_softmax"),
 }
+# inference runs the same chains without dropout
+_INFER_CHAINS = {v: tuple(op for op in c if op != "dropout") for v, c in _CHAINS.items()}
+# the inference chain prefix that runs as one `lstm_infer` call
+_FOLDED = ("embedding", "lstm")
+# rows per forward pass in `Model.predict`
+PREDICT_BATCH = 256
 
 
 def _last_step_backward(shape, dout: np.ndarray) -> np.ndarray:
@@ -76,44 +88,37 @@ class _Op(NamedTuple):
     module at call time, so a wrapper on `risknet.model.<layer>_forward` sees
     every call."""
 
-    label: str  # layer name in NaN/Inf errors
     group: Optional[str]  # the ModelParams field holding the op's parameters
     params: Optional[type]  # that field's class
-    forward: Callable  # (w = the op's group, x, cfg, mode, step) -> (out, cache)
+    forward: Callable  # (w = the op's group, x, cfg, step) -> (out, cache)
     backward: Callable  # (cache, dout) -> (gradients by name within the group, dx)
 
 
 _OPS = {
     # the embedding group is one array, named by the group alone
-    "embedding": _Op("embedding", "embedding", EmbeddingMatrix,
+    "embedding": _Op("embedding", EmbeddingMatrix,
                      lambda w, x, *_: embedding_forward(w.matrix, x),
                      lambda c, d: ({"": embedding_backward(c, d)}, None)),
-    "dropout": _Op("dropout", None, None,
-                   lambda w, x, cfg, mode, step: dropout_forward(x, cfg.dropout_rate, mode,
-                                                                 cfg.seed, step),
+    "dropout": _Op(None, None,
+                   lambda w, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
                    lambda c, d: ({}, dropout_backward(c, d))),
-    "lstm": _Op("lstm", "lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
+    "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
                 lambda c, d: lstm_backward(c, d)),
-    "attention": _Op("attention", "attention", AttentionParams,
+    "attention": _Op("attention", AttentionParams,
                      lambda w, x, *_: attention_forward(w, x),
                      lambda c, d: attention_backward(c, d)),
-    "conv": _Op("conv1d_relu", "conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
-                lambda c, d: conv1d_relu_backward(c, d)),
-    "pool": _Op("maxpool1d", None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
-                lambda c, d: ({}, maxpool1d_backward(c, d))),
-    "flatten": _Op("flatten", None, None, lambda w, x, *_: flatten_forward(x),
+    "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
+                       lambda c, d: conv1d_relu_backward(c, d)),
+    "maxpool1d": _Op(None, None, lambda w, x, cfg, _: maxpool1d_forward(x, cfg.pool),
+                     lambda c, d: ({}, maxpool1d_backward(c, d))),
+    "flatten": _Op(None, None, lambda w, x, *_: flatten_forward(x),
                    lambda c, d: ({}, flatten_backward(c, d))),
-    "last_step": _Op("last_step", None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
+    "last_step": _Op(None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
                      lambda c, d: ({}, _last_step_backward(c, d))),
-    # dout of the dense head is the loss gradient, {"dprobs": ...} or {"dlogits": ...}
-    "dense": _Op("dense_softmax", "dense", DenseParams,
-                 lambda w, x, *_: dense_softmax_forward(w, x),
-                 lambda c, d: dense_softmax_backward(c, **d)),
+    # the dense head's upstream gradient is the loss gradient at the logits
+    "dense_softmax": _Op("dense", DenseParams, lambda w, x, *_: dense_softmax_forward(w, x),
+                         lambda c, d: dense_softmax_backward(c, d)),
 }
-
-# the chain prefix that cache-free inference runs as one `lstm_infer` call:
-# dropout is the identity at inference, so the LSTM input is E[batch]
-_FOLDED = ("embedding", "dropout", "lstm")
 
 # parameter group -> class, in file and optimizer order (embedding first)
 _PARAM_GROUPS = {op.group: op.params for op in _OPS.values() if op.group is not None}
@@ -152,6 +157,10 @@ _ACCEPTS = {
 }
 
 
+# the ModelConfig fields that count something and must be at least 1
+_SIZES = ("max_len", "embed_dim", "lstm_units", "filters", "kernel", "pool", "classes")
+
+
 @dataclass
 class ModelConfig:
     max_len: int
@@ -175,8 +184,11 @@ class ModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        for name in _SIZES:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_len < self.pool:
             raise ValueError("max_len shorter than pool window")
 
@@ -271,64 +283,67 @@ class Model:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, batch: np.ndarray, mode: str = "infer", step: int = 0,
-                cache: bool = True):
-        """(B, T) indices -> (probs (B, C), cache). Train mode applies dropout.
+    def forward(self, batch: np.ndarray, step: int | None = None):
+        """(B, T) indices -> (probs (B, C), trace).
 
-        With cache=False (inference only) no layer keeps a cache, the cache
-        returned is None, and the embedding -> dropout -> LSTM prefix runs as
-        one `lstm_infer` over the batch's distinct indices.  The
-        probabilities match the cached forward's to rounding: bit for bit at
-        every measured shape with two or more rows, not for one row (see
+        Given a training `step`, dropout applies that step's mask and the
+        trace keeps every layer's cache for `backward`.  Without one
+        (inference), dropout is left out, no layer keeps a cache, the trace
+        is None, and the embedding -> LSTM prefix runs as one `lstm_infer`
+        over the batch's distinct indices.  With a zero dropout rate the two
+        paths' probabilities match to rounding: bit for bit at every
+        measured shape with two or more rows, not for one row (see
         `lstm_infer`).
         """
         cfg, p = self.cfg, self.params
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != cfg.max_len:
             raise ValueError(f"batch must be (B, {cfg.max_len}), got {batch.shape}")
-        if not cache and mode != "infer":
-            raise ValueError(f"cache=False runs inference only, got mode {mode!r}")
-        x, chain = batch, _CHAINS[cfg.variant]
-        if not cache and chain[: len(_FOLDED)] == _FOLDED:
-            uniq, inv = np.unique(batch, return_inverse=True)
-            rows, _ = embedding_forward(p.embedding.matrix, uniq)
-            check_finite("embedding", rows)
-            # the shape of `inv` differs across NumPy releases
-            x = check_finite("lstm", lstm_infer(p.lstm, rows, inv.reshape(batch.shape)))
-            chain = chain[len(_FOLDED) :]
-        trace = [] if cache else None
+        x, trace = batch, None
+        if step is not None:
+            chain, trace = _CHAINS[cfg.variant], []
+        else:
+            chain = _INFER_CHAINS[cfg.variant]
+            if chain[: len(_FOLDED)] == _FOLDED:
+                uniq, inv = np.unique(batch, return_inverse=True)
+                rows, _ = embedding_forward(p.embedding.matrix, uniq)
+                check_finite("embedding", rows)
+                # the shape of `inv` differs across NumPy releases
+                x = check_finite("lstm", lstm_infer(p.lstm, rows, inv.reshape(batch.shape)))
+                chain = chain[len(_FOLDED) :]
         for op in chain:
             row = _OPS[op]
             w = getattr(p, row.group) if row.group else None
-            x, c = row.forward(w, x, cfg, mode, step)
-            check_finite(row.label, x)
-            if cache:
+            x, c = row.forward(w, x, cfg, step)
+            check_finite(op, x)
+            if trace is not None:
                 trace.append((op, c))
         return x, trace
 
-    def backward(self, trace, dprobs: np.ndarray | None = None,
-                 dlogits: np.ndarray | None = None) -> dict[str, np.ndarray | RowGrad]:
-        """Gradients for every parameter array from dprobs or fused dlogits.
+    def backward(self, trace, dlogits: np.ndarray) -> dict[str, np.ndarray | RowGrad]:
+        """Gradients for every parameter array from a training trace and the
+        loss gradient at the logits.
 
         A non-finite gradient raises `NumericsError` naming the parameter and
         the layer whose backward pass returned it.
         """
         grads: dict[str, np.ndarray | RowGrad] = {}
-        dx = {"dprobs": dprobs, "dlogits": dlogits}  # upstream of the dense head
+        dx = dlogits
         for op, cache in reversed(trace):
             row = _OPS[op]
             g, dx = row.backward(cache, dx)
             for n, a in g.items():
                 name = f"{row.group}.{n}" if n else row.group
-                check_finite_grad(name, a, row.label)
+                check_finite_grad(name, a, op)
                 grads[name] = a
         return grads
 
-    def predict(self, batch: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Argmax class per row, lowest index on ties, inference mode."""
+    def predict(self, batch: np.ndarray) -> np.ndarray:
+        """Argmax class per row, lowest index on ties, `PREDICT_BATCH` rows
+        per inference pass."""
         batch = np.asarray(batch)
         out = np.empty(batch.shape[0], dtype=np.int64)
-        for start in range(0, batch.shape[0], batch_size):
-            probs, _ = self.forward(batch[start : start + batch_size], cache=False)
-            out[start : start + batch_size] = probs.argmax(axis=1)
+        for start in range(0, batch.shape[0], PREDICT_BATCH):
+            probs, _ = self.forward(batch[start : start + PREDICT_BATCH])
+            out[start : start + PREDICT_BATCH] = probs.argmax(axis=1)
         return out

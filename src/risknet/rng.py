@@ -77,10 +77,6 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:

@@ -245,7 +245,7 @@ def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray,
     """One forward, backward and Adam update on a batch; returns its mean
     loss and its count of correct argmax predictions.  The step's caches and
     gradients are locals here, so they are freed when it returns."""
-    probs, trace = model.forward(xb, mode="train", step=step)
+    probs, trace = model.forward(xb, step=step)
     loss = sparse_cce(probs, yb)
     hits = int((probs.argmax(axis=1) == yb).sum())
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))

@@ -40,3 +40,13 @@ def projection_loss(rng: np.random.Generator, shape) -> tuple[np.ndarray, object
     """
     R = rng.normal(size=shape)
     return R, lambda out: float(np.sum(out * R))
+
+
+def dlogits_through_softmax(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    """The gradient at the logits of a softmax head, from the gradient at its
+    probabilities, through the softmax Jacobian row by row.
+
+    The dense head's backward pass takes the gradient at the logits; this
+    turns a projection loss on the probabilities into one.
+    """
+    return probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))

@@ -101,11 +101,11 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
 
     # dropout with the rate at zero: exact identity both directions
     x = rng.normal(size=(B, T, D))
-    out, cache = dropout_forward(x, 0.0, "train", seed=1, step=3, layer_id=2)
+    out, cache = dropout_forward(x, 0.0, seed=1, step=3)
     np.testing.assert_array_equal(out, x)
     R, loss = projection_loss(rng, x.shape)
     dx = dropout_backward(cache, R)
-    fd_check(lambda: loss(dropout_forward(x, 0.0, "train", 1, 3, 2)[0]), x, dx,
+    fd_check(lambda: loss(dropout_forward(x, 0.0, 1, 3)[0]), x, dx,
              rng, name="dropout")
 
     # LSTM over every parameter and the input
@@ -174,9 +174,9 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     y = bulk_generator(5, 90, 3).integers(0, 4, size=B)
 
     def stack_loss():
-        return sparse_cce(model.forward(batch)[0], y)
+        return sparse_cce(model.forward(batch, step=2)[0], y)
 
-    probs, trace = model.forward(batch)
+    probs, trace = model.forward(batch, step=2)
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, y))
     grads["embedding"] = grads["embedding"].dense()
     for name, arr in model.params.named_arrays():

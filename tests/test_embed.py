@@ -123,7 +123,6 @@ def test_vocabulary_lookup_defaults_to_unk():
     v = Vocabulary({"a": 2})
     assert v.index("a") == 2
     assert v.index("zzz") == UNK_INDEX
-    assert "a" in v and "zzz" not in v
 
 
 def test_build_vocab_filter_and_order():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_check, projection_loss
+from conftest import dlogits_through_softmax, fd_check, projection_loss
 from risknet.layers import (
+    LAYER_EMBED_DROPOUT,
     AttentionParams,
     Conv1DParams,
     DenseParams,
@@ -33,8 +34,9 @@ from risknet.layers import (
     maxpool1d_forward,
     sigmoid,
     softmax,
-    softmax_backward,
 )
+from risknet.rng import STREAM_DROPOUT, bulk_generator
+from risknet.train import cce_grad_logits
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -111,40 +113,30 @@ def test_embedding_gradient_finite_difference():
 
 def test_dropout_rate_zero_is_identity():
     x = RNG(0).normal(size=(3, 4))
-    out, cache = dropout_forward(x, 0.0, "train", seed=1, step=0)
+    out, cache = dropout_forward(x, 0.0, seed=1, step=0)
     assert out is x and cache is None
 
 
-def test_dropout_infer_is_identity():
-    x = RNG(0).normal(size=(3, 4))
-    out, cache = dropout_forward(x, 0.9, "infer", seed=1, step=0)
-    assert out is x and cache is None
-
-
-def test_dropout_rejects_rate_one_and_bad_mode():
-    x = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        dropout_forward(x, 1.0, "train", seed=0, step=0)
-    with pytest.raises(ValueError):
-        dropout_forward(x, -0.1, "train", seed=0, step=0)
-    with pytest.raises(ValueError):
-        dropout_forward(x, 0.5, "test", seed=0, step=0)
-
-
-def test_dropout_mask_deterministic_in_seed_step_layer():
-    a = dropout_mask((4, 6), 0.5, seed=9, step=3, layer_id=1, dtype=np.float64)
-    b = dropout_mask((4, 6), 0.5, seed=9, step=3, layer_id=1, dtype=np.float64)
+def test_dropout_mask_deterministic_in_seed_and_step():
+    a = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
+    b = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
     assert np.array_equal(a, b)
     for other in (
-        dropout_mask((4, 6), 0.5, seed=8, step=3, layer_id=1, dtype=np.float64),
-        dropout_mask((4, 6), 0.5, seed=9, step=4, layer_id=1, dtype=np.float64),
-        dropout_mask((4, 6), 0.5, seed=9, step=3, layer_id=2, dtype=np.float64),
+        dropout_mask((4, 6), 0.5, seed=8, step=3, dtype=np.float64),
+        dropout_mask((4, 6), 0.5, seed=9, step=4, dtype=np.float64),
     ):
         assert not np.array_equal(a, other)
 
 
+def test_dropout_mask_draws_from_the_embedding_dropout_stream():
+    # the mask's bits are the (seed, step, LAYER_EMBED_DROPOUT) stream's uniforms
+    keep = bulk_generator(9, STREAM_DROPOUT, 3, LAYER_EMBED_DROPOUT).random((4, 6)) >= 0.5
+    mask = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
+    assert np.array_equal(mask, keep / 0.5)
+
+
 def test_dropout_mask_values_are_zero_or_scaled():
-    mask = dropout_mask((50, 50), 0.25, seed=1, step=0, layer_id=1, dtype=np.float64)
+    mask = dropout_mask((50, 50), 0.25, seed=1, step=0, dtype=np.float64)
     assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
 
 
@@ -154,14 +146,14 @@ def test_dropout_monte_carlo_mean_preserved():
     total = np.zeros_like(x)
     n = 100_000
     for step in range(n):
-        out, _ = dropout_forward(x, 0.5, "train", seed=0, step=step)
+        out, _ = dropout_forward(x, 0.5, seed=0, step=step)
         total += out
     assert np.abs(total / n - x).max() / 2.0 < 0.01  # within 1% of the input
 
 
 def test_dropout_backward_applies_same_mask():
     x = RNG(5).normal(size=(4, 4))
-    out, cache = dropout_forward(x, 0.5, "train", seed=2, step=1)
+    out, cache = dropout_forward(x, 0.5, seed=2, step=1)
     dout = RNG(6).normal(size=(4, 4))
     dx = dropout_backward(cache, dout)
     assert np.array_equal(dx, dout * cache)
@@ -467,22 +459,13 @@ def test_dense_shape_mismatch():
         dense_softmax_forward(p, np.zeros((2, 6)))
 
 
-def test_dense_backward_requires_exactly_one_route():
-    p = DenseParams(W=np.zeros((2, 4)), b=np.zeros(4))
-    _, cache = dense_softmax_forward(p, np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="exactly one"):
-        dense_softmax_backward(cache)
-    with pytest.raises(ValueError, match="exactly one"):
-        dense_softmax_backward(cache, dprobs=np.zeros((1, 4)), dlogits=np.zeros((1, 4)))
-
-
 def test_dense_gradients_finite_difference():
     rng = RNG(2)
     p = DenseParams(W=rng.normal(size=(5, 4)), b=rng.normal(size=4))
     v = rng.normal(size=(3, 5))
     probs, cache = dense_softmax_forward(p, v)
     R, loss_of = projection_loss(rng, probs.shape)
-    grads, dv = dense_softmax_backward(cache, dprobs=R)
+    grads, dv = dense_softmax_backward(cache, dlogits_through_softmax(probs, R))
 
     def loss():
         return loss_of(dense_softmax_forward(p, v)[0])
@@ -492,17 +475,15 @@ def test_dense_gradients_finite_difference():
     fd_check(loss, v, dv, rng, samples=10, name="v")
 
 
-def test_softmax_backward_matches_fused_route():
+def test_fused_loss_gradient_matches_the_softmax_jacobian_route():
     # For cross-entropy, chaining dprobs = -y/(B*p) through the softmax
-    # Jacobian must land on (probs - onehot)/B.
+    # Jacobian must land on the fused (probs - onehot)/B.
     rng = RNG(3)
     probs = softmax(rng.normal(size=(4, 4)))
     y = np.array([0, 3, 1, 2])
     onehot = np.eye(4)[y]
-    dprobs = -onehot / (4 * probs)
-    via_jacobian = softmax_backward(probs, dprobs)
-    fused = (probs - onehot) / 4
-    assert np.allclose(via_jacobian, fused, atol=1e-12)
+    via_jacobian = dlogits_through_softmax(probs, -onehot / (4 * probs))
+    assert np.allclose(cce_grad_logits(probs, y), via_jacobian, atol=1e-12)
 
 
 # ----------------------------------------------------------------- tripwire

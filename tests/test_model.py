@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import risknet.model
-from conftest import fd_check, projection_loss
+from conftest import dlogits_through_softmax, fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError
 from risknet.model import (
@@ -61,6 +61,20 @@ def test_config_validation():
         ModelConfig(max_len=0)
     with pytest.raises(ValueError, match="pool"):
         ModelConfig(max_len=1, pool=2)
+
+
+@pytest.mark.parametrize("field", ["max_len", "embed_dim", "lstm_units", "filters", "kernel",
+                                   "pool", "classes"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_sizes_below_one_rejected(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+        small_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_config_dropout_rate_outside_unit_interval_rejected(rate):
+    with pytest.raises(ValueError, match=r"^dropout_rate must be in \[0, 1\)"):
+        small_cfg(dropout_rate=rate)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -186,10 +200,10 @@ def test_named_arrays_order_stable():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_shape_chain(variant):
     model = build(variant)
-    probs, trace = model.forward(batch_for(model.cfg))
+    probs, trace = model.forward(batch_for(model.cfg), step=0)
     assert probs.shape == (3, 4)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-    assert [op for op, _ in trace][0] == "embedding"
+    assert [op for op, _ in trace] == list(risknet.model._CHAINS[variant])
 
 
 def test_forward_rejects_wrong_width():
@@ -209,11 +223,19 @@ def test_forward_infer_deterministic():
 def test_forward_train_seeded_dropout_deterministic():
     model = build(dropout_rate=0.5)
     X = batch_for(model.cfg)
-    a, _ = model.forward(X, mode="train", step=7)
-    b, _ = model.forward(X, mode="train", step=7)
-    c, _ = model.forward(X, mode="train", step=8)
+    a, _ = model.forward(X, step=7)
+    b, _ = model.forward(X, step=7)
+    c, _ = model.forward(X, step=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_leaves_dropout_out(variant):
+    X = batch_for(small_cfg(variant))
+    probs, trace = build(variant, dropout_rate=0.9).forward(X)
+    assert trace is None
+    assert np.array_equal(probs, build(variant).forward(X)[0])
 
 
 @pytest.mark.parametrize("poisoned,run", [
@@ -229,33 +251,28 @@ def test_forward_nan_tripwire_names_layer(poisoned, run):
     else:
         model.params.embedding.matrix[X[1, 2], 0] = np.nan
     with pytest.raises(NumericsError, match=f"after layer '{poisoned}'"):
-        model.forward(X) if run == "forward" else model.predict(X)
+        model.forward(X, step=0) if run == "forward" else model.predict(X)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_argmax_batched(variant):
+    # two full batches and a partial one
     model = build(variant)
-    X = batch_for(model.cfg, B=23)
+    X = batch_for(model.cfg, B=2 * risknet.model.PREDICT_BATCH + 23)
     X[::3, 4:] = PAD_INDEX
-    probs, _ = model.forward(X)
-    assert np.array_equal(model.predict(X, batch_size=7), probs.argmax(axis=1))
+    probs, _ = model.forward(X, step=0)  # dropout_rate 0: the training path's scores
+    assert np.array_equal(model.predict(X), probs.argmax(axis=1))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_cache_free_forward_matches_cached(variant):
-    model = build(variant)
+    model = build(variant)  # dropout_rate 0
     X = batch_for(model.cfg, B=11)
     X[::2, 3:] = PAD_INDEX
-    probs, trace = model.forward(X)
-    fast, none = model.forward(X, cache=False)
+    probs, trace = model.forward(X, step=0)
+    fast, none = model.forward(X)
     assert none is None and len(trace) == len(risknet.model._CHAINS[variant])
     np.testing.assert_allclose(fast, probs, rtol=1e-12, atol=0.0)
-
-
-def test_cache_free_forward_is_inference_only():
-    model = build()
-    with pytest.raises(ValueError, match="inference only, got mode 'train'"):
-        model.forward(batch_for(model.cfg), mode="train", cache=False)
 
 
 @pytest.mark.parametrize("bad", [9, -1], ids=["id_ge_vocab", "negative_id"])
@@ -275,12 +292,12 @@ def test_full_stack_gradients_finite_difference(variant):
     rng = np.random.default_rng(17)
     model = build(variant, seed=2)
     X = batch_for(model.cfg, seed=3, B=2)
-    probs, trace = model.forward(X)
+    probs, trace = model.forward(X, step=4)
     R, loss_of = projection_loss(rng, probs.shape)
-    grads = model.backward(trace, dprobs=R)
+    grads = model.backward(trace, dlogits_through_softmax(probs, R))
 
     def loss():
-        return loss_of(model.forward(X)[0])
+        return loss_of(model.forward(X, step=4)[0])
 
     for name, arr in model.params.named_arrays():
         if name == "embedding":
@@ -292,19 +309,20 @@ def test_full_stack_embedding_gradient_nonpad_rows():
     rng = np.random.default_rng(23)
     model = build(seed=5)
     X = batch_for(model.cfg, seed=6, B=2, lo=2)  # rows 2.. only
-    probs, trace = model.forward(X)
+    probs, trace = model.forward(X, step=4)
     R, loss_of = projection_loss(rng, probs.shape)
-    dE = model.backward(trace, dprobs=R)["embedding"].dense()
+    dE = model.backward(trace, dlogits_through_softmax(probs, R))["embedding"].dense()
     E = model.params.embedding.matrix
     sub = E[2:]
-    fd_check(lambda: loss_of(model.forward(X)[0]), sub, dE[2:], rng, samples=10, name="E[2:]")
+    fd_check(lambda: loss_of(model.forward(X, step=4)[0]), sub, dE[2:], rng, samples=10,
+             name="E[2:]")
     assert np.all(dE[PAD_INDEX] == 0.0)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     model = build()
-    _, trace = model.forward(batch_for(model.cfg))
-    grads = model.backward(trace, dprobs=np.zeros((3, 4)))
+    _, trace = model.forward(batch_for(model.cfg), step=0)
+    grads = model.backward(trace, np.zeros((3, 4)))
     grads["embedding"] = grads["embedding"].dense()
     for name, g in grads.items():
         assert np.all(g == 0.0), name
@@ -318,10 +336,10 @@ def test_backward_duplicated_example_doubles_contribution():
     row = np.random.default_rng(9).integers(1, 9, size=(1, cfg.max_len))
     dl = np.array([[1.0, -0.5, 0.25, -0.75]])
 
-    _, tr1 = model.forward(row)
-    g1 = model.backward(tr1, dlogits=dl)
-    _, tr2 = model.forward(np.vstack([row, row]))
-    g2 = model.backward(tr2, dlogits=np.vstack([dl, dl]))
+    _, tr1 = model.forward(row, step=0)
+    g1 = model.backward(tr1, dl)
+    _, tr2 = model.forward(np.vstack([row, row]), step=0)
+    g2 = model.backward(tr2, np.vstack([dl, dl]))
     for grads in (g1, g2):
         grads["embedding"] = grads["embedding"].dense()
     for name, g in g1.items():
@@ -331,8 +349,8 @@ def test_backward_duplicated_example_doubles_contribution():
 def test_backward_grad_names_match_params():
     for variant in VARIANTS:
         model = build(variant)
-        _, trace = model.forward(batch_for(model.cfg))
-        grads = model.backward(trace, dprobs=np.ones((3, 4)))
+        _, trace = model.forward(batch_for(model.cfg), step=0)
+        grads = model.backward(trace, np.ones((3, 4)))
         param_names = {n for n, _ in model.params.named_arrays()}
         assert set(grads) == param_names
         for name, arr in model.params.named_arrays():
@@ -342,13 +360,13 @@ def test_backward_grad_names_match_params():
 def test_lstm_variant_routes_last_step_only():
     model = build("lstm")
     X = batch_for(model.cfg)
-    probs, trace = model.forward(X)
+    probs, trace = model.forward(X, step=0)
     # the dense head must see h_T: recompute via the lstm trace
     op, cache = trace[2]
     assert op == "lstm"
-    # grads flow: upstream on probs affects only via last step, so earlier
-    # steps receive gradient solely through the recurrence
-    grads = model.backward(trace, dprobs=np.ones_like(probs))
+    # grads flow: upstream on the logits affects only via last step, so
+    # earlier steps receive gradient solely through the recurrence
+    grads = model.backward(trace, np.ones_like(probs))
     assert grads["lstm.W"].shape == model.params.lstm.W.shape
 
 
@@ -382,8 +400,14 @@ def test_layer_functions_are_looked_up_at_call_time(monkeypatch, variant):
         for direction in ("forward", "backward"):
             name = f"{layer}_{direction}"
             monkeypatch.setattr(risknet.model, name, counting(name, getattr(risknet.model, name)))
-    probs, trace = model.forward(batch_for(model.cfg), mode="train", step=1)
+    probs, trace = model.forward(batch_for(model.cfg), step=1)
     assert calls == {f"{layer}_forward": 1 for layer in _VARIANT_LAYERS[variant]}
     calls.clear()
-    model.backward(trace, dprobs=np.ones_like(probs))
+    model.backward(trace, np.ones_like(probs))
     assert calls == {f"{layer}_backward": 1 for layer in _VARIANT_LAYERS[variant]}
+    calls.clear()
+    # inference folds embedding -> LSTM into `lstm_infer`, keeping the
+    # embedding lookup, and leaves dropout out
+    model.forward(batch_for(model.cfg))
+    infer = [layer for layer in _VARIANT_LAYERS[variant] if layer not in ("dropout", "lstm")]
+    assert calls == {f"{layer}_forward": 1 for layer in infer}

@@ -22,6 +22,7 @@ from .corpus import RiskLabel
 from .embed import EmbeddingMatrix, UNK_INDEX
 from .layers import NumericsError
 from .metrics import Metrics, compute_metrics
+from .model import usable_cpus
 from .rng import STREAM_SVM, Xoshiro256StarStar, derive_seed
 from .train import TrainConfig, evaluate, fit
 
@@ -145,12 +146,6 @@ def _ablation_row(
     }
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Set the BLAS thread variables to 1 in os.environ, then restore them.
@@ -200,7 +195,7 @@ def ablation_suite(
     order = sorted(range(len(variants)),
                    key=lambda i: _COST_RANK.get(variants[i], len(_COST_RANK)))
     futures = [None] * len(variants)
-    pool = ProcessPoolExecutor(min(len(variants), _usable_cpus()),
+    pool = ProcessPoolExecutor(min(len(variants), usable_cpus()),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
         with _one_blas_thread():  # the pool starts its workers inside submit()

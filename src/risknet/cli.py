@@ -205,6 +205,8 @@ def _cmd_annotate(params: dict, out: Path) -> None:
 
 
 def _cmd_report_ngrams(params: dict, out: Path) -> None:
+    if params["top"] < 1:
+        raise UsageError(f"--top must be >= 1, got {params['top']}")
     docs = _to_documents(_labeled_rows(params))
     with (out / "ngrams.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -223,6 +225,8 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
 
     The data is a dict, so that `train` can pop the embedding matrix and
     hand `fit` the only reference to it."""
+    if params["min_count"] < 1:
+        raise UsageError(f"--min-count must be >= 1, got {params['min_count']}")
     rows = _labeled_rows(params)
     train_idx, test_idx = train.split_indices(len(rows), params["train_fraction"], params["seed"])
     train_rows = [rows[i] for i in train_idx]

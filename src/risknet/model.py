@@ -23,6 +23,7 @@ gives every array's shape from the config alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -73,8 +74,16 @@ _CHAINS = {
 _INFER_CHAINS = {v: tuple(op for op in c if op != "dropout") for v, c in _CHAINS.items()}
 # the inference chain prefix that runs as one `lstm_infer` call
 _FOLDED = ("embedding", "lstm")
-# rows per forward pass in `Model.predict`
-PREDICT_BATCH = 256
+# rows per forward pass in `Model.predict`; fixed, so that chunk boundaries,
+# and with them the outputs, do not depend on the CPU count
+PREDICT_BATCH = 128
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _last_step_backward(shape, dout: np.ndarray) -> np.ndarray:
@@ -318,6 +327,7 @@ class Model:
             check_finite(op, x)
             if trace is not None:
                 trace.append((op, c))
+            del c  # an inference cache dies here, before the next layer runs
         return x, trace
 
     def backward(self, trace, dlogits: np.ndarray) -> dict[str, np.ndarray | RowGrad]:
@@ -339,11 +349,44 @@ class Model:
         return grads
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Argmax class per row, lowest index on ties, `PREDICT_BATCH` rows
-        per inference pass."""
+        """Argmax class per row, lowest index on ties.
+
+        The rows are scored in `PREDICT_BATCH`-row chunks, dealt round-robin
+        to one share per usable CPU (at most one per chunk).  The calling
+        thread scores share 0 and a pool thread each other share; NumPy
+        releases the GIL inside its GEMMs and large loops, so the shares run
+        in parallel.  Each share stops at its first failing chunk, and the
+        error raised is that of the lowest failing chunk, as if the chunks ran
+        one after another.  Every pool thread is joined before this returns
+        or raises.
+        """
         batch = np.asarray(batch)
         out = np.empty(batch.shape[0], dtype=np.int64)
-        for start in range(0, batch.shape[0], PREDICT_BATCH):
-            probs, _ = self.forward(batch[start : start + PREDICT_BATCH])
-            out[start : start + PREDICT_BATCH] = probs.argmax(axis=1)
+        starts = range(0, batch.shape[0], PREDICT_BATCH)
+        n = min(usable_cpus(), len(starts))
+        if n > 1:
+            # imported here: at module level it would slow every risknet start
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(n - 1) as pool:
+                shares = [pool.submit(self._score, batch, starts[k::n], out)
+                          for k in range(1, n)]
+                failed = [self._score(batch, starts[::n], out)]
+                failed += [share.result() for share in shares]
+        else:
+            failed = [self._score(batch, starts, out)]
+        failed = [f for f in failed if f is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
         return out
+
+    def _score(self, batch: np.ndarray, starts: range, out: np.ndarray):
+        """Write the argmax labels of the chunks at `starts` into `out`; stop
+        at the first chunk that raises and return (its start, the error)."""
+        for start in starts:
+            try:
+                probs, _ = self.forward(batch[start : start + PREDICT_BATCH])
+            except Exception as exc:
+                return start, exc
+            out[start : start + PREDICT_BATCH] = probs.argmax(axis=1)
+        return None

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import weakref
 import zlib
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import risknet
 from risknet import baselines, embed
 from risknet.cli import main, read_tokens, write_tokens
+from risknet.model import PREDICT_BATCH
 from risknet.train import Adam, AdamHyper
 
 
@@ -330,6 +333,22 @@ def test_report_ngrams_csv(pipeline, tmp_path):
         assert counts == sorted(counts, reverse=True), key
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("top", [-1, 0])
+def test_report_ngrams_top_below_one_exits_1(pipeline, tmp_path, capsys, top, via):
+    # --top -1 used to list every n-gram but the last, and --top 0 a header only
+    if via == "flag":
+        args = ("--top", top)
+    else:
+        config_params("report-ngrams", {"top": top})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    out = tmp_path / "ng"
+    assert run("report-ngrams", "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", out, *args) == 1
+    assert capsys.readouterr().err == f"error: --top must be >= 1, got {top}\n"
+    assert list(out.iterdir()) == []
+
+
 def _group_by(rows, key):
     out = {}
     for r in rows:
@@ -415,6 +434,27 @@ def test_predict_per_post_and_user_summary(pipeline, tmp_path):
     assert list(users) == sorted(users)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_predict_outputs_do_not_depend_on_the_cpu_count(pipeline, tmp_path):
+    # the pinned child has one usable CPU, so it scores every chunk on its
+    # calling thread; this process scores them on two threads or more
+    args = ["--model", pipeline / "train" / "model.rkn",
+            "--dataset", pipeline / "prep" / "tokens.jsonl"]
+    assert len(read_tokens(pipeline / "prep" / "tokens.jsonl")) > PREDICT_BATCH
+    assert run("predict", *args, "--out", tmp_path / "all") == 0
+    cpu = min(os.sched_getaffinity(0))
+    child = ("import os, sys; from risknet.cli import main; "
+             f"os.sched_setaffinity(0, {{{cpu}}}); sys.exit(main(sys.argv[1:]))")
+    src = [str(Path(risknet.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+    done = subprocess.run([sys.executable, "-c", child, "predict", *map(str, args),
+                           "--out", str(tmp_path / "one")], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    for name in ("predictions.csv", "users.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
 def test_evaluate_requires_labels(pipeline, tmp_path):
     rows = read_tokens(pipeline / "prep" / "tokens.jsonl")[:4]
     for r in rows:
@@ -450,6 +490,17 @@ def test_ablate_csv_is_byte_identical_for_one_or_two_usable_cpus(pipeline, tmp_p
                    *ABLATE_FLAGS) == 0
         csvs.append((out / "ablation.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+def test_min_count_below_one_exits_1_before_writing(pipeline, tmp_path, capsys, cmd, value):
+    # used to exit 0 with the --min-count 1 vocabulary and record the value
+    out = tmp_path / "o"
+    assert run(cmd, "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
+               *ABLATE_FLAGS, "--min-count", value) == 1
+    assert capsys.readouterr().err == f"error: --min-count must be >= 1, got {value}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_ablate_train_shard_without_a_class_exits_1(pipeline, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Model assembly: config validation, init, variant chains, full-stack grads."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -273,6 +276,74 @@ def test_cache_free_forward_matches_cached(variant):
     fast, none = model.forward(X)
     assert none is None and len(trace) == len(risknet.model._CHAINS[variant])
     np.testing.assert_allclose(fast, probs, rtol=1e-12, atol=0.0)
+
+
+def serial_labels(model, X):
+    """Argmax labels from one plain forward per `PREDICT_BATCH`-row chunk."""
+    step = risknet.model.PREDICT_BATCH
+    return np.concatenate([model.forward(X[s : s + step])[0].argmax(axis=1)
+                           for s in range(0, len(X), step)])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 300])
+def test_threaded_predict_matches_serial_chunks(monkeypatch, N, dtype):
+    # three shares: the calling thread and two pool threads
+    monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 3)
+    model = build(dtype=dtype)
+    X = batch_for(model.cfg, B=N, seed=N)
+    X[::5, 2:] = PAD_INDEX
+    assert np.array_equal(model.predict(X), serial_labels(model, X))
+
+
+def test_predict_on_one_cpu_starts_no_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+    model = build()
+    X = batch_for(model.cfg, B=3 * risknet.model.PREDICT_BATCH)
+    assert np.array_equal(model.predict(X), serial_labels(model, X))
+    assert started == []
+
+
+def poison(model, X, chunk, kind):
+    """Make chunk `chunk` of X fail.  "nan" puts in the last embedding row,
+    made NaN; "index" a token outside the embedding.  X must not use the
+    last row otherwise."""
+    V = model.params.embedding.matrix.shape[0]
+    token = V if kind == "index" else V - 1
+    if kind == "nan":
+        model.params.embedding.matrix[token, 0] = np.nan
+    X[chunk * risknet.model.PREDICT_BATCH + 5, 1] = token
+
+
+@pytest.mark.parametrize("kinds,error", [
+    (("nan", "nan"), NumericsError),
+    (("nan", "index"), NumericsError),
+    (("index", "nan"), IndexError),
+], ids=["both_nan", "nan_first", "index_first"])
+def test_predict_raises_the_lowest_failing_chunks_error(monkeypatch, kinds, error):
+    # one chunk per share, so chunks 1 and 3 fail in different threads
+    monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 4)
+    model = build()
+    X = batch_for(model.cfg, V=8, B=4 * risknet.model.PREDICT_BATCH)
+    for chunk, kind in zip((1, 3), kinds):
+        poison(model, X, chunk, kind)
+    with pytest.raises(error):
+        model.predict(X)
+
+
+@pytest.mark.parametrize("poisoned", [False, True], ids=["returns", "raises"])
+def test_predict_leaves_no_thread_behind(monkeypatch, poisoned):
+    monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 3)
+    model = build()
+    X = batch_for(model.cfg, V=8, B=5 * risknet.model.PREDICT_BATCH)
+    if poisoned:
+        poison(model, X, 4, "nan")
+    before = threading.enumerate()
+    with pytest.raises(NumericsError) if poisoned else contextlib.nullcontext():
+        model.predict(X)
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("bad", [9, -1], ids=["id_ge_vocab", "negative_id"])

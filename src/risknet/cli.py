@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, corpus, embed, modelio, synth, textprep, train, weaklabel
-from .corpus import Document, RiskLabel
+from .corpus import RiskLabel
 from .model import VARIANTS, ModelConfig
 
 MAX_LEN_CAP = 512
@@ -62,10 +62,20 @@ def read_tokens(path: Path) -> list[dict]:
                 if not isinstance(row[fieldname], str):
                     raise UsageError(f"{path}: line {line_num}: '{fieldname}' must be a string")
             tokens = row["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise UsageError(f"{path}: line {line_num}: 'tokens' must be a list of strings")
+            try:
+                if not isinstance(tokens, list):  # a str would join character by character
+                    raise TypeError
+                # n-grams are space-joined tokens, so each token must be one
+                # word that a join and a split give back unchanged
+                lossless = " ".join(tokens).split() == tokens
+            except TypeError:
+                raise UsageError(
+                    f"{path}: line {line_num}: 'tokens' must be a list of strings") from None
             if not tokens:
                 raise UsageError(f"{path}: line {line_num}: 'tokens' must not be empty")
+            if not lossless:
+                raise UsageError(f"{path}: line {line_num}: each token must be non-empty "
+                                 f"and contain no whitespace")
             label = row["label"]
             if label is not None:
                 # bool is an int subclass; JSON true/false is not a class id
@@ -87,14 +97,6 @@ def _labeled_rows(params: dict) -> list[dict]:
     if missing:
         raise UsageError(f"{params['dataset']}: {missing} records have no label")
     return rows
-
-
-def _to_documents(docs: list[dict]) -> list[Document]:
-    return [
-        Document(d["user_id"], " ".join(d["tokens"]),
-                 None if d["label"] is None else RiskLabel(d["label"]), d["post_id"])
-        for d in docs
-    ]
 
 
 # ------------------------------------------------------------- run configs
@@ -148,7 +150,7 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 
 def _cmd_synth(params: dict, out: Path) -> None:
     posts = synth.generate_corpus(params["posts"], params["seed"])
-    corpus.save_posts(out / "posts.csv", posts, format="csv")
+    corpus.save_posts(out / "posts.csv", posts)
 
 
 def _cmd_preprocess(params: dict, out: Path) -> dict:
@@ -158,26 +160,27 @@ def _cmd_preprocess(params: dict, out: Path) -> dict:
         raise UsageError(
             f"{params['dataset']}: {len(result.errors)} malformed records "
             f"(first: line {first.line}: {first.message})")
-    cleaned = [
-        Document(p.user_id, textprep.clean(corpus.merge_title_body(p)), p.label, p.post_id)
-        for p in result.posts
-    ]
-    non_empty = [d for d in cleaned if d.text]
-    docs = corpus.dedupe(non_empty)
     rows = []
-    for doc in docs:
-        tokens = textprep.content_tokens(doc.text)
-        if tokens:  # a post of stop words only has none left
-            rows.append({
-                "post_id": doc.post_id, "user_id": doc.user_id,
-                "label": None if doc.label is None else int(doc.label), "tokens": tokens,
-            })
+    seen: set[str] = set()  # cleaned texts kept so far; the first post of each wins
+    dropped_empty = dropped_duplicate = 0
+    for p in result.posts:
+        text = textprep.clean(corpus.merge_title_body(p))
+        if not text:  # every empty text counts as empty, never as a duplicate
+            dropped_empty += 1
+        elif text in seen:
+            dropped_duplicate += 1
+        else:
+            seen.add(text)
+            tokens = textprep.content_tokens(text)
+            if tokens:  # a post of stop words only has none left
+                rows.append({"post_id": p.post_id, "user_id": p.user_id,
+                             "label": None if p.label is None else int(p.label),
+                             "tokens": tokens})
+            else:
+                dropped_empty += 1
     write_tokens(rows, out / "tokens.jsonl")
-    return {
-        "posts_read": len(result.posts),
-        "dropped_empty": len(cleaned) - len(non_empty) + len(docs) - len(rows),
-        "dropped_duplicate": len(non_empty) - len(docs),
-    }
+    return {"posts_read": len(result.posts), "dropped_empty": dropped_empty,
+            "dropped_duplicate": dropped_duplicate}
 
 
 def _cmd_annotate(params: dict, out: Path) -> None:
@@ -191,9 +194,10 @@ def _cmd_annotate(params: dict, out: Path) -> None:
         if len(fractions) != 4:
             raise UsageError("--fractions needs 4 comma-separated values")
     result = weaklabel.weak_label_documents(
-        _to_documents(rows), top_k=params["top_k"], target_fractions=fractions)
-    for row, doc in zip(rows, result.docs):
-        row["label"] = int(doc.label)
+        [r["tokens"] for r in rows], [r["label"] for r in rows],
+        top_k=params["top_k"], target_fractions=fractions)
+    for row, label in zip(rows, result.labels):
+        row["label"] = int(label)
     write_tokens(rows, out / "labeled.jsonl")
     with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -207,12 +211,13 @@ def _cmd_annotate(params: dict, out: Path) -> None:
 def _cmd_report_ngrams(params: dict, out: Path) -> None:
     if params["top"] < 1:
         raise UsageError(f"--top must be >= 1, got {params['top']}")
-    docs = _to_documents(_labeled_rows(params))
+    rows = _labeled_rows(params)
+    token_lists, labels = [r["tokens"] for r in rows], [r["label"] for r in rows]
     with (out / "ngrams.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "n", "ngram", "count", "rank"])
         for n in weaklabel.NGRAM_SIZES:
-            table = weaklabel.count_ngrams(docs, n)
+            table = weaklabel.count_ngrams(token_lists, labels, n)
             for cls in RiskLabel:
                 ranked = weaklabel.top_terms_for_class(table, cls, params["top"])
                 for rank, (gram, count) in enumerate(ranked, start=1):
@@ -235,7 +240,8 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         vocab, matrix = embed.load_embeddings(params["embeddings"], seed=params["seed"])
         params["embed_dim"] = matrix.dim
     else:
-        vocab, matrix = embed.build_vocab(_to_documents(train_rows), params["min_count"]), None
+        vocab = embed.build_vocab([r["tokens"] for r in train_rows], params["min_count"])
+        matrix = None
     if params["max_len"] is None:
         longest = max((len(r["tokens"]) for r in train_rows), default=0)
         if longest == 0:

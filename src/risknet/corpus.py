@@ -1,8 +1,8 @@
-"""Post collections: loading, merging, and deduplication.
+"""Post collections: loading, saving, and title+body merging.
 
 A post record carries six fields (id, user, timestamp, subreddit, title,
-body) plus an optional integer risk label in 0..3.  Two interchange formats
-are supported: CSV with RFC-4180 quoting and JSON-lines with the same keys.
+body) plus an optional integer risk label in 0..3.  Posts load from CSV with
+RFC-4180 quoting or from JSON-lines with the same keys, and save as CSV.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ class Post:
     title: str
     body: str
     label: Optional[RiskLabel] = None
-
-
-@dataclass
-class Document:
-    """A cleaned, title+body merged post ready for the model pipeline."""
-
-    user_id: str
-    text: str
-    label: Optional[RiskLabel] = None
-    post_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -154,41 +144,34 @@ def _load_jsonl(path: Path) -> LoadResult:
                 rec = json.loads(raw)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not a JSON object")
+                _check_json_numbers(rec)
                 result.posts.append(_make_post(rec, seen, line_no))
             except (json.JSONDecodeError, ValueError) as exc:
                 result.errors.append(RecordError(line_no, str(exc)))
     return result
 
 
-def save_posts(path: str | Path, posts: Iterable[Post], format: str | None = None) -> None:
-    """Write posts in CSV or JSONL; the label column is always present."""
-    path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS + [LABEL_COLUMN])
-            for p in posts:
-                writer.writerow(
-                    [p.post_id, p.user_id, p.timestamp, p.subreddit, p.title, p.body,
-                     "" if p.label is None else int(p.label)]
-                )
-    elif format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for p in posts:
-                rec = {
-                    "post_id": p.post_id,
-                    "user_id": p.user_id,
-                    "timestamp": p.timestamp,
-                    "subreddit": p.subreddit,
-                    "post_title": p.title,
-                    "post_body": p.body,
-                    "label": None if p.label is None else int(p.label),
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    else:
-        raise CorpusFormatError(f"unknown format '{format}' (expected csv or jsonl)")
+def _check_json_numbers(rec: dict) -> None:
+    """A JSON `timestamp` must be an integer and a JSON `label` null or an
+    integer; `int()` would truncate 2.9 to 2 and take true for 1."""
+    timestamp = rec.get("timestamp")
+    if timestamp is not None and type(timestamp) is not int:
+        raise ValueError(f"non-integer timestamp {json.dumps(timestamp)}")
+    label = rec.get(LABEL_COLUMN)
+    if label is not None and type(label) is not int:
+        raise ValueError(f"label must be null or an integer, got {json.dumps(label)}")
+
+
+def save_posts(path: str | Path, posts: Iterable[Post]) -> None:
+    """Write posts as CSV; the label column is always present."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS + [LABEL_COLUMN])
+        for p in posts:
+            writer.writerow(
+                [p.post_id, p.user_id, p.timestamp, p.subreddit, p.title, p.body,
+                 "" if p.label is None else int(p.label)]
+            )
 
 
 def merge_title_body(post: Post) -> str:
@@ -200,15 +183,3 @@ def merge_title_body(post: Post) -> str:
     if post.body:
         return post.body
     raise ValueError("empty post")
-
-
-def dedupe(docs: list[Document]) -> list[Document]:
-    """Keep the first occurrence of each exact cleaned-text string."""
-    seen: set[str] = set()
-    out = []
-    for doc in docs:
-        if doc.text not in seen:
-            seen.add(doc.text)
-            out.append(doc)
-    return out
-

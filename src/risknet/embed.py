@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document
 from .rng import STREAM_INIT, STREAM_UNK, bulk_generator
 
 PAD_INDEX = 0
@@ -130,11 +129,11 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
     return Vocabulary(token_to_index), EmbeddingMatrix(rows)
 
 
-def build_vocab(docs: Sequence[Document], min_count: int = 1) -> Vocabulary:
+def build_vocab(token_lists: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Corpus vocabulary: frequency >= min_count, ordered by count then token."""
     freq: dict[str, int] = {}
-    for doc in docs:
-        for token in doc.text.split():
+    for tokens in token_lists:
+        for token in tokens:
             freq[token] = freq.get(token, 0) + 1
     kept = sorted(
         (t for t, c in freq.items() if c >= min_count),

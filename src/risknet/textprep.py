@@ -40,19 +40,10 @@ def clean(raw: str) -> str:
     return " ".join(s.split())
 
 
-def tokenize(text: str) -> list[str]:
-    """Split cleaned text on spaces; never yields empty tokens."""
-    return text.split()
-
-
 def load_stopwords() -> frozenset[str]:
     """The packaged 179-word English stop-word list, one lowercase token per line."""
     text = resources.files("risknet.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in text.splitlines() if w)
-
-
-def drop_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
-    return [t for t in tokens if t not in stopwords]
 
 
 def load_lemma_exceptions() -> dict[str, str]:
@@ -116,8 +107,11 @@ def lemmatize(tokens: list[str]) -> list[str]:
 
 
 def content_tokens(text: str) -> list[str]:
-    """Cleaned text -> tokens: tokenize, drop stop words, lemmatize."""
-    return lemmatize(drop_stopwords(tokenize(text), _stopwords()))
+    """Cleaned text -> tokens: split on spaces, drop stop words, lemmatize.
+
+    Splitting never yields an empty token, and no token holds whitespace."""
+    stopwords = _stopwords()
+    return lemmatize([t for t in text.split() if t not in stopwords])
 
 
 def preprocess(raw: str) -> list[str]:

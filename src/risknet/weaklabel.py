@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, RiskLabel
+from .corpus import RiskLabel
 
 NGRAM_SIZES = (1, 2, 3)
 
@@ -72,15 +72,18 @@ def ngrams(tokens: Sequence[str], n: int) -> Iterable[str]:
         yield " ".join(tokens[i : i + n])
 
 
-def count_ngrams(docs: list[Document], n: int) -> NgramTable:
+def count_ngrams(
+    token_lists: Sequence[Sequence[str]], labels: Sequence[int], n: int
+) -> NgramTable:
+    """n-gram counts over all posts and per class; `labels[i]` is post i's class."""
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")
     table = NgramTable(n=n, per_class={c: {} for c in RiskLabel})
-    for doc in docs:
-        if doc.label is None:
-            raise ValueError("count_ngrams requires labeled documents")
-        cls_counts = table.per_class[doc.label]
-        for gram in ngrams(doc.text.split(), n):
+    for tokens, label in zip(token_lists, labels, strict=True):
+        if label is None:
+            raise ValueError("count_ngrams requires labeled posts")
+        cls_counts = table.per_class[label]
+        for gram in ngrams(tokens, n):
             table.counts[gram] = table.counts.get(gram, 0) + 1
             cls_counts[gram] = cls_counts.get(gram, 0) + 1
     return table
@@ -197,35 +200,32 @@ def assign_label(score: float, t: Thresholds) -> RiskLabel:
 
 @dataclass
 class WeakLabelResult:
-    docs: list[Document]
+    labels: list[RiskLabel]
     weights: TermWeights
     thresholds: Thresholds
     scores: list[float]
 
 
 def weak_label_documents(
-    docs: list[Document],
+    token_lists: Sequence[Sequence[str]],
+    labels: Sequence[int],
     top_k: int = 300,
     target_fractions: Sequence[float] = DEFAULT_TARGET_FRACTIONS,
 ) -> WeakLabelResult:
-    """Full weak-labeling pass over user-labeled documents.
+    """Full weak-labeling pass over posts with user-level labels.
 
     Counts n-grams (n = 1..3), keeps the top_k per size, weights them by
-    TF-IDF over the class corpora, scores every document, calibrates
-    thresholds to the target fractions, and re-labels each document from its
-    score.
+    TF-IDF over the class corpora, scores every post, calibrates thresholds
+    to the target fractions, and re-labels each post from its score.
     """
     terms: list[str] = []
     for n in NGRAM_SIZES:
-        terms.extend(top_terms(count_ngrams(docs, n), top_k))
+        terms.extend(top_terms(count_ngrams(token_lists, labels, n), top_k))
     class_corpora: dict[RiskLabel, list[str]] = {c: [] for c in RiskLabel}
-    for doc in docs:
-        class_corpora[doc.label].extend(doc.text.split())
+    for tokens, label in zip(token_lists, labels):
+        class_corpora[label].extend(tokens)
     weights = tfidf_weights(class_corpora, terms)
-    scores = [post_score(doc.text.split(), weights) for doc in docs]
+    scores = [post_score(tokens, weights) for tokens in token_lists]
     thresholds = calibrate_thresholds(scores, target_fractions)
-    relabeled = [
-        Document(d.user_id, d.text, assign_label(s, thresholds), d.post_id)
-        for d, s in zip(docs, scores)
-    ]
-    return WeakLabelResult(relabeled, weights, thresholds, scores)
+    return WeakLabelResult([assign_label(s, thresholds) for s in scores], weights,
+                           thresholds, scores)

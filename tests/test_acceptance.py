@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fd_check, projection_loss
 from risknet.cli import main
-from risknet.corpus import Document, merge_title_body
+from risknet.corpus import merge_title_body
 from risknet.embed import (
     EmbeddingFormatError,
     Vocabulary,
@@ -230,9 +230,7 @@ def test_lstm_unit_cell_matches_high_precision_hand_value():
 def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
     posts = generate_corpus(32, seed=7)
     token_lists = [preprocess(merge_title_body(p)) for p in posts]
-    docs = [Document(p.user_id, " ".join(t), p.label, p.post_id)
-            for p, t in zip(posts, token_lists)]
-    vocab = build_vocab(docs)
+    vocab = build_vocab(token_lists)
     emb = init_embeddings(vocab, 16, seed=7)
     X = encode_batch(token_lists, vocab, max_len=20)
     y = np.array([int(p.label) for p in posts])

@@ -239,17 +239,31 @@ def test_preprocess_outputs(pipeline):
     assert len(rows) == 220 - stats["dropped_empty"] - stats["dropped_duplicate"]
 
 
-def test_preprocess_drops_stop_word_only_post(tmp_path):
+def test_preprocess_keeps_the_first_of_each_cleaned_text(tmp_path):
     posts = tmp_path / "posts.csv"
     posts.write_text(
         "post_id,user_id,timestamp,subreddit,post_title,post_body,label\n"
-        "p1,u1,1420070400,SuicideWatch,The,and of it,1\n"
-        "p2,u2,1420070401,SuicideWatch,Lost,feeling hopeless tonight,2\n",
+        "p1,u1,1,s,Feeling hopeless!,,1\n"
+        "p2,u2,2,s,https://a.b/c,,1\n"
+        "p3,u3,3,s,,feeling   HOPELESS,2\n"  # cleans to p1's text
+        "p4,u4,4,s,The,and of it,0\n"        # stop words only
+        "p5,u5,5,s,,www.example.org,3\n"     # a second empty text, not a duplicate
+        "p6,u6,6,s,Lost,,2\n",
         encoding="utf-8")
     assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 0
     rows = read_tokens(tmp_path / "p" / "tokens.jsonl")
-    assert [r["post_id"] for r in rows] == ["p2"]
-    assert read_json(tmp_path / "p" / "run.json")["stats"]["dropped_empty"] == 1
+    assert [r["post_id"] for r in rows] == ["p1", "p6"]
+    assert read_json(tmp_path / "p" / "run.json")["stats"] == {
+        "posts_read": 6, "dropped_empty": 3, "dropped_duplicate": 1}
+
+
+def test_preprocess_jsonl_float_label_exits_1_naming_line(tmp_path, capsys):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(json.dumps({"post_id": "p1", "user_id": "u1", "timestamp": 1,
+                                 "subreddit": "s", "post_title": "a", "post_body": "b",
+                                 "label": 2.9}) + "\n", encoding="utf-8")
+    assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 1
+    assert "line 1: label must be null or an integer, got 2.9" in capsys.readouterr().err
 
 
 def test_preprocess_does_not_mutate_input(tmp_path):
@@ -298,21 +312,27 @@ def test_bad_fractions_exit_1(pipeline, tmp_path, capsys, fractions, message):
     assert not (tmp_path / "o" / "labeled.jsonl").exists()
 
 
-# SHA-256 of the weak-label text chain's outputs: `synth --posts 200 --seed 7`,
-# then `preprocess` and `annotate` with their defaults
+# SHA-256 of the text chain's outputs: `synth --posts 200 --seed 7`, then
+# `preprocess`, `annotate` and `report-ngrams` with their defaults, and the
+# vocabulary of a small `train` run
 TEXT_CHAIN_DIGESTS = {
     "prep/tokens.jsonl": "a4e229e43ed5ac2f795d38bb66bda270470db49db10075a0a4c33486c602bc61",
     "ann/labeled.jsonl": "75c7041d3f3dcf0d0ddddad4c1d7983d6e98f17426d741f0c20f491a9be64ce7",
     "ann/weights.csv": "3694ffb562c9e8422b421ef82f0a2ae613e85eaf17d9ad79e947e01b8beccec2",
+    "ng/ngrams.csv": "fde9533d45a581165901d6ed347726cc9f9e413ec4912fa89d47403a4eba950c",
+    "train/vocab.csv": "b6e50c8f642bccc0f852659fca8bf8114cbee2638055a5388c86a2324331fe5a",
 }
 
 
 def test_text_chain_outputs_are_pinned(tmp_path):
     assert run("synth", "--posts", 200, "--seed", 7, "--out", tmp_path / "s") == 0
+    tokens = tmp_path / "prep" / "tokens.jsonl"
     assert run("preprocess", "--dataset", tmp_path / "s" / "posts.csv",
                "--out", tmp_path / "prep") == 0
-    assert run("annotate", "--dataset", tmp_path / "prep" / "tokens.jsonl",
-               "--out", tmp_path / "ann") == 0
+    assert run("annotate", "--dataset", tokens, "--out", tmp_path / "ann") == 0
+    assert run("report-ngrams", "--dataset", tokens, "--out", tmp_path / "ng") == 0
+    assert run("train", "--dataset", tokens, "--out", tmp_path / "train", "--epochs", 1,
+               "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TEXT_CHAIN_DIGESTS}
     assert got == TEXT_CHAIN_DIGESTS
@@ -577,6 +597,25 @@ def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path,
                "--dataset", path, "--out", tmp_path / "pred") == 1
     assert f"{path}: line 2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("token", ["", "a b", "a\tb"], ids=["empty", "space", "tab"])
+@pytest.mark.parametrize("cmd", ["train", "annotate", "predict"])
+def test_token_a_join_and_split_would_change_exits_1(pipeline, tmp_path, capsys, cmd, token):
+    # each used to exit 0: the vocabulary and the n-grams saw "a b" as two
+    # words, while encoding looked it up whole and mapped it to UNK
+    lines = (pipeline / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[2])
+    row["tokens"].insert(1, token)
+    lines[2] = json.dumps(row)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags = {"train": ABLATE_FLAGS, "annotate": (),
+             "predict": ("--model", pipeline / "train" / "model.rkn")}[cmd]
+    assert run(cmd, "--dataset", path, *flags, "--out", tmp_path / "o") == 1
+    assert (f"{path}: line 3: each token must be non-empty and contain no whitespace"
+            in capsys.readouterr().err)
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def _rewrite_manifest(src, dst, mutate):

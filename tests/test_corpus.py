@@ -1,4 +1,4 @@
-"""Corpus loading, merging, dedupe, and split tests."""
+"""Corpus loading, saving, merging, and split tests."""
 
 import json
 
@@ -6,10 +6,9 @@ import pytest
 
 from risknet.corpus import (
     CorpusFormatError,
-    Document,
     Post,
+    RecordError,
     RiskLabel,
-    dedupe,
     load_posts,
     merge_title_body,
     save_posts,
@@ -116,22 +115,58 @@ def test_label_out_of_range_rejected(tmp_path):
     assert res.posts == [] and "label" in res.errors[0].message
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_save_load_round_trip_preserves_fields(tmp_path, fmt):
-    posts = [
-        Post("p1", "u1", 10, "sub", 'ti "tle', "body, with commas\nand newline", RiskLabel.LOW_RISK),
-        Post("p2", "u2", 20, "sub", "", "only body", None),
-        Post("p3", "u3", 30, "other", "only title", "", RiskLabel.NO_RISK),
-    ]
-    path = tmp_path / f"posts.{fmt}"
-    save_posts(path, posts, format=fmt)
+# a quote, a comma plus a newline, an empty title, an empty body, a null label
+ODD_FIELD_POSTS = [
+    Post("p1", "u1", 10, "sub", 'ti "tle', "body, with commas\nand newline", RiskLabel.LOW_RISK),
+    Post("p2", "u2", 20, "sub", "", "only body", None),
+    Post("p3", "u3", 30, "other", "only title", "", RiskLabel.NO_RISK),
+]
+
+
+def test_save_load_round_trip_preserves_fields(tmp_path):
+    path = tmp_path / "posts.csv"
+    save_posts(path, ODD_FIELD_POSTS)
     res = load_posts(path)
     assert res.errors == []
-    assert res.posts == posts
+    assert res.posts == ODD_FIELD_POSTS
     # and the bytes themselves are stable over a second save
-    second = tmp_path / f"again.{fmt}"
-    save_posts(second, res.posts, format=fmt)
+    second = tmp_path / "again.csv"
+    save_posts(second, res.posts)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_jsonl_load_preserves_fields(tmp_path):
+    path = _write(tmp_path, "posts.jsonl", "\n".join([
+        '{"post_id": "p1", "user_id": "u1", "timestamp": 10, "subreddit": "sub", '
+        '"post_title": "ti \\"tle", "post_body": "body, with commas\\nand newline", "label": 1}',
+        '{"post_id": "p2", "user_id": "u2", "timestamp": 20, "subreddit": "sub", '
+        '"post_title": "", "post_body": "only body", "label": null}',
+        '{"post_id": "p3", "user_id": "u3", "timestamp": 30, "subreddit": "other", '
+        '"post_title": "only title", "post_body": "", "label": 0}',
+    ]) + "\n")
+    res = load_posts(path)
+    assert res.errors == []
+    assert res.posts == ODD_FIELD_POSTS
+
+
+@pytest.mark.parametrize("fields,message", [
+    # each used to load through int(), truncated or converted, with no record error
+    ('"timestamp": 2.5, "label": 1', "non-integer timestamp 2.5"),
+    ('"timestamp": 10, "label": 2.9', "label must be null or an integer, got 2.9"),
+    ('"timestamp": 10, "label": true', "label must be null or an integer, got true"),
+    ('"timestamp": true, "label": 1', "non-integer timestamp true"),
+    ('"timestamp": "10", "label": 1', 'non-integer timestamp "10"'),
+    ('"timestamp": 10, "label": "1"', 'label must be null or an integer, got "1"'),
+], ids=["timestamp_float", "label_float", "label_bool", "timestamp_bool",
+        "timestamp_string", "label_string"])
+def test_jsonl_numbers_must_be_json_integers(tmp_path, fields, message):
+    good = ('{"post_id": "p1", "user_id": "u1", "timestamp": 1, "subreddit": "s", '
+            '"post_title": "a", "post_body": "b", "label": 0}')
+    bad = ('{"post_id": "p2", "user_id": "u2", "subreddit": "s", '
+           '"post_title": "a", "post_body": "b", ' + fields + "}")
+    res = load_posts(_write(tmp_path, "a.jsonl", good + "\n" + bad + "\n"))
+    assert [p.post_id for p in res.posts] == ["p1"]
+    assert res.errors == [RecordError(2, message)]
 
 
 # ------------------------------------------------------------------ merging
@@ -155,28 +190,12 @@ def test_merge_both_empty_raises():
         merge_title_body(post)
 
 
-# ------------------------------------------------------------------- dedupe
-
-
-def test_dedupe_keeps_first_occurrence():
-    docs = [Document("u1", "a"), Document("u2", "b"), Document("u3", "a")]
-    out = dedupe(docs)
-    assert [d.text for d in out] == ["a", "b"]
-    assert out[0].user_id == "u1"
-
-
-def test_dedupe_idempotent():
-    docs = [Document("u", t) for t in "aabcbc"]
-    once = dedupe(docs)
-    assert dedupe(once) == once
-
-
 # -------------------------------------------------------------------- split
-# Documents are split by the index split that `train` uses.
+# Posts are split by the index split that `train` uses.
 
 
 def _docs(n):
-    return [Document(f"u{i}", f"text {i}", RiskLabel(i % 4)) for i in range(n)]
+    return [make_post(i, label=i % 4) for i in range(n)]
 
 
 def _split(docs, fraction, seed):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risknet.corpus import Document
 from risknet.embed import (
     PAD_INDEX,
     PAD_TOKEN,
@@ -126,19 +125,18 @@ def test_vocabulary_lookup_defaults_to_unk():
 
 
 def test_build_vocab_filter_and_order():
-    docs = [Document("u", "a a a b"), Document("u", "a a b c")]
-    v = build_vocab(docs, min_count=2)
+    v = build_vocab([["a", "a", "a", "b"], ["a", "a", "b", "c"]], min_count=2)
     assert v.token_to_index == {"a": 2, "b": 3}
 
 
 def test_build_vocab_tie_breaks_lexicographically():
-    v = build_vocab([Document("u", "b a b a")], min_count=1)
+    v = build_vocab([["b", "a", "b", "a"]], min_count=1)
     assert v.token_to_index == {"a": 2, "b": 3}
 
 
 def test_build_vocab_empty_error():
     with pytest.raises(ValueError, match="empty vocabulary"):
-        build_vocab([Document("u", "rare")], min_count=5)
+        build_vocab([["rare"]], min_count=5)
 
 
 def test_init_embeddings_seeded_pad_zero():

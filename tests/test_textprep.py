@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from risknet.textprep import (
     clean,
-    drop_stopwords,
+    content_tokens,
     lemma,
     lemmatize,
     load_lemma_exceptions,
     load_stopwords,
     preprocess,
     rule_lemma,
-    tokenize,
 )
 
 # ------------------------------------------------------------------- clean
@@ -65,19 +64,21 @@ def test_clean_idempotent(raw):
 @given(st.text(max_size=200))
 @settings(max_examples=300, deadline=None)
 def test_tokens_never_contain_punctuation_or_space(raw):
-    for tok in tokenize(clean(raw)):
+    tokens = preprocess(raw)
+    for tok in tokens:
         assert tok
         assert not set(tok) & set(string.punctuation)
-        assert " " not in tok and "\n" not in tok
+    # the condition a token file's reader checks
+    assert " ".join(tokens).split() == tokens
 
 
-# ---------------------------------------------------------------- tokenize
+# ---------------------------------------------------------- content tokens
 
 
-def test_tokenize_examples():
-    assert tokenize("i want help") == ["i", "want", "help"]
-    assert tokenize("") == []
-    assert tokenize("a") == ["a"]
+def test_content_tokens_split_examples():
+    assert content_tokens("want help today") == ["want", "help", "today"]
+    assert content_tokens("") == []
+    assert content_tokens("x") == ["x"]
 
 
 # --------------------------------------------------------------- stopwords
@@ -90,12 +91,10 @@ def test_packaged_stopword_list_has_179_words():
     assert {"i", "the", "was", "and"} <= sw
 
 
-def test_drop_stopwords_examples():
-    sw = frozenset({"i"})
-    assert drop_stopwords(["i", "want", "help"], sw) == ["want", "help"]
-    allsw = frozenset({"a", "b"})
-    assert drop_stopwords(["a", "b", "a"], allsw) == []
-    assert drop_stopwords(["x", "y"], allsw) == ["x", "y"]
+def test_content_tokens_drop_stopwords_examples():
+    assert content_tokens("i want help") == ["want", "help"]
+    assert content_tokens("a the a") == []
+    assert content_tokens("x z") == ["x", "z"]
 
 
 # -------------------------------------------------------------- lemmatizer

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risknet.corpus import Document, RiskLabel
+from risknet.corpus import RiskLabel
 from risknet.weaklabel import (
     DEFAULT_TARGET_FRACTIONS,
     DegenerateScores,
@@ -29,7 +29,8 @@ LN4 = math.log(4.0)
 
 
 def docs_from(texts_labels):
-    return [Document(f"u{i}", text, RiskLabel(lab)) for i, (text, lab) in enumerate(texts_labels)]
+    """(token lists, labels) of posts given as space-separated text."""
+    return [t.split() for t, _ in texts_labels], [RiskLabel(lab) for _, lab in texts_labels]
 
 
 # ----------------------------------------------------------------- n-grams
@@ -42,34 +43,34 @@ def test_ngrams_windows():
 
 
 def test_count_ngrams_unigrams():
-    table = count_ngrams(docs_from([("a b a", 0)]), 1)
+    table = count_ngrams(*docs_from([("a b a", 0)]), 1)
     assert table.counts == {"a": 2, "b": 1}
 
 
 def test_count_ngrams_bigrams():
-    table = count_ngrams(docs_from([("a b a", 2)]), 2)
+    table = count_ngrams(*docs_from([("a b a", 2)]), 2)
     assert table.counts == {"a b": 1, "b a": 1}
     assert table.per_class[RiskLabel.MODERATE_RISK] == {"a b": 1, "b a": 1}
 
 
 def test_count_ngrams_too_short():
-    assert count_ngrams(docs_from([("a", 1)]), 3).counts == {}
+    assert count_ngrams(*docs_from([("a", 1)]), 3).counts == {}
 
 
 def test_count_ngrams_rejects_bad_n():
     with pytest.raises(ValueError):
-        count_ngrams(docs_from([("a b", 0)]), 4)
+        count_ngrams(*docs_from([("a b", 0)]), 4)
 
 
 def test_count_ngrams_rejects_unlabeled():
     with pytest.raises(ValueError):
-        count_ngrams([Document("u", "a b")], 1)
+        count_ngrams([["a", "b"]], [None], 1)
 
 
 def test_per_class_counts_conserve_total():
     docs = docs_from([("a b a", 0), ("b c", 1), ("a c a b", 3), ("c c c", 2)])
     for n in (1, 2, 3):
-        table = count_ngrams(docs, n)
+        table = count_ngrams(*docs, n)
         for gram, total in table.counts.items():
             assert total == sum(m.get(gram, 0) for m in table.per_class.values())
             assert total >= 1
@@ -99,7 +100,7 @@ def test_top_terms_rejects_k_below_one():
 
 def test_top_terms_for_class():
     docs = docs_from([("a a b", 3), ("b", 0)])
-    table = count_ngrams(docs, 1)
+    table = count_ngrams(*docs, 1)
     assert top_terms_for_class(table, RiskLabel.SEVERE_RISK, 2) == [("a", 2), ("b", 1)]
     assert top_terms_for_class(table, RiskLabel.NO_RISK, 2) == [("b", 1)]
 
@@ -295,21 +296,23 @@ def test_weak_label_documents_roundtrip():
         ["empty", "alone", "numb"],
         ["die", "end", "hurt"],
     ]
-    docs = []
+    token_lists, labels = [], []
     for i in range(400):
         cls = i % 4
         words = [vocab_by_class[cls][rng.integers(3)] for _ in range(12)]
         words += [vocab_by_class[rng.integers(4)][rng.integers(3)] for _ in range(3)]
-        docs.append(Document(f"u{i}", " ".join(words), RiskLabel(cls), post_id=f"p{i}"))
-    result = weak_label_documents(docs, top_k=50, target_fractions=(0.25, 0.25, 0.25, 0.25))
-    assert len(result.docs) == len(docs)
-    assert len(result.scores) == len(docs)
+        token_lists.append(words)
+        labels.append(cls)
+    result = weak_label_documents(token_lists, labels, top_k=50,
+                                  target_fractions=(0.25, 0.25, 0.25, 0.25))
+    assert len(result.labels) == len(token_lists)
+    assert len(result.scores) == len(token_lists)
     assert result.thresholds.t1 < result.thresholds.t2 < result.thresholds.t3
-    # relabeled docs agree with scalar assignment of the reported scores
-    for doc, score in zip(result.docs, result.scores):
-        assert doc.label == assign_label(score, result.thresholds)
+    # relabeled posts agree with scalar assignment of the reported scores
+    for label, score in zip(result.labels, result.scores):
+        assert label == assign_label(score, result.thresholds)
     # severity axis orders the class means
     per_class_mean = [
-        np.mean([s for d, s in zip(docs, result.scores) if d.label == c]) for c in RiskLabel
+        np.mean([s for lab, s in zip(labels, result.scores) if lab == c]) for c in RiskLabel
     ]
     assert per_class_mean == sorted(per_class_mean)

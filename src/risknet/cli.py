@@ -234,6 +234,9 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         raise UsageError(f"--min-count must be >= 1, got {params['min_count']}")
     rows = _labeled_rows(params)
     train_idx, test_idx = train.split_indices(len(rows), params["train_fraction"], params["seed"])
+    if train_idx.size == 0:
+        raise UsageError(f"empty training set: --train-fraction {params['train_fraction']} of "
+                         f"{len(rows)} posts puts none in the train shard")
     train_rows = [rows[i] for i in train_idx]
     test_rows = [rows[i] for i in test_idx]
     if params["embeddings"] is not None:

@@ -144,16 +144,26 @@ def _load_jsonl(path: Path) -> LoadResult:
                 rec = json.loads(raw)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not a JSON object")
-                _check_json_numbers(rec)
+                _check_json_types(rec)
                 result.posts.append(_make_post(rec, seen, line_no))
             except (json.JSONDecodeError, ValueError) as exc:
                 result.errors.append(RecordError(line_no, str(exc)))
     return result
 
 
-def _check_json_numbers(rec: dict) -> None:
-    """A JSON `timestamp` must be an integer and a JSON `label` null or an
-    integer; `int()` would truncate 2.9 to 2 and take true for 1."""
+# the JSONL fields that must be JSON strings; `str()` would turn 12 into "12"
+# and {"a": 1} into text
+_JSON_STRINGS = ("post_id", "user_id", "subreddit", "post_title", "post_body")
+
+
+def _check_json_types(rec: dict) -> None:
+    """Text fields must be JSON strings, a JSON `timestamp` an integer and a
+    JSON `label` null or an integer; `int()` would truncate 2.9 to 2 and take
+    true for 1.  A missing or null field is left to `_make_post`."""
+    for key in _JSON_STRINGS:
+        value = rec.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"'{key}' must be a string, got {json.dumps(value)}")
     timestamp = rec.get("timestamp")
     if timestamp is not None and type(timestamp) is not int:
         raise ValueError(f"non-integer timestamp {json.dumps(timestamp)}")

@@ -26,6 +26,8 @@ from .rng import STREAM_DROPOUT, bulk_generator
 # the layer tag in the dropout mask's stream: a mask is a deterministic
 # function of seed, step and this tag
 LAYER_EMBED_DROPOUT = 1
+# uniforms per dropout-mask draw: a 512 KiB float64 block
+MASK_CHUNK = 1 << 16
 
 
 class NumericsError(FloatingPointError):
@@ -180,19 +182,35 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
 # ------------------------------------------------------------------ dropout
 
 
-def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
-    """Inverted-dropout mask, deterministic in (seed, step)."""
+def dropout_mask(shape, rate: float, seed: int, step: int, dtype, out=None) -> np.ndarray:
+    """Inverted-dropout mask, deterministic in (seed, step), written to `out`
+    (of `shape` and `dtype`) if given.
+
+    The uniforms are drawn `MASK_CHUNK` at a time into one float64 scratch
+    block.  PCG64 yields the same doubles in any chunking, so the mask is bit
+    for bit that of one ``rng.random(shape) >= rate`` draw, without a
+    float64 array of the mask's size.
+    """
     rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / dtype(1.0 - rate)
+    mask = np.empty(shape, dtype=dtype) if out is None else out
+    flat = mask.reshape(-1)
+    scale = dtype(1.0 - rate)
+    u = np.empty(min(MASK_CHUNK, flat.size))
+    for start in range(0, flat.size, MASK_CHUNK):
+        chunk = flat[start : start + MASK_CHUNK]
+        rng.random(out=u[: chunk.size])
+        np.greater_equal(u[: chunk.size], rate, out=chunk)
+        chunk /= scale
+    return mask
 
 
-def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int):
-    """Training-time dropout with step `step`'s mask; `ModelConfig` keeps the
-    rate in [0, 1)."""
+def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int, mask=None):
+    """Training-time dropout with step `step`'s mask, or with `mask` if the
+    caller drew that mask already; `ModelConfig` keeps the rate in [0, 1)."""
     if rate == 0.0:
         return x, None
-    mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
+    if mask is None:
+        mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
     return x * mask, mask
 
 
@@ -281,7 +299,7 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def lstm_backward(cache, dH: np.ndarray):
+def lstm_backward(cache, dH: np.ndarray, pool=None):
     """Full BPTT. Returns (param grads dict, dX).
 
     Only the recurrent GEMM ``dh_next = dA[t] @ U^T`` stays in the time loop;
@@ -289,7 +307,10 @@ def lstm_backward(cache, dH: np.ndarray):
     weight, bias and input gradients are then single GEMMs over all steps
     (Appleyard et al. 2016, arXiv:1604.01946), with the cached time-major
     inputs and hidden states as operands.  Gate blocks are stacked in the
-    order f, i, o, u, as in the parameters.
+    order f, i, o, u, as in the parameters.  Given an executor `pool`, the
+    weight GEMM ``dW = Xt^T dA`` runs on it, into an array allocated here,
+    while this thread forms the other gradients; each GEMM is the same call
+    on either thread, so the gradients are the same bits.
     """
     p, Xt, G, C, Hs, TC = cache
     T, B, D = Xt.shape
@@ -314,10 +335,20 @@ def lstm_backward(cache, dH: np.ndarray):
         da[:, 3 * H :] = du * (1.0 - u * u)
         dh_next = da @ p.U.T
     dA2 = dA.reshape(T * B, 4 * H)
-    dX = (dA2 @ p.W.T).reshape(T, B, D).transpose(1, 0, 2)
-    g = {"W": Xt.reshape(T * B, D).T @ dA2, "U": Hs[:-1].reshape(T * B, H).T @ dA2,
-         "b": dA2.sum(axis=0)}
-    return g, np.ascontiguousarray(dX)
+    dW = np.empty(p.W.shape, dtype=dA.dtype)
+    if pool is None:
+        np.matmul(Xt.reshape(T * B, D).T, dA2, out=dW)
+    else:
+        job = pool.submit(np.matmul, Xt.reshape(T * B, D).T, dA2, out=dW)
+    try:
+        dX = dA2 @ p.W.T
+        g = {"W": dW, "U": Hs[:-1].reshape(T * B, H).T @ dA2, "b": dA2.sum(axis=0)}
+    finally:
+        if pool is not None:
+            job.result()
+    # drop every view of dA, so that it is freed before dX's (B, T, D) copy is made
+    da = dA = dA2 = None
+    return g, np.ascontiguousarray(dX.reshape(T, B, D).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------- attention

@@ -99,34 +99,35 @@ class _Op(NamedTuple):
 
     group: Optional[str]  # the ModelParams field holding the op's parameters
     params: Optional[type]  # that field's class
-    forward: Callable  # (w = the op's group, x, cfg, step) -> (out, cache)
-    backward: Callable  # (cache, dout) -> (gradients by name within the group, dx)
+    forward: Callable  # (w = the op's group, x, cfg, step, mask) -> (out, cache)
+    backward: Callable  # (cache, dout, pool) -> (gradients by name within the group, dx)
 
 
 _OPS = {
     # the embedding group is one array, named by the group alone
     "embedding": _Op("embedding", EmbeddingMatrix,
                      lambda w, x, *_: embedding_forward(w.matrix, x),
-                     lambda c, d: ({"": embedding_backward(c, d)}, None)),
+                     lambda c, d, _: ({"": embedding_backward(c, d)}, None)),
     "dropout": _Op(None, None,
-                   lambda w, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
-                   lambda c, d: ({}, dropout_backward(c, d))),
+                   lambda w, x, cfg, step, mask: dropout_forward(x, cfg.dropout_rate, cfg.seed,
+                                                                 step, mask),
+                   lambda c, d, _: ({}, dropout_backward(c, d))),
     "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
-                lambda c, d: lstm_backward(c, d)),
+                lambda c, d, pool: lstm_backward(c, d, pool)),
     "attention": _Op("attention", AttentionParams,
                      lambda w, x, *_: attention_forward(w, x),
-                     lambda c, d: attention_backward(c, d)),
+                     lambda c, d, _: attention_backward(c, d)),
     "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
-                       lambda c, d: conv1d_relu_backward(c, d)),
-    "maxpool1d": _Op(None, None, lambda w, x, cfg, _: maxpool1d_forward(x, cfg.pool),
-                     lambda c, d: ({}, maxpool1d_backward(c, d))),
+                       lambda c, d, _: conv1d_relu_backward(c, d)),
+    "maxpool1d": _Op(None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
+                     lambda c, d, _: ({}, maxpool1d_backward(c, d))),
     "flatten": _Op(None, None, lambda w, x, *_: flatten_forward(x),
-                   lambda c, d: ({}, flatten_backward(c, d))),
+                   lambda c, d, _: ({}, flatten_backward(c, d))),
     "last_step": _Op(None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
-                     lambda c, d: ({}, _last_step_backward(c, d))),
+                     lambda c, d, _: ({}, _last_step_backward(c, d))),
     # the dense head's upstream gradient is the loss gradient at the logits
     "dense_softmax": _Op("dense", DenseParams, lambda w, x, *_: dense_softmax_forward(w, x),
-                         lambda c, d: dense_softmax_backward(c, d)),
+                         lambda c, d, _: dense_softmax_backward(c, d)),
 }
 
 # parameter group -> class, in file and optimizer order (embedding first)
@@ -292,11 +293,12 @@ class Model:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, batch: np.ndarray, step: int | None = None):
+    def forward(self, batch: np.ndarray, step: int | None = None, mask=None):
         """(B, T) indices -> (probs (B, C), trace).
 
-        Given a training `step`, dropout applies that step's mask and the
-        trace keeps every layer's cache for `backward`.  Without one
+        Given a training `step`, dropout applies that step's mask, or `mask`
+        if the caller drew it already (`layers.dropout_mask`), and the trace
+        keeps every layer's cache for `backward`.  Without one
         (inference), dropout is left out, no layer keeps a cache, the trace
         is None, and the embedding -> LSTM prefix runs as one `lstm_infer`
         over the batch's distinct indices.  With a zero dropout rate the two
@@ -323,25 +325,33 @@ class Model:
         for op in chain:
             row = _OPS[op]
             w = getattr(p, row.group) if row.group else None
-            x, c = row.forward(w, x, cfg, step)
+            x, c = row.forward(w, x, cfg, step, mask)
             check_finite(op, x)
             if trace is not None:
                 trace.append((op, c))
             del c  # an inference cache dies here, before the next layer runs
         return x, trace
 
-    def backward(self, trace, dlogits: np.ndarray) -> dict[str, np.ndarray | RowGrad]:
+    def backward(self, trace, dlogits: np.ndarray, pool=None,
+                 before_dropout: Callable[[], None] | None = None,
+                 ) -> dict[str, np.ndarray | RowGrad]:
         """Gradients for every parameter array from a training trace and the
         loss gradient at the logits.
 
-        A non-finite gradient raises `NumericsError` naming the parameter and
-        the layer whose backward pass returned it.
+        The trace is consumed: each layer's cache is dropped from it once that
+        layer's backward pass has used it.  `pool`, an executor, is handed to
+        `lstm_backward`.  `before_dropout` is called once, when every layer
+        above dropout is done.  A non-finite gradient raises `NumericsError`
+        naming the parameter and the layer whose backward pass returned it.
         """
         grads: dict[str, np.ndarray | RowGrad] = {}
         dx = dlogits
-        for op, cache in reversed(trace):
+        while trace:
+            op, cache = trace.pop()
+            if op == "dropout" and before_dropout is not None:
+                before_dropout()
             row = _OPS[op]
-            g, dx = row.backward(cache, dx)
+            g, dx = row.backward(cache, dx, pool)
             for n, a in g.items():
                 name = f"{row.group}.{n}" if n else row.group
                 check_finite_grad(name, a, op)

@@ -15,16 +15,25 @@ from typing import Callable
 
 import numpy as np
 
-from .embed import EmbeddingMatrix
-from .layers import NumericsError, RowGrad, check_finite_grad
+from .embed import PAD_INDEX, EmbeddingMatrix
+from .layers import NumericsError, RowGrad, check_finite_grad, dropout_mask
 from .metrics import Metrics, compute_metrics
-from .model import Model, ModelConfig, init_params
+from .model import Model, ModelConfig, init_params, usable_cpus
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
 
 CLIP_EPS = 1e-7
 # elements per in-place Adam block: 64k float32 values make six 256 KiB
 # operands, which fit in a 1-4 MiB L2 cache
 ADAM_BLOCK = 1 << 16
+# elements per block of the g = 0 pass that `Adam.start_rows` runs on another
+# thread: each of its ufunc calls takes the GIL back from the calling thread,
+# and with blocks twice as large a concurrent paper-shape LSTM backward pass
+# slowed by about 6 ms instead of about 10 ms
+HELPER_ADAM_BLOCK = 1 << 17
+# fewest elements of the arrays a job must have to run on `fit`'s helper
+# thread; smaller jobs (the acceptance shape's) cost more to hand off than
+# they overlap
+HELPER_MIN_ELEMENTS = 1 << 18
 
 
 def sparse_cce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -62,10 +71,10 @@ class Adam:
 
     The update runs in place, one block of leading-axis rows at a time: the
     moments and the parameters are written through ``out=``, with two
-    block-sized scratch arrays per parameter allocated once.  A block holds
-    about ``ADAM_BLOCK`` elements, so the update's fourteen passes over it stay
-    in cache instead of streaming a parameter-sized temporary through memory
-    for each.  Every operation is elementwise and in the textbook order,
+    block-sized scratch arrays per parameter, made on first use.  A block
+    holds about ``ADAM_BLOCK`` elements, so the update's fourteen passes over
+    it stay in cache instead of streaming a parameter-sized temporary through
+    memory for each.  Every operation is elementwise and in the textbook order,
     ``beta1*m + (1-beta1)*g``, ``beta2*v + (1-beta2)*(g*g)`` and
     ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the result is bit-identical to
     the out-of-place expression.
@@ -73,9 +82,13 @@ class Adam:
     A gradient may be a `layers.RowGrad`.  That is still dense Adam: every row
     moves every step.  The rows it does not list take the g = 0 form of the
     same expression, ``beta1*m + 0.0`` and ``beta2*v``, without reading a
-    gradient; the listed rows take the full update from their pre-step
-    values, gathered before that pass and written back after it.  Both give
-    the bits that the dense gradient, zero outside those rows, gives.
+    gradient.  The listed rows then take the full update from their pre-step
+    `theta` and `m` and from the ``beta2*v`` that the pass left, which is the
+    full update's first step.  Both give the bits that the dense gradient,
+    zero outside those rows, gives.  `start_rows` runs the g = 0 pass ahead,
+    on another thread, while the gradient is still being computed.  That
+    pass puts back the `theta` and `m` of the rows the gradient will list,
+    block by block, so no copy of those rows is held in the meantime.
     """
 
     def __init__(self, named_params, hyper: AdamHyper | None = None):
@@ -83,12 +96,26 @@ class Adam:
         named_params = list(named_params)
         self.m = {n: np.zeros_like(a) for n, a in named_params}
         self.v = {n: np.zeros_like(a) for n, a in named_params}
-        self._scratch = {}
-        for n, a in named_params:
-            rows = max(1, ADAM_BLOCK // max(1, a[:1].size))
-            block = np.empty((min(rows, a.shape[0]),) + a.shape[1:], dtype=a.dtype)
-            self._scratch[n] = (rows, block, np.empty_like(block))
+        self._scratch = {}  # (name, block) -> `_block_scratch`, made on first use
         self.t = 0
+        self._started = {}  # name -> (rows, g = 0 pass job)
+
+    def start_rows(self, name: str, theta: np.ndarray, rows: np.ndarray, pool) -> None:
+        """Begin the next step's update of parameter `name` for a `RowGrad`
+        over `rows` (ascending): run its g = 0 pass on the executor `pool`.
+        Nothing may read `theta` or the moments until `step` has finished the
+        update with that gradient, which must list exactly `rows`."""
+        h, t = self.hyper, self.t + 1
+        job = pool.submit(_adam_blocks, h, 1.0 - h.beta1**t, 1.0 - h.beta2**t, theta, None,
+                          self.m[name], self.v[name],
+                          *self._blocks(name, theta, HELPER_ADAM_BLOCK), keep=rows)
+        self._started[name] = (rows, job)
+
+    def _blocks(self, name: str, theta: np.ndarray, block: int):
+        key = (name, block)
+        if key not in self._scratch:
+            self._scratch[key] = _block_scratch(theta, block)
+        return self._scratch[key]
 
     def step(self, named_params, grads: dict) -> None:
         """In-place parameter update from a name -> gradient map; a gradient
@@ -99,30 +126,62 @@ class Adam:
         bc2 = 1.0 - h.beta2**self.t
         for name, theta in named_params:
             g = grads[name]
-            check_finite_grad(name, g)
             m, v = self.m[name], self.v[name]
-            scratch = self._scratch[name]
+            started = self._started.pop(name, None)
+            # a started update finishes in the helper's blocks, so that a
+            # parameter has one pair of scratch arrays on either path
+            scratch = self._blocks(name, theta,
+                                   ADAM_BLOCK if started is None else HELPER_ADAM_BLOCK)
+            if started is not None:
+                rows, job = started
+                job.result()
+                if not (isinstance(g, RowGrad) and np.array_equal(g.rows, rows)):
+                    raise ValueError(f"gradient for parameter '{name}' does not list the "
+                                     f"rows its update was started for")
+            check_finite_grad(name, g)
             if isinstance(g, RowGrad):
-                th_r, m_r, v_r = theta[g.rows], m[g.rows], v[g.rows]
-                _adam_blocks(h, bc1, bc2, theta, None, m, v, *scratch)
-                _adam_blocks(h, bc1, bc2, th_r, g.values, m_r, v_r, *scratch)
+                # pre-step values: gathered before the g = 0 pass, or kept by it
+                th_r, m_r = theta[g.rows], m[g.rows]
+                if started is None:
+                    _adam_blocks(h, bc1, bc2, theta, None, m, v, *scratch)
+                v_r = v[g.rows]
+                _adam_blocks(h, bc1, bc2, th_r, g.values, m_r, v_r, *scratch, v_scaled=True)
                 theta[g.rows], m[g.rows], v[g.rows] = th_r, m_r, v_r
             else:
                 _adam_blocks(h, bc1, bc2, theta, g, m, v, *scratch)
 
 
-def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2) -> None:
-    """`_adam_block` over `rows` leading-axis rows at a time; g None is g = 0."""
+def _block_scratch(a: np.ndarray, block: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Leading-axis rows per block of about `block` elements of `a`, and two
+    scratch arrays of one block."""
+    rows = max(1, block // max(1, a[:1].size))
+    s1 = np.empty((min(rows, a.shape[0]),) + a.shape[1:], dtype=a.dtype)
+    return rows, s1, np.empty_like(s1)
+
+
+def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2,
+                 v_scaled=False, keep=None) -> None:
+    """`_adam_block` over `rows` leading-axis rows at a time; g None is
+    g = 0.  The rows listed in `keep` (ascending) get their `theta` and `m`
+    back once their block is done, so only their `v` moves."""
     for r in range(0, theta.shape[0], rows):
         b = slice(r, r + rows)
         n = min(rows, theta.shape[0] - r)
+        if keep is not None:
+            lo, hi = np.searchsorted(keep, (r, r + n))
+            kept = keep[lo:hi]
+            saved = theta[kept], m[kept]
         _adam_block(h, bc1, bc2, theta[b], None if g is None else g[b], m[b], v[b],
-                    s1[:n], s2[:n])
+                    s1[:n], s2[:n], v_scaled)
+        if keep is not None:
+            theta[kept], m[kept] = saved
 
 
-def _adam_block(h: AdamHyper, bc1, bc2, theta, g, m, v, s1, s2) -> None:
+def _adam_block(h: AdamHyper, bc1, bc2, theta, g, m, v, s1, s2, v_scaled) -> None:
+    """One in-place update; `v_scaled` says `v` holds ``beta2*v`` already."""
     np.multiply(m, h.beta1, out=m)
-    np.multiply(v, h.beta2, out=v)
+    if not v_scaled:
+        np.multiply(v, h.beta2, out=v)
     if g is None:
         # (1-beta1)*0 is +0.0, and adding it turns a -0.0 in m into +0.0;
         # (1-beta2)*(0*0) is +0.0 too, but v is never -0.0, so v is done
@@ -200,6 +259,16 @@ def fit(
     freed before the next step's forward pass, so one step's activations are
     alive at a time.
 
+    With more than one usable CPU, `fit` makes one helper thread, which
+    overlaps three jobs with the calling thread's work: Adam's g = 0 pass
+    over the embedding (`Adam.start_rows`) during the backward pass, the
+    LSTM's weight GEMM during its input GEMM, and the next step's dropout
+    mask once the layers above dropout are done.  A job runs only if its
+    arrays have at least `HELPER_MIN_ELEMENTS` elements.  Each job computes
+    what the calling thread would, in the same order, so the model and
+    history are the same bits for any CPU count.  The thread is joined
+    before `fit` returns or raises.
+
     A ``NumericsError`` is re-raised with the epoch (from 1), the global step
     and the batch index within the epoch (both from 0) in front.
     """
@@ -217,38 +286,77 @@ def fit(
     opt = Adam(params.named_arrays(), cfg.adam)
     history = History()
     n = X.shape[0]
+    # every epoch's batch sizes, from which each step knows the next one's
+    sizes = [min(cfg.batch_size, n - s) for s in range(0, n, cfg.batch_size)]
+    steps = cfg.epochs * len(sizes)
+    pool = None
+    if usable_cpus() > 1:
+        # imported here: at module level it would slow every risknet start
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)  # its thread starts with the first job
+    ahead = []  # the dropout mask job of the next step, if one was started
     step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffled_indices(n, derive_seed(cfg.seed, STREAM_EPOCH, epoch))
-        loss_sum = 0.0
-        correct = 0
-        for batch, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            try:
-                loss, hits = _train_step(model, opt, X[idx], y[idx], step)
-            except NumericsError as exc:
-                raise NumericsError(f"epoch {epoch + 1}, step {step}, batch {batch}: {exc}") from exc
-            loss_sum += loss * len(idx)
-            correct += hits
-            step += 1
-        epoch_loss = loss_sum / n
-        epoch_acc = correct / n
-        history.loss.append(epoch_loss)
-        history.accuracy.append(epoch_acc)
-        if on_epoch is not None:
-            on_epoch(epoch + 1, epoch_loss, epoch_acc)
+    try:
+        for epoch in range(cfg.epochs):
+            order = shuffled_indices(n, derive_seed(cfg.seed, STREAM_EPOCH, epoch))
+            loss_sum = 0.0
+            correct = 0
+            for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                next_rows = sizes[(batch + 1) % len(sizes)] if step + 1 < steps else 0
+                try:
+                    loss, hits = _train_step(model, opt, X[idx], y[idx], step, pool, ahead,
+                                             next_rows)
+                except NumericsError as exc:
+                    raise NumericsError(
+                        f"epoch {epoch + 1}, step {step}, batch {batch}: {exc}") from exc
+                loss_sum += loss * len(idx)
+                correct += hits
+                step += 1
+            epoch_loss = loss_sum / n
+            epoch_acc = correct / n
+            history.loss.append(epoch_loss)
+            history.accuracy.append(epoch_acc)
+            if on_epoch is not None:
+                on_epoch(epoch + 1, epoch_loss, epoch_acc)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return model, history
 
 
-def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray,
-                step: int) -> tuple[float, int]:
+def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray, step: int,
+                pool, ahead: list, next_rows: int) -> tuple[float, int]:
     """One forward, backward and Adam update on a batch; returns its mean
     loss and its count of correct argmax predictions.  The step's caches and
-    gradients are locals here, so they are freed when it returns."""
-    probs, trace = model.forward(xb, step=step)
+    gradients are locals here, so they are freed when it returns.
+
+    `pool` is the helper executor, or None.  `ahead` holds this step's
+    dropout mask job, if one was started, and receives the next step's, of
+    `next_rows` rows (0: no next step)."""
+    cfg = model.cfg
+    mask = ahead.pop().result() if ahead else None
+    probs, trace = model.forward(xb, step=step, mask=mask)
+    del mask  # the dropout cache holds it until dropout's backward pass
     loss = sparse_cce(probs, yb)
     hits = int((probs.argmax(axis=1) == yb).sum())
-    grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb))
+    E = model.params.embedding.matrix
+    if pool is not None and E.size >= HELPER_MIN_ELEMENTS:
+        opt.start_rows("embedding", E, np.unique(xb[xb != PAD_INDEX]), pool)
+    # elements per row of a dropout mask and of the LSTM input
+    per_row = cfg.max_len * cfg.embed_dim
+
+    def draw_next_mask():
+        if cfg.dropout_rate > 0.0 and next_rows * per_row >= HELPER_MIN_ELEMENTS:
+            out = np.empty((next_rows, cfg.max_len, cfg.embed_dim), dtype=cfg.np_dtype)
+            ahead.append(pool.submit(dropout_mask, out.shape, cfg.dropout_rate, cfg.seed,
+                                     step + 1, out.dtype.type, out))
+
+    big = len(xb) * per_row >= HELPER_MIN_ELEMENTS
+    grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb),
+                           pool=pool if big else None,
+                           before_dropout=None if pool is None else draw_next_mask)
     opt.step(model.params.named_arrays(), grads)
     return loss, hits
 

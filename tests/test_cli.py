@@ -266,6 +266,16 @@ def test_preprocess_jsonl_float_label_exits_1_naming_line(tmp_path, capsys):
     assert "line 1: label must be null or an integer, got 2.9" in capsys.readouterr().err
 
 
+def test_preprocess_jsonl_non_string_text_exits_1_naming_line(tmp_path, capsys):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(json.dumps({"post_id": 12, "user_id": ["u"], "timestamp": 1,
+                                 "subreddit": "s", "post_title": {"a": 1},
+                                 "post_body": "b"}) + "\n", encoding="utf-8")
+    assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 1
+    assert "line 1: 'post_id' must be a string, got 12" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "tokens.jsonl").exists()
+
+
 def test_preprocess_does_not_mutate_input(tmp_path):
     out1 = tmp_path / "s"
     assert run("synth", "--posts", 10, "--seed", 2, "--out", out1) == 0
@@ -529,6 +539,43 @@ def test_ablate_train_shard_without_a_class_exits_1(pipeline, tmp_path, capsys):
     assert run("ablate", "--dataset", tmp_path / "no3.jsonl", "--out", tmp_path / "o",
                *ABLATE_FLAGS) == 1
     assert capsys.readouterr().err == "error: class 3 has no training examples\n"
+
+
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+@pytest.mark.parametrize("flags", [(), ("--max-len", 8), ("--embeddings", "{emb}", "--max-len", 8)],
+                         ids=["defaults", "max_len", "embeddings"])
+def test_empty_train_shard_exits_1_naming_it(tmp_path, capsys, cmd, flags):
+    # used to end in "training shard has no tokens", "empty vocabulary" or
+    # fit's own "empty training set", depending on the flags
+    rows = [{"post_id": f"p{i}", "user_id": "u", "label": i, "tokens": ["a", "b"]}
+            for i in range(2)]
+    write_tokens(rows, tmp_path / "two.jsonl")
+    (tmp_path / "emb.txt").write_text("2 3\na 0.1 0.2 0.3\nb 0.4 0.5 0.6\n", encoding="utf-8")
+    flags = [str(f).format(emb=tmp_path / "emb.txt") for f in flags]
+    out = tmp_path / "o"
+    assert run(cmd, "--dataset", tmp_path / "two.jsonl", "--out", out,
+               "--train-fraction", 0.1, *flags) == 1
+    assert capsys.readouterr().err == (
+        "error: empty training set: --train-fraction 0.1 of 2 posts puts none in the "
+        "train shard\n")
+    assert list(out.iterdir()) == []
+
+
+def test_train_is_byte_identical_for_one_or_two_usable_cpus(tmp_path, monkeypatch):
+    # above the helper's size gate: 32 x 128 x 64 dropout masks and LSTM
+    # inputs, and an embedding of more than 4,100 x 64; 72 posts make a
+    # train shard of 57, so every epoch ends in a short batch of 25
+    rows = [{"post_id": f"p{i}", "user_id": f"u{i % 9}", "label": i % 4,
+             "tokens": [f"w{i * 128 + j}" for j in range(128)]} for i in range(72)]
+    write_tokens(rows, tmp_path / "big.jsonl")
+    outs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert run("train", "--dataset", tmp_path / "big.jsonl", "--out", out, "--epochs", 2,
+                   "--embed-dim", 64, "--lstm-units", 8, "--max-len", 128, "--seed", 5) == 0
+        outs.append([(out / name).read_bytes() for name in ("model.rkn", "history.csv")])
+    assert outs[0] == outs[1]
 
 
 def test_ablate_numerics_error_in_a_worker_exits_2(pipeline, tmp_path, monkeypatch, capsys):

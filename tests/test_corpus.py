@@ -169,6 +169,20 @@ def test_jsonl_numbers_must_be_json_integers(tmp_path, fields, message):
     assert res.errors == [RecordError(2, message)]
 
 
+@pytest.mark.parametrize("key,value", [
+    # each used to load through str(), as "12", "['u']" or "{'a': 1}"
+    ("post_id", 12), ("user_id", ["u"]), ("subreddit", True), ("post_title", {"a": 1}),
+    ("post_body", 2.5),
+])
+def test_jsonl_text_fields_must_be_json_strings(tmp_path, key, value):
+    good = {"post_id": "p1", "user_id": "u1", "timestamp": 1, "subreddit": "s",
+            "post_title": "a", "post_body": "b", "label": 0}
+    bad = {**good, "post_id": "p2", key: value}
+    res = load_posts(_write(tmp_path, "a.jsonl", json.dumps(good) + "\n" + json.dumps(bad) + "\n"))
+    assert [p.post_id for p in res.posts] == ["p1"]
+    assert res.errors == [RecordError(2, f"'{key}' must be a string, got {json.dumps(value)}")]
+
+
 # ------------------------------------------------------------------ merging
 
 

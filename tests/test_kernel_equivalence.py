@@ -13,8 +13,12 @@ LSTM that kept a list of per-step tuples as its cache runs the same
 operations as the time-major one, so the two must match bit for bit.  The
 cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
 on embedded ids, and bit for bit against its own loop from before it shared
-`lstm_forward`'s gate step.
+`lstm_forward`'s gate step.  Work that training hands to its helper thread
+(the LSTM's weight GEMM, Adam's g = 0 pass) must give the bits the calling
+thread gives.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -379,6 +383,22 @@ def test_conv_backward_matches_einsum_reference(B, T, d_in, k, F, dtype):
     assert_close(dX, ref_dX, dtype, "dX")
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES + [(32, 128, 64, 8)])
+def test_lstm_backward_with_a_helper_thread_is_bit_identical(B, T, D, H, dtype):
+    rng = np.random.default_rng(B * 100 + D)
+    p = random_lstm(rng, D, H, dtype)
+    _, cache = lstm_forward(p, rng.normal(size=(B, T, D)).astype(dtype))
+    dH = rng.normal(size=(B, T, H)).astype(dtype)
+    grads, dX = lstm_backward(cache, dH)
+    with ThreadPoolExecutor(1) as pool:
+        pooled, pooled_dX = lstm_backward(cache, dH, pool)
+    assert list(pooled) == list(grads)
+    for name, g in grads.items():
+        assert pooled[name].tobytes() == g.tobytes(), name
+    assert pooled_dX.flags.c_contiguous and pooled_dX.tobytes() == dX.tobytes()
+
+
 # --------------------------------------------------------------------- adam
 
 
@@ -411,6 +431,18 @@ def test_adam_in_place_is_bit_identical_to_out_of_place(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_row_gradient_is_bit_identical_to_dense(dtype):
+    check_row_adam_against_dense(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_row_update_started_on_a_helper_is_bit_identical_to_dense(dtype):
+    with ThreadPoolExecutor(1) as pool:
+        check_row_adam_against_dense(dtype, pool)
+
+
+def check_row_adam_against_dense(dtype, pool=None):
+    """Row-gradient Adam against the dense reference; with `pool`, every
+    step's embedding update is begun by `Adam.start_rows` on it."""
     rng = np.random.default_rng(4)
     V, D = 5003, 30  # several update blocks, the last one partial
     # beta1 0.3 lets m decay through tiny negative values to -0.0 on untouched
@@ -435,6 +467,8 @@ def test_adam_row_gradient_is_bit_identical_to_dense(dtype):
         grads = {n: rng.normal(size=a.shape).astype(dtype) for n, a in params[1:]}
         grads["embedding"] = RowGrad(rows, values, (V, D))
         ref_grads = dict(grads, embedding=grads["embedding"].dense())
+        if pool is not None:
+            opt.start_rows("embedding", params[0][1], rows.copy(), pool)
         opt.step(params, grads)
         ref_t = ref_adam_step(ref_params, ref_grads, ref_m, ref_v, ref_t, hyper)
         assert opt.t == ref_t
@@ -447,6 +481,17 @@ def test_adam_row_gradient_is_bit_identical_to_dense(dtype):
                 assert moment[name].tobytes() == ref_moment[name].tobytes(), f"step {step}"
         decayed |= bool(np.any((m_before < 0.0) & (opt.m["embedding"] == 0.0)))
     assert decayed
+
+
+@pytest.mark.parametrize("grad", [RowGrad(np.array([1, 3]), np.ones((2, 2)), (4, 2)),
+                                  np.ones((4, 2))], ids=["other_rows", "dense"])
+def test_adam_rejects_a_gradient_other_than_the_started_rows(grad):
+    params = [("embedding", np.zeros((4, 2)))]
+    opt = Adam(params)
+    with ThreadPoolExecutor(1) as pool:
+        opt.start_rows("embedding", params[0][1], np.array([1, 2]), pool)
+        with pytest.raises(ValueError, match="does not list the rows its update was started"):
+            opt.step(params, {"embedding": grad})
 
 
 def test_adam_row_gradient_with_nonfinite_values_raises():

@@ -128,6 +128,21 @@ def test_dropout_mask_deterministic_in_seed_and_step():
         assert not np.array_equal(a, other)
 
 
+@pytest.mark.parametrize("rate", [0.5, 0.3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [32, 9], ids=["full_batch", "short_last_batch"])
+def test_chunked_dropout_mask_equals_one_draw(rows, dtype, rate):
+    # 32 x 128 x 64 is four whole chunks, 9 x 128 x 64 one and a part
+    shape = (rows, 128, 64)
+    for step in range(3):
+        rng = bulk_generator(4, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
+        ref = (rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
+        out = np.empty(shape, dtype=dtype)
+        assert dropout_mask(shape, rate, 4, step, dtype, out=out) is out
+        for mask in (out, dropout_mask(shape, rate, 4, step, dtype)):
+            assert mask.dtype == dtype and mask.tobytes() == ref.tobytes()
+
+
 def test_dropout_mask_draws_from_the_embedding_dropout_stream():
     # the mask's bits are the (seed, step, LAYER_EMBED_DROPOUT) stream's uniforms
     keep = bulk_generator(9, STREAM_DROPOUT, 3, LAYER_EMBED_DROPOUT).random((4, 6)) >= 0.5

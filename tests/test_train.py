@@ -2,7 +2,9 @@
 
 import math
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -297,8 +299,8 @@ def _nan_loss_gradient(monkeypatch):
 
 
 def _nan_lstm_input_gradient(monkeypatch):
-    def poisoned(cache, dout):
-        grads, dX = lstm_backward(cache, dout)
+    def poisoned(cache, dout, pool=None):
+        grads, dX = lstm_backward(cache, dout, pool)
         return grads, dX * np.nan
 
     monkeypatch.setattr(risknet.model, "lstm_backward", poisoned)
@@ -316,6 +318,75 @@ def test_fit_numerics_error_names_the_layer_of_a_nonfinite_gradient(monkeypatch,
     with pytest.raises(NumericsError) as info:
         fit(small_train_cfg(), X, y, emb)
     assert str(info.value) == f"epoch 1, step 0, batch 0: non-finite gradient for {message}"
+
+
+# ------------------------------------------------------------ helper thread
+
+
+def gated_task(n=40):
+    """A task above the helper's size gate: 32 x 128 x 64 masks and LSTM
+    inputs and a 4,200 x 64 embedding; 40 rows end each epoch in a batch of 8."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(1, 4200, size=(n, 128))
+    X[::4, :10] = PAD_INDEX
+    m = rng.normal(scale=0.1, size=(4200, 64))
+    m[PAD_INDEX] = 0.0
+    cfg = TrainConfig(ModelConfig(max_len=128, embed_dim=64, lstm_units=8, filters=2,
+                                  kernel=3, seed=3), epochs=2, batch_size=32, seed=3)
+    assert 32 * 128 * 64 >= train.HELPER_MIN_ELEMENTS and m.size >= train.HELPER_MIN_ELEMENTS
+    return cfg, X, np.arange(n) % 4, EmbeddingMatrix(m)
+
+
+def test_fit_with_a_helper_thread_is_bit_identical(monkeypatch):
+    cfg, X, y, emb = gated_task()
+    jobs = []
+    submit = ThreadPoolExecutor.submit
+
+    def spy(pool, fn, *args, **kwargs):
+        jobs.append(fn.__name__)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(train, "usable_cpus", lambda cpus=cpus: cpus)
+        runs.append(fit(cfg, X, y, emb))
+    # steps of 32, 8, 32 and 8 rows: every step's Adam pass; the weight GEMM
+    # of the full batches; the mask of step 2, the one full batch that
+    # follows another step (masks of 8 rows are below the gate)
+    assert sorted(jobs) == sorted(["_adam_blocks"] * 4 + ["matmul"] * 2 + ["dropout_mask"])
+    (m1, h1), (m2, h2) = runs
+    assert h1.loss == h2.loss and h1.accuracy == h2.accuracy
+    for (name, a), (_, b) in zip(m1.params.named_arrays(), m2.params.named_arrays()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_fit_on_one_cpu_starts_no_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(train, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+    fit(*gated_task())
+    assert started == []
+
+
+@pytest.mark.parametrize("poisoned", [False, True], ids=["returns", "raises"])
+def test_fit_leaves_no_thread_behind(monkeypatch, poisoned):
+    monkeypatch.setattr(train, "usable_cpus", lambda: 2)
+    calls = []
+
+    def nan_at_step_2(probs, labels):
+        calls.append(1)
+        g = cce_grad_logits(probs, labels)
+        return g * np.nan if poisoned and len(calls) == 3 else g
+
+    monkeypatch.setattr(train, "cce_grad_logits", nan_at_step_2)
+    before = threading.enumerate()
+    if poisoned:
+        with pytest.raises(NumericsError, match="^epoch 2, step 2, batch 0: non-finite"):
+            fit(*gated_task())
+    else:
+        fit(*gated_task())
+    assert threading.enumerate() == before
 
 
 # ------------------------------------------------------------------- memory

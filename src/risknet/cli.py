@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .corpus import RiskLabel
 from .model import VARIANTS, ModelConfig
 
 MAX_LEN_CAP = 512
+# token lists that predict and evaluate hold before encoding them
+ENCODE_BLOCK = 256
 
 
 class UsageError(ValueError):
@@ -44,7 +46,14 @@ def write_tokens(docs: Sequence[dict], path: Path) -> None:
 
 def read_tokens(path: Path) -> list[dict]:
     """Parse a JSONL token file; a malformed record raises UsageError naming its line."""
-    docs = []
+    return list(iter_tokens(path))
+
+
+def iter_tokens(path: Path) -> Iterator[dict]:
+    """The records of a JSONL token file, checked and yielded one at a time;
+    a malformed record raises UsageError naming its line, and a file with no
+    records raises once it has been read to the end."""
+    empty = True
     with path.open("r", encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
@@ -84,19 +93,22 @@ def read_tokens(path: Path) -> list[dict]:
                                      f"integer, got {json.dumps(label)}")
                 if not 0 <= label <= 3:
                     raise UsageError(f"{path}: line {line_num}: label out of range")
-            docs.append(row)
-    if not docs:
+            empty = False
+            yield row
+    if empty:
         raise UsageError(f"{path}: no records")
-    return docs
 
 
 def _labeled_rows(params: dict) -> list[dict]:
     """The `--dataset` token file, every record of which has a label."""
     rows = read_tokens(Path(params["dataset"]))
-    missing = sum(1 for d in rows if d["label"] is None)
+    _require_labels(params, sum(1 for d in rows if d["label"] is None))
+    return rows
+
+
+def _require_labels(params: dict, missing: int) -> None:
     if missing:
         raise UsageError(f"{params['dataset']}: {missing} records have no label")
-    return rows
 
 
 # ------------------------------------------------------------- run configs
@@ -282,10 +294,23 @@ def _cmd_train(params: dict, out: Path) -> None:
 
 
 def _load_and_encode(params: dict, require_labels: bool):
+    """The `--model`, the `--dataset` rows without their tokens, and the
+    rows' index matrix.  The records are encoded as they are read, so no more
+    than `ENCODE_BLOCK` token lists are held at a time."""
     model, vocab = modelio.load_model(params["model"])
-    rows = _labeled_rows(params) if require_labels else read_tokens(Path(params["dataset"]))
-    X = embed.encode_batch([r["tokens"] for r in rows], vocab, model.cfg.max_len)
-    return model, rows, X
+    max_len = model.cfg.max_len
+    rows, blocks, pending = [], [], []
+    for r in iter_tokens(Path(params["dataset"])):
+        rows.append({"post_id": r["post_id"], "user_id": r["user_id"], "label": r["label"]})
+        pending.append(r["tokens"])
+        if len(pending) == ENCODE_BLOCK:
+            blocks.append(embed.encode_batch(pending, vocab, max_len))
+            pending = []
+    if pending:
+        blocks.append(embed.encode_batch(pending, vocab, max_len))
+    if require_labels:
+        _require_labels(params, sum(1 for r in rows if r["label"] is None))
+    return model, rows, np.concatenate(blocks)
 
 
 def _cmd_evaluate(params: dict, out: Path) -> None:
@@ -314,8 +339,11 @@ def _cmd_predict(params: dict, out: Path) -> None:
 
 def _cmd_ablate(params: dict, out: Path) -> None:
     data, tcfg = _prepare_fit(params, "lstm_attention_cnn")
+    # every fit casts the initial embedding to the model dtype, so the suite,
+    # and each worker it pickles it for, gets it cast once
+    matrix = data.pop("matrix").matrix.astype(tcfg.model.np_dtype)
     rows = baselines.ablation_suite(tcfg, data["X_train"], data["y_train"], data["X_test"],
-                                    data["y_test"], data["matrix"])
+                                    data["y_test"], embed.EmbeddingMatrix(matrix))
     baselines.save_ablation_csv(rows, out / "ablation.csv")
 
 

@@ -22,6 +22,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 INIT_SCALE = 0.05  # uniform half-width for embedding init and the UNK row
+# elements per block of `EmbeddingMatrix`'s finiteness check
+_FINITE_CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,12 @@ class EmbeddingMatrix:
     def __post_init__(self):
         if self.matrix.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("embedding matrix contains non-finite entries")
+        # a block of rows at a time, so that the check's boolean temporary
+        # stays small next to a large matrix
+        rows = max(1, _FINITE_CHECK_BLOCK // max(1, self.matrix.shape[1]))
+        for start in range(0, self.matrix.shape[0], rows):
+            if not np.isfinite(self.matrix[start : start + rows]).all():
+                raise ValueError("embedding matrix contains non-finite entries")
         if np.any(self.matrix[PAD_INDEX] != 0.0):
             raise ValueError("PAD row must be all zeros")
 

@@ -311,11 +311,25 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     weight GEMM ``dW = Xt^T dA`` runs on it, into an array allocated here,
     while this thread forms the other gradients; each GEMM is the same call
     on either thread, so the gradients are the same bits.
+
+    `cache` is the tuple `lstm_forward` returned, or a one-element list
+    holding it, which this call empties and then owns.  An owned cache's gate
+    activations `G` become the gate gradients `dA` as the loop goes back in
+    time (step t's gradients need only step t's activations), and, given no
+    other reference to the tuple, its cell states `C` and `TC` are freed once
+    the loop is done, before the weight GEMMs.
     """
+    owned = isinstance(cache, list)
+    if owned:
+        cache = cache.pop()
     p, Xt, G, C, Hs, TC = cache
+    del cache
     T, B, D = Xt.shape
     H = p.U.shape[0]
-    dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
+    if owned and G.dtype == dH.dtype:
+        dA = G
+    else:
+        dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
     for t in range(T - 1, -1, -1):
@@ -328,12 +342,15 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
         di = dc * u
         du = dc * i
         dc_next = dc * f
+        # each gate block is read before it is written, so `da` may be `a`
         da = dA[t]
         da[:, :H] = df * f * (1.0 - f)
         da[:, H : 2 * H] = di * i * (1.0 - i)
         da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
         da[:, 3 * H :] = du * (1.0 - u * u)
         dh_next = da @ p.U.T
+    # C and TC are freed here; the loop's views of G go too, since G may be dA
+    G = C = TC = a = tc = f = i = o = u = None
     dA2 = dA.reshape(T * B, 4 * H)
     dW = np.empty(p.W.shape, dtype=dA.dtype)
     if pool is None:

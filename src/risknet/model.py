@@ -100,34 +100,36 @@ class _Op(NamedTuple):
     group: Optional[str]  # the ModelParams field holding the op's parameters
     params: Optional[type]  # that field's class
     forward: Callable  # (w = the op's group, x, cfg, step, mask) -> (out, cache)
-    backward: Callable  # (cache, dout, pool) -> (gradients by name within the group, dx)
+    # (a one-element list holding the cache, dout, pool) -> (gradients by name
+    # within the group, dx); the LSTM's takes the cache out, to reuse and free it
+    backward: Callable
 
 
 _OPS = {
     # the embedding group is one array, named by the group alone
     "embedding": _Op("embedding", EmbeddingMatrix,
                      lambda w, x, *_: embedding_forward(w.matrix, x),
-                     lambda c, d, _: ({"": embedding_backward(c, d)}, None)),
+                     lambda c, d, _: ({"": embedding_backward(c[0], d)}, None)),
     "dropout": _Op(None, None,
                    lambda w, x, cfg, step, mask: dropout_forward(x, cfg.dropout_rate, cfg.seed,
                                                                  step, mask),
-                   lambda c, d, _: ({}, dropout_backward(c, d))),
+                   lambda c, d, _: ({}, dropout_backward(c[0], d))),
     "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
                 lambda c, d, pool: lstm_backward(c, d, pool)),
     "attention": _Op("attention", AttentionParams,
                      lambda w, x, *_: attention_forward(w, x),
-                     lambda c, d, _: attention_backward(c, d)),
+                     lambda c, d, _: attention_backward(c[0], d)),
     "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
-                       lambda c, d, _: conv1d_relu_backward(c, d)),
+                       lambda c, d, _: conv1d_relu_backward(c[0], d)),
     "maxpool1d": _Op(None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
-                     lambda c, d, _: ({}, maxpool1d_backward(c, d))),
+                     lambda c, d, _: ({}, maxpool1d_backward(c[0], d))),
     "flatten": _Op(None, None, lambda w, x, *_: flatten_forward(x),
-                   lambda c, d, _: ({}, flatten_backward(c, d))),
+                   lambda c, d, _: ({}, flatten_backward(c[0], d))),
     "last_step": _Op(None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
-                     lambda c, d, _: ({}, _last_step_backward(c, d))),
+                     lambda c, d, _: ({}, _last_step_backward(c[0], d))),
     # the dense head's upstream gradient is the loss gradient at the logits
     "dense_softmax": _Op("dense", DenseParams, lambda w, x, *_: dense_softmax_forward(w, x),
-                         lambda c, d, _: dense_softmax_backward(c, d)),
+                         lambda c, d, _: dense_softmax_backward(c[0], d)),
 }
 
 # parameter group -> class, in file and optimizer order (embedding first)
@@ -321,6 +323,7 @@ class Model:
                 check_finite("embedding", rows)
                 # the shape of `inv` differs across NumPy releases
                 x = check_finite("lstm", lstm_infer(p.lstm, rows, inv.reshape(batch.shape)))
+                del rows  # freed before the layers above run
                 chain = chain[len(_FOLDED) :]
         for op in chain:
             row = _OPS[op]
@@ -339,10 +342,13 @@ class Model:
         loss gradient at the logits.
 
         The trace is consumed: each layer's cache is dropped from it once that
-        layer's backward pass has used it.  `pool`, an executor, is handed to
-        `lstm_backward`.  `before_dropout` is called once, when every layer
-        above dropout is done.  A non-finite gradient raises `NumericsError`
-        naming the parameter and the layer whose backward pass returned it.
+        layer's backward pass has used it, and the LSTM's is handed over to
+        `lstm_backward`, which writes its gate gradients over the cached gate
+        activations and frees the cell states before its weight GEMMs.
+        `pool`, an executor, is handed to `lstm_backward`.  `before_dropout`
+        is called once, when every layer above dropout is done.  A non-finite
+        gradient raises `NumericsError` naming the parameter and the layer
+        whose backward pass returned it.
         """
         grads: dict[str, np.ndarray | RowGrad] = {}
         dx = dlogits
@@ -351,7 +357,10 @@ class Model:
             if op == "dropout" and before_dropout is not None:
                 before_dropout()
             row = _OPS[op]
-            g, dx = row.backward(cache, dx, pool)
+            # the list holds the only reference, so the LSTM can take its cache over
+            box = [cache]
+            del cache
+            g, dx = row.backward(box, dx, pool)
             for n, a in g.items():
                 name = f"{row.group}.{n}" if n else row.group
                 check_finite_grad(name, a, op)

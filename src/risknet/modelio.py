@@ -12,12 +12,21 @@ len(vocab) + 2)`, in that order, back to back.  The trailing CRC32 covers
 every byte before it, manifest included, and is checked before anything is
 parsed.  Files of earlier versions are rejected, not converted.
 save -> load -> save is byte-identical.
+
+`load_model` never holds the whole file as one `bytes`.  It reads the length
+word and the manifest bytes, then the tensor bytes straight into one NumPy
+buffer (allocated as float32, so it is aligned for them), and the trailer.
+The CRC32 runs over those pieces in file order, and the manifest is parsed
+only once it matches.  Each tensor is then a float32 view of the buffer, so
+a float32 model costs the file's tensor bytes once; the tensors are cast,
+and so copied, only for a float64 config or on a big-endian host.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -60,21 +69,31 @@ def _require(manifest: dict, field: str):
 
 
 def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
-    data = memoryview(Path(path).read_bytes())
-    if len(data) < 2 * _U32.size:
-        raise ModelFileError("truncated file: missing manifest length or checksum")
-    body = data[: -_U32.size]
-    (stored,) = _U32.unpack_from(data, len(body))
-    actual = zlib.crc32(body)
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 2 * _U32.size:
+            raise ModelFileError("truncated file: missing manifest length or checksum")
+        head = _read(fh, _U32.size)
+        (mlen,) = _U32.unpack(head)
+        # a declared length past the trailer reads as far as the trailer, so
+        # that the checksum is checked before the length is
+        payload = _read(fh, min(mlen, size - 2 * _U32.size))
+        nblob = size - 2 * _U32.size - len(payload)
+        # float32 storage aligns the buffer for the tensor views
+        tensors = np.empty(-(-nblob // 4), dtype="<f4")
+        blob = tensors.view(np.uint8)[:nblob]
+        if fh.readinto(blob) != nblob:
+            raise ModelFileError("truncated file: it shrank while being read")
+        (stored,) = _U32.unpack(_read(fh, _U32.size))
+    actual = zlib.crc32(blob, zlib.crc32(payload, zlib.crc32(head)))
     if actual != stored:
         raise ModelFileError(f"checksum mismatch: the file ends in {stored:#010x}, its bytes "
                              f"give {actual:#010x} (corrupted, or older than format version "
                              f"{FORMAT_VERSION})")
-    (mlen,) = _U32.unpack_from(body)
-    if len(body) < _U32.size + mlen:
+    if len(payload) < mlen:
         raise ModelFileError("truncated file: manifest shorter than declared")
     try:
-        manifest = json.loads(bytes(body[_U32.size : _U32.size + mlen]).decode("utf-8"))
+        manifest = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"corrupted manifest: {exc}") from None
     if not isinstance(manifest, dict):
@@ -95,19 +114,20 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
 
     # PAD and UNK take the first two embedding rows
     shapes = param_shapes(cfg, len(vocab_tokens) + 2)
-    blob = body[_U32.size + mlen :]
     need = 4 * sum(math.prod(s) for s in shapes.values())
-    if len(blob) != need:
+    if nblob != need:
         raise ModelFileError(f"blob length mismatch: the config and {len(vocab_tokens)} "
-                             f"vocabulary tokens need {need} bytes, the file has {len(blob)}")
+                             f"vocabulary tokens need {need} bytes, the file has {nblob}")
     members: dict[str, dict[str, np.ndarray]] = {}
     offset = 0
     for name, shape in shapes.items():
         count = math.prod(shape)
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        arr = tensors[offset : offset + count].reshape(shape)
+        if arr.dtype != cfg.np_dtype:  # a float64 config, or a big-endian host
+            arr = arr.astype(cfg.np_dtype)
         group, _, member = name.partition(".")
-        members.setdefault(group, {})[member] = flat.reshape(shape).astype(cfg.np_dtype)
-        offset += 4 * count
+        members.setdefault(group, {})[member] = arr
+        offset += count
     groups = param_groups(cfg.variant)
     try:
         # the embedding group is one array, named by the group alone
@@ -117,3 +137,10 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
         raise ModelFileError(f"corrupted model: bad tensor values ({exc})") from None
     vocab = Vocabulary({tok: i + 2 for i, tok in enumerate(vocab_tokens)})
     return Model(cfg, params), vocab
+
+
+def _read(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ModelFileError("truncated file: it shrank while being read")
+    return data

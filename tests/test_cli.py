@@ -13,12 +13,14 @@ import weakref
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import risknet
-from risknet import baselines, embed
+from risknet import baselines, cli, embed
 from risknet.cli import main, read_tokens, write_tokens
 from risknet.model import PREDICT_BATCH
+from risknet.modelio import load_model
 from risknet.train import Adam, AdamHyper
 
 
@@ -493,6 +495,58 @@ def test_evaluate_requires_labels(pipeline, tmp_path):
     write_tokens(rows, unlabeled)
     assert run("evaluate", "--model", pipeline / "train" / "model.rkn",
                "--dataset", unlabeled, "--out", tmp_path / "o") == 1
+
+
+@pytest.mark.parametrize("block", [7, cli.ENCODE_BLOCK])
+def test_load_and_encode_streams_what_read_tokens_reads(pipeline, monkeypatch, block):
+    # 7 rows per block leaves a short last block
+    monkeypatch.setattr(cli, "ENCODE_BLOCK", block)
+    dataset = pipeline / "prep" / "tokens.jsonl"
+    params = {"model": pipeline / "train" / "model.rkn", "dataset": dataset}
+    model, rows, X = cli._load_and_encode(params, require_labels=False)
+    records = read_tokens(dataset)
+    assert len(records) % 7 != 0
+    _, vocab = load_model(params["model"])
+    want = embed.encode_batch([r["tokens"] for r in records], vocab, model.cfg.max_len)
+    assert X.dtype == want.dtype and X.flags.c_contiguous
+    assert np.array_equal(X, want)
+    # the rows keep no tokens
+    assert rows == [{k: r[k] for k in ("post_id", "user_id", "label")} for r in records]
+
+
+def test_evaluate_counts_unlabeled_records_over_the_whole_file(pipeline, tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(cli, "ENCODE_BLOCK", 3)
+    rows = read_tokens(pipeline / "prep" / "tokens.jsonl")[:10]
+    for k in (1, 4, 9):  # in the first, second and last block
+        rows[k]["label"] = None
+    path = tmp_path / "u.jsonl"
+    write_tokens(rows, path)
+    assert run("evaluate", "--model", pipeline / "train" / "model.rkn",
+               "--dataset", path, "--out", tmp_path / "o") == 1
+    assert f"error: {path}: 3 records have no label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "predict"])
+def test_malformed_record_after_an_unlabeled_one_is_named_first(pipeline, tmp_path, capsys,
+                                                               cmd):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(_GOOD_RECORD) + "\n5\n",
+                    encoding="utf-8")
+    assert run(cmd, "--model", pipeline / "train" / "model.rkn",
+               "--dataset", path, "--out", tmp_path / "o") == 1
+    assert f"error: {path}: line 3: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank_lines"])
+@pytest.mark.parametrize("cmd", ["evaluate", "predict"])
+def test_scoring_a_file_without_records_exits_1(pipeline, tmp_path, capsys, cmd, text):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert run(cmd, "--model", pipeline / "train" / "model.rkn",
+               "--dataset", path, "--out", tmp_path / "o") == 1
+    assert f"error: {path}: no records" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 # ------------------------------------------------------------------ ablate

@@ -399,6 +399,29 @@ def test_lstm_backward_with_a_helper_thread_is_bit_identical(B, T, D, H, dtype):
     assert pooled_dX.flags.c_contiguous and pooled_dX.tobytes() == dX.tobytes()
 
 
+@pytest.mark.parametrize("dH_dtype", [None, np.float64], ids=["same_dtype", "float64_dH"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES + [(1, 12, 300, 100)])
+def test_lstm_backward_on_an_owned_cache_is_bit_identical(B, T, D, H, dtype, dH_dtype):
+    # an owned cache's G becomes dA in place; a float64 dH on a float32
+    # cache gets a dA of its own
+    rng = np.random.default_rng(B * 10 + H)
+    p = random_lstm(rng, D, H, dtype)
+    X = rng.normal(size=(B, T, D)).astype(dtype)
+    dH = rng.normal(size=(B, T, H)).astype(dH_dtype or dtype)
+    _, cache = lstm_forward(p, X)
+    grads, dX = lstm_backward(cache, dH)
+    for pool in (None, ThreadPoolExecutor(1)):
+        box = [lstm_forward(p, X)[1]]
+        owned, owned_dX = lstm_backward(box, dH, pool)
+        if pool is not None:
+            pool.shutdown()
+        assert box == []
+        for name, g in grads.items():
+            assert owned[name].dtype == g.dtype and owned[name].tobytes() == g.tobytes(), name
+        assert owned_dX.flags.c_contiguous and owned_dX.tobytes() == dX.tobytes()
+
+
 # --------------------------------------------------------------------- adam
 
 

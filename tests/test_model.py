@@ -2,6 +2,7 @@
 
 import contextlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,39 @@ def test_lstm_variant_routes_last_step_only():
     # earlier steps receive gradient solely through the recurrence
     grads = model.backward(trace, np.ones_like(probs))
     assert grads["lstm.W"].shape == model.params.lstm.W.shape
+
+
+def _backward_peak(model, X, dlogits, hold_lstm_cache):
+    """tracemalloc's peak over `Model.backward`, counting the trace's arrays,
+    and the bytes of the LSTM cache's G, C and TC."""
+    tracemalloc.start()
+    try:
+        _, trace = model.forward(X, step=0)
+        (cache,) = [c for op, c in trace if op == "lstm"]
+        _, _, G, C, _, TC = cache
+        gate_and_cell = G.nbytes + C.nbytes + TC.nbytes
+        held = [cache] if hold_lstm_cache else []
+        G = C = TC = cache = None
+        tracemalloc.reset_peak()
+        model.backward(trace, dlogits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del held
+    return peak, gate_and_cell
+
+
+def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
+    # a wide input and a narrow LSTM, so that the pass peaks after the LSTM's
+    # time loop, by when G (reused as dA), C and TC are no longer needed
+    cfg = ModelConfig(max_len=32, embed_dim=64, lstm_units=4, dropout_rate=0.5, variant="lstm")
+    model = Model(cfg, init_params(cfg, make_embedding(50, 64)))
+    X = batch_for(cfg, V=50, B=16)
+    dlogits = np.full((16, cfg.classes), 0.25, dtype=np.float32)
+    handed_over, freed = _backward_peak(model, X, dlogits, hold_lstm_cache=False)
+    # as when Model.backward held the cache tuple through lstm_backward
+    held, _ = _backward_peak(model, X, dlogits, hold_lstm_cache=True)
+    assert held - handed_over >= 0.9 * freed
 
 
 # ------------------------------------------------------------------ tracing

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -93,6 +94,29 @@ def test_float64_round_trip_preserves_float32_storage(tmp_path):
     second = tmp_path / "again.rkn"
     save_model(loaded, VOCAB, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_allocates_the_tensor_bytes_about_once(tmp_path):
+    # a wide LSTM input and a five-token vocabulary, so that the tensors are
+    # nearly the whole file; reading the file whole and casting each tensor
+    # out of it peaked at about twice the tensor bytes
+    cfg = ModelConfig(max_len=6, embed_dim=512, lstm_units=128, filters=2, kernel=3, pool=2)
+    m = np.random.default_rng(0).normal(scale=0.3, size=(7, 512)).astype(np.float32)
+    m[PAD_INDEX] = 0.0
+    path = saved(tmp_path, Model(cfg, init_params(cfg, EmbeddingMatrix(m))))
+    manifest_bytes = HEADER.unpack_from(path.read_bytes())[0]
+    tensor_bytes = path.stat().st_size - 2 * HEADER.size - manifest_bytes
+    tracemalloc.start()
+    try:
+        loaded, _ = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor_bytes > 1_000_000
+    assert peak <= 1.1 * tensor_bytes + manifest_bytes
+    # the float32 tensors are views of one buffer, not copies
+    bases = [a.base for _, a in loaded.params.named_arrays()]
+    assert bases[0] is not None and all(b is bases[0] for b in bases)
 
 
 def test_save_is_deterministic(tmp_path):

@@ -3,8 +3,9 @@
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
 backward(cache, dout) -> gradients.  These pairs are the training path.
 Caches hold exactly the arrays the backward pass needs.  The LSTM's cache is
-a few time-major arrays, indexed by step first, and holds no view of its
-input, so the layer below can free its output.  The embedding gradient is a
+a few time-major arrays, indexed by step first, with each step's gate
+activations gate-major, and holds no view of its input, so the layer below
+can free its output.  The embedding gradient is a
 `RowGrad`, which holds only the rows a batch touched.  The dense head's
 backward starts from the fused softmax + cross-entropy gradient at the
 logits.  Dropout runs in training only.  `lstm_infer` is the one
@@ -220,21 +221,37 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------- lstm
 
-def _lstm_step(p: LSTMParams, a: np.ndarray, h: np.ndarray, c: np.ndarray,
+# lstm_backward forms the gates' derivative factors (1 - f, 1 - i, 1 - o,
+# 1 - u*u, 1 - tc*tc) this many steps at a time: 1 MB of scratch at the paper
+# shape (B 32, H 100, float32)
+BPTT_BLOCK = 16
+
+
+def _lstm_step(p: LSTMParams, a: np.ndarray, s: np.ndarray, h: np.ndarray, c: np.ndarray,
                c_out: np.ndarray, tc_out: np.ndarray, h_out: np.ndarray) -> None:
     """One gate step in place.  `a` (B, 4H) enters as the input projection
-    ``x @ W`` and leaves as the gate activations, sigmoid over f, i, o and
-    tanh over u, of ``(x @ W + h @ U) + b``.  The new cell state, its tanh and
-    the new hidden state go to `c_out`, `tc_out` and `h_out` (`tc_out` may be
-    `h_out`)."""
-    H = p.U.shape[0]
-    a += h @ p.U
-    a += p.b
-    a[:, : 3 * H] = sigmoid(a[:, : 3 * H])
-    np.tanh(a[:, 3 * H :], out=a[:, 3 * H :])
-    f, i, o, u = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+    ``x @ W``; ``(x @ W + h @ U) + b`` is formed in the scratch `s` (B, 4H),
+    and the gate activations leave in `a`'s memory gate-major, as four (B, H)
+    blocks f, i, o, u: sigmoid over f, i and o, tanh over u.  The new cell
+    state, its tanh and the new hidden state go to `c_out`, `tc_out` and
+    `h_out` (`tc_out` may be `h_out`)."""
+    B, H = h.shape
+    np.matmul(h, p.U, out=s)
+    s += a
+    s += p.b
+    z = s.reshape(B, 4, H).transpose(1, 0, 2)  # s's gate blocks, gate-major
+    g = a.reshape(4, B, H)
+    # `sigmoid`'s passes, each over all three sigmoid gates at once
+    np.multiply(z[:3], 0.5, out=g[:3])
+    np.tanh(g[:3], out=g[:3])
+    g[:3] += 1.0
+    g[:3] *= 0.5
+    np.tanh(z[3], out=g[3])
+    f, i, o, u = g
+    iu = s.reshape(4, B, H)[0]  # s is free again
     np.multiply(f, c, out=c_out)
-    c_out += i * u
+    np.multiply(i, u, out=iu)
+    c_out += iu
     np.tanh(c_out, out=tc_out)
     np.multiply(o, tc_out, out=h_out)
 
@@ -242,12 +259,13 @@ def _lstm_step(p: LSTMParams, a: np.ndarray, h: np.ndarray, c: np.ndarray,
 def lstm_forward(p: LSTMParams, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out.
 
-    The cache is time-major.  `Xt` (T, B, D) is the input.  `G` (T, B, 4H)
-    first holds every step's input projection, one `np.matmul` over all
-    steps (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites
-    its row with the gate activations.  `C` and `Hs` (T+1, B, H) are the cell
-    and hidden states, row 0 the zero initial state, and `TC` (T, B, H) is
-    tanh of `C[1:]`.
+    The cache is time-major.  `Xt` (T, B, D) is the input.  `G` first holds
+    every step's input projection (T, B, 4H), one `np.matmul` over all steps
+    (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites its
+    row with the gate activations, gate-major, so the cache holds `G` viewed
+    as (T, 4, B, H): `G[t, k]` is gate k (f, i, o, u) of step t.  `C` and
+    `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero initial
+    state, and `TC` (T, B, H) is tanh of `C[1:]`.
     """
     B, T, D = X.shape
     H = p.U.shape[0]
@@ -261,10 +279,11 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     C = np.zeros((T + 1, B, H), dtype=X.dtype)
     Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
     TC = np.empty((T, B, H), dtype=X.dtype)
+    s = np.empty_like(G[0])
     for t in range(T):
-        _lstm_step(p, G[t], Hs[t], C[t], C[t + 1], TC[t], Hs[t + 1])
+        _lstm_step(p, G[t], s, Hs[t], C[t], C[t + 1], TC[t], Hs[t + 1])
     out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
-    return out, (p, Xt, G, C, Hs, TC)
+    return out, (p, Xt, G.reshape(T, 4, B, H), C, Hs, TC)
 
 
 def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -291,10 +310,11 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     c = np.zeros((2, B, H), dtype=rows.dtype)
     out = np.empty((B, T, H), dtype=rows.dtype)
     a = np.empty((B, 4 * H), dtype=xW.dtype)
+    s = np.empty_like(a)
     for t in range(T):
         k = t % 2  # the slot holding the previous state
         np.take(xW, at[t], axis=0, out=a)
-        _lstm_step(p, a, h[k], c[k], c[1 - k], h[1 - k], h[1 - k])
+        _lstm_step(p, a, s, h[k], c[k], c[1 - k], h[1 - k], h[1 - k])
         out[:, t, :] = h[1 - k]
     return out
 
@@ -303,14 +323,21 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     """Full BPTT. Returns (param grads dict, dX).
 
     Only the recurrent GEMM ``dh_next = dA[t] @ U^T`` stays in the time loop;
-    each step stores its gate pre-activation gradients in ``dA`` and the
-    weight, bias and input gradients are then single GEMMs over all steps
-    (Appleyard et al. 2016, arXiv:1604.01946), with the cached time-major
-    inputs and hidden states as operands.  Gate blocks are stacked in the
-    order f, i, o, u, as in the parameters.  Given an executor `pool`, the
-    weight GEMM ``dW = Xt^T dA`` runs on it, into an array allocated here,
-    while this thread forms the other gradients; each GEMM is the same call
-    on either thread, so the gradients are the same bits.
+    each step stores its gate pre-activation gradients in ``dA`` (T, B, 4H),
+    gate blocks side by side in the order f, i, o, u as in the parameters,
+    and the weight, bias and input gradients are then single GEMMs over all
+    steps (Appleyard et al. 2016, arXiv:1604.01946), with the cached
+    time-major inputs and hidden states as operands.  The time loop reads the
+    gate-major activations as contiguous (B, H) blocks and forms each step's
+    gate gradients in a (4, B, H) scratch, with the factors ``1 - f``,
+    ``1 - i``, ``1 - o``, ``1 - u*u`` and ``1 - tc*tc`` formed
+    `BPTT_BLOCK` steps at a time; one transposing copy puts them in
+    ``dA[t]``.  Every product keeps the order ``(df * f) * (1 - f)`` of
+    the per-gate expressions, so the gradients are their bits.  Given an
+    executor `pool`, the weight GEMM ``dW = Xt^T dA`` runs on it, into an
+    array allocated here, while this thread forms the other gradients; each
+    GEMM is the same call on either thread, so the gradients are the same
+    bits.
 
     `cache` is the tuple `lstm_forward` returned, or a one-element list
     holding it, which this call empties and then owns.  An owned cache's gate
@@ -327,30 +354,45 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     T, B, D = Xt.shape
     H = p.U.shape[0]
     if owned and G.dtype == dH.dtype:
-        dA = G
+        dA = G.reshape(T, B, 4 * H)
     else:
         dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
+    dA_gates = dA.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # dA[t] seen as (4, B, H)
+    UT = p.U.T
+    dh = np.empty((B, H), dtype=dH.dtype)
+    dc = np.empty((B, H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
-    for t in range(T - 1, -1, -1):
-        a, tc = G[t], TC[t]
-        f, i, o, u = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
-        dh = dH[:, t, :] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * C[t]
-        di = dc * u
-        du = dc * i
-        dc_next = dc * f
-        # each gate block is read before it is written, so `da` may be `a`
-        da = dA[t]
-        da[:, :H] = df * f * (1.0 - f)
-        da[:, H : 2 * H] = di * i * (1.0 - i)
-        da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
-        da[:, 3 * H :] = du * (1.0 - u * u)
-        dh_next = da @ p.U.T
+    dg = np.empty((4, B, H), dtype=dH.dtype)  # step t's gate gradients
+    # per step of a block: 1 - f, 1 - i, 1 - o, 1 - u*u and 1 - tc*tc, in
+    # the activations' dtype, as the per-gate expressions form them
+    one_minus = np.empty((min(BPTT_BLOCK, T), 5, B, H), dtype=G.dtype)
+    for end in range(T, 0, -BPTT_BLOCK):
+        start = max(end - BPTT_BLOCK, 0)
+        fac = one_minus[: end - start]
+        np.subtract(1.0, G[start:end, :3], out=fac[:, :3])
+        np.multiply(G[start:end, 3], G[start:end, 3], out=fac[:, 3])
+        np.multiply(TC[start:end], TC[start:end], out=fac[:, 4])
+        np.subtract(1.0, fac[:, 3:], out=fac[:, 3:])
+        for t in range(end - 1, start - 1, -1):
+            a, k = G[t], fac[t - start]
+            f, i, o, u = a
+            np.add(dH[:, t], dh_next, out=dh)
+            np.multiply(dh, o, out=dc)
+            dc *= k[4]
+            dc += dc_next
+            np.multiply(dc, C[t], out=dg[0])  # df
+            np.multiply(dc, u, out=dg[1])  # di
+            np.multiply(dh, TC[t], out=dg[2])  # do
+            np.multiply(dc, i, out=dg[3])  # du
+            np.multiply(dc, f, out=dc_next)
+            dg[:3] *= a[:3]
+            dg *= k[:4]
+            # every read of step t is done, so dA[t] may be G[t]'s memory
+            np.copyto(dA_gates[t], dg)
+            np.matmul(dA[t], UT, out=dh_next)
     # C and TC are freed here; the loop's views of G go too, since G may be dA
-    G = C = TC = a = tc = f = i = o = u = None
+    G = C = TC = one_minus = fac = a = k = f = i = o = u = None
     dA2 = dA.reshape(T * B, 4 * H)
     dW = np.empty(p.W.shape, dtype=dA.dtype)
     if pool is None:
@@ -364,7 +406,7 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
         if pool is not None:
             job.result()
     # drop every view of dA, so that it is freed before dX's (B, T, D) copy is made
-    da = dA = dA2 = None
+    dA = dA2 = dA_gates = None
     return g, np.ascontiguousarray(dX.reshape(T, B, D).transpose(1, 0, 2))
 
 

@@ -26,7 +26,7 @@ STREAM_INIT = 1
 STREAM_EPOCH = 2
 STREAM_DROPOUT = 3
 STREAM_UNK = 4
-STREAM_SVM = 5
+# 5 was the SVM's shuffle stream, which is gone; it is not reused
 STREAM_SYNTH = 6
 
 

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+from hypothesis import settings
+
+# `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples on
+# every run and drops the per-example deadline, which shared runners miss
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def fd_check(loss_fn, arr: np.ndarray, analytic: np.ndarray, rng: np.random.Generator,

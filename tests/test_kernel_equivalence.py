@@ -22,10 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import risknet.model
 from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.layers import (
+    BPTT_BLOCK,
     Conv1DParams,
     LSTMParams,
     NumericsError,
@@ -282,7 +285,7 @@ def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
     ref, (_, ref_steps) = ref_lstm_forward(p, X)
     assert_close(out, ref, dtype, "out")
     for t in (0, T - 1):  # the cached activations, gate by gate
-        f, i, o, u = (gate(G[t], k) for k in range(4))
+        f, i, o, u = G[t]  # gate-major: G[t, k] is gate k
         _, _, _, ref_f, ref_i, ref_o, ref_u, ref_tc = ref_steps[t]
         pairs = {"f": (f, ref_f), "i": (i, ref_i), "o": (o, ref_o),
                  "u": (u, ref_u), "tc": (TC[t], ref_tc)}
@@ -347,6 +350,43 @@ def test_time_major_lstm_is_bit_identical_to_per_step_list(B, T, D, H, dtype):
         assert np.array_equal(new, old), name
         assert new.tobytes() == old.tobytes(), name
     assert out.flags.c_contiguous and dX.flags.c_contiguous
+
+
+def assert_same_bits(new, old, name):
+    assert new.dtype == old.dtype and new.shape == old.shape, name
+    assert new.tobytes() == old.tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 5), T=st.integers(1, 2 * BPTT_BLOCK + 3), D=st.integers(1, 6),
+       H=st.integers(1, 6), dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+# one-row batches, a one-unit LSTM and one input column; T shorter than the
+# backward block, and T a multiple of it and not
+@example(B=1, T=3, D=1, H=1, dtype=np.float32, seed=0)
+@example(B=1, T=BPTT_BLOCK, D=1, H=1, dtype=np.float64, seed=1)
+@example(B=2, T=BPTT_BLOCK + 5, D=3, H=1, dtype=np.float32, seed=2)
+@example(B=3, T=2 * BPTT_BLOCK + 1, D=1, H=4, dtype=np.float64, seed=3)
+def test_lstm_kernels_equal_their_step_loops_on_drawn_shapes(B, T, D, H, dtype, seed):
+    rng = np.random.default_rng(seed)
+    p = random_lstm(rng, D, H, dtype)
+    X = rng.normal(size=(B, T, D)).astype(dtype)
+    dH = rng.normal(size=(B, T, H)).astype(dtype)
+    out, cache = lstm_forward(p, X)
+    ref, ref_cache = steplist_lstm_forward(p, X)
+    assert_same_bits(out, ref, "out")
+    ref_grads, ref_dX = steplist_lstm_backward(ref_cache, dH)
+    # the plain tuple, then an owned cache, whose G becomes dA
+    for given_cache in (cache, [lstm_forward(p, X)[1]]):
+        grads, dX = lstm_backward(given_cache, dH)
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert_same_bits(g, ref_grads[name], name)
+        assert_same_bits(dX, ref_dX, "dX")
+    E, ids = embedded_ids(rng, B, T, D, dtype)
+    uniq, inv = np.unique(ids, return_inverse=True)
+    assert_same_bits(lstm_infer(p, E[uniq], inv.reshape(B, T)),
+                     loop_lstm_infer(p, E[uniq], inv.reshape(B, T)), "lstm_infer")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

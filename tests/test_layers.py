@@ -203,8 +203,7 @@ def test_lstm_gate_ranges():
     p = lstm_params(4, 6, RNG(3))
     X = RNG(4).normal(size=(3, 8, 4)) * 3.0
     _, (_, _, G, _, _, TC) = lstm_forward(p, X)
-    H = p.U.shape[0]
-    fio, u = G[..., : 3 * H], G[..., 3 * H :]  # every step's gates at once
+    fio, u = G[:, :3], G[:, 3]  # every step's gates at once, gate-major
     assert np.all(fio > 0.0) and np.all(fio < 1.0)
     assert np.all(u > -1.0) and np.all(u < 1.0)
     assert np.all(TC > -1.0) and np.all(TC < 1.0)

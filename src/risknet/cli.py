@@ -266,7 +266,7 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         max_len=params["max_len"], embed_dim=params["embed_dim"],
         lstm_units=params["lstm_units"], dropout_rate=params["dropout_rate"],
         filters=params["filters"], kernel=params["kernel"], pool=params["pool"],
-        seed=params["seed"], variant=variant, dtype=params["dtype"])
+        seed=params["seed"], variant=variant)
     if matrix is None:  # drawn once the config has checked embed_dim
         matrix = embed.init_embeddings(vocab, mcfg.embed_dim, params["seed"])
     tcfg = train.TrainConfig(model=mcfg, epochs=params["epochs"],
@@ -394,8 +394,6 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--filters", type=int, default=3, help="convolution filters")
     sub.add_argument("--kernel", type=int, default=8, help="convolution width")
     sub.add_argument("--pool", type=int, default=2, help="max-pool width")
-    sub.add_argument("--dtype", choices=("float32", "float64"), default="float32",
-                     help="model dtype")
 
 
 def build_parser() -> _Parser:

@@ -8,7 +8,9 @@ activations gate-major, and holds no view of its input, so the layer below
 can free its output.  The embedding gradient is a
 `RowGrad`, which holds only the rows a batch touched.  The dense head's
 backward starts from the fused softmax + cross-entropy gradient at the
-logits.  Dropout runs in training only.  `lstm_infer` is the one
+logits.  Dropout runs in training only, with a mask drawn from the raw bits
+of its own PCG64 stream.  Attention scales its output by the sequence
+length, so uniform attention is the identity.  `lstm_infer` is the one
 forward-only kernel: the LSTM of the inference path, which keeps no cache.
 All math is plain numpy; dtype follows the inputs (float64 in gradient
 tests, float32 in training).
@@ -16,6 +18,7 @@ tests, float32 in training).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -27,8 +30,6 @@ from .rng import STREAM_DROPOUT, bulk_generator
 # the layer tag in the dropout mask's stream: a mask is a deterministic
 # function of seed, step and this tag
 LAYER_EMBED_DROPOUT = 1
-# uniforms per dropout-mask draw: a 512 KiB float64 block
-MASK_CHUNK = 1 << 16
 
 
 class NumericsError(FloatingPointError):
@@ -67,11 +68,6 @@ def check_finite_grad(name: str, grad, layer: str | None = None) -> None:
     if not np.isfinite(values).all():
         after = f" after layer '{layer}' backward" if layer else ""
         raise NumericsError(f"non-finite gradient for parameter '{name}'{after}")
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for large |x|
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
 class _ParamBase:
@@ -183,35 +179,31 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
 # ------------------------------------------------------------------ dropout
 
 
-def dropout_mask(shape, rate: float, seed: int, step: int, dtype, out=None) -> np.ndarray:
-    """Inverted-dropout mask, deterministic in (seed, step), written to `out`
-    (of `shape` and `dtype`) if given.
+def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
+    """Inverted-dropout mask, deterministic in (seed, step).
 
-    The uniforms are drawn `MASK_CHUNK` at a time into one float64 scratch
-    block.  PCG64 yields the same doubles in any chunking, so the mask is bit
-    for bit that of one ``rng.random(shape) >= rate`` draw, without a
-    float64 array of the mask's size.
+    The mask reads the raw 64-bit words of its PCG64 stream as little-endian
+    unsigned integers of `bits` bits, one per element: 8 when ``rate * 256``
+    is a whole number (0.25, 0.5, 0.75, ...), else 64.  An element is kept iff
+    its integer is at least ``ceil(rate * 2**bits)``, so the keep probability
+    is exactly ``1 - rate`` on 8 bits and within 2**-64 of it on 64, and the
+    mask does not depend on the host's byte order.
     """
+    n = math.prod(shape)
+    bits = 8 if float(rate * 256).is_integer() else 64
     rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
-    mask = np.empty(shape, dtype=dtype) if out is None else out
-    flat = mask.reshape(-1)
-    scale = dtype(1.0 - rate)
-    u = np.empty(min(MASK_CHUNK, flat.size))
-    for start in range(0, flat.size, MASK_CHUNK):
-        chunk = flat[start : start + MASK_CHUNK]
-        rng.random(out=u[: chunk.size])
-        np.greater_equal(u[: chunk.size], rate, out=chunk)
-        chunk /= scale
-    return mask
+    words = rng.bit_generator.random_raw(-(-n * bits // 64))
+    ints = words.astype("<u8", copy=False).view(f"<u{bits // 8}")[:n]
+    keep = ints >= math.ceil(rate * 2**bits)
+    return np.multiply(keep, dtype(1) / dtype(1 - rate), dtype=dtype).reshape(shape)
 
 
-def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int, mask=None):
-    """Training-time dropout with step `step`'s mask, or with `mask` if the
-    caller drew that mask already; `ModelConfig` keeps the rate in [0, 1)."""
+def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int):
+    """Training-time dropout with step `step`'s mask; `ModelConfig` keeps the
+    rate in [0, 1)."""
     if rate == 0.0:
         return x, None
-    if mask is None:
-        mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
+    mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
     return x * mask, mask
 
 
@@ -241,7 +233,8 @@ def _lstm_step(p: LSTMParams, a: np.ndarray, s: np.ndarray, h: np.ndarray, c: np
     s += p.b
     z = s.reshape(B, 4, H).transpose(1, 0, 2)  # s's gate blocks, gate-major
     g = a.reshape(4, B, H)
-    # `sigmoid`'s passes, each over all three sigmoid gates at once
+    # sigmoid in its overflow-safe tanh form, 0.5 * (tanh(0.5 * x) + 1), one
+    # pass per operation over all three sigmoid gates at once
     np.multiply(z[:3], 0.5, out=g[:3])
     np.tanh(g[:3], out=g[:3])
     g[:3] += 1.0
@@ -414,7 +407,16 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
 
 
 def attention_forward(p: AttentionParams, P: np.ndarray):
-    """e = tanh(P w + b); alpha = softmax over time; out = P * alpha (3-D kept)."""
+    """e = tanh(P w + b); alpha = softmax over time; out = P * (T * alpha)
+    (3-D kept).
+
+    The factor T makes uniform attention the identity, so the layer above
+    sees inputs of the LSTM's scale, not 1/T of it.  A context vector, the
+    sum over time of ``alpha * P`` (Bahdanau et al. 2014, arXiv:1409.0473),
+    is normalised the same way; keeping the sequence keeps the model's
+    attention -> conv chain.  Without the factor the conv layer's ReLUs can
+    all die early in training, and the model then stays at chance.
+    """
     B, T, d = P.shape
     if p.w.shape[0] != d:
         raise ValueError(f"attention feature dim mismatch: w has {p.w.shape[0]}, input {d}")
@@ -424,14 +426,15 @@ def attention_forward(p: AttentionParams, P: np.ndarray):
     m = e.max(axis=1, keepdims=True)
     ex = np.exp(e - m)
     alpha = ex / ex.sum(axis=1, keepdims=True)
-    return P * alpha, (p, P, e, alpha)
+    return P * (T * alpha), (p, P, e, alpha)
 
 
 def attention_backward(cache, dout: np.ndarray):
     """Chain through broadcast product, time softmax, and tanh."""
     p, P, e, alpha = cache
-    dP = dout * alpha
-    dalpha = (dout * P).sum(axis=2, keepdims=True)  # (B, T, 1)
+    T = P.shape[1]
+    dP = dout * (T * alpha)
+    dalpha = T * (dout * P).sum(axis=2, keepdims=True)  # (B, T, 1)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     ds = de * (1.0 - e * e)  # gradient at P w + b
     dw = (P * ds).sum(axis=(0, 1)).reshape(-1, 1)

@@ -10,15 +10,17 @@ layer chain with pieces removed, so the ablation runs share one engine:
     cnn                 convolution directly over the embeddings
 
 `Model` has two paths.  Training, `forward(batch, step=k)` then
-`backward(trace, dlogits)`, applies step k's dropout mask and keeps every
-layer's cache in the trace; backward consumes it in reverse from the fused
-loss gradient at the logits and returns one gradient per parameter array,
-keyed by dotted names ("lstm.W", "dense.b", ...); the embedding's is a
-`RowGrad` over the batch's rows.  Each layer's parameter gradients are
+`backward(trace, dlogits)`, draws and applies step k's dropout mask and
+keeps every layer's cache in the trace; backward consumes it in reverse from
+the fused loss gradient at the logits and returns one gradient per parameter
+array, keyed by dotted names ("lstm.W", "dense.b", ...); the embedding's is
+a `RowGrad` over the batch's rows.  Each layer's parameter gradients are
 checked for NaN/Inf as that layer returns them.  Inference, `forward(batch)`
 (which `predict` runs), leaves dropout out, keeps no cache and runs the LSTM
 over each batch's distinct tokens through `lstm_infer`.  `param_shapes`
-gives every array's shape from the config alone.
+gives every array's shape from the config alone.  `ModelConfig.dtype` is
+float32 unless a gradient check asks for float64: `model.rkn` stores float32
+tensors, so the CLI trains float32 only.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class _Op(NamedTuple):
 
     group: Optional[str]  # the ModelParams field holding the op's parameters
     params: Optional[type]  # that field's class
-    forward: Callable  # (w = the op's group, x, cfg, step, mask) -> (out, cache)
+    forward: Callable  # (w = the op's group, x, cfg, step) -> (out, cache)
     # (a one-element list holding the cache, dout, pool) -> (gradients by name
     # within the group, dx); the LSTM's takes the cache out, to reuse and free it
     backward: Callable
@@ -111,8 +113,7 @@ _OPS = {
                      lambda w, x, *_: embedding_forward(w.matrix, x),
                      lambda c, d, _: ({"": embedding_backward(c[0], d)}, None)),
     "dropout": _Op(None, None,
-                   lambda w, x, cfg, step, mask: dropout_forward(x, cfg.dropout_rate, cfg.seed,
-                                                                 step, mask),
+                   lambda w, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
                    lambda c, d, _: ({}, dropout_backward(c[0], d))),
     "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
                 lambda c, d, pool: lstm_backward(c, d, pool)),
@@ -295,12 +296,11 @@ class Model:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, batch: np.ndarray, step: int | None = None, mask=None):
+    def forward(self, batch: np.ndarray, step: int | None = None):
         """(B, T) indices -> (probs (B, C), trace).
 
-        Given a training `step`, dropout applies that step's mask, or `mask`
-        if the caller drew it already (`layers.dropout_mask`), and the trace
-        keeps every layer's cache for `backward`.  Without one
+        Given a training `step`, dropout applies that step's mask and the
+        trace keeps every layer's cache for `backward`.  Without one
         (inference), dropout is left out, no layer keeps a cache, the trace
         is None, and the embedding -> LSTM prefix runs as one `lstm_infer`
         over the batch's distinct indices.  With a zero dropout rate the two
@@ -328,16 +328,14 @@ class Model:
         for op in chain:
             row = _OPS[op]
             w = getattr(p, row.group) if row.group else None
-            x, c = row.forward(w, x, cfg, step, mask)
+            x, c = row.forward(w, x, cfg, step)
             check_finite(op, x)
             if trace is not None:
                 trace.append((op, c))
             del c  # an inference cache dies here, before the next layer runs
         return x, trace
 
-    def backward(self, trace, dlogits: np.ndarray, pool=None,
-                 before_dropout: Callable[[], None] | None = None,
-                 ) -> dict[str, np.ndarray | RowGrad]:
+    def backward(self, trace, dlogits: np.ndarray, pool=None) -> dict[str, np.ndarray | RowGrad]:
         """Gradients for every parameter array from a training trace and the
         loss gradient at the logits.
 
@@ -345,8 +343,7 @@ class Model:
         layer's backward pass has used it, and the LSTM's is handed over to
         `lstm_backward`, which writes its gate gradients over the cached gate
         activations and frees the cell states before its weight GEMMs.
-        `pool`, an executor, is handed to `lstm_backward`.  `before_dropout`
-        is called once, when every layer above dropout is done.  A non-finite
+        `pool`, an executor, is handed to `lstm_backward`.  A non-finite
         gradient raises `NumericsError` naming the parameter and the layer
         whose backward pass returned it.
         """
@@ -354,8 +351,6 @@ class Model:
         dx = dlogits
         while trace:
             op, cache = trace.pop()
-            if op == "dropout" and before_dropout is not None:
-                before_dropout()
             row = _OPS[op]
             # the list holds the only reference, so the LSTM can take its cache over
             box = [cache]

@@ -1,6 +1,7 @@
 """Model persistence: JSON manifest + little-endian float32 tensors + CRC32.
 
-File layout (format version 3):
+File layout (format version 4, whose models scale attention's output by T;
+see `layers.attention_forward`):
 
     <u32 manifest length> | manifest JSON | float32 tensors | <u32 CRC32>
 
@@ -36,7 +37,7 @@ import numpy as np
 from .embed import EmbeddingMatrix, Vocabulary
 from .model import Model, ModelConfig, ModelParams, param_groups, param_shapes
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _U32 = struct.Struct("<I")
 
 

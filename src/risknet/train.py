@@ -2,8 +2,10 @@
 
 Training is fully seeded: parameter init, per-epoch shuffles, and dropout
 masks all derive from the run seed, so two runs with the same config produce
-bit-identical models and histories.  No early stopping; the final partial
-batch is trained rather than dropped.
+bit-identical models and histories.  Each step draws its own dropout mask
+as its forward pass reaches dropout.  With more than one usable CPU, `fit`
+hands two pieces of each large step to one helper thread (see `fit`).  No
+early stopping; the final partial batch is trained rather than dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .embed import PAD_INDEX, EmbeddingMatrix
-from .layers import NumericsError, RowGrad, check_finite_grad, dropout_mask
+from .layers import NumericsError, RowGrad, check_finite_grad
 from .metrics import Metrics, compute_metrics
 from .model import Model, ModelConfig, init_params, usable_cpus
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
@@ -260,11 +262,10 @@ def fit(
     alive at a time.
 
     With more than one usable CPU, `fit` makes one helper thread, which
-    overlaps three jobs with the calling thread's work: Adam's g = 0 pass
-    over the embedding (`Adam.start_rows`) during the backward pass, the
-    LSTM's weight GEMM during its input GEMM, and the next step's dropout
-    mask once the layers above dropout are done.  A job runs only if its
-    arrays have at least `HELPER_MIN_ELEMENTS` elements.  Each job computes
+    overlaps two jobs with the calling thread's work: Adam's g = 0 pass over
+    the embedding (`Adam.start_rows`) during the backward pass, and the
+    LSTM's weight GEMM during its input GEMM.  A job runs only if its arrays
+    have at least `HELPER_MIN_ELEMENTS` elements.  Each job computes
     what the calling thread would, in the same order, so the model and
     history are the same bits for any CPU count.  The thread is joined
     before `fit` returns or raises.
@@ -286,16 +287,12 @@ def fit(
     opt = Adam(params.named_arrays(), cfg.adam)
     history = History()
     n = X.shape[0]
-    # every epoch's batch sizes, from which each step knows the next one's
-    sizes = [min(cfg.batch_size, n - s) for s in range(0, n, cfg.batch_size)]
-    steps = cfg.epochs * len(sizes)
     pool = None
     if usable_cpus() > 1:
         # imported here: at module level it would slow every risknet start
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(1)  # its thread starts with the first job
-    ahead = []  # the dropout mask job of the next step, if one was started
     step = 0
     try:
         for epoch in range(cfg.epochs):
@@ -304,10 +301,8 @@ def fit(
             correct = 0
             for batch, start in enumerate(range(0, n, cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                next_rows = sizes[(batch + 1) % len(sizes)] if step + 1 < steps else 0
                 try:
-                    loss, hits = _train_step(model, opt, X[idx], y[idx], step, pool, ahead,
-                                             next_rows)
+                    loss, hits = _train_step(model, opt, X[idx], y[idx], step, pool)
                 except NumericsError as exc:
                     raise NumericsError(
                         f"epoch {epoch + 1}, step {step}, batch {batch}: {exc}") from exc
@@ -327,36 +322,22 @@ def fit(
 
 
 def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray, step: int,
-                pool, ahead: list, next_rows: int) -> tuple[float, int]:
+                pool) -> tuple[float, int]:
     """One forward, backward and Adam update on a batch; returns its mean
     loss and its count of correct argmax predictions.  The step's caches and
-    gradients are locals here, so they are freed when it returns.
-
-    `pool` is the helper executor, or None.  `ahead` holds this step's
-    dropout mask job, if one was started, and receives the next step's, of
-    `next_rows` rows (0: no next step)."""
+    gradients are locals here, so they are freed when it returns.  `pool` is
+    the helper executor, or None."""
     cfg = model.cfg
-    mask = ahead.pop().result() if ahead else None
-    probs, trace = model.forward(xb, step=step, mask=mask)
-    del mask  # the dropout cache holds it until dropout's backward pass
+    probs, trace = model.forward(xb, step=step)
     loss = sparse_cce(probs, yb)
     hits = int((probs.argmax(axis=1) == yb).sum())
     E = model.params.embedding.matrix
     if pool is not None and E.size >= HELPER_MIN_ELEMENTS:
         opt.start_rows("embedding", E, np.unique(xb[xb != PAD_INDEX]), pool)
-    # elements per row of a dropout mask and of the LSTM input
-    per_row = cfg.max_len * cfg.embed_dim
-
-    def draw_next_mask():
-        if cfg.dropout_rate > 0.0 and next_rows * per_row >= HELPER_MIN_ELEMENTS:
-            out = np.empty((next_rows, cfg.max_len, cfg.embed_dim), dtype=cfg.np_dtype)
-            ahead.append(pool.submit(dropout_mask, out.shape, cfg.dropout_rate, cfg.seed,
-                                     step + 1, out.dtype.type, out))
-
-    big = len(xb) * per_row >= HELPER_MIN_ELEMENTS
+    # the LSTM input's element count
+    big = len(xb) * cfg.max_len * cfg.embed_dim >= HELPER_MIN_ELEMENTS
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb),
-                           pool=pool if big else None,
-                           before_dropout=None if pool is None else draw_next_mask)
+                           pool=pool if big else None)
     opt.step(model.params.named_arrays(), grads)
     return loss, hits
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking and oracles."""
 
 from __future__ import annotations
 
@@ -11,6 +11,12 @@ from hypothesis import settings
 # every run and drops the per-example deadline, which shared runners miss
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function in its tanh form, overflow-safe for large |x|: the
+    oracle of the LSTM kernels' sigmoid gates."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
 def fd_check(loss_fn, arr: np.ndarray, analytic: np.ndarray, rng: np.random.Generator,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_check, projection_loss
+import risknet.model
 from risknet.cli import main
 from risknet.corpus import merge_title_body
 from risknet.embed import (
@@ -241,6 +242,39 @@ def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
     _, hist = fit(cfg, X, y, emb)
     assert min(hist.loss) < 0.05
     assert hist.loss[-1] < 0.05
+
+
+# ------------------------------------------ gate: the full model trains
+
+
+def test_full_model_trains_on_a_run_that_stalled_with_unscaled_attention(monkeypatch):
+    """200 synthetic posts, seed 5, 20 epochs at embed 32, LSTM 16, T 48.
+
+    With attention's output at ``alpha * P``, 1/48 of the LSTM's scale, this
+    run's conv layer died: every filter inactive at every position, every
+    conv bias negative, loss stuck at ln 4 and macro-F1 at 0.108.  Scaled by
+    T, it reaches 1.0 with every filter active."""
+    posts = generate_corpus(200, seed=5)
+    token_lists = [preprocess(merge_title_body(p)) for p in posts]
+    vocab = build_vocab(token_lists)
+    X = encode_batch(token_lists, vocab, max_len=48)
+    y = np.array([int(p.label) for p in posts])
+    cfg = TrainConfig(model=ModelConfig(max_len=48, embed_dim=32, lstm_units=16),
+                      epochs=20, batch_size=32, seed=5)
+    model, hist = fit(cfg, X, y, init_embeddings(vocab, 32, seed=5))
+    assert hist.loss[-1] < 0.5
+    active = []
+    conv = risknet.model.conv1d_relu_forward
+
+    def spy(p, x):
+        out, cache = conv(p, x)
+        active.append((out > 0.0).mean(axis=(0, 1)))
+        return out, cache
+
+    monkeypatch.setattr(risknet.model, "conv1d_relu_forward", spy)
+    probs, _ = model.forward(X)
+    assert np.mean(active, axis=0).min() > 0.1  # no dead filter
+    assert compute_metrics(y, probs.argmax(axis=1), 4).macro_f1 >= 0.9
 
 
 # --------------------------------------------------------- gate: end to end

@@ -105,10 +105,10 @@ RUN_JSON_DIGESTS = {
     "preprocess": "b9d7f61d14c2eba4ee6c4f454926c502028e316099f7eaa42ef6d5e16b985dab",
     "annotate": "f31be201463495683a0d34e7f2c478196c3363fc51d7451a60b5782d55d6001f",
     "report-ngrams": "ebad1dd8de95e2e4d93bb091fe0c095eb75e12b6ed66f51fe0f16e0a83b192fc",
-    "train": "24bf85140c4125909752345cf063234f9b2aa80f546d15e321947968735a5479",
+    "train": "13b67956b18238cd3853dda61296288f8b7ac5e94ac6142afb7f0e4353a40eea",
     "evaluate": "aa22482a5622295eb079cf9f7fa173dc5611cfb81be088ad0b30a2e882d89087",
     "predict": "41ea4e3185fd0c451b92cd996e6ae1adf3931f5fa8f4de4e9ccdc8ee040d6973",
-    "ablate": "91db71187e3cea0a3b008444363c2de0905c391d42db8a4c0b60b05fbabff32f",
+    "ablate": "77aa5934b067cc5ca4071f1e2f3acd1c0bc1c693d52baeb2589a9d7ebee66cbd",
 }
 
 
@@ -140,6 +140,20 @@ def test_replay_from_config(first_runs, tmp_path, cmd):
             assert (tmp_path / name).read_bytes() == (first / name).read_bytes(), name
 
 
+def test_run_json_with_a_dtype_key_still_replays(first_runs, tmp_path):
+    # run.json files from before the --dtype flag was dropped hold "dtype";
+    # a key that no flag sets is ignored
+    first = first_runs / FIRST_RUNS["train"][2]
+    doc = read_json(first / "run.json")
+    doc["params"]["dtype"] = "float32"
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("train", *input_flags(first_runs, "train"), "--config", config,
+               "--out", tmp_path / "t") == 0
+    assert run_json_without_paths(tmp_path / "t") == run_json_without_paths(first)
+    assert (tmp_path / "t/model.rkn").read_bytes() == (first / "model.rkn").read_bytes()
+
+
 def test_config_from_other_command_rejected(tmp_path):
     a = tmp_path / "a"
     assert run("synth", "--posts", 5, "--seed", 1, "--out", a) == 0
@@ -163,12 +177,11 @@ def config_params(cmd, params):
     ("train", config_params("train", {"max_len": 12.7})),
     ("train", config_params("train", {"max_len": "abc"})),
     ("train", config_params("train", {"max_len": True})),
-    ("train", config_params("train", {"dtype": "float16"})),
     ("preprocess", config_params("preprocess", {"format": "xml"})),
     ("annotate", config_params("annotate", {"fractions": 0.25})),
     ("synth", config_params("synth", {"seed": None})),
 ], ids=["not_an_object", "params_list", "posts_list", "directory", "embeddings_int",
-        "max_len_float", "max_len_str", "max_len_bool", "dtype_not_a_choice",
+        "max_len_float", "max_len_str", "max_len_bool",
         "format_not_a_choice", "fractions_float", "seed_null"])
 def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     # each of these used to end in a TypeError, AttributeError or OSError and
@@ -654,6 +667,15 @@ def test_unknown_subcommand_exits_1():
 
 def test_unknown_flag_exits_1(tmp_path):
     assert run("synth", "--posts", 5, "--out", tmp_path, "--warp", 9) == 1
+
+
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+def test_dtype_flag_is_gone(tmp_path, capsys, cmd):
+    # model.rkn stores float32 tensors, so a float64 model did not survive its file
+    assert run(cmd, "--dataset", tmp_path / "unread.jsonl", "--out", tmp_path / "o",
+               "--dtype", "float64") == 1
+    assert "--dtype" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_required_flag_exits_1():

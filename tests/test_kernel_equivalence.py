@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sigmoid
 import risknet.model
 from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.layers import (
@@ -41,7 +42,6 @@ from risknet.layers import (
     lstm_backward,
     lstm_forward,
     lstm_infer,
-    sigmoid,
 )
 from risknet.model import VARIANTS, ModelConfig
 from risknet.train import Adam, AdamHyper, TrainConfig, fit

@@ -1,11 +1,14 @@
 """Per-layer forward oracles and finite-difference gradient checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import dlogits_through_softmax, fd_check, projection_loss
+from conftest import dlogits_through_softmax, fd_check, projection_loss, sigmoid
 from risknet.layers import (
     LAYER_EMBED_DROPOUT,
     AttentionParams,
@@ -32,7 +35,6 @@ from risknet.layers import (
     lstm_forward,
     maxpool1d_backward,
     maxpool1d_forward,
-    sigmoid,
     softmax,
 )
 from risknet.rng import STREAM_DROPOUT, bulk_generator
@@ -128,31 +130,56 @@ def test_dropout_mask_deterministic_in_seed_and_step():
         assert not np.array_equal(a, other)
 
 
-@pytest.mark.parametrize("rate", [0.5, 0.3])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [32, 9], ids=["full_batch", "short_last_batch"])
-def test_chunked_dropout_mask_equals_one_draw(rows, dtype, rate):
-    # 32 x 128 x 64 is four whole chunks, 9 x 128 x 64 one and a part
-    shape = (rows, 128, 64)
-    for step in range(3):
-        rng = bulk_generator(4, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
-        ref = (rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
-        out = np.empty(shape, dtype=dtype)
-        assert dropout_mask(shape, rate, 4, step, dtype, out=out) is out
-        for mask in (out, dropout_mask(shape, rate, 4, step, dtype)):
-            assert mask.dtype == dtype and mask.tobytes() == ref.tobytes()
+def mask_oracle(shape, rate, seed, step, dtype):
+    """`dropout_mask` in pure Python: the stream's raw 64-bit words, as
+    little-endian bytes, cut into little-endian integers of 1 byte (``rate *
+    256`` whole) or 8, each kept iff at least ``ceil(rate * 2**bits)``."""
+    n = math.prod(shape)
+    width = 1 if Fraction(rate) * 256 == int(rate * 256) else 8
+    rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
+    words = rng.bit_generator.random_raw(-(-n * width // 8))
+    data = b"".join(int(w).to_bytes(8, "little") for w in words)
+    threshold = math.ceil(Fraction(rate) * 2 ** (8 * width))
+    scale = dtype(1) / dtype(1 - rate)
+    keep = [int.from_bytes(data[k * width : (k + 1) * width], "little") >= threshold
+            for k in range(n)]
+    return np.array([scale if kept else 0 for kept in keep], dtype=dtype).reshape(shape)
 
 
 def test_dropout_mask_draws_from_the_embedding_dropout_stream():
-    # the mask's bits are the (seed, step, LAYER_EMBED_DROPOUT) stream's uniforms
-    keep = bulk_generator(9, STREAM_DROPOUT, 3, LAYER_EMBED_DROPOUT).random((4, 6)) >= 0.5
+    # the mask's bits are the (seed, step, LAYER_EMBED_DROPOUT) stream's raw words
     mask = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
-    assert np.array_equal(mask, keep / 0.5)
+    assert mask.tobytes() == mask_oracle((4, 6), 0.5, 9, 3, np.float64).tobytes()
+    assert set(np.unique(mask)) == {0.0, 2.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+       rate=st.sampled_from([0.0, 0.5, 0.25, 0.3, 0.999]) | st.floats(0.0, 1.0, exclude_max=True),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**64 - 1),
+       step=st.integers(0, 10**6))
+@example(shape=(1,), rate=0.5, dtype=np.float32, seed=0, step=0)
+@example(shape=(1,), rate=0.3, dtype=np.float64, seed=1, step=2)
+@example(shape=(3, 5), rate=0.25, dtype=np.float32, seed=2, step=1)
+@example(shape=(13,), rate=0.999, dtype=np.float64, seed=3, step=7)
+@example(shape=(2, 7), rate=0.0, dtype=np.float32, seed=4, step=0)
+def test_dropout_mask_matches_the_raw_word_oracle(shape, rate, dtype, seed, step):
+    mask = dropout_mask(shape, rate, seed, step, dtype)
+    assert mask.shape == shape and mask.dtype == dtype
+    assert mask.tobytes() == mask_oracle(shape, rate, seed, step, dtype).tobytes()
 
 
 def test_dropout_mask_values_are_zero_or_scaled():
     mask = dropout_mask((50, 50), 0.25, seed=1, step=0, dtype=np.float64)
     assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.3, 0.5, 0.75, 0.999])
+def test_dropout_mask_keeps_one_minus_rate(rate):
+    # the share kept of 400k elements, within 5 binomial standard deviations
+    n = 400_000
+    kept = np.count_nonzero(dropout_mask((n,), rate, seed=2, step=5, dtype=np.float32))
+    assert abs(kept / n - (1 - rate)) < 5 * math.sqrt(rate * (1 - rate) / n)
 
 
 def test_dropout_monte_carlo_mean_preserved():
@@ -258,10 +285,13 @@ def test_lstm_gradients_finite_difference():
 
 
 def test_attention_zero_params_uniform():
+    # alpha = 1/5 at every step, so T * alpha * P = 5 * (1/5) * P: uniform
+    # attention is the identity
     P = RNG(0).normal(size=(2, 5, 3))
     p = AttentionParams(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
-    out, _ = attention_forward(p, P)
-    assert np.allclose(out, P / 5.0)
+    out, (_, _, _, alpha) = attention_forward(p, P)
+    assert np.allclose(alpha, 1.0 / 5.0)
+    assert np.allclose(out, P)
 
 
 def test_attention_single_step_identity():
@@ -271,13 +301,25 @@ def test_attention_single_step_identity():
     assert np.allclose(out, P)
 
 
+def test_attention_uniform_backward_passes_dout_through():
+    # zero params: alpha = 1/T, so dP = dout * (T * alpha) = dout, and the
+    # softmax and tanh terms add ds * w^T = 0
+    rng = RNG(6)
+    P, dout = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 3))
+    p = AttentionParams(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
+    _, cache = attention_forward(p, P)
+    _, dP = attention_backward(cache, dout)
+    assert np.allclose(dP, dout, rtol=1e-14, atol=0.0)
+
+
 def test_attention_hand_oracle():
     P = np.array([[[1.0], [3.0]]])
     p = AttentionParams(w=np.array([[1.0]]), b=np.zeros((2, 1)))
     out, (_, _, e, alpha) = attention_forward(p, P)
     assert e[0, :, 0] == pytest.approx([math.tanh(1.0), math.tanh(3.0)], abs=1e-12)
     assert alpha[0, :, 0] == pytest.approx([0.4418985074116459, 0.5581014925883541], abs=1e-12)
-    assert out[0, :, 0] == pytest.approx([0.4418985074116459, 1.6743044777650622], abs=1e-12)
+    # T * alpha * P with T = 2 and P = (1, 3)
+    assert out[0, :, 0] == pytest.approx([0.8837970148232918, 3.3486089555301244], abs=1e-12)
 
 
 def test_attention_weights_sum_to_one():

@@ -153,7 +153,7 @@ def test_garbage_manifest(tmp_path):
 def test_version_mismatch(tmp_path):
     path = saved(tmp_path)
     rewrite(path, lambda m: m.update(format_version=FORMAT_VERSION + 1))
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 4, expected 3"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 5, expected 4"):
         load_model(path)
 
 
@@ -161,7 +161,15 @@ def test_version_1_file_is_rejected(tmp_path):
     # version 1 stored the LSTM as twelve per-gate tensors; it is not converted
     path = saved(tmp_path)
     rewrite(path, lambda m: m.update(format_version=1))
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 3"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 4"):
+        load_model(path)
+
+
+def test_version_3_file_is_rejected(tmp_path):
+    # version 3 models scaled attention's output by alpha alone, not T * alpha
+    path = saved(tmp_path)
+    rewrite(path, lambda m: m.update(format_version=3))
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 3, expected 4"):
         load_model(path)
 
 
@@ -172,14 +180,14 @@ def test_version_2_file_is_rejected_at_the_checksum(tmp_path):
     manifest.update(format_version=2, blob_bytes=len(blob), blob_crc32=zlib.crc32(blob))
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(HEADER.pack(len(payload)) + payload + blob)
-    with pytest.raises(ModelFileError, match="checksum mismatch: .* older than format version 3"):
+    with pytest.raises(ModelFileError, match="checksum mismatch: .* older than format version 4"):
         load_model(path)
 
 
 def test_file_is_manifest_tensors_and_a_crc32_of_every_byte_before(tmp_path):
     data = saved(tmp_path).read_bytes()
     manifest, blob = split(data)
-    assert manifest["format_version"] == FORMAT_VERSION == 3
+    assert manifest["format_version"] == FORMAT_VERSION == 4
     assert sorted(manifest) == ["config", "format_version", "vocab"]
     assert manifest["vocab"] == ["help", "die", "want", "lost", "end"]
     # 7 x 4 embedding, 4 x 12 + 3 x 12 + 12 LSTM, 3 + 6 attention, 3 x 3 x 2 + 2

@@ -324,8 +324,8 @@ def test_fit_numerics_error_names_the_layer_of_a_nonfinite_gradient(monkeypatch,
 
 
 def gated_task(n=40):
-    """A task above the helper's size gate: 32 x 128 x 64 masks and LSTM
-    inputs and a 4,200 x 64 embedding; 40 rows end each epoch in a batch of 8."""
+    """A task above the helper's size gate: 32 x 128 x 64 LSTM inputs and a
+    4,200 x 64 embedding; 40 rows end each epoch in a batch of 8."""
     rng = np.random.default_rng(5)
     X = rng.integers(1, 4200, size=(n, 128))
     X[::4, :10] = PAD_INDEX
@@ -351,10 +351,9 @@ def test_fit_with_a_helper_thread_is_bit_identical(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(train, "usable_cpus", lambda cpus=cpus: cpus)
         runs.append(fit(cfg, X, y, emb))
-    # steps of 32, 8, 32 and 8 rows: every step's Adam pass; the weight GEMM
-    # of the full batches; the mask of step 2, the one full batch that
-    # follows another step (masks of 8 rows are below the gate)
-    assert sorted(jobs) == sorted(["_adam_blocks"] * 4 + ["matmul"] * 2 + ["dropout_mask"])
+    # steps of 32, 8, 32 and 8 rows: every step's Adam pass, and the weight
+    # GEMM of the full batches
+    assert sorted(jobs) == sorted(["_adam_blocks"] * 4 + ["matmul"] * 2)
     (m1, h1), (m2, h2) = runs
     assert h1.loss == h2.loss and h1.accuracy == h2.accuracy
     for (name, a), (_, b) in zip(m1.params.named_arrays(), m2.params.named_arrays()):

@@ -116,11 +116,8 @@ class LinearSVM:
         self.W, self.b = W, b
         return self
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return self._scaled(X) @ self.W.T + self.b
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.decision(X).argmax(axis=1)
+        return (self._scaled(X) @ self.W.T + self.b).argmax(axis=1)
 
 
 def svm_baseline(

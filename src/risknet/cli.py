@@ -196,6 +196,8 @@ def _cmd_preprocess(params: dict, out: Path) -> dict:
 
 
 def _cmd_annotate(params: dict, out: Path) -> None:
+    if params["top_k"] < 1:
+        raise UsageError(f"--top-k must be >= 1, got {params['top_k']}")
     rows = _labeled_rows(params)
     fractions = weaklabel.DEFAULT_TARGET_FRACTIONS
     if params["fractions"] is not None:
@@ -244,6 +246,8 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
     hand `fit` the only reference to it."""
     if params["min_count"] < 1:
         raise UsageError(f"--min-count must be >= 1, got {params['min_count']}")
+    if not 0.0 < params["train_fraction"] < 1.0:
+        raise UsageError(f"--train-fraction must be in (0, 1), got {params['train_fraction']}")
     rows = _labeled_rows(params)
     train_idx, test_idx = train.split_indices(len(rows), params["train_fraction"], params["seed"])
     if train_idx.size == 0:

@@ -54,11 +54,6 @@ class RowGrad:
     values: np.ndarray  # (R,) + shape[1:]
     shape: tuple[int, ...]
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.values.dtype)
-        out[self.rows] = self.values
-        return out
-
 
 def check_finite_grad(name: str, grad, layer: str | None = None) -> None:
     """NaN/Inf tripwire for the gradient of parameter `name`, dense or a
@@ -148,8 +143,9 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
     """Gradient over the batch's distinct non-PAD rows; the PAD row gets none.
 
     Each row sums the upstream rows of its positions from +0.0 in position
-    order, as a dense scatter-add with `np.add.at` does, so `.dense()` is
-    bit-identical to it, signs of zero included.
+    order, as a dense scatter-add with `np.add.at` does, so the listed rows,
+    written into zeros of the full shape, are bit-identical to it, signs of
+    zero included.
     """
     idx, shape, dtype = cache
     D = shape[1]

@@ -17,10 +17,12 @@ array, keyed by dotted names ("lstm.W", "dense.b", ...); the embedding's is
 a `RowGrad` over the batch's rows.  Each layer's parameter gradients are
 checked for NaN/Inf as that layer returns them.  Inference, `forward(batch)`
 (which `predict` runs), leaves dropout out, keeps no cache and runs the LSTM
-over each batch's distinct tokens through `lstm_infer`.  `param_shapes`
-gives every array's shape from the config alone.  `ModelConfig.dtype` is
-float32 unless a gradient check asks for float64: `model.rkn` stores float32
-tensors, so the CLI trains float32 only.
+over each batch's distinct tokens through `lstm_infer`; `predict` maps it
+over fixed `PREDICT_BATCH`-row chunks, on a pool of one thread per usable
+CPU when there is more than one.  `param_shapes` gives every array's shape
+from the config alone.  `ModelConfig.dtype` is float32 unless a gradient
+check asks for float64: `model.rkn` stores float32 tensors, so the CLI
+trains float32 only.
 """
 
 from __future__ import annotations
@@ -365,42 +367,24 @@ class Model:
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Argmax class per row, lowest index on ties.
 
-        The rows are scored in `PREDICT_BATCH`-row chunks, dealt round-robin
-        to one share per usable CPU (at most one per chunk).  The calling
-        thread scores share 0 and a pool thread each other share; NumPy
-        releases the GIL inside its GEMMs and large loops, so the shares run
-        in parallel.  Each share stops at its first failing chunk, and the
-        error raised is that of the lowest failing chunk, as if the chunks ran
-        one after another.  Every pool thread is joined before this returns
-        or raises.
+        The rows are scored in `PREDICT_BATCH`-row chunks.  With more than
+        one usable CPU, a pool of one thread per usable CPU (at most one per
+        chunk) scores the chunks as they come while the calling thread waits;
+        NumPy releases the GIL inside its GEMMs and large loops, so the chunks
+        run in parallel.  The labels, and the error raised if a chunk fails,
+        are those of the chunks run one after another: the lowest failing
+        chunk's.  Every pool thread is joined before this returns or raises.
         """
         batch = np.asarray(batch)
-        out = np.empty(batch.shape[0], dtype=np.int64)
-        starts = range(0, batch.shape[0], PREDICT_BATCH)
-        n = min(usable_cpus(), len(starts))
+        chunks = [batch[s : s + PREDICT_BATCH] for s in range(0, len(batch), PREDICT_BATCH)]
+        label = lambda x: self.forward(x)[0].argmax(axis=1)
+        n = min(usable_cpus(), len(chunks))
         if n > 1:
             # imported here: at module level it would slow every risknet start
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(n - 1) as pool:
-                shares = [pool.submit(self._score, batch, starts[k::n], out)
-                          for k in range(1, n)]
-                failed = [self._score(batch, starts[::n], out)]
-                failed += [share.result() for share in shares]
+            with ThreadPoolExecutor(n) as pool:
+                labels = list(pool.map(label, chunks))
         else:
-            failed = [self._score(batch, starts, out)]
-        failed = [f for f in failed if f is not None]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
-        return out
-
-    def _score(self, batch: np.ndarray, starts: range, out: np.ndarray):
-        """Write the argmax labels of the chunks at `starts` into `out`; stop
-        at the first chunk that raises and return (its start, the error)."""
-        for start in starts:
-            try:
-                probs, _ = self.forward(batch[start : start + PREDICT_BATCH])
-            except Exception as exc:
-                return start, exc
-            out[start : start + PREDICT_BATCH] = probs.argmax(axis=1)
-        return None
+            labels = [label(x) for x in chunks]
+        return np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)

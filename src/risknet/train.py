@@ -24,14 +24,14 @@ from .model import Model, ModelConfig, init_params, usable_cpus
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
 
 CLIP_EPS = 1e-7
-# elements per in-place Adam block: 64k float32 values make six 256 KiB
-# operands, which fit in a 1-4 MiB L2 cache
-ADAM_BLOCK = 1 << 16
-# elements per block of the g = 0 pass that `Adam.start_rows` runs on another
-# thread: each of its ufunc calls takes the GIL back from the calling thread,
-# and with blocks twice as large a concurrent paper-shape LSTM backward pass
-# slowed by about 6 ms instead of about 10 ms
-HELPER_ADAM_BLOCK = 1 << 17
+# elements per in-place Adam block: 128k float32 values make six 512 KiB
+# operands, and each pass of the update touches two of them, so a pass's
+# 1 MiB fits in an L2 cache of 2 MiB or more.  When `Adam.start_rows` runs
+# the g = 0 pass on another thread, each of its ufunc calls takes the GIL
+# back from the calling thread; with these blocks rather than ones half as
+# large, a concurrent paper-shape LSTM backward pass slowed by about 6 ms
+# instead of about 10 ms
+ADAM_BLOCK = 1 << 17
 # fewest elements of the arrays a job must have to run on `fit`'s helper
 # thread; smaller jobs (the acceptance shape's) cost more to hand off than
 # they overlap
@@ -72,11 +72,12 @@ class Adam:
     """Adam with bias correction; moments keyed by parameter name.
 
     The update runs in place, one block of leading-axis rows at a time: the
-    moments and the parameters are written through ``out=``, with two
-    block-sized scratch arrays per parameter, made on first use.  A block
-    holds about ``ADAM_BLOCK`` elements, so the update's fourteen passes over
-    it stay in cache instead of streaming a parameter-sized temporary through
-    memory for each.  Every operation is elementwise and in the textbook order,
+    moments and the parameters are written through ``out=``, with one pair of
+    block-sized scratch arrays per parameter, made on first use, which the
+    g = 0 pass of `start_rows` shares.  A block holds about ``ADAM_BLOCK``
+    elements, so the update's fourteen passes over it stay in cache instead
+    of streaming a parameter-sized temporary through memory for each.  Every
+    operation is elementwise and in the textbook order,
     ``beta1*m + (1-beta1)*g``, ``beta2*v + (1-beta2)*(g*g)`` and
     ``lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the result is bit-identical to
     the out-of-place expression.
@@ -98,7 +99,7 @@ class Adam:
         named_params = list(named_params)
         self.m = {n: np.zeros_like(a) for n, a in named_params}
         self.v = {n: np.zeros_like(a) for n, a in named_params}
-        self._scratch = {}  # (name, block) -> `_block_scratch`, made on first use
+        self._scratch = {}  # name -> `_blocks`, made on first use
         self.t = 0
         self._started = {}  # name -> (rows, g = 0 pass job)
 
@@ -109,15 +110,17 @@ class Adam:
         update with that gradient, which must list exactly `rows`."""
         h, t = self.hyper, self.t + 1
         job = pool.submit(_adam_blocks, h, 1.0 - h.beta1**t, 1.0 - h.beta2**t, theta, None,
-                          self.m[name], self.v[name],
-                          *self._blocks(name, theta, HELPER_ADAM_BLOCK), keep=rows)
+                          self.m[name], self.v[name], *self._blocks(name, theta), keep=rows)
         self._started[name] = (rows, job)
 
-    def _blocks(self, name: str, theta: np.ndarray, block: int):
-        key = (name, block)
-        if key not in self._scratch:
-            self._scratch[key] = _block_scratch(theta, block)
-        return self._scratch[key]
+    def _blocks(self, name: str, theta: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """Leading-axis rows per block of about `ADAM_BLOCK` elements of
+        parameter `name`, and its two scratch arrays of one block."""
+        if name not in self._scratch:
+            rows = max(1, ADAM_BLOCK // max(1, theta[:1].size))
+            s1 = np.empty((min(rows, theta.shape[0]),) + theta.shape[1:], dtype=theta.dtype)
+            self._scratch[name] = rows, s1, np.empty_like(s1)
+        return self._scratch[name]
 
     def step(self, named_params, grads: dict) -> None:
         """In-place parameter update from a name -> gradient map; a gradient
@@ -130,10 +133,7 @@ class Adam:
             g = grads[name]
             m, v = self.m[name], self.v[name]
             started = self._started.pop(name, None)
-            # a started update finishes in the helper's blocks, so that a
-            # parameter has one pair of scratch arrays on either path
-            scratch = self._blocks(name, theta,
-                                   ADAM_BLOCK if started is None else HELPER_ADAM_BLOCK)
+            scratch = self._blocks(name, theta)
             if started is not None:
                 rows, job = started
                 job.result()
@@ -151,14 +151,6 @@ class Adam:
                 theta[g.rows], m[g.rows], v[g.rows] = th_r, m_r, v_r
             else:
                 _adam_blocks(h, bc1, bc2, theta, g, m, v, *scratch)
-
-
-def _block_scratch(a: np.ndarray, block: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Leading-axis rows per block of about `block` elements of `a`, and two
-    scratch arrays of one block."""
-    rows = max(1, block // max(1, a[:1].size))
-    s1 = np.empty((min(rows, a.shape[0]),) + a.shape[1:], dtype=a.dtype)
-    return rows, s1, np.empty_like(s1)
 
 
 def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2,

@@ -19,6 +19,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
+def dense(grad) -> np.ndarray:
+    """A `RowGrad` as the full array it stands for: zeros outside its rows."""
+    out = np.zeros(grad.shape, dtype=grad.values.dtype)
+    out[grad.rows] = grad.values
+    return out
+
+
 def fd_check(loss_fn, arr: np.ndarray, analytic: np.ndarray, rng: np.random.Generator,
              samples: int = 8, h: float = 1e-5, tol: float = 1e-4, name: str = "") -> float:
     """Central finite differences on sampled entries of one parameter array.

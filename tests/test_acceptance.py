@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_check, projection_loss
+from conftest import dense, fd_check, projection_loss
 import risknet.model
 from risknet.cli import main
 from risknet.corpus import merge_title_body
@@ -97,7 +97,7 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     idx = rng.integers(1, 9, size=(B, T))
     R, loss = projection_loss(rng, (B, T, D))
     out, cache = embedding_forward(E, idx)
-    dE = embedding_backward(cache, R).dense()
+    dE = dense(embedding_backward(cache, R))
     fd_check(lambda: loss(embedding_forward(E, idx)[0]), E, dE, rng, name="embedding")
 
     # dropout with the rate at zero: exact identity both directions
@@ -179,7 +179,7 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
 
     probs, trace = model.forward(batch, step=2)
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, y))
-    grads["embedding"] = grads["embedding"].dense()
+    grads["embedding"] = dense(grads["embedding"])
     for name, arr in model.params.named_arrays():
         fd_check(stack_loss, arr, grads[name], rng, samples=4, name=f"stack.{name}")
 

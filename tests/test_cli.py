@@ -394,6 +394,22 @@ def test_report_ngrams_top_below_one_exits_1(pipeline, tmp_path, capsys, top, vi
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("top_k", [-3, 0])
+def test_annotate_top_k_below_one_exits_1(pipeline, tmp_path, capsys, top_k, via):
+    # used to exit 1 with "k must be >= 1", which names neither flag nor field
+    if via == "flag":
+        args = ("--top-k", top_k)
+    else:
+        config_params("annotate", {"top_k": top_k})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    out = tmp_path / "ann"
+    assert run("annotate", "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", out, *args) == 1
+    assert capsys.readouterr().err == f"error: --top-k must be >= 1, got {top_k}\n"
+    assert list(out.iterdir()) == []
+
+
 def _group_by(rows, key):
     out = {}
     for r in rows:
@@ -597,6 +613,26 @@ def test_min_count_below_one_exits_1_before_writing(pipeline, tmp_path, capsys, 
     assert run(cmd, "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
                *ABLATE_FLAGS, "--min-count", value) == 1
     assert capsys.readouterr().err == f"error: --min-count must be >= 1, got {value}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", [1.5, 0.0])
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+def test_train_fraction_outside_unit_interval_exits_1(pipeline, tmp_path, capsys, cmd, value,
+                                                       via):
+    # used to exit 1 with "fraction must be in (0, 1)", which names neither
+    # flag nor field
+    if via == "flag":
+        args = ("--train-fraction", value)
+    else:
+        config_params(cmd, {"train_fraction": value})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    out = tmp_path / "o"
+    assert run(cmd, "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
+               *ABLATE_FLAGS, *args) == 1
+    assert capsys.readouterr().err == (
+        f"error: --train-fraction must be in (0, 1), got {value}\n")
     assert list(out.iterdir()) == []
 
 

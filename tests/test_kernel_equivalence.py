@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sigmoid
+from conftest import dense, sigmoid
 import risknet.model
 from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.layers import (
@@ -44,7 +44,7 @@ from risknet.layers import (
     lstm_infer,
 )
 from risknet.model import VARIANTS, ModelConfig
-from risknet.train import Adam, AdamHyper, TrainConfig, fit
+from risknet.train import ADAM_BLOCK, Adam, AdamHyper, TrainConfig, fit
 
 # rtol per dtype; atol is rtol times the largest reference magnitude, so that
 # entries that cancel to near zero are judged against the array's scale
@@ -503,11 +503,21 @@ def test_adam_row_update_started_on_a_helper_is_bit_identical_to_dense(dtype):
         check_row_adam_against_dense(dtype, pool)
 
 
-def check_row_adam_against_dense(dtype, pool=None):
-    """Row-gradient Adam against the dense reference; with `pool`, every
-    step's embedding update is begun by `Adam.start_rows` on it."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_row_updates_started_and_inline_in_turn_are_bit_identical_to_dense(dtype):
+    # both paths run through the parameter's one pair of scratch arrays
+    with ThreadPoolExecutor(1) as pool:
+        check_row_adam_against_dense(dtype, pool, alternate=True)
+
+
+def check_row_adam_against_dense(dtype, pool=None, alternate=False):
+    """Row-gradient Adam against the dense reference.  With `pool`, every
+    step's embedding update is begun by `Adam.start_rows` on it; with
+    `alternate` too, only every other step's is, and the steps in between
+    run their g = 0 pass inline."""
     rng = np.random.default_rng(4)
-    V, D = 5003, 30  # several update blocks, the last one partial
+    V, D = 5003, 30  # two update blocks, of 4369 rows and a partial 634
+    assert V > ADAM_BLOCK // D and V % (ADAM_BLOCK // D)
     # beta1 0.3 lets m decay through tiny negative values to -0.0 on untouched
     # rows, where the dense update's "+ (1-beta1)*0" makes it +0.0
     hyper = AdamHyper(lr=0.01, beta1=0.3)
@@ -529,8 +539,8 @@ def check_row_adam_against_dense(dtype, pool=None):
         values[:, 3] = -0.0  # dropout sends -0.0 upstream
         grads = {n: rng.normal(size=a.shape).astype(dtype) for n, a in params[1:]}
         grads["embedding"] = RowGrad(rows, values, (V, D))
-        ref_grads = dict(grads, embedding=grads["embedding"].dense())
-        if pool is not None:
+        ref_grads = dict(grads, embedding=dense(grads["embedding"]))
+        if pool is not None and not (alternate and step % 2):
             opt.start_rows("embedding", params[0][1], rows.copy(), pool)
         opt.step(params, grads)
         ref_t = ref_adam_step(ref_params, ref_grads, ref_m, ref_v, ref_t, hyper)
@@ -601,11 +611,11 @@ def test_row_gradient_is_bit_identical_to_dense_scatter(batch, dtype, D):
     assert np.array_equal(grad.rows, want_rows)
     assert grad.values.shape == (want_rows.size, D) and grad.values.dtype == dtype
     assert grad.shape == E.shape
-    dense = grad.dense()
-    assert dense.dtype == ref.dtype == dtype
-    assert np.array_equal(dense, ref)
-    assert np.array_equal(np.signbit(dense), np.signbit(ref))
-    assert dense.tobytes() == ref.tobytes()
+    full = dense(grad)
+    assert full.dtype == ref.dtype == dtype
+    assert np.array_equal(full, ref)
+    assert np.array_equal(np.signbit(full), np.signbit(ref))
+    assert full.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

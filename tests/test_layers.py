@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dlogits_through_softmax, fd_check, projection_loss, sigmoid
+from conftest import dense, dlogits_through_softmax, fd_check, projection_loss, sigmoid
 from risknet.layers import (
     LAYER_EMBED_DROPOUT,
     AttentionParams,
@@ -85,7 +85,7 @@ def test_embedding_backward_scatter_adds_repeats():
     idx = np.array([[2, 2, 3]])
     out, cache = embedding_forward(E, idx)
     dout = np.ones_like(out)
-    dE = embedding_backward(cache, dout).dense()
+    dE = dense(embedding_backward(cache, dout))
     assert np.array_equal(dE[2], [2.0, 2.0])  # gathered twice
     assert np.array_equal(dE[3], [1.0, 1.0])
     assert np.all(dE[[0, 1, 4]] == 0.0)
@@ -96,7 +96,7 @@ def test_embedding_backward_pad_row_zeroed():
     E[0] = 0.0
     idx = np.array([[0, 0, 2]])
     out, cache = embedding_forward(E, idx)
-    dE = embedding_backward(cache, np.ones_like(out)).dense()
+    dE = dense(embedding_backward(cache, np.ones_like(out)))
     assert np.all(dE[0] == 0.0)
 
 
@@ -106,7 +106,7 @@ def test_embedding_gradient_finite_difference():
     idx = rng.integers(1, 6, size=(3, 5))  # PAD excluded: its grad is zeroed by design
     out, cache = embedding_forward(E, idx)
     R, loss_of = projection_loss(rng, out.shape)
-    dE = embedding_backward(cache, R).dense()
+    dE = dense(embedding_backward(cache, R))
     fd_check(lambda: loss_of(embedding_forward(E, idx)[0]), E, dE, rng, samples=12, name="E")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import risknet.model
-from conftest import dlogits_through_softmax, fd_check, projection_loss
+from conftest import dense, dlogits_through_softmax, fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError
 from risknet.model import (
@@ -282,19 +282,22 @@ def test_cache_free_forward_matches_cached(variant):
 def serial_labels(model, X):
     """Argmax labels from one plain forward per `PREDICT_BATCH`-row chunk."""
     step = risknet.model.PREDICT_BATCH
-    return np.concatenate([model.forward(X[s : s + step])[0].argmax(axis=1)
-                           for s in range(0, len(X), step)])
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [model.forward(X[s : s + step])[0].argmax(axis=1)
+                             for s in range(0, len(X), step)])
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("N", [0, 1, 2, 127, 128, 129, 300])
 def test_threaded_predict_matches_serial_chunks(monkeypatch, N, dtype):
-    # three shares: the calling thread and two pool threads
+    # a pool of up to three threads; no chunk, and so no pool, for N = 0
     monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 3)
     model = build(dtype=dtype)
     X = batch_for(model.cfg, B=N, seed=N)
     X[::5, 2:] = PAD_INDEX
-    assert np.array_equal(model.predict(X), serial_labels(model, X))
+    got = model.predict(X)
+    assert got.shape == (N,) and got.dtype == np.int64
+    assert np.array_equal(got, serial_labels(model, X))
 
 
 def test_predict_on_one_cpu_starts_no_thread(monkeypatch):
@@ -324,7 +327,7 @@ def poison(model, X, chunk, kind):
     (("index", "nan"), IndexError),
 ], ids=["both_nan", "nan_first", "index_first"])
 def test_predict_raises_the_lowest_failing_chunks_error(monkeypatch, kinds, error):
-    # one chunk per share, so chunks 1 and 3 fail in different threads
+    # four pool threads for four chunks, so chunks 1 and 3 can fail in different threads
     monkeypatch.setattr(risknet.model, "usable_cpus", lambda: 4)
     model = build()
     X = batch_for(model.cfg, V=8, B=4 * risknet.model.PREDICT_BATCH)
@@ -383,7 +386,7 @@ def test_full_stack_embedding_gradient_nonpad_rows():
     X = batch_for(model.cfg, seed=6, B=2, lo=2)  # rows 2.. only
     probs, trace = model.forward(X, step=4)
     R, loss_of = projection_loss(rng, probs.shape)
-    dE = model.backward(trace, dlogits_through_softmax(probs, R))["embedding"].dense()
+    dE = dense(model.backward(trace, dlogits_through_softmax(probs, R))["embedding"])
     E = model.params.embedding.matrix
     sub = E[2:]
     fd_check(lambda: loss_of(model.forward(X, step=4)[0]), sub, dE[2:], rng, samples=10,
@@ -395,7 +398,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     model = build()
     _, trace = model.forward(batch_for(model.cfg), step=0)
     grads = model.backward(trace, np.zeros((3, 4)))
-    grads["embedding"] = grads["embedding"].dense()
+    grads["embedding"] = dense(grads["embedding"])
     for name, g in grads.items():
         assert np.all(g == 0.0), name
 
@@ -413,7 +416,7 @@ def test_backward_duplicated_example_doubles_contribution():
     _, tr2 = model.forward(np.vstack([row, row]), step=0)
     g2 = model.backward(tr2, np.vstack([dl, dl]))
     for grads in (g1, g2):
-        grads["embedding"] = grads["embedding"].dense()
+        grads["embedding"] = dense(grads["embedding"])
     for name, g in g1.items():
         assert np.allclose(g2[name], 2.0 * g, atol=1e-12), name
 

@@ -161,6 +161,8 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 
 
 def _cmd_synth(params: dict, out: Path) -> None:
+    if params["posts"] < 1:
+        raise UsageError(f"--posts must be >= 1, got {params['posts']}")
     posts = synth.generate_corpus(params["posts"], params["seed"])
     corpus.save_posts(out / "posts.csv", posts)
 
@@ -198,15 +200,15 @@ def _cmd_preprocess(params: dict, out: Path) -> dict:
 def _cmd_annotate(params: dict, out: Path) -> None:
     if params["top_k"] < 1:
         raise UsageError(f"--top-k must be >= 1, got {params['top_k']}")
-    rows = _labeled_rows(params)
     fractions = weaklabel.DEFAULT_TARGET_FRACTIONS
     if params["fractions"] is not None:
         try:
-            fractions = tuple(float(x) for x in params["fractions"].split(","))
-        except ValueError as exc:
-            raise UsageError(f"--fractions {params['fractions']}: {exc}") from None
-        if len(fractions) != 4:
-            raise UsageError("--fractions needs 4 comma-separated values")
+            given = [float(x) for x in params["fractions"].split(",")]
+            fractions = weaklabel.check_fractions(given)
+        except ValueError:
+            raise UsageError("--fractions must be 4 positive numbers that sum to 1, "
+                             f"got {params['fractions']}") from None
+    rows = _labeled_rows(params)
     result = weaklabel.weak_label_documents(
         [r["tokens"] for r in rows], [r["label"] for r in rows],
         top_k=params["top_k"], target_fractions=fractions)

@@ -248,23 +248,20 @@ def _lstm_step(p: LSTMParams, a: np.ndarray, s: np.ndarray, h: np.ndarray, c: np
 def lstm_forward(p: LSTMParams, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out.
 
-    The cache is time-major.  `Xt` (T, B, D) is the input.  `G` first holds
-    every step's input projection (T, B, 4H), one `np.matmul` over all steps
-    (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites its
-    row with the gate activations, gate-major, so the cache holds `G` viewed
-    as (T, 4, B, H): `G[t, k]` is gate k (f, i, o, u) of step t.  `C` and
-    `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero initial
-    state, and `TC` (T, B, H) is tanh of `C[1:]`.
+    The cache list is time-major.  `Xt` (T, B, D) is the input.  `G` first
+    holds every step's input projection (T, B, 4H), one ``(T*B, D) @ W``
+    GEMM (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites
+    its row with the gate activations, gate-major, so the cache holds `G`
+    viewed as (T, 4, B, H): `G[t, k]` is gate k (f, i, o, u) of step t.  `C`
+    and `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero
+    initial state, and `TC` (T, B, H) is tanh of `C[1:]`.
     """
     B, T, D = X.shape
     H = p.U.shape[0]
     if p.W.shape[0] != D:
         raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
     Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
-    # a stacked matmul makes each step's (B, D) @ (D, 4H) product as a
-    # step-by-step loop does, so a one-row batch still gets NumPy's
-    # matrix-vector kernel; one (T*B, D) GEMM would round it differently
-    G = np.matmul(Xt, p.W)
+    G = (Xt.reshape(T * B, D) @ p.W).reshape(T, B, 4 * H)
     C = np.zeros((T + 1, B, H), dtype=X.dtype)
     Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
     TC = np.empty((T, B, H), dtype=X.dtype)
@@ -272,7 +269,7 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     for t in range(T):
         _lstm_step(p, G[t], s, Hs[t], C[t], C[t + 1], TC[t], Hs[t + 1])
     out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
-    return out, (p, Xt, G.reshape(T, 4, B, H), C, Hs, TC)
+    return out, [p, Xt, G.reshape(T, 4, B, H), C, Hs, TC]
 
 
 def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -284,9 +281,7 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     (Appleyard et al. 2016, arXiv:1604.01946); each step then gathers its rows
     of it and runs `lstm_forward`'s gate step, with `h` and `c` in two (B, H)
     slots each that swap every step.  The output matches `lstm_forward`'s bit
-    for bit at every measured B >= 2.  At B = 1 it differs by rounding (a few
-    1e-6 in float32 at the paper shape): `lstm_forward` then projects its
-    input by matrix-vector products.
+    for bit at every batch size, on the NumPy/BLAS build the tests run on.
     """
     B, T = inv.shape
     D = rows.shape[1]
@@ -328,21 +323,17 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     GEMM is the same call on either thread, so the gradients are the same
     bits.
 
-    `cache` is the tuple `lstm_forward` returned, or a one-element list
-    holding it, which this call empties and then owns.  An owned cache's gate
-    activations `G` become the gate gradients `dA` as the loop goes back in
-    time (step t's gradients need only step t's activations), and, given no
-    other reference to the tuple, its cell states `C` and `TC` are freed once
-    the loop is done, before the weight GEMMs.
+    `cache` is `lstm_forward`'s list, and it serves one call: this call
+    empties it, so a second one raises `ValueError`.  Its gate activations `G`
+    become the gate gradients `dA` as the loop goes back in time (step t's
+    gradients need only step t's activations) when `dH` has their dtype, and
+    its cell states `C` and `TC` are dropped before the weight GEMMs.
     """
-    owned = isinstance(cache, list)
-    if owned:
-        cache = cache.pop()
     p, Xt, G, C, Hs, TC = cache
-    del cache
+    cache.clear()
     T, B, D = Xt.shape
     H = p.U.shape[0]
-    if owned and G.dtype == dH.dtype:
+    if G.dtype == dH.dtype:
         dA = G.reshape(T, B, 4 * H)
     else:
         dA = np.empty((T, B, 4 * H), dtype=dH.dtype)

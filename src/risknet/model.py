@@ -104,8 +104,8 @@ class _Op(NamedTuple):
     group: Optional[str]  # the ModelParams field holding the op's parameters
     params: Optional[type]  # that field's class
     forward: Callable  # (w = the op's group, x, cfg, step) -> (out, cache)
-    # (a one-element list holding the cache, dout, pool) -> (gradients by name
-    # within the group, dx); the LSTM's takes the cache out, to reuse and free it
+    # (cache, dout, pool) -> (gradients by name within the group, dx); the
+    # LSTM's empties its cache list, to reuse and free its arrays
     backward: Callable
 
 
@@ -113,26 +113,26 @@ _OPS = {
     # the embedding group is one array, named by the group alone
     "embedding": _Op("embedding", EmbeddingMatrix,
                      lambda w, x, *_: embedding_forward(w.matrix, x),
-                     lambda c, d, _: ({"": embedding_backward(c[0], d)}, None)),
+                     lambda c, d, _: ({"": embedding_backward(c, d)}, None)),
     "dropout": _Op(None, None,
                    lambda w, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
-                   lambda c, d, _: ({}, dropout_backward(c[0], d))),
+                   lambda c, d, _: ({}, dropout_backward(c, d))),
     "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
                 lambda c, d, pool: lstm_backward(c, d, pool)),
     "attention": _Op("attention", AttentionParams,
                      lambda w, x, *_: attention_forward(w, x),
-                     lambda c, d, _: attention_backward(c[0], d)),
+                     lambda c, d, _: attention_backward(c, d)),
     "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
-                       lambda c, d, _: conv1d_relu_backward(c[0], d)),
+                       lambda c, d, _: conv1d_relu_backward(c, d)),
     "maxpool1d": _Op(None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
-                     lambda c, d, _: ({}, maxpool1d_backward(c[0], d))),
+                     lambda c, d, _: ({}, maxpool1d_backward(c, d))),
     "flatten": _Op(None, None, lambda w, x, *_: flatten_forward(x),
-                   lambda c, d, _: ({}, flatten_backward(c[0], d))),
+                   lambda c, d, _: ({}, flatten_backward(c, d))),
     "last_step": _Op(None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
-                     lambda c, d, _: ({}, _last_step_backward(c[0], d))),
+                     lambda c, d, _: ({}, _last_step_backward(c, d))),
     # the dense head's upstream gradient is the loss gradient at the logits
     "dense_softmax": _Op("dense", DenseParams, lambda w, x, *_: dense_softmax_forward(w, x),
-                         lambda c, d, _: dense_softmax_backward(c[0], d)),
+                         lambda c, d, _: dense_softmax_backward(c, d)),
 }
 
 # parameter group -> class, in file and optimizer order (embedding first)
@@ -306,8 +306,7 @@ class Model:
         (inference), dropout is left out, no layer keeps a cache, the trace
         is None, and the embedding -> LSTM prefix runs as one `lstm_infer`
         over the batch's distinct indices.  With a zero dropout rate the two
-        paths' probabilities match to rounding: bit for bit at every
-        measured shape with two or more rows, not for one row (see
+        paths' probabilities match bit for bit at every batch size (see
         `lstm_infer`).
         """
         cfg, p = self.cfg, self.params
@@ -342,9 +341,9 @@ class Model:
         loss gradient at the logits.
 
         The trace is consumed: each layer's cache is dropped from it once that
-        layer's backward pass has used it, and the LSTM's is handed over to
-        `lstm_backward`, which writes its gate gradients over the cached gate
-        activations and frees the cell states before its weight GEMMs.
+        layer's backward pass has used it.  The LSTM's cache list is emptied
+        by `lstm_backward`, which writes its gate gradients over the cached
+        gate activations and frees the cell states before its weight GEMMs.
         `pool`, an executor, is handed to `lstm_backward`.  A non-finite
         gradient raises `NumericsError` naming the parameter and the layer
         whose backward pass returned it.
@@ -354,10 +353,7 @@ class Model:
         while trace:
             op, cache = trace.pop()
             row = _OPS[op]
-            # the list holds the only reference, so the LSTM can take its cache over
-            box = [cache]
-            del cache
-            g, dx = row.backward(box, dx, pool)
+            g, dx = row.backward(cache, dx, pool)
             for n, a in g.items():
                 name = f"{row.group}.{n}" if n else row.group
                 check_finite_grad(name, a, op)

@@ -160,6 +160,16 @@ def post_score(tokens: Sequence[str], w: TermWeights) -> float:
     return total / matched if matched else 0.0
 
 
+def check_fractions(target_fractions: Sequence[float]) -> np.ndarray:
+    """The fractions as a float64 array, if they are 4 positive reals summing to 1."""
+    fr = np.asarray(target_fractions, dtype=np.float64)
+    if fr.shape != (4,) or not np.all(fr > 0):  # NaN is not > 0
+        raise ValueError("target_fractions must be 4 positive reals")
+    if abs(float(fr.sum()) - 1.0) > 1e-9:
+        raise ValueError("target_fractions must sum to 1")
+    return fr
+
+
 def calibrate_thresholds(
     scores: Sequence[float], target_fractions: Sequence[float] = DEFAULT_TARGET_FRACTIONS
 ) -> Thresholds:
@@ -171,11 +181,7 @@ def calibrate_thresholds(
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("scores must be a non-empty 1-D sequence")
-    fr = np.asarray(target_fractions, dtype=np.float64)
-    if fr.shape != (4,) or not np.all(fr > 0):  # NaN is not > 0
-        raise ValueError("target_fractions must be 4 positive reals")
-    if abs(float(fr.sum()) - 1.0) > 1e-9:
-        raise ValueError("target_fractions must sum to 1")
+    fr = check_fractions(target_fractions)
     if np.unique(arr).size < 4:
         raise DegenerateScores("degenerate score distribution (fewer than 4 distinct scores)")
     q = np.cumsum(fr)[:3]

@@ -321,20 +321,60 @@ def test_annotate_outputs(pipeline, tmp_path):
     assert t1 < t2 < t3
 
 
-@pytest.mark.parametrize("fractions,message", [
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("fractions", [
     # used to print only the bare float() message
-    ("a,b,c,d", "--fractions a,b,c,d: could not convert string to float: 'a'"),
+    "a,b,c,d",
     # NaN used to pass the positivity and sum checks and end in NumPy's
     # "Quantiles must be in the range [0, 1]"
-    ("nan,0.2,0.3,0.5", "target_fractions must be 4 positive reals"),
-    ("0.6,-0.1,0.3,0.2", "target_fractions must be 4 positive reals"),
-    ("0.5,0.5", "--fractions needs 4 comma-separated values"),
-], ids=["not_a_number", "nan", "negative", "two_values"])
-def test_bad_fractions_exit_1(pipeline, tmp_path, capsys, fractions, message):
+    "nan,0.2,0.3,0.5",
+    "0.6,-0.1,0.3,0.2",
+    "0.5,0.5",
+    # these used to exit 1 with weaklabel's "target_fractions must sum to 1"
+    # or "... must be 4 positive reals", which name neither flag nor field
+    "0.3,0.3,0.2,0.3",
+    "0.5,0.5,0,0",
+], ids=["not_a_number", "nan", "negative", "two_values", "sum_not_one", "zeros"])
+def test_bad_fractions_exit_1(pipeline, tmp_path, capsys, fractions, via):
+    if via == "flag":
+        args = ("--fractions", fractions)
+    else:
+        config_params("annotate", {"fractions": fractions})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    out = tmp_path / "ann"
     assert run("annotate", "--dataset", pipeline / "prep" / "tokens.jsonl",
-               "--out", tmp_path / "o", "--fractions", fractions) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o" / "labeled.jsonl").exists()
+               "--out", out, *args) == 1
+    assert capsys.readouterr().err == ("error: --fractions must be 4 positive numbers that "
+                                       f"sum to 1, got {fractions}\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("posts", [-2, 0])
+def test_synth_posts_below_one_exits_1(tmp_path, capsys, posts, via):
+    # used to exit 1 with synth's "n_posts must be >= 1"
+    if via == "flag":
+        args = ("--posts", posts)
+    else:
+        config_params("synth", {"posts": posts})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    out = tmp_path / "synth"
+    assert run("synth", "--out", out, *args) == 1
+    assert capsys.readouterr().err == f"error: --posts must be >= 1, got {posts}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    # predict, fit and ablate import these lazily, since a module-level
+    # import would slow every risknet start
+    child = ("import risknet.cli, sys; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = [str(Path(risknet.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # SHA-256 of the text chain's outputs: `synth --posts 200 --seed 7`, then

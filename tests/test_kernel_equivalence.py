@@ -11,11 +11,11 @@ the row gradient; the per-gate LSTM and the conv kernels sum in a different
 order, so they are compared with a tolerance fixed by the dtype.  The fused
 LSTM that kept a list of per-step tuples as its cache runs the same
 operations as the time-major one, so the two must match bit for bit.  The
-cache-free inference LSTM, `lstm_infer`, is checked against `lstm_forward`
-on embedded ids, and bit for bit against its own loop from before it shared
-`lstm_forward`'s gate step.  Work that training hands to its helper thread
-(the LSTM's weight GEMM, Adam's g = 0 pass) must give the bits the calling
-thread gives.
+cache-free inference LSTM, `lstm_infer`, is checked bit for bit against
+`lstm_forward` on embedded ids, at every batch size, and against its own
+loop from before it shared `lstm_forward`'s gate step.  Work that training
+hands to its helper thread (the LSTM's weight GEMM, Adam's g = 0 pass) must
+give the bits the calling thread gives.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -49,15 +49,12 @@ from risknet.train import ADAM_BLOCK, Adam, AdamHyper, TrainConfig, fit
 # rtol per dtype; atol is rtol times the largest reference magnitude, so that
 # entries that cancel to near zero are judged against the array's scale
 RTOL = {np.float64: 1e-10, np.float32: 1e-4}
-# lstm_infer keeps lstm_forward's per-step operation order
-INFER_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 # (B, T, D, H): the acceptance shape (embed 32, LSTM 16, max-len 48) and a
 # short paper-like one (embed 300, LSTM 100)
 LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
 # the time-major LSTM against the per-step-list one: LSTM_SHAPES, the paper
-# shape, and one-row batches, whose per-step input product NumPy runs as a
-# matrix-vector product rather than a GEMM
+# shape, and one-row batches
 STEPLIST_SHAPES = LSTM_SHAPES + [(32, 128, 300, 100), (1, 12, 300, 100), (1, 48, 32, 16)]
 # lstm_infer: LSTM_SHAPES, a one-row batch and a one-unit LSTM
 INFER_SHAPES = LSTM_SHAPES + [(1, 12, 300, 100), (3, 9, 5, 1)]
@@ -130,16 +127,18 @@ def ref_lstm_backward(cache, dH):
 
 
 def steplist_lstm_forward(p, X):
-    """The fused LSTM whose cache is a list of per-step tuples."""
+    """The fused LSTM whose cache is a list of per-step tuples; the input
+    projection is one (T*B, D) @ W product, as in `lstm_forward`."""
     B, T, D = X.shape
     H = p.U.shape[0]
+    XW = (np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(T * B, D) @ p.W).reshape(T, B, -1)
     h = np.zeros((B, H), dtype=X.dtype)
     c = np.zeros((B, H), dtype=X.dtype)
     out = np.empty((B, T, H), dtype=X.dtype)
     steps = []
     for t in range(T):
         x = X[:, t, :]
-        a = x @ p.W + h @ p.U + p.b
+        a = XW[t] + h @ p.U + p.b
         fio = sigmoid(a[:, : 3 * H])
         u = np.tanh(a[:, 3 * H :])
         c_new = fio[:, :H] * c + fio[:, H : 2 * H] * u
@@ -306,8 +305,6 @@ def embedded_ids(rng, B, T, D, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("B,T,D,H", INFER_SHAPES)
 def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
-    # bit-identical for B >= 2; a one-row batch differs in the last bits,
-    # since lstm_forward then projects its input by matrix-vector products
     rng = np.random.default_rng(B * 1000 + T + 1)
     p = random_lstm(rng, D, H, dtype)
     E, ids = embedded_ids(rng, B, T, D, dtype)
@@ -315,7 +312,8 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
     uniq, inv = np.unique(ids, return_inverse=True)
     assert uniq.size < ids.size and uniq[0] == 0
     out = lstm_infer(p, E[uniq], inv.reshape(B, T))
-    assert_close(out, ref, dtype, "out", rtols=INFER_RTOL)
+    assert out.dtype == ref.dtype == dtype
+    assert out.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -376,13 +374,11 @@ def test_lstm_kernels_equal_their_step_loops_on_drawn_shapes(B, T, D, H, dtype, 
     ref, ref_cache = steplist_lstm_forward(p, X)
     assert_same_bits(out, ref, "out")
     ref_grads, ref_dX = steplist_lstm_backward(ref_cache, dH)
-    # the plain tuple, then an owned cache, whose G becomes dA
-    for given_cache in (cache, [lstm_forward(p, X)[1]]):
-        grads, dX = lstm_backward(given_cache, dH)
-        assert list(grads) == list(ref_grads)
-        for name, g in grads.items():
-            assert_same_bits(g, ref_grads[name], name)
-        assert_same_bits(dX, ref_dX, "dX")
+    grads, dX = lstm_backward(cache, dH)  # G becomes dA
+    assert list(grads) == list(ref_grads)
+    for name, g in grads.items():
+        assert_same_bits(g, ref_grads[name], name)
+    assert_same_bits(dX, ref_dX, "dX")
     E, ids = embedded_ids(rng, B, T, D, dtype)
     uniq, inv = np.unique(ids, return_inverse=True)
     assert_same_bits(lstm_infer(p, E[uniq], inv.reshape(B, T)),
@@ -428,11 +424,11 @@ def test_conv_backward_matches_einsum_reference(B, T, d_in, k, F, dtype):
 def test_lstm_backward_with_a_helper_thread_is_bit_identical(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 100 + D)
     p = random_lstm(rng, D, H, dtype)
-    _, cache = lstm_forward(p, rng.normal(size=(B, T, D)).astype(dtype))
+    X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
-    grads, dX = lstm_backward(cache, dH)
-    with ThreadPoolExecutor(1) as pool:
-        pooled, pooled_dX = lstm_backward(cache, dH, pool)
+    grads, dX = lstm_backward(lstm_forward(p, X)[1], dH)
+    with ThreadPoolExecutor(1) as pool:  # a cache serves one call, so a fresh one
+        pooled, pooled_dX = lstm_backward(lstm_forward(p, X)[1], dH, pool)
     assert list(pooled) == list(grads)
     for name, g in grads.items():
         assert pooled[name].tobytes() == g.tobytes(), name
@@ -443,23 +439,33 @@ def test_lstm_backward_with_a_helper_thread_is_bit_identical(B, T, D, H, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES + [(1, 12, 300, 100)])
 def test_lstm_backward_on_an_owned_cache_is_bit_identical(B, T, D, H, dtype, dH_dtype):
-    # an owned cache's G becomes dA in place; a float64 dH on a float32
-    # cache gets a dA of its own
+    # the cache's G becomes dA in place; a float64 dH on a float32 cache
+    # gets a dA of its own
     rng = np.random.default_rng(B * 10 + H)
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dH_dtype or dtype)
-    _, cache = lstm_forward(p, X)
-    grads, dX = lstm_backward(cache, dH)
+    grads, dX = steplist_lstm_backward(steplist_lstm_forward(p, X)[1], dH)
     for pool in (None, ThreadPoolExecutor(1)):
-        box = [lstm_forward(p, X)[1]]
-        owned, owned_dX = lstm_backward(box, dH, pool)
+        cache = lstm_forward(p, X)[1]
+        got, got_dX = lstm_backward(cache, dH, pool)
         if pool is not None:
             pool.shutdown()
-        assert box == []
+        assert cache == []
         for name, g in grads.items():
-            assert owned[name].dtype == g.dtype and owned[name].tobytes() == g.tobytes(), name
-        assert owned_dX.flags.c_contiguous and owned_dX.tobytes() == dX.tobytes()
+            assert got[name].dtype == g.dtype and got[name].tobytes() == g.tobytes(), name
+        assert got_dX.flags.c_contiguous and got_dX.tobytes() == dX.tobytes()
+
+
+def test_lstm_backward_consumes_its_cache():
+    rng = np.random.default_rng(6)
+    p = random_lstm(rng, 5, 3, np.float64)
+    _, cache = lstm_forward(p, rng.normal(size=(2, 4, 5)))
+    dH = rng.normal(size=(2, 4, 3))
+    lstm_backward(cache, dH)
+    assert cache == []
+    with pytest.raises(ValueError):
+        lstm_backward(cache, dH)
 
 
 # --------------------------------------------------------------------- adam

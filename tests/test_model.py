@@ -268,15 +268,25 @@ def test_predict_argmax_batched(variant):
     assert np.array_equal(model.predict(X), probs.argmax(axis=1))
 
 
+# (embed, LSTM units, max-len, dtype, rows): small_cfg's shape, then the
+# paper's and the acceptance chain's widths at one and two rows
+CACHE_FREE_CASES = [(5, 4, 6, "float64", 11)] + [
+    (D, H, T, dtype, B)
+    for D, H, T, dtype in [(300, 100, 12, "float32"), (300, 100, 12, "float64"),
+                           (32, 16, 48, "float64")]
+    for B in (1, 2)]
+
+
+@pytest.mark.parametrize("D,H,T,dtype,B", CACHE_FREE_CASES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_cache_free_forward_matches_cached(variant):
-    model = build(variant)  # dropout_rate 0
-    X = batch_for(model.cfg, B=11)
-    X[::2, 3:] = PAD_INDEX
+def test_cache_free_forward_matches_cached(variant, D, H, T, dtype, B):
+    model = build(variant, embed_dim=D, lstm_units=H, max_len=T, dtype=dtype)  # dropout 0
+    X = batch_for(model.cfg, B=B)
+    X[::2, T // 2 :] = PAD_INDEX
     probs, trace = model.forward(X, step=0)
     fast, none = model.forward(X)
     assert none is None and len(trace) == len(risknet.model._CHAINS[variant])
-    np.testing.assert_allclose(fast, probs, rtol=1e-12, atol=0.0)
+    assert fast.dtype == probs.dtype and fast.tobytes() == probs.tobytes()
 
 
 def serial_labels(model, X):
@@ -454,7 +464,7 @@ def _backward_peak(model, X, dlogits, hold_lstm_cache):
         (cache,) = [c for op, c in trace if op == "lstm"]
         _, _, G, C, _, TC = cache
         gate_and_cell = G.nbytes + C.nbytes + TC.nbytes
-        held = [cache] if hold_lstm_cache else []
+        held = list(cache) if hold_lstm_cache else []  # the emptied list holds nothing
         G = C = TC = cache = None
         tracemalloc.reset_peak()
         model.backward(trace, dlogits)
@@ -473,7 +483,7 @@ def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
     X = batch_for(cfg, V=50, B=16)
     dlogits = np.full((16, cfg.classes), 0.25, dtype=np.float32)
     handed_over, freed = _backward_peak(model, X, dlogits, hold_lstm_cache=False)
-    # as when Model.backward held the cache tuple through lstm_backward
+    # as when a reference to every cached array outlives lstm_backward
     held, _ = _backward_peak(model, X, dlogits, hold_lstm_cache=True)
     assert held - handed_over >= 0.9 * freed
 

@@ -51,9 +51,10 @@ def read_tokens(path: Path) -> list[dict]:
 
 def iter_tokens(path: Path) -> Iterator[dict]:
     """The records of a JSONL token file, checked and yielded one at a time;
-    a malformed record raises UsageError naming its line, and a file with no
-    records raises once it has been read to the end."""
-    empty = True
+    a malformed record, or one whose `post_id` an earlier record has, raises
+    UsageError naming its line, and a file with no records raises once it has
+    been read to the end.  Only the ids of the records read so far are kept."""
+    first_line: dict[str, int] = {}  # post_id -> the line of its record
     with path.open("r", encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
@@ -93,9 +94,12 @@ def iter_tokens(path: Path) -> Iterator[dict]:
                                      f"integer, got {json.dumps(label)}")
                 if not 0 <= label <= 3:
                     raise UsageError(f"{path}: line {line_num}: label out of range")
-            empty = False
+            seen = first_line.setdefault(row["post_id"], line_num)
+            if seen != line_num:
+                raise UsageError(f"{path}: line {line_num}: duplicate post_id "
+                                 f"'{row['post_id']}' (first seen at line {seen})")
             yield row
-    if empty:
+    if not first_line:
         raise UsageError(f"{path}: no records")
 
 
@@ -160,7 +164,15 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 # values to the params, and returns the stats for run.json, if any.
 
 
+def _check_seed(params: dict) -> None:
+    """The seeds are masked to 64 bits, so one outside [0, 2**64) would run
+    as another seed while run.json records it as given."""
+    if not 0 <= params["seed"] < 2**64:
+        raise UsageError(f"--seed must be in [0, 2**64), got {params['seed']}")
+
+
 def _cmd_synth(params: dict, out: Path) -> None:
+    _check_seed(params)
     if params["posts"] < 1:
         raise UsageError(f"--posts must be >= 1, got {params['posts']}")
     posts = synth.generate_corpus(params["posts"], params["seed"])
@@ -246,6 +258,7 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
 
     The data is a dict, so that `train` can pop the embedding matrix and
     hand `fit` the only reference to it."""
+    _check_seed(params)
     if params["min_count"] < 1:
         raise UsageError(f"--min-count must be >= 1, got {params['min_count']}")
     if not 0.0 < params["train_fraction"] < 1.0:

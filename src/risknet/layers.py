@@ -5,15 +5,17 @@ backward(cache, dout) -> gradients.  These pairs are the training path.
 Caches hold exactly the arrays the backward pass needs.  The LSTM's cache is
 a few time-major arrays, indexed by step first, with each step's gate
 activations gate-major, and holds no view of its input, so the layer below
-can free its output.  The embedding gradient is a
-`RowGrad`, which holds only the rows a batch touched.  The dense head's
-backward starts from the fused softmax + cross-entropy gradient at the
-logits.  Dropout runs in training only, with a mask drawn from the raw bits
-of its own PCG64 stream.  Attention scales its output by the sequence
-length, so uniform attention is the identity.  `lstm_infer` is the one
-forward-only kernel: the LSTM of the inference path, which keeps no cache.
-All math is plain numpy; dtype follows the inputs (float64 in gradient
-tests, float32 in training).
+can free its output.  The LSTM's time loops make their views once per call,
+so a step only indexes them, and training and inference run one gate step,
+`_gate_step`.  The embedding gradient is a `RowGrad`, which holds only the
+rows a batch touched, summed with one reduce per power-of-two count bucket.
+The dense head's backward starts from the fused softmax + cross-entropy
+gradient at the logits.  Dropout runs in training only, with a mask drawn
+from the raw bits of its own PCG64 stream.  Attention scales its output by
+the sequence length, so uniform attention is the identity.  `lstm_infer` is
+the one forward-only kernel: the LSTM of the inference path, which keeps no
+cache.  All math is plain numpy; dtype follows the inputs (float64 in
+gradient tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -126,10 +128,6 @@ class DenseParams(_ParamBase):
 
 # ---------------------------------------------------------------- embedding
 
-# embedding_backward sums the rows seen at most this many times in a batch in
-# rank layers, and each row seen more often by one reduce
-_RANKED_MAX = 8
-
 
 def embedding_forward(E: np.ndarray, indices: np.ndarray):
     """Row gather: (B, T) int indices -> (B, T, D)."""
@@ -145,7 +143,12 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
     Each row sums the upstream rows of its positions from +0.0 in position
     order, as a dense scatter-add with `np.add.at` does, so the listed rows,
     written into zeros of the full shape, are bit-identical to it, signs of
-    zero included.
+    zero included.  A row seen once is its one term plus 0.0.  The others go
+    in buckets by ceil(log2(count)): each bucket gathers its rows' terms, in
+    position order, into an (R, M, D) slab padded with +0.0 up to its largest
+    count R, and one sequential reduce over the slab's first axis, begun at
+    +0.0, sums them.  A sum begun at +0.0 is never -0.0, so the padding
+    changes no bit.
     """
     idx, shape, dtype = cache
     D = shape[1]
@@ -156,19 +159,20 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
     ids = flat[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))  # each id's first slot in `order`
     counts = np.diff(starts, append=ids.size)
-    values = np.zeros((starts.size, D), dtype=dtype)
-    # A rank layer adds the r-th position of every such row in one call; a
-    # row seen hundreds of times would need as many layers, so it gets a
-    # reduce.  A reduce over axis 0 adds the block's rows in order only while
-    # D > 1: with D == 1 NumPy sums the column pairwise.
-    heavy = counts > _RANKED_MAX if D > 1 else np.zeros(starts.size, dtype=bool)
-    ranked = np.flatnonzero(~heavy)
-    for r in range(counts[ranked].max(initial=0)):
-        ranked = ranked[counts[ranked] > r]
-        values[ranked] += d[order[starts[ranked] + r]]
-    for k in np.flatnonzero(heavy):
-        block = d[order[starts[k] : starts[k] + counts[k]]]
-        values[k] = np.add.reduce(block, axis=0, initial=0.0)
+    values = d.take(order[starts], axis=0)
+    values += 0.0
+    bucket = np.frexp(counts - 1)[1]  # ceil(log2(count))
+    for k in np.unique(bucket[counts > 1]):
+        rows = np.flatnonzero(bucket == k)
+        c = counts[rows]
+        r = np.arange(c.max())[:, None]
+        pad = r >= c  # (R, M)
+        slab = d.take(order[np.where(pad, 0, starts[rows] + r)], axis=0)
+        slab[pad] = 0.0
+        if rows.size * D > 1:
+            values[rows] = np.add.reduce(slab, axis=0, initial=0.0)
+        else:  # NumPy sums a lone axis pairwise; an accumulate adds in order
+            values[rows] = np.add.accumulate(np.pad(slab, ((1, 0), (0, 0), (0, 0))), axis=0)[-1]
     return RowGrad(ids[starts], values, shape)
 
 
@@ -215,34 +219,50 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 BPTT_BLOCK = 16
 
 
-def _lstm_step(p: LSTMParams, a: np.ndarray, s: np.ndarray, h: np.ndarray, c: np.ndarray,
-               c_out: np.ndarray, tc_out: np.ndarray, h_out: np.ndarray) -> None:
-    """One gate step in place.  `a` (B, 4H) enters as the input projection
-    ``x @ W``; ``(x @ W + h @ U) + b`` is formed in the scratch `s` (B, 4H),
-    and the gate activations leave in `a`'s memory gate-major, as four (B, H)
-    blocks f, i, o, u: sigmoid over f, i and o, tanh over u.  The new cell
-    state, its tanh and the new hidden state go to `c_out`, `tc_out` and
-    `h_out` (`tc_out` may be `h_out`)."""
-    B, H = h.shape
-    np.matmul(h, p.U, out=s)
-    s += a
-    s += p.b
+def _gate_step(p: LSTMParams, B: int, dtype):
+    """Make the LSTM's one gate step, for batches of `B` rows.
+
+    The step's scratch, its views and the bias tiled gate-major are made
+    here, once per call of `lstm_forward` or `lstm_infer`, so the time loop
+    only indexes.  ``step(a, gates, h, c, c_out, tc_out, h_out)`` takes step
+    t's input projection ``x @ W`` in `a` (B, 4H) and forms ``(x @ W + h @
+    U) + b``: the scratch gets ``h @ U + a``, and the step's one strided pass
+    adds `b` to its gate blocks and writes them gate-major over `a`'s memory,
+    which `gates` views (`_gate_views`).  The activations are then contiguous
+    passes: a sigmoid over f, i and o in its overflow-safe tanh form,
+    0.5 * (tanh(0.5 * x) + 1), with one tanh over all four gates.  The new
+    cell state, its tanh and the new hidden state go to `c_out`, `tc_out` and
+    `h_out`.
+    """
+    H = p.U.shape[0]
+    U = p.U
+    b = np.repeat(p.b.reshape(4, 1, H), B, axis=1)  # (4, B, H)
+    s = np.empty((B, 4 * H), dtype=dtype)
     z = s.reshape(B, 4, H).transpose(1, 0, 2)  # s's gate blocks, gate-major
-    g = a.reshape(4, B, H)
-    # sigmoid in its overflow-safe tanh form, 0.5 * (tanh(0.5 * x) + 1), one
-    # pass per operation over all three sigmoid gates at once
-    np.multiply(z[:3], 0.5, out=g[:3])
-    np.tanh(g[:3], out=g[:3])
-    g[:3] += 1.0
-    g[:3] *= 0.5
-    np.tanh(z[3], out=g[3])
-    f, i, o, u = g
-    iu = s.reshape(4, B, H)[0]  # s is free again
-    np.multiply(f, c, out=c_out)
-    np.multiply(i, u, out=iu)
-    c_out += iu
-    np.tanh(c_out, out=tc_out)
-    np.multiply(o, tc_out, out=h_out)
+    iu = s.reshape(4, B, H)[0]  # s is free once z has been read
+    add, multiply, tanh, matmul = np.add, np.multiply, np.tanh, np.matmul
+
+    def step(a, gates, h, c, c_out, tc_out, h_out):
+        g, sig, f, i, o, u = gates
+        matmul(h, U, s)
+        add(s, a, s)
+        add(z, b, g)
+        multiply(sig, 0.5, sig)
+        tanh(g, g)
+        add(sig, 1.0, sig)
+        multiply(sig, 0.5, sig)
+        multiply(f, c, c_out)
+        multiply(i, u, iu)
+        add(c_out, iu, c_out)
+        tanh(c_out, tc_out)
+        multiply(o, tc_out, h_out)
+
+    return step
+
+
+def _gate_views(g: np.ndarray) -> tuple:
+    """``(g, g[:3], f, i, o, u)`` of gate-major activations ``(..., 4, B, H)``."""
+    return (g, g[..., :3, :, :], *g.swapaxes(0, -3))
 
 
 def lstm_forward(p: LSTMParams, X: np.ndarray):
@@ -254,7 +274,8 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     its row with the gate activations, gate-major, so the cache holds `G`
     viewed as (T, 4, B, H): `G[t, k]` is gate k (f, i, o, u) of step t.  `C`
     and `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero
-    initial state, and `TC` (T, B, H) is tanh of `C[1:]`.
+    initial state, and `TC` (T, B, H) is tanh of `C[1:]`.  The time loop
+    runs `_gate_step` on views made before it starts.
     """
     B, T, D = X.shape
     H = p.U.shape[0]
@@ -262,14 +283,15 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
         raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
     Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
     G = (Xt.reshape(T * B, D) @ p.W).reshape(T, B, 4 * H)
+    G4 = G.reshape(T, 4, B, H)
     C = np.zeros((T + 1, B, H), dtype=X.dtype)
     Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
     TC = np.empty((T, B, H), dtype=X.dtype)
-    s = np.empty_like(G[0])
-    for t in range(T):
-        _lstm_step(p, G[t], s, Hs[t], C[t], C[t + 1], TC[t], Hs[t + 1])
+    step = _gate_step(p, B, G.dtype)
+    for args in zip(G, zip(*_gate_views(G4)), Hs, C, C[1:], TC, Hs[1:]):
+        step(*args)
     out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
-    return out, [p, Xt, G.reshape(T, 4, B, H), C, Hs, TC]
+    return out, [p, Xt, G4, C, Hs, TC]
 
 
 def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -279,9 +301,10 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     row of every position, as `np.unique(..., return_inverse=True)` yields
     them.  The input projection `rows @ W` is done once for all distinct rows
     (Appleyard et al. 2016, arXiv:1604.01946); each step then gathers its rows
-    of it and runs `lstm_forward`'s gate step, with `h` and `c` in two (B, H)
-    slots each that swap every step.  The output matches `lstm_forward`'s bit
-    for bit at every batch size, on the NumPy/BLAS build the tests run on.
+    of it and runs `lstm_forward`'s gate step, which writes its `h` straight
+    into the output, where the next step reads it, and `c` into one of two
+    (B, H) slots that swap every step.  The output matches `lstm_forward`'s
+    bit for bit at every batch size, on the NumPy/BLAS build the tests run on.
     """
     B, T = inv.shape
     D = rows.shape[1]
@@ -290,16 +313,18 @@ def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
         raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
     xW = rows @ p.W  # (U, 4H)
     at = np.ascontiguousarray(inv.T)  # (T, B): row of each position, step by step
-    h = np.zeros((2, B, H), dtype=rows.dtype)
-    c = np.zeros((2, B, H), dtype=rows.dtype)
     out = np.empty((B, T, H), dtype=rows.dtype)
+    h = np.zeros((B, H), dtype=rows.dtype)
+    c, c_out = np.zeros((2, B, H), dtype=rows.dtype)
+    tc = np.empty((B, H), dtype=rows.dtype)
     a = np.empty((B, 4 * H), dtype=xW.dtype)
-    s = np.empty_like(a)
-    for t in range(T):
-        k = t % 2  # the slot holding the previous state
-        np.take(xW, at[t], axis=0, out=a)
-        _lstm_step(p, a, s, h[k], c[k], c[1 - k], h[1 - k], h[1 - k])
-        out[:, t, :] = h[1 - k]
+    gates = _gate_views(a.reshape(4, B, H))
+    step = _gate_step(p, B, xW.dtype)
+    take = np.take
+    for rows_t, h_out in zip(at, out.transpose(1, 0, 2)):
+        take(xW, rows_t, 0, a)
+        step(a, gates, h, c, c_out, tc, h_out)
+        h, c, c_out = h_out, c_out, c
     return out
 
 
@@ -311,17 +336,18 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     gate blocks side by side in the order f, i, o, u as in the parameters,
     and the weight, bias and input gradients are then single GEMMs over all
     steps (Appleyard et al. 2016, arXiv:1604.01946), with the cached
-    time-major inputs and hidden states as operands.  The time loop reads the
-    gate-major activations as contiguous (B, H) blocks and forms each step's
-    gate gradients in a (4, B, H) scratch, with the factors ``1 - f``,
-    ``1 - i``, ``1 - o``, ``1 - u*u`` and ``1 - tc*tc`` formed
-    `BPTT_BLOCK` steps at a time; one transposing copy puts them in
-    ``dA[t]``.  Every product keeps the order ``(df * f) * (1 - f)`` of
-    the per-gate expressions, so the gradients are their bits.  Given an
-    executor `pool`, the weight GEMM ``dW = Xt^T dA`` runs on it, into an
-    array allocated here, while this thread forms the other gradients; each
-    GEMM is the same call on either thread, so the gradients are the same
-    bits.
+    time-major inputs and hidden states as operands.  The time loop reads
+    `dH` from one time-major copy and the gate-major activations as
+    contiguous (B, H) blocks, through views made before it starts, and forms
+    each step's gate gradients in a (4, B, H) scratch, with the factors
+    ``1 - f``, ``1 - i``, ``1 - o``, ``1 - u*u`` and ``1 - tc*tc`` formed
+    `BPTT_BLOCK` steps at a time; the last product, by those factors, is the
+    step's one strided pass and writes the gradients into ``dA[t]``.  Every
+    product keeps the order ``(df * f) * (1 - f)`` of the per-gate
+    expressions, so the gradients are their bits.  Given an executor `pool`,
+    the weight GEMM ``dW = Xt^T dA`` runs on it, into an array allocated
+    here, while this thread forms the other gradients; each GEMM is the same
+    call on either thread, so the gradients are the same bits.
 
     `cache` is `lstm_forward`'s list, and it serves one call: this call
     empties it, so a second one raises `ValueError`.  Its gate activations `G`
@@ -338,15 +364,20 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     else:
         dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dA_gates = dA.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # dA[t] seen as (4, B, H)
+    dHt = np.ascontiguousarray(dH.transpose(1, 0, 2))  # (T, B, H)
     UT = p.U.T
     dh = np.empty((B, H), dtype=dH.dtype)
     dc = np.empty((B, H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
     dg = np.empty((4, B, H), dtype=dH.dtype)  # step t's gate gradients
+    dsig, df, di, do, du = _gate_views(dg)[1:]
+    Gsig, Gf, Gi, Go, Gu = _gate_views(G)[1:]
     # per step of a block: 1 - f, 1 - i, 1 - o, 1 - u*u and 1 - tc*tc, in
     # the activations' dtype, as the per-gate expressions form them
     one_minus = np.empty((min(BPTT_BLOCK, T), 5, B, H), dtype=G.dtype)
+    k_gates, k_tc = one_minus[:, :4], one_minus[:, 4]
+    add, multiply, matmul = np.add, np.multiply, np.matmul
     for end in range(T, 0, -BPTT_BLOCK):
         start = max(end - BPTT_BLOCK, 0)
         fac = one_minus[: end - start]
@@ -355,24 +386,22 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
         np.multiply(TC[start:end], TC[start:end], out=fac[:, 4])
         np.subtract(1.0, fac[:, 3:], out=fac[:, 3:])
         for t in range(end - 1, start - 1, -1):
-            a, k = G[t], fac[t - start]
-            f, i, o, u = a
-            np.add(dH[:, t], dh_next, out=dh)
-            np.multiply(dh, o, out=dc)
-            dc *= k[4]
-            dc += dc_next
-            np.multiply(dc, C[t], out=dg[0])  # df
-            np.multiply(dc, u, out=dg[1])  # di
-            np.multiply(dh, TC[t], out=dg[2])  # do
-            np.multiply(dc, i, out=dg[3])  # du
-            np.multiply(dc, f, out=dc_next)
-            dg[:3] *= a[:3]
-            dg *= k[:4]
+            j = t - start
+            add(dHt[t], dh_next, dh)
+            multiply(dh, Go[t], dc)
+            multiply(dc, k_tc[j], dc)
+            add(dc, dc_next, dc)
+            multiply(dc, C[t], df)
+            multiply(dc, Gu[t], di)
+            multiply(dh, TC[t], do)
+            multiply(dc, Gi[t], du)
+            multiply(dc, Gf[t], dc_next)
+            multiply(dsig, Gsig[t], dsig)
             # every read of step t is done, so dA[t] may be G[t]'s memory
-            np.copyto(dA_gates[t], dg)
-            np.matmul(dA[t], UT, out=dh_next)
+            multiply(dg, k_gates[j], dA_gates[t])
+            matmul(dA[t], UT, dh_next)
     # C and TC are freed here; the loop's views of G go too, since G may be dA
-    G = C = TC = one_minus = fac = a = k = f = i = o = u = None
+    G = C = TC = one_minus = fac = k_gates = k_tc = Gsig = Gf = Gi = Go = Gu = None
     dA2 = dA.reshape(T * B, 4 * H)
     dW = np.empty(p.W.shape, dtype=dA.dtype)
     if pool is None:

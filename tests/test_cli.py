@@ -364,6 +364,25 @@ def test_synth_posts_below_one_exits_1(tmp_path, capsys, posts, via):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("cmd", ["synth", "train", "ablate"])
+def test_seed_outside_64_bits_exits_1(pipeline, tmp_path, capsys, cmd, seed, via):
+    # seeds are masked to 64 bits: synth --seed -1 used to write the corpus of
+    # seed 2**64 - 1, and train recorded 2**64 in run.json but ran seed 0
+    if via == "flag":
+        args = ("--seed", seed)
+    else:
+        config_params(cmd, {"seed": seed})(tmp_path / "run.json")
+        args = ("--config", tmp_path / "run.json")
+    inputs = () if cmd == "synth" else ("--dataset", pipeline / "prep" / "tokens.jsonl",
+                                        "--epochs", 1)
+    out = tmp_path / "o"
+    assert run(cmd, *inputs, "--out", out, *args) == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_importing_the_cli_starts_no_pool_machinery():
     # predict, fit and ablate import these lazily, since a module-level
     # import would slow every risknet start
@@ -600,7 +619,8 @@ def test_evaluate_counts_unlabeled_records_over_the_whole_file(pipeline, tmp_pat
 def test_malformed_record_after_an_unlabeled_one_is_named_first(pipeline, tmp_path, capsys,
                                                                cmd):
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(_GOOD_RECORD) + "\n5\n",
+    second = dict(_GOOD_RECORD, post_id="p2")
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n" + json.dumps(second) + "\n5\n",
                     encoding="utf-8")
     assert run(cmd, "--model", pipeline / "train" / "model.rkn",
                "--dataset", path, "--out", tmp_path / "o") == 1
@@ -796,6 +816,23 @@ def test_malformed_token_record_exits_1_naming_file_and_line(pipeline, tmp_path,
                "--dataset", path, "--out", tmp_path / "pred") == 1
     assert f"{path}: line 2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["train", "annotate", "evaluate", "predict"])
+def test_repeated_post_id_exits_1_naming_both_lines(pipeline, tmp_path, capsys, cmd):
+    # predict used to write a row per record, six for three records read
+    # twice, and train could put one post in both shards
+    lines = (pipeline / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    path = tmp_path / "twice.jsonl"
+    path.write_text("\n".join(lines + lines) + "\n", encoding="utf-8")
+    post_id = json.loads(lines[0])["post_id"]
+    flags = {"train": ABLATE_FLAGS, "annotate": (),
+             "evaluate": ("--model", pipeline / "train" / "model.rkn"),
+             "predict": ("--model", pipeline / "train" / "model.rkn")}[cmd]
+    assert run(cmd, "--dataset", path, *flags, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 4: duplicate post_id '{post_id}' (first seen at line 1)\n")
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("token", ["", "a b", "a\tb"], ids=["empty", "space", "tab"])

@@ -43,7 +43,7 @@ from risknet.layers import (
     lstm_forward,
     lstm_infer,
 )
-from risknet.model import VARIANTS, ModelConfig
+from risknet.model import PREDICT_BATCH, VARIANTS, ModelConfig
 from risknet.train import ADAM_BLOCK, Adam, AdamHyper, TrainConfig, fit
 
 # rtol per dtype; atol is rtol times the largest reference magnitude, so that
@@ -58,6 +58,9 @@ LSTM_SHAPES = [(32, 48, 32, 16), (4, 12, 300, 100)]
 STEPLIST_SHAPES = LSTM_SHAPES + [(32, 128, 300, 100), (1, 12, 300, 100), (1, 48, 32, 16)]
 # lstm_infer: LSTM_SHAPES, a one-row batch and a one-unit LSTM
 INFER_SHAPES = LSTM_SHAPES + [(1, 12, 300, 100), (3, 9, 5, 1)]
+# a chunk of `predict` at the paper shape, where each step's h is a strided
+# view of the output
+PREDICT_SHAPE = (PREDICT_BATCH, 128, 300, 100)
 # (B, T, d_in, k, F): conv over the LSTM output at both shapes, and over the
 # embedding as in the cnn-only variant
 CONV_SHAPES = [(32, 48, 16, 8, 3), (4, 32, 100, 8, 3), (4, 32, 300, 8, 3), (3, 9, 5, 4, 2)]
@@ -317,7 +320,7 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("B,T,D,H", INFER_SHAPES)
+@pytest.mark.parametrize("B,T,D,H", INFER_SHAPES + [PREDICT_SHAPE])
 def test_lstm_infer_is_bit_identical_to_its_step_loop(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T + 4)
     p = random_lstm(rng, D, H, dtype)
@@ -622,6 +625,46 @@ def test_row_gradient_is_bit_identical_to_dense_scatter(batch, dtype, D):
     assert np.array_equal(full, ref)
     assert np.array_equal(np.signbit(full), np.signbit(ref))
     assert full.tobytes() == ref.tobytes()
+
+
+# counts at, below and just past the powers of two up to 64, since
+# embedding_backward sums the rows of each ceil(log2(count)) bucket together
+EMBED_COUNTS = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.sampled_from(EMBED_COUNTS), min_size=1, max_size=4),
+       fill=st.sampled_from(["pad", "ids"]), zero_last=st.booleans(), B=st.integers(1, 8),
+       T=st.integers(1, 40), V=st.integers(2, 40), D=st.sampled_from([1, 2, 7]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+# one distinct non-PAD id, alone in its bucket, with D == 1: its terms are
+# the only axis of its bucket's reduce
+@example(counts=[65], fill="pad", zero_last=False, B=2, T=40, V=2, D=1, dtype=np.float64,
+         seed=0)
+@example(counts=[9], fill="pad", zero_last=True, B=1, T=9, V=2, D=2, dtype=np.float32, seed=1)
+@example(counts=[64, 33, 2, 1], fill="ids", zero_last=False, B=8, T=40, V=9, D=7,
+         dtype=np.float32, seed=2)
+def test_row_gradient_is_bit_identical_to_dense_scatter_on_drawn_batches(
+        counts, fill, zero_last, B, T, V, D, dtype, seed):
+    rng = np.random.default_rng(seed)
+    B = max(B, -(-sum(counts) // T))  # room for every counted id
+    ids = rng.integers(0, V, size=B * T) if fill == "ids" else np.zeros(B * T, dtype=np.int64)
+    # ids V, V + 1, ... are seen exactly `counts` times, at random positions
+    for k, at in enumerate(np.split(rng.permutation(B * T), np.cumsum(counts))[:-1]):
+        ids[at] = V + k
+    ids = np.insert(ids.reshape(B, T), rng.integers(0, B + 1), PAD_INDEX, axis=0)  # a PAD row
+    E = rng.normal(size=(V + len(counts), D)).astype(dtype)
+    E[PAD_INDEX] = 0.0
+    out, cache = embedding_forward(E, ids)
+    dout = (rng.normal(size=out.shape) * 10.0 ** rng.integers(-3, 4, size=out.shape)).astype(dtype)
+    dout[rng.random(out.shape) < 0.2] = -0.0
+    if zero_last:  # an id whose every term is -0.0 sums to +0.0
+        dout[ids == V + len(counts) - 1] = -0.0
+    grad = embedding_backward(cache, dout)
+    ref = ref_embedding_backward(cache, dout)
+    assert np.array_equal(grad.rows, np.unique(ids[ids != PAD_INDEX]))
+    assert grad.values.dtype == dtype
+    assert dense(grad).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -12,10 +12,13 @@ rows a batch touched, summed with one reduce per power-of-two count bucket.
 The dense head's backward starts from the fused softmax + cross-entropy
 gradient at the logits.  Dropout runs in training only, with a mask drawn
 from the raw bits of its own PCG64 stream.  Attention scales its output by
-the sequence length, so uniform attention is the identity.  `lstm_infer` is
-the one forward-only kernel: the LSTM of the inference path, which keeps no
-cache.  All math is plain numpy; dtype follows the inputs (float64 in
-gradient tests, float32 in training).
+the sequence length, so uniform attention is the identity; inference has it
+scale its input in place.  The conv pads its input `CONV_BLOCK` posts at a
+time and caches the unpadded input.  `lstm_infer` is the one forward-only
+kernel: the LSTM of the inference path, which starts from the input
+projection of a batch's distinct rows and keeps no cache.  All math is plain
+numpy; dtype follows the inputs (float64 in gradient tests, float32 in
+training).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .rng import STREAM_DROPOUT, bulk_generator
 # the layer tag in the dropout mask's stream: a mask is a deterministic
 # function of seed, step and this tag
 LAYER_EMBED_DROPOUT = 1
+# raw words per read of a dropout mask's stream: 512 KB, against 9.8 MB for
+# one 64-bit word per element at the paper shape (B 32, T 128, D 300)
+DROPOUT_WORDS = 2**16
 
 
 class NumericsError(FloatingPointError):
@@ -187,14 +193,22 @@ def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
     is a whole number (0.25, 0.5, 0.75, ...), else 64.  An element is kept iff
     its integer is at least ``ceil(rate * 2**bits)``, so the keep probability
     is exactly ``1 - rate`` on 8 bits and within 2**-64 of it on 64, and the
-    mask does not depend on the host's byte order.
+    mask does not depend on the host's byte order.  The words are read
+    `DROPOUT_WORDS` at a time, each block compared into one boolean array, so
+    the draw holds one block of words, not one word per element; the words
+    and their order are those of a single read.
     """
     n = math.prod(shape)
     bits = 8 if float(rate * 256).is_integer() else 64
+    per_word = 64 // bits
+    threshold = math.ceil(rate * 2**bits)
     rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
-    words = rng.bit_generator.random_raw(-(-n * bits // 64))
-    ints = words.astype("<u8", copy=False).view(f"<u{bits // 8}")[:n]
-    keep = ints >= math.ceil(rate * 2**bits)
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, DROPOUT_WORDS * per_word):
+        block = keep[start : start + DROPOUT_WORDS * per_word]
+        words = rng.bit_generator.random_raw(-(-block.size // per_word))
+        ints = words.astype("<u8", copy=False).view(f"<u{bits // 8}")[: block.size]
+        np.greater_equal(ints, threshold, out=block)
     return np.multiply(keep, dtype(1) / dtype(1 - rate), dtype=dtype).reshape(shape)
 
 
@@ -217,6 +231,10 @@ def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
 # 1 - u*u, 1 - tc*tc) this many steps at a time: 1 MB of scratch at the paper
 # shape (B 32, H 100, float32)
 BPTT_BLOCK = 16
+# posts per padded block of the conv forward pass: a training batch (32) pads
+# once, and a 128-post inference chunk holds one 32-post pad block, 1.7 MB at
+# the paper shape (T 128, k 8, d 100, float32), not a padded copy of all 128
+CONV_BLOCK = 32
 
 
 def _gate_step(p: LSTMParams, B: int, dtype):
@@ -294,29 +312,29 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     return out, [p, Xt, G4, C, Hs, TC]
 
 
-def lstm_infer(p: LSTMParams, rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def lstm_infer(p: LSTMParams, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Forward-only `lstm_forward` output (B, T, H), with no cache kept.
 
-    `rows` (U, D) are a batch's distinct input rows and `inv` (B, T) gives the
-    row of every position, as `np.unique(..., return_inverse=True)` yields
-    them.  The input projection `rows @ W` is done once for all distinct rows
-    (Appleyard et al. 2016, arXiv:1604.01946); each step then gathers its rows
-    of it and runs `lstm_forward`'s gate step, which writes its `h` straight
-    into the output, where the next step reads it, and `c` into one of two
-    (B, H) slots that swap every step.  The output matches `lstm_forward`'s
-    bit for bit at every batch size, on the NumPy/BLAS build the tests run on.
+    `xW` (U, 4H) is the input projection ``rows @ W`` of a batch's distinct
+    input rows, and `inv` (B, T) gives the row of every position, as
+    `np.unique(..., return_inverse=True)` yields them.  The projection is
+    done once for all distinct rows (Appleyard et al. 2016, arXiv:1604.01946)
+    by the caller, which can then free the (U, D) rows before the time loop
+    starts.  Each step gathers its rows of `xW` and runs `lstm_forward`'s gate
+    step, which writes its `h` straight into the output, where the next step
+    reads it, and `c` into one of two (B, H) slots that swap every step.  The
+    output matches `lstm_forward`'s bit for bit at every batch size, on the
+    NumPy/BLAS build the tests run on.
     """
     B, T = inv.shape
-    D = rows.shape[1]
     H = p.U.shape[0]
-    if p.W.shape[0] != D:
-        raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
-    xW = rows @ p.W  # (U, 4H)
+    if xW.ndim != 2 or xW.shape[1] != 4 * H:
+        raise ValueError(f"LSTM projection mismatch: params expect (U, {4 * H}), got {xW.shape}")
     at = np.ascontiguousarray(inv.T)  # (T, B): row of each position, step by step
-    out = np.empty((B, T, H), dtype=rows.dtype)
-    h = np.zeros((B, H), dtype=rows.dtype)
-    c, c_out = np.zeros((2, B, H), dtype=rows.dtype)
-    tc = np.empty((B, H), dtype=rows.dtype)
+    out = np.empty((B, T, H), dtype=xW.dtype)
+    h = np.zeros((B, H), dtype=xW.dtype)
+    c, c_out = np.zeros((2, B, H), dtype=xW.dtype)
+    tc = np.empty((B, H), dtype=xW.dtype)
     a = np.empty((B, 4 * H), dtype=xW.dtype)
     gates = _gate_views(a.reshape(4, B, H))
     step = _gate_step(p, B, xW.dtype)
@@ -422,7 +440,7 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
 # ---------------------------------------------------------------- attention
 
 
-def attention_forward(p: AttentionParams, P: np.ndarray):
+def attention_forward(p: AttentionParams, P: np.ndarray, out: np.ndarray | None = None):
     """e = tanh(P w + b); alpha = softmax over time; out = P * (T * alpha)
     (3-D kept).
 
@@ -432,6 +450,12 @@ def attention_forward(p: AttentionParams, P: np.ndarray):
     is normalised the same way; keeping the sequence keeps the model's
     attention -> conv chain.  Without the factor the conv layer's ReLUs can
     all die early in training, and the model then stays at chance.
+
+    Given `out` (B, T, d), which may be `P` itself, the product is written
+    there, with the bits of the out-of-place product, and the cache is None:
+    inference scales the LSTM output it owns in place, so that it holds one
+    (B, T, d) array here, not two.  Training keeps the out-of-place product
+    and its cache, which holds `P`.
     """
     B, T, d = P.shape
     if p.w.shape[0] != d:
@@ -442,6 +466,8 @@ def attention_forward(p: AttentionParams, P: np.ndarray):
     m = e.max(axis=1, keepdims=True)
     ex = np.exp(e - m)
     alpha = ex / ex.sum(axis=1, keepdims=True)
+    if out is not None:
+        return np.multiply(P, T * alpha, out=out), None
     return P * (T * alpha), (p, P, e, alpha)
 
 
@@ -468,22 +494,40 @@ def conv_padding(k: int) -> tuple[int, int]:
 
 
 def conv1d_relu_forward(p: Conv1DParams, X: np.ndarray):
+    """'same'-padded conv over time, then ReLU: (B, T, d_in) -> (B, T, F).
+
+    The input is padded `CONV_BLOCK` posts at a time into one reused zeroed
+    buffer, and each tap j adds ``window_j @ kernels[j]``, one (T, d_in) GEMM
+    per post, to the pre-activation `z`.  Each post's GEMMs see the windows
+    they would see in the whole batch padded at once, so the output has the
+    same bits.  The cache holds the unpadded input, which
+    `conv1d_relu_backward` pads.
+    """
     B, T, d_in = X.shape
     k, d_k, F = p.kernels.shape
     if d_k != d_in:
         raise ValueError(f"conv channel mismatch: kernels expect {d_k}, input {d_in}")
-    pl, pr = conv_padding(k)
-    Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
+    pl, _ = conv_padding(k)
+    Xp = np.zeros((min(B, CONV_BLOCK), T + k - 1, d_in), dtype=X.dtype)
     z = np.broadcast_to(p.bias, (B, T, F)).astype(X.dtype).copy()
-    for j in range(k):
-        z += Xp[:, j : j + T, :] @ p.kernels[j]
-    return np.maximum(z, 0.0), (p, Xp, z, (B, T, d_in))
+    for start in range(0, B, CONV_BLOCK):
+        zb = z[start : start + CONV_BLOCK]
+        xp = Xp[: len(zb)]
+        xp[:, pl : pl + T] = X[start : start + CONV_BLOCK]
+        for j in range(k):
+            zb += xp[:, j : j + T, :] @ p.kernels[j]
+    return np.maximum(z, 0.0), (p, X, z)
 
 
 def conv1d_relu_backward(cache, dout: np.ndarray):
-    p, Xp, z, (B, T, d_in) = cache
+    """Gradients of `conv1d_relu_forward` from its cache: the input is padded
+    once, whole, and each tap's window gives the kernel gradient and adds its
+    share of the input gradient."""
+    p, X, z = cache
+    B, T, d_in = X.shape
     k = p.kernels.shape[0]
-    pl, _ = conv_padding(k)
+    pl, pr = conv_padding(k)
+    Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
     dz = dout * (z > 0.0)
     dz2 = dz.reshape(B * T, -1)
     g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}

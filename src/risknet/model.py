@@ -119,8 +119,10 @@ _OPS = {
                    lambda c, d, _: ({}, dropout_backward(c, d))),
     "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
                 lambda c, d, pool: lstm_backward(c, d, pool)),
+    # inference (no step) scales the LSTM output in place: `lstm_infer` made
+    # it and nothing else holds it
     "attention": _Op("attention", AttentionParams,
-                     lambda w, x, *_: attention_forward(w, x),
+                     lambda w, x, cfg, step: attention_forward(w, x, x if step is None else None),
                      lambda c, d, _: attention_backward(c, d)),
     "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
                        lambda c, d, _: conv1d_relu_backward(c, d)),
@@ -303,10 +305,15 @@ class Model:
 
         Given a training `step`, dropout applies that step's mask and the
         trace keeps every layer's cache for `backward`.  Without one
-        (inference), dropout is left out, no layer keeps a cache, the trace
-        is None, and the embedding -> LSTM prefix runs as one `lstm_infer`
-        over the batch's distinct indices.  With a zero dropout rate the two
-        paths' probabilities match bit for bit at every batch size (see
+        (inference), dropout is left out, no layer keeps a cache and the
+        trace is None.  The embedding -> LSTM prefix gathers the batch's
+        distinct rows, projects them through the LSTM's input weights and
+        drops them, then runs `lstm_infer` on the projection; attention
+        scales the LSTM output in place, and the conv pads `CONV_BLOCK` posts
+        at a time.  So a chunk holds the projected rows and one (B, T, H)
+        activation during the LSTM, and one (B, T, H) activation and one pad
+        block after it.  With a zero dropout rate the two paths'
+        probabilities match bit for bit at every batch size (see
         `lstm_infer`).
         """
         cfg, p = self.cfg, self.params
@@ -321,10 +328,12 @@ class Model:
             if chain[: len(_FOLDED)] == _FOLDED:
                 uniq, inv = np.unique(batch, return_inverse=True)
                 rows, _ = embedding_forward(p.embedding.matrix, uniq)
-                check_finite("embedding", rows)
+                xW = check_finite("embedding", rows) @ p.lstm.W
+                del rows  # freed before the LSTM's time loop starts
                 # the shape of `inv` differs across NumPy releases
-                x = check_finite("lstm", lstm_infer(p.lstm, rows, inv.reshape(batch.shape)))
-                del rows  # freed before the layers above run
+                x = lstm_infer(p.lstm, xW, inv.reshape(batch.shape))
+                del xW  # freed before the check's (B, T, H) temporary is made
+                check_finite("lstm", x)
                 chain = chain[len(_FOLDED) :]
         for op in chain:
             row = _OPS[op]

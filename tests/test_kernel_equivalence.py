@@ -205,9 +205,11 @@ def steplist_lstm_backward(cache, dH):
 
 
 def ref_conv1d_relu_backward(cache, dout):
-    p, Xp, z, (B, T, d_in) = cache
+    p, X, z = cache
+    T = X.shape[1]
     k = p.kernels.shape[0]
-    pl, _ = conv_padding(k)
+    pl, pr = conv_padding(k)
+    Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
     dz = dout * (z > 0.0)
     g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
     dXp = np.zeros_like(Xp)
@@ -314,7 +316,7 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
     ref, _ = lstm_forward(p, E[ids])
     uniq, inv = np.unique(ids, return_inverse=True)
     assert uniq.size < ids.size and uniq[0] == 0
-    out = lstm_infer(p, E[uniq], inv.reshape(B, T))
+    out = lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T))
     assert out.dtype == ref.dtype == dtype
     assert out.tobytes() == ref.tobytes()
 
@@ -326,7 +328,7 @@ def test_lstm_infer_is_bit_identical_to_its_step_loop(B, T, D, H, dtype):
     p = random_lstm(rng, D, H, dtype)
     E, ids = embedded_ids(rng, B, T, D, dtype)
     uniq, inv = np.unique(ids, return_inverse=True)
-    out = lstm_infer(p, E[uniq], inv.reshape(B, T))
+    out = lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T))
     ref = loop_lstm_infer(p, E[uniq], inv.reshape(B, T))
     assert out.dtype == ref.dtype == dtype
     assert out.tobytes() == ref.tobytes()
@@ -384,7 +386,7 @@ def test_lstm_kernels_equal_their_step_loops_on_drawn_shapes(B, T, D, H, dtype, 
     assert_same_bits(dX, ref_dX, "dX")
     E, ids = embedded_ids(rng, B, T, D, dtype)
     uniq, inv = np.unique(ids, return_inverse=True)
-    assert_same_bits(lstm_infer(p, E[uniq], inv.reshape(B, T)),
+    assert_same_bits(lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T)),
                      loop_lstm_infer(p, E[uniq], inv.reshape(B, T)), "lstm_infer")
 
 

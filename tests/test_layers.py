@@ -1,6 +1,7 @@
 """Per-layer forward oracles and finite-difference gradient checks."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import dense, dlogits_through_softmax, fd_check, projection_loss, sigmoid
 from risknet.layers import (
+    CONV_BLOCK,
+    DROPOUT_WORDS,
     LAYER_EMBED_DROPOUT,
     AttentionParams,
     Conv1DParams,
@@ -167,6 +170,42 @@ def test_dropout_mask_matches_the_raw_word_oracle(shape, rate, dtype, seed, step
     mask = dropout_mask(shape, rate, seed, step, dtype)
     assert mask.shape == shape and mask.dtype == dtype
     assert mask.tobytes() == mask_oracle(shape, rate, seed, step, dtype).tobytes()
+
+
+def one_read_mask(shape, rate, seed, step, dtype):
+    """`dropout_mask` from a single read of all its raw words."""
+    n = math.prod(shape)
+    bits = 8 if float(rate * 256).is_integer() else 64
+    rng = bulk_generator(seed, STREAM_DROPOUT, step, LAYER_EMBED_DROPOUT)
+    words = rng.bit_generator.random_raw(-(-n * bits // 64))
+    ints = words.astype("<u8", copy=False).view(f"<u{bits // 8}")[:n]
+    keep = ints >= math.ceil(rate * 2**bits)
+    return np.multiply(keep, dtype(1) / dtype(1 - rate), dtype=dtype).reshape(shape)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.3, 0.5])
+@pytest.mark.parametrize("past_block", [-1, 0, 1, DROPOUT_WORDS + 3])
+def test_dropout_mask_read_in_blocks_matches_one_read(rate, past_block):
+    # element counts below, at and across the first block boundary, and into
+    # a third block; a block holds 8 elements per word on the 8-bit path
+    per_word = 8 if float(rate * 256).is_integer() else 1
+    n = DROPOUT_WORDS * per_word + past_block
+    mask = dropout_mask((n,), rate, seed=7, step=2, dtype=np.float32)
+    assert mask.tobytes() == one_read_mask((n,), rate, 7, 2, np.float32).tobytes()
+
+
+def test_dropout_mask_holds_one_block_of_words_on_the_64_bit_path():
+    # at the paper shape a word per element would be 9.8 MB
+    shape = (32, 128, 300)
+    n = math.prod(shape)
+    tracemalloc.start()
+    try:
+        dropout_mask(shape, 0.3, seed=1, step=0, dtype=np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 mask, its boolean keep array and one block of words
+    assert peak <= 1.1 * (4 * n + n + 8 * DROPOUT_WORDS)
 
 
 def test_dropout_mask_values_are_zero_or_scaled():
@@ -540,6 +579,148 @@ def test_fused_loss_gradient_matches_the_softmax_jacobian_route():
     onehot = np.eye(4)[y]
     via_jacobian = dlogits_through_softmax(probs, -onehot / (4 * probs))
     assert np.allclose(cce_grad_logits(probs, y), via_jacobian, atol=1e-12)
+
+
+# ------------------------------------------------------------ drawn shapes
+
+# batch sizes: one post, a conv pad block and a block plus one, up to two blocks
+# plus one; float64 throughout, so the finite differences resolve
+BATCH = st.integers(1, 2 * CONV_BLOCK + 1)
+DRAWN = settings(max_examples=25, deadline=None)
+
+
+def padded_conv1d_relu(p, X, dout):
+    """Conv + ReLU over the whole batch padded at once, forward then backward:
+    the conv layer as it was before it padded in blocks.  Returns (out,
+    grads, dX)."""
+    B, T, d_in = X.shape
+    k = p.kernels.shape[0]
+    pl, pr = conv_padding(k)
+    Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
+    z = np.broadcast_to(p.bias, (B, T, p.bias.size)).astype(X.dtype).copy()
+    for j in range(k):
+        z += Xp[:, j : j + T, :] @ p.kernels[j]
+    dz = dout * (z > 0.0)
+    g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
+    dXp = np.zeros_like(Xp)
+    for j in range(k):
+        window = np.ascontiguousarray(Xp[:, j : j + T, :]).reshape(B * T, d_in)
+        g["kernels"][j] = window.T @ dz.reshape(B * T, -1)
+        dXp[:, j : j + T, :] += dz @ p.kernels[j].T
+    return np.maximum(z, 0.0), g, dXp[:, pl : pl + T, :]
+
+
+def eighths(rng, size):
+    """Multiples of 1/8 in [-2, 2]: a few sums of their products are exact in
+    float64."""
+    return rng.integers(-16, 17, size=size) / 8
+
+
+@DRAWN
+@given(B=BATCH, T=st.integers(1, 12), d_in=st.integers(1, 6), k=st.integers(1, 9),
+       F=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+# T shorter than the kernel, one input channel, and batches of one block, one
+# block plus one and two blocks plus one
+@example(B=1, T=3, d_in=1, k=8, F=1, seed=0)
+@example(B=CONV_BLOCK, T=5, d_in=2, k=8, F=3, seed=1)
+@example(B=CONV_BLOCK + 1, T=9, d_in=1, k=4, F=2, seed=2)
+@example(B=2 * CONV_BLOCK + 1, T=2, d_in=3, k=5, F=3, seed=3)
+def test_conv_on_drawn_shapes_matches_the_padded_oracle_and_finite_differences(
+        B, T, d_in, k, F, seed):
+    rng = RNG(seed)
+    p = Conv1DParams(kernels=rng.normal(scale=0.5, size=(k, d_in, F)),
+                     bias=rng.normal(scale=0.1, size=F))
+    X = rng.normal(size=(B, T, d_in))
+    dout = rng.normal(size=(B, T, F))
+    out, cache = conv1d_relu_forward(p, X)
+    grads, dX = conv1d_relu_backward(cache, dout)
+    ref_out, ref_grads, ref_dX = padded_conv1d_relu(p, X, dout)
+    assert out.tobytes() == ref_out.tobytes()
+    assert dX.tobytes() == ref_dX.tobytes()
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    # finite differences on eighths, with the bias 1/128 off them: every
+    # pre-activation is then an odd multiple of 1/128 and every sum is exact,
+    # so a step of 2**-20 crosses no ReLU kink.  With normal draws over up to
+    # 2 * CONV_BLOCK + 1 posts, some pre-activation often lies within a step
+    # of the kink
+    p = Conv1DParams(kernels=eighths(rng, (k, d_in, F)), bias=eighths(rng, F) + 1 / 128)
+    X = eighths(rng, (B, T, d_in))
+    R = eighths(rng, (B, T, F))
+    out, cache = conv1d_relu_forward(p, X)
+    grads, dX = conv1d_relu_backward(cache, R)
+
+    def loss():
+        return float(np.sum(conv1d_relu_forward(p, X)[0] * R))
+
+    fd_check(loss, p.kernels, grads["kernels"], rng, h=2**-20, name="kernels")
+    fd_check(loss, p.bias, grads["bias"], rng, samples=2, h=2**-20, name="bias")
+    fd_check(loss, X, dX, rng, h=2**-20, name="X")
+
+
+@DRAWN
+@given(B=BATCH, T=st.integers(1, 12), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(B=1, T=1, d=1, seed=0)
+@example(B=2 * CONV_BLOCK + 1, T=7, d=1, seed=1)
+def test_attention_on_drawn_shapes_in_place_and_finite_differences(B, T, d, seed):
+    rng = RNG(seed)
+    p = AttentionParams(w=rng.normal(scale=0.5, size=(d, 1)),
+                        b=rng.normal(scale=0.5, size=(T, 1)))
+    P = rng.normal(size=(B, T, d))
+    out, cache = attention_forward(p, P)
+    scaled = P.copy()
+    in_place, none = attention_forward(p, scaled, scaled)
+    assert in_place is scaled and none is None
+    assert scaled.tobytes() == out.tobytes()
+    R, loss_of = projection_loss(rng, out.shape)
+    grads, dP = attention_backward(cache, R)
+
+    def loss():
+        return loss_of(attention_forward(p, P)[0])
+
+    fd_check(loss, p.w, grads["w"], rng, name="w")
+    fd_check(loss, p.b, grads["b"], rng, name="b")
+    fd_check(loss, P, dP, rng, name="P")
+
+
+@DRAWN
+@given(B=BATCH, size=st.integers(1, 4), windows=st.integers(1, 4), rest=st.integers(0, 3),
+       F=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+# T not a multiple of the pool, and one filter
+@example(B=1, size=2, windows=1, rest=1, F=1, seed=0)
+@example(B=2 * CONV_BLOCK + 1, size=3, windows=2, rest=2, F=1, seed=1)
+def test_maxpool_on_drawn_shapes_finite_differences(B, size, windows, rest, F, seed):
+    rng = RNG(seed)
+    T = size * windows + rest % size
+    X = rng.normal(size=(B, T, F))
+    out, cache = maxpool1d_forward(X, size)
+    assert out.shape == (B, T // size, F)
+    R, loss_of = projection_loss(rng, out.shape)
+    dX = maxpool1d_backward(cache, R)
+    fd_check(lambda: loss_of(maxpool1d_forward(X, size)[0]), X, dX, rng, samples=12, name="X")
+
+
+@DRAWN
+@given(B=BATCH, M=st.integers(1, 8), C=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+@example(B=1, M=1, C=2, seed=0)
+@example(B=2 * CONV_BLOCK + 1, M=1, C=4, seed=1)
+def test_dense_on_drawn_shapes_finite_differences(B, M, C, seed):
+    rng = RNG(seed)
+    # small weights keep the softmax off saturation, whose gradients are too
+    # small for finite differences to resolve
+    p = DenseParams(W=rng.normal(scale=0.3, size=(M, C)), b=rng.normal(size=C))
+    v = rng.normal(size=(B, M))
+    probs, cache = dense_softmax_forward(p, v)
+    R, loss_of = projection_loss(rng, probs.shape)
+    grads, dv = dense_softmax_backward(cache, dlogits_through_softmax(probs, R))
+
+    def loss():
+        return loss_of(dense_softmax_forward(p, v)[0])
+
+    fd_check(loss, p.W, grads["W"], rng, name="W")
+    fd_check(loss, p.b, grads["b"], rng, samples=2, name="b")
+    fd_check(loss, v, dv, rng, name="v")
 
 
 # ----------------------------------------------------------------- tripwire

@@ -10,7 +10,7 @@ import pytest
 import risknet.model
 from conftest import dense, dlogits_through_softmax, fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX
-from risknet.layers import NumericsError
+from risknet.layers import CONV_BLOCK, NumericsError
 from risknet.model import (
     VARIANTS,
     Model,
@@ -486,6 +486,27 @@ def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
     # as when a reference to every cached array outlives lstm_backward
     held, _ = _backward_peak(model, X, dlogits, hold_lstm_cache=True)
     assert held - handed_over >= 0.9 * freed
+
+
+def test_predict_chunk_peak_is_the_projection_one_activation_and_one_pad_block():
+    # one `predict` chunk of the full model at the paper's max-len and LSTM
+    # width: during the LSTM it holds the projected distinct rows and the
+    # (B, T, H) output, and after it that output, which attention scales in
+    # place, and one conv pad block of CONV_BLOCK posts
+    B, T, H, V = risknet.model.PREDICT_BATCH, 128, 100, 2000
+    cfg = ModelConfig(max_len=T, embed_dim=32, lstm_units=H, dropout_rate=0.0, seed=3)
+    model = Model(cfg, init_params(cfg, make_embedding(V, 32, dtype=np.float32)))
+    X = batch_for(cfg, V=V, B=B)
+    X[::2, : T // 2] = PAD_INDEX
+    tracemalloc.start()
+    try:
+        model.forward(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    projected = np.unique(X).size * 4 * H
+    pad_block = CONV_BLOCK * (T + cfg.kernel - 1) * H
+    assert peak <= 1.1 * 4 * (projected + B * T * H + pad_block)  # float32
 
 
 # ------------------------------------------------------------------ tracing

@@ -71,6 +71,8 @@ def iter_tokens(path: Path) -> Iterator[dict]:
             for fieldname in ("post_id", "user_id"):
                 if not isinstance(row[fieldname], str):
                     raise UsageError(f"{path}: line {line_num}: '{fieldname}' must be a string")
+            if not row["post_id"]:  # predict would write an empty id cell
+                raise UsageError(f"{path}: line {line_num}: empty post_id")
             tokens = row["tokens"]
             try:
                 if not isinstance(tokens, list):  # a str would join character by character
@@ -230,8 +232,8 @@ def _cmd_annotate(params: dict, out: Path) -> None:
     with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ngram", "weight"])
-        for gram in sorted(result.weights.weights):
-            writer.writerow([gram, repr(result.weights.weights[gram])])
+        for gram in sorted(result.weights):
+            writer.writerow([gram, repr(result.weights[gram])])
     t = result.thresholds
     params["thresholds"] = [t.t1, t.t2, t.t3]
 

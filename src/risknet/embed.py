@@ -8,6 +8,7 @@ max_len tokens, so the most recent words sit nearest the classifier head.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,8 +23,18 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 INIT_SCALE = 0.05  # uniform half-width for embedding init and the UNK row
-# elements per block of `EmbeddingMatrix`'s finiteness check
+# elements per block of `all_finite`'s check
 _FINITE_CHECK_BLOCK = 1 << 16
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of `arr` is finite, checked a block of leading-axis
+    rows at a time, so that the check's boolean temporary holds at most
+    `_FINITE_CHECK_BLOCK` entries (or one row, if a row holds more) and a
+    strided view is not copied."""
+    rows = max(1, _FINITE_CHECK_BLOCK // max(1, math.prod(arr.shape[1:])))
+    return all(np.isfinite(arr[start : start + rows]).all()
+               for start in range(0, arr.shape[0], rows))
 
 
 @dataclass(frozen=True)
@@ -60,12 +71,8 @@ class EmbeddingMatrix:
     def __post_init__(self):
         if self.matrix.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
-        # a block of rows at a time, so that the check's boolean temporary
-        # stays small next to a large matrix
-        rows = max(1, _FINITE_CHECK_BLOCK // max(1, self.matrix.shape[1]))
-        for start in range(0, self.matrix.shape[0], rows):
-            if not np.isfinite(self.matrix[start : start + rows]).all():
-                raise ValueError("embedding matrix contains non-finite entries")
+        if not all_finite(self.matrix):
+            raise ValueError("embedding matrix contains non-finite entries")
         if np.any(self.matrix[PAD_INDEX] != 0.0):
             raise ValueError("PAD row must be all zeros")
 

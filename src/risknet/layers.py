@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .embed import PAD_INDEX
+from .embed import PAD_INDEX, all_finite
 from .rng import STREAM_DROPOUT, bulk_generator
 
 # the layer tag in the dropout mask's stream: a mask is a deterministic
@@ -45,7 +45,7 @@ class NumericsError(FloatingPointError):
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NumericsError(f"non-finite values after layer '{name}'")
     return arr
 
@@ -68,7 +68,7 @@ def check_finite_grad(name: str, grad, layer: str | None = None) -> None:
     `RowGrad` (whose unlisted rows are zero); `layer` names the backward pass
     that made it."""
     values = grad.values if isinstance(grad, RowGrad) else grad
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         after = f" after layer '{layer}' backward" if layer else ""
         raise NumericsError(f"non-finite gradient for parameter '{name}'{after}")
 

@@ -1,11 +1,15 @@
 """Weak labeling: n-gram counts, TF-IDF term weights, post scores, thresholds.
 
 Posts start with user-level labels only.  Every post of a user inherits the
-user's label, common n-grams are extracted per class, each term is weighted
-by TF-IDF over the four class corpora (each class treated as one document),
-and a signed severity axis turns the per-class weights into one scalar per
-term.  A post's score is the mean weight of its matched n-gram occurrences,
-and quantile-calibrated thresholds cut the score axis into the four classes.
+user's label, and one table of n-gram counts per size is built over all
+posts and per class.  The table picks the common n-grams, and its per-class
+counts weight each term by TF-IDF with each class treated as one document:
+tf counts a term's occurrences within the class's posts, so an n-gram that
+spans two posts counts for nothing, and the weights do not depend on record
+order.  A signed severity axis turns the per-class weights into one scalar
+per term.  A post's score is the mean weight of its matched n-gram
+occurrences, and quantile-calibrated thresholds cut the score axis into the
+four classes.
 """
 
 from __future__ import annotations
@@ -45,14 +49,8 @@ class DegenerateScores(ValueError):
 
 @dataclass
 class NgramTable:
-    n: int
     counts: dict[str, int] = field(default_factory=dict)
     per_class: dict[RiskLabel, dict[str, int]] = field(default_factory=dict)
-
-
-@dataclass
-class TermWeights:
-    weights: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def count_ngrams(
     """n-gram counts over all posts and per class; `labels[i]` is post i's class."""
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")
-    table = NgramTable(n=n, per_class={c: {} for c in RiskLabel})
+    table = NgramTable(per_class={c: {} for c in RiskLabel})
     for tokens, label in zip(token_lists, labels, strict=True):
         if label is None:
             raise ValueError("count_ngrams requires labeled posts")
@@ -103,57 +101,38 @@ def top_terms_for_class(table: NgramTable, cls: RiskLabel, k: int) -> list[tuple
     return ranked[:k]
 
 
-def _class_term_counts(
-    corpus: Sequence[str], sizes: Iterable[int]
-) -> dict[int, dict[str, int]]:
-    by_n: dict[int, dict[str, int]] = {}
-    for n in sizes:
-        counts: dict[str, int] = {}
-        for gram in ngrams(corpus, n):
-            counts[gram] = counts.get(gram, 0) + 1
-        by_n[n] = counts
-    return by_n
+def tfidf_weights(table: NgramTable, terms: Sequence[str]) -> dict[str, float]:
+    """Scalar term weights over the four classes, each one document.
 
-
-def tfidf_weights(
-    class_corpora: Mapping[RiskLabel, Sequence[str]],
-    terms: Sequence[str],
-) -> TermWeights:
-    """Scalar term weights over the four one-document class corpora.
-
-    tf(term, c) is the raw occurrence count in class c; idf(term) is
+    tf(term, c) is the term's occurrence count within the posts of class c,
+    read from the per-class counts of `table`, made by :func:`count_ngrams`,
+    so an n-gram spanning two posts counts for nothing; idf(term) is
     ln(4 / df) with df the number of classes containing the term; the final
     weight is the severity-weighted mean of the per-class tf-idf values:
     sum_c severity(c) * tf * idf / sum_c tf, with the severities of
-    :data:`DEFAULT_SEVERITY`.  Terms absent from every class are left out of
-    the map.
+    :data:`DEFAULT_SEVERITY`.  Terms absent from every class, such as terms
+    of another size than the table's, are left out of the map.
     """
-    missing = [c for c in RiskLabel if c not in class_corpora]
-    if missing:
-        raise ValueError(f"class corpora missing {missing}")
-    sizes = sorted({t.count(" ") + 1 for t in terms})
-    per_class = {c: _class_term_counts(class_corpora[c], sizes) for c in RiskLabel}
     n_classes = len(RiskLabel)
     weights: dict[str, float] = {}
     for term in terms:
-        n = term.count(" ") + 1
-        tf = {c: per_class[c][n].get(term, 0) for c in RiskLabel}
+        tf = {c: table.per_class[c].get(term, 0) for c in RiskLabel}
         df = sum(1 for c in RiskLabel if tf[c] > 0)
         if df == 0:
             continue
         idf = math.log(n_classes / df)
         total_tf = sum(tf.values())
         weights[term] = idf * sum(DEFAULT_SEVERITY[c] * tf[c] for c in RiskLabel) / total_tf
-    return TermWeights(weights)
+    return weights
 
 
-def post_score(tokens: Sequence[str], w: TermWeights) -> float:
+def post_score(tokens: Sequence[str], weights: Mapping[str, float]) -> float:
     """Mean weight over every matched n-gram occurrence; 0.0 if none match."""
     total = 0.0
     matched = 0
     for n in NGRAM_SIZES:
         for gram in ngrams(tokens, n):
-            weight = w.weights.get(gram)
+            weight = weights.get(gram)
             if weight is not None:
                 total += weight
                 matched += 1
@@ -207,7 +186,7 @@ def assign_label(score: float, t: Thresholds) -> RiskLabel:
 @dataclass
 class WeakLabelResult:
     labels: list[RiskLabel]
-    weights: TermWeights
+    weights: dict[str, float]
     thresholds: Thresholds
     scores: list[float]
 
@@ -220,17 +199,14 @@ def weak_label_documents(
 ) -> WeakLabelResult:
     """Full weak-labeling pass over posts with user-level labels.
 
-    Counts n-grams (n = 1..3), keeps the top_k per size, weights them by
-    TF-IDF over the class corpora, scores every post, calibrates thresholds
-    to the target fractions, and re-labels each post from its score.
+    Counts n-grams once per size n = 1..3, keeps the top_k of each size,
+    weights them by TF-IDF from the same counts, scores every post, calibrates
+    thresholds to the target fractions, and re-labels each post from its score.
     """
-    terms: list[str] = []
-    for n in NGRAM_SIZES:
-        terms.extend(top_terms(count_ngrams(token_lists, labels, n), top_k))
-    class_corpora: dict[RiskLabel, list[str]] = {c: [] for c in RiskLabel}
-    for tokens, label in zip(token_lists, labels):
-        class_corpora[label].extend(tokens)
-    weights = tfidf_weights(class_corpora, terms)
+    weights: dict[str, float] = {}
+    for n in NGRAM_SIZES:  # one table alive at a time
+        table = count_ngrams(token_lists, labels, n)
+        weights.update(tfidf_weights(table, top_terms(table, top_k)))
     scores = [post_score(tokens, weights) for tokens in token_lists]
     thresholds = calibrate_thresholds(scores, target_fractions)
     return WeakLabelResult([assign_label(s, thresholds) for s in scores], weights,

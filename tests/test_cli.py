@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -321,6 +322,25 @@ def test_annotate_outputs(pipeline, tmp_path):
     assert t1 < t2 < t3
 
 
+def test_annotate_does_not_depend_on_record_order(pipeline, tmp_path):
+    # tf used to count n-grams over each class's posts joined end to end, so
+    # n-grams spanning two posts moved with the record order
+    lines = (pipeline / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+    random.Random(3).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("annotate", "--dataset", pipeline / "prep" / "tokens.jsonl",
+               "--out", tmp_path / "a") == 0
+    assert run("annotate", "--dataset", shuffled, "--out", tmp_path / "b") == 0
+    assert (tmp_path / "a" / "weights.csv").read_bytes() == (
+        tmp_path / "b" / "weights.csv").read_bytes()
+
+    def labels(out):
+        return {r["post_id"]: r["label"] for r in read_tokens(out / "labeled.jsonl")}
+
+    assert labels(tmp_path / "a") == labels(tmp_path / "b")
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("fractions", [
     # used to print only the bare float() message
@@ -402,7 +422,7 @@ def test_importing_the_cli_starts_no_pool_machinery():
 TEXT_CHAIN_DIGESTS = {
     "prep/tokens.jsonl": "a4e229e43ed5ac2f795d38bb66bda270470db49db10075a0a4c33486c602bc61",
     "ann/labeled.jsonl": "75c7041d3f3dcf0d0ddddad4c1d7983d6e98f17426d741f0c20f491a9be64ce7",
-    "ann/weights.csv": "3694ffb562c9e8422b421ef82f0a2ae613e85eaf17d9ad79e947e01b8beccec2",
+    "ann/weights.csv": "9e1c3558b2c63c03572b12bd7b71cb2d6709d511b6cc2e1c2e5dfe679b759793",
     "ng/ngrams.csv": "fde9533d45a581165901d6ed347726cc9f9e413ec4912fa89d47403a4eba950c",
     "train/vocab.csv": "b6e50c8f642bccc0f852659fca8bf8114cbee2638055a5388c86a2324331fe5a",
 }
@@ -832,6 +852,20 @@ def test_repeated_post_id_exits_1_naming_both_lines(pipeline, tmp_path, capsys, 
     assert run(cmd, "--dataset", path, *flags, "--out", tmp_path / "o") == 1
     assert capsys.readouterr().err == (
         f"error: {path}: line 4: duplicate post_id '{post_id}' (first seen at line 1)\n")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["train", "annotate", "predict"])
+def test_empty_post_id_exits_1_naming_the_line(pipeline, tmp_path, capsys, cmd):
+    # used to be read, and predict wrote an empty id cell to predictions.csv
+    lines = (pipeline / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), post_id=""))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags = {"train": ABLATE_FLAGS, "annotate": (),
+             "predict": ("--model", pipeline / "train" / "model.rkn")}[cmd]
+    assert run(cmd, "--dataset", path, *flags, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: empty post_id\n"
     assert list((tmp_path / "o").iterdir()) == []
 
 

@@ -22,6 +22,7 @@ from risknet.layers import (
     attention_backward,
     attention_forward,
     check_finite,
+    check_finite_grad,
     conv1d_relu_backward,
     conv1d_relu_forward,
     conv_padding,
@@ -731,6 +732,29 @@ def test_check_finite_names_layer():
         check_finite("lstm", np.array([1.0, np.nan]))
     arr = np.array([1.0, 2.0])
     assert check_finite("ok", arr) is arr
+
+
+def test_check_finite_holds_no_full_size_temporary():
+    # a 128-post paper-shape chunk: a boolean array of its size is 1.6 MB
+    arr = np.zeros((128, 128, 100), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        check_finite("lstm", arr)
+        check_finite("last_step", arr[:, -1, :])  # a strided view is not copied
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0), (127, 127, 99), (64, 3, 50)])
+def test_check_finite_finds_one_bad_entry_in_any_block(where):
+    arr = np.zeros((128, 128, 100), dtype=np.float32)
+    arr[where] = np.inf
+    with pytest.raises(NumericsError):
+        check_finite("conv", arr)
+    with pytest.raises(NumericsError):
+        check_finite_grad("conv.W", arr)
 
 
 def test_sigmoid_matches_logistic_and_is_stable():

@@ -12,7 +12,6 @@ from risknet.weaklabel import (
     DEFAULT_TARGET_FRACTIONS,
     DegenerateScores,
     NgramTable,
-    TermWeights,
     Thresholds,
     assign_label,
     calibrate_thresholds,
@@ -80,22 +79,22 @@ def test_per_class_counts_conserve_total():
 
 
 def test_top_terms_tie_breaks_lexicographically():
-    table = NgramTable(n=1, counts={"a": 5, "c": 3, "b": 3})
+    table = NgramTable(counts={"a": 5, "c": 3, "b": 3})
     assert top_terms(table, 2) == ["a", "b"]
 
 
 def test_top_terms_k_larger_than_table():
-    table = NgramTable(n=1, counts={"b": 1, "a": 1})
+    table = NgramTable(counts={"b": 1, "a": 1})
     assert top_terms(table, 10) == ["a", "b"]
 
 
 def test_top_terms_empty_table():
-    assert top_terms(NgramTable(n=1), 3) == []
+    assert top_terms(NgramTable(), 3) == []
 
 
 def test_top_terms_rejects_k_below_one():
     with pytest.raises(ValueError):
-        top_terms(NgramTable(n=1, counts={"a": 1}), 0)
+        top_terms(NgramTable(counts={"a": 1}), 0)
 
 
 def test_top_terms_for_class():
@@ -108,86 +107,92 @@ def test_top_terms_for_class():
 # ------------------------------------------------------------------ tf-idf
 
 
-def corpora(no=(), low=(), mod=(), sev=()):
-    return {
-        RiskLabel.NO_RISK: list(no),
-        RiskLabel.LOW_RISK: list(low),
-        RiskLabel.MODERATE_RISK: list(mod),
-        RiskLabel.SEVERE_RISK: list(sev),
-    }
+def table(no=(), low=(), mod=(), sev=(), n=1):
+    """The `count_ngrams` table of size n over one post per class given a
+    non-empty token list."""
+    posts = [(list(toks), c) for toks, c in zip((no, low, mod, sev), RiskLabel) if toks]
+    return count_ngrams([t for t, _ in posts], [c for _, c in posts], n)
 
 
 def test_tfidf_severe_only_term():
-    w = tfidf_weights(corpora(sev=["die"] * 10, no=["x"], low=["y"], mod=["z"]), ["die"])
-    assert w.weights["die"] == pytest.approx(1.5 * LN4, abs=1e-10)
-    assert w.weights["die"] == pytest.approx(2.0794, abs=1e-4)
+    w = tfidf_weights(table(sev=["die"] * 10, no=["x"], low=["y"], mod=["z"]), ["die"])
+    assert w["die"] == pytest.approx(1.5 * LN4, abs=1e-10)
+    assert w["die"] == pytest.approx(2.0794, abs=1e-4)
 
 
 def test_tfidf_term_in_all_classes_gets_zero():
-    w = tfidf_weights(corpora(no=["t"], low=["t"], mod=["t"], sev=["t"]), ["t"])
-    assert w.weights["t"] == 0.0
+    w = tfidf_weights(table(no=["t"], low=["t"], mod=["t"], sev=["t"]), ["t"])
+    assert w["t"] == 0.0
 
 
 def test_tfidf_absent_term_excluded():
-    w = tfidf_weights(corpora(no=["a"], low=["a"], mod=["a"], sev=["a"]), ["ghost"])
-    assert "ghost" not in w.weights
+    # "a a" is of another size than the table's
+    w = tfidf_weights(table(no=["a"], low=["a"], mod=["a"], sev=["a"]), ["ghost", "a a"])
+    assert w == {}
 
 
 def test_tfidf_mixed_class_weight():
     # term in NO_RISK (tf=1) and SEVERE (tf=3): df=2, idf=ln2,
     # weight = ln2 * (-1.5*1 + 1.5*3) / 4 = 0.75*ln2
-    w = tfidf_weights(corpora(no=["k"], low=["x"], mod=["y"], sev=["k"] * 3), ["k"])
-    assert w.weights["k"] == pytest.approx(0.75 * math.log(2.0), abs=1e-12)
+    w = tfidf_weights(table(no=["k"], low=["x"], mod=["y"], sev=["k"] * 3), ["k"])
+    assert w["k"] == pytest.approx(0.75 * math.log(2.0), abs=1e-12)
 
 
 def test_tfidf_bigram_terms():
     sev = "want to die want to".split()
-    w = tfidf_weights(corpora(no=["a"], low=["b"], mod=["c"], sev=sev), ["want to"])
+    w = tfidf_weights(table(no=["a"], low=["b"], mod=["c"], sev=sev, n=2), ["want to"])
     # "want to" occurs twice, only in SEVERE: weight = 1.5 * ln4
-    assert w.weights["want to"] == pytest.approx(1.5 * LN4, abs=1e-10)
+    assert w["want to"] == pytest.approx(1.5 * LN4, abs=1e-10)
 
 
-def test_tfidf_missing_class_rejected():
-    bad = corpora(no=["a"], low=["b"], mod=["c"], sev=["d"])
-    del bad[RiskLabel.LOW_RISK]
-    with pytest.raises(ValueError, match="missing"):
-        tfidf_weights(bad, ["a"])
+def test_tfidf_class_without_posts_has_zero_tf():
+    # a count_ngrams table holds every class, so a class with no posts is one
+    # whose tf is 0 for every term: "a" is in one class of four, idf = ln4
+    w = tfidf_weights(table(sev=["a", "b"]), ["a"])
+    assert w["a"] == pytest.approx(1.5 * LN4, abs=1e-10)
 
 
 def test_tfidf_weights_finite():
-    docs = corpora(no="a b c a".split(), low="b d".split(), mod="c e e".split(), sev="a f".split())
+    docs = table(no="a b c a".split(), low="b d".split(), mod="c e e".split(), sev="a f".split())
     w = tfidf_weights(docs, ["a", "b", "c", "d", "e", "f"])
-    assert all(math.isfinite(v) for v in w.weights.values())
+    assert all(math.isfinite(v) for v in w.values())
+
+
+def test_tfidf_counts_no_ngram_across_two_posts():
+    # the severe posts "c a" and "b d" would join into "c a b d", whose "a b"
+    # is a top bigram of the no-risk post "a b"; tf counts within posts only,
+    # so "a b" is in one class of four
+    docs = docs_from([("a b", 0), ("e", 0), ("e f", 0), ("g", 1), ("g h", 1), ("i", 2),
+                      ("i j k", 2), ("c a", 3), ("b d", 3), ("d", 3)])
+    result = weak_label_documents(*docs, top_k=50)
+    assert result.weights["a b"] == pytest.approx(-1.5 * LN4, abs=1e-12)
+    assert result.weights["a b"] == tfidf_weights(count_ngrams(*docs, 2), ["a b"])["a b"]
 
 
 # -------------------------------------------------------------- post_score
 
 
-def weights_of(d):
-    return TermWeights(weights=d)
-
-
 def test_post_score_no_matches():
-    assert post_score(["x", "y"], weights_of({"z": 1.0})) == 0.0
+    assert post_score(["x", "y"], {"z": 1.0}) == 0.0
 
 
 def test_post_score_mean_of_matches():
-    w = weights_of({"a": 2.0, "b": 3.0})
+    w = {"a": 2.0, "b": 3.0}
     assert post_score(["a", "b"], w) == pytest.approx(2.5)
 
 
 def test_post_score_singleton():
-    assert post_score(["a"], weights_of({"a": -1.2})) == pytest.approx(-1.2)
+    assert post_score(["a"], {"a": -1.2}) == pytest.approx(-1.2)
 
 
 def test_post_score_counts_occurrences():
     # "a" twice (2.0 each) + "b" once (5.0) -> (2+2+5)/3
-    w = weights_of({"a": 2.0, "b": 5.0})
+    w = {"a": 2.0, "b": 5.0}
     assert post_score(["a", "b", "a"], w) == pytest.approx(3.0)
 
 
 def test_post_score_spans_ngram_sizes():
-    w = weights_of({"a": 1.0, "a b": 4.0})
+    w = {"a": 1.0, "a b": 4.0}
     # matches: "a" twice, "a b" once -> (1+1+4)/3
     assert post_score(["a", "b", "a"], w) == pytest.approx(2.0)
 
@@ -195,7 +200,7 @@ def test_post_score_spans_ngram_sizes():
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8), st.permutations(range(8)))
 @settings(max_examples=200, deadline=None)
 def test_post_score_depends_only_on_ngram_multiset(tokens, perm):
-    w = weights_of({"a": 1.0, "b": -2.0, "c": 0.5, "a b": 3.0, "b c a": -1.0})
+    w = {"a": 1.0, "b": -2.0, "c": 0.5, "a b": 3.0, "b c a": -1.0}
     shuffled = [tokens[perm[i] % len(tokens)] for i in range(len(tokens))]
     shuffled = shuffled[: len(tokens)]
 

@@ -4,17 +4,15 @@ The SVM uses mean-embedding features, z-scored with the training rows'
 statistics, and one one-vs-rest linear hinge classifier per risk class; all
 four are fitted at once by full-batch subgradient descent, so the fit draws
 no random numbers.  The ablation suite runs the SVM plus the four neural
-variants on identical data and seed and emits a CSV of accuracy / macro
-precision / recall / F1 per variant.
+variants on identical data and seed and returns one row of accuracy / macro
+precision / recall / F1 per variant, which `risknet ablate` writes as a CSV.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import os
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +30,6 @@ ABLATION_VARIANTS = ("svm", "cnn", "lstm", "lstm_cnn", "lstm_attention_cnn")
 # 2.9-3.4, 2.8, 2.0, 1.1 and 0.13 s)
 _COST_RANK = {v: i for i, v in enumerate(("lstm_attention_cnn", "lstm_cnn", "lstm", "cnn", "svm"))}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# previously reported full-model results (percent), written as a non-binding
-# footer under the ablation table
-REFERENCE_FULL_MODEL = (90.3, 91.6, 93.7, 92.6)
 
 
 # mean_embedding_features sums the rows of this many posts at a time
@@ -220,18 +214,3 @@ def ablation_suite(
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def save_ablation_csv(rows: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "accuracy", "precision", "recall", "f1"])
-        for r in rows:
-            writer.writerow(
-                [r["model"]] + [f"{r[k]:.4f}" for k in ("accuracy", "precision", "recall", "f1")]
-            )
-        acc, p, rec, f1 = REFERENCE_FULL_MODEL
-        fh.write(
-            "# reference lstm_attention_cnn (published benchmark, percent, non-binding): "
-            f"accuracy={acc},precision={p},recall={rec},f1={f1}\n"
-        )

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .model import VARIANTS, ModelConfig
 MAX_LEN_CAP = 512
 # token lists that predict and evaluate hold before encoding them
 ENCODE_BLOCK = 256
+# previously reported full-model results (percent), written as a non-binding
+# footer under the ablation table
+REFERENCE_FULL_MODEL = (90.3, 91.6, 93.7, 92.6)
 
 
 class UsageError(ValueError):
@@ -71,8 +74,8 @@ def iter_tokens(path: Path) -> Iterator[dict]:
             for fieldname in ("post_id", "user_id"):
                 if not isinstance(row[fieldname], str):
                     raise UsageError(f"{path}: line {line_num}: '{fieldname}' must be a string")
-            if not row["post_id"]:  # predict would write an empty id cell
-                raise UsageError(f"{path}: line {line_num}: empty post_id")
+                if not row[fieldname]:  # predict would write an empty cell
+                    raise UsageError(f"{path}: line {line_num}: empty {fieldname}")
             tokens = row["tokens"]
             try:
                 if not isinstance(tokens, list):  # a str would join character by character
@@ -103,6 +106,28 @@ def iter_tokens(path: Path) -> Iterator[dict]:
             yield row
     if not first_line:
         raise UsageError(f"{path}: no records")
+
+
+# ----------------------------------------------------------- artifact io
+# Every CSV and JSON artifact but `posts.csv`, whose columns `corpus` pairs
+# with its loader, is written by these two, in UTF-8 with LF line ends.
+# Float cells are `repr`s, so a reread gives the same float.
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence],
+               footer: str = "") -> None:
+    """A header row, then `rows`, in the csv module's minimal quoting, then
+    `footer` as it is."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.write(footer)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Indented by 2 with sorted keys, so reruns are byte-identical."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _labeled_rows(params: dict) -> list[dict]:
@@ -166,17 +191,26 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 # values to the params, and returns the stats for run.json, if any.
 
 
-def _check_seed(params: dict) -> None:
-    """The seeds are masked to 64 bits, so one outside [0, 2**64) would run
-    as another seed while run.json records it as given."""
-    if not 0 <= params["seed"] < 2**64:
-        raise UsageError(f"--seed must be in [0, 2**64), got {params['seed']}")
+# dest -> (test, wording) for the numeric flags, checked in this order before
+# a subcommand reads anything.  Seeds are masked to 64 bits, so one outside
+# [0, 2**64) would run as another seed while run.json records it as given.
+_FLAG_BOUNDS = {
+    "seed": (lambda v: 0 <= v < 2**64, "be in [0, 2**64)"),
+    "posts": (lambda v: v >= 1, "be >= 1"),
+    "top_k": (lambda v: v >= 1, "be >= 1"),
+    "top": (lambda v: v >= 1, "be >= 1"),
+    "min_count": (lambda v: v >= 1, "be >= 1"),
+    "train_fraction": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+}
+
+
+def _check_bounds(params: dict) -> None:
+    for dest, (ok, wording) in _FLAG_BOUNDS.items():
+        if dest in params and not ok(params[dest]):
+            raise UsageError(f"--{dest.replace('_', '-')} must {wording}, got {params[dest]}")
 
 
 def _cmd_synth(params: dict, out: Path) -> None:
-    _check_seed(params)
-    if params["posts"] < 1:
-        raise UsageError(f"--posts must be >= 1, got {params['posts']}")
     posts = synth.generate_corpus(params["posts"], params["seed"])
     corpus.save_posts(out / "posts.csv", posts)
 
@@ -212,8 +246,6 @@ def _cmd_preprocess(params: dict, out: Path) -> dict:
 
 
 def _cmd_annotate(params: dict, out: Path) -> None:
-    if params["top_k"] < 1:
-        raise UsageError(f"--top-k must be >= 1, got {params['top_k']}")
     fractions = weaklabel.DEFAULT_TARGET_FRACTIONS
     if params["fractions"] is not None:
         try:
@@ -229,29 +261,23 @@ def _cmd_annotate(params: dict, out: Path) -> None:
     for row, label in zip(rows, result.labels):
         row["label"] = int(label)
     write_tokens(rows, out / "labeled.jsonl")
-    with (out / "weights.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ngram", "weight"])
-        for gram in sorted(result.weights):
-            writer.writerow([gram, repr(result.weights[gram])])
+    _write_csv(out / "weights.csv", ["ngram", "weight"],
+               ([gram, repr(weight)] for gram, weight in sorted(result.weights.items())))
     t = result.thresholds
     params["thresholds"] = [t.t1, t.t2, t.t3]
 
 
 def _cmd_report_ngrams(params: dict, out: Path) -> None:
-    if params["top"] < 1:
-        raise UsageError(f"--top must be >= 1, got {params['top']}")
     rows = _labeled_rows(params)
     token_lists, labels = [r["tokens"] for r in rows], [r["label"] for r in rows]
-    with (out / "ngrams.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "n", "ngram", "count", "rank"])
-        for n in weaklabel.NGRAM_SIZES:
-            table = weaklabel.count_ngrams(token_lists, labels, n)
-            for cls in RiskLabel:
-                ranked = weaklabel.top_terms_for_class(table, cls, params["top"])
-                for rank, (gram, count) in enumerate(ranked, start=1):
-                    writer.writerow([int(cls), n, gram, count, rank])
+    ranks = []
+    for n in weaklabel.NGRAM_SIZES:
+        table = weaklabel.count_ngrams(token_lists, labels, n)
+        for cls in RiskLabel:
+            ranked = weaklabel.top_terms_for_class(table, cls, params["top"])
+            ranks += ([int(cls), n, gram, count, rank]
+                      for rank, (gram, count) in enumerate(ranked, start=1))
+    _write_csv(out / "ngrams.csv", ["class", "n", "ngram", "count", "rank"], ranks)
 
 
 def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
@@ -260,11 +286,6 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
 
     The data is a dict, so that `train` can pop the embedding matrix and
     hand `fit` the only reference to it."""
-    _check_seed(params)
-    if params["min_count"] < 1:
-        raise UsageError(f"--min-count must be >= 1, got {params['min_count']}")
-    if not 0.0 < params["train_fraction"] < 1.0:
-        raise UsageError(f"--train-fraction must be in (0, 1), got {params['train_fraction']}")
     rows = _labeled_rows(params)
     train_idx, test_idx = train.split_indices(len(rows), params["train_fraction"], params["seed"])
     if train_idx.size == 0:
@@ -291,7 +312,7 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
     if matrix is None:  # drawn once the config has checked embed_dim
         matrix = embed.init_embeddings(vocab, mcfg.embed_dim, params["seed"])
     tcfg = train.TrainConfig(model=mcfg, epochs=params["epochs"],
-                             batch_size=params["batch_size"], seed=params["seed"])
+                             batch_size=params["batch_size"])
     enc = lambda rs: embed.encode_batch([r["tokens"] for r in rs], vocab, params["max_len"])
     y = lambda rs: np.array([r["label"] for r in rs], dtype=np.int64)
     data = {"test_rows": test_rows, "vocab": vocab, "matrix": matrix,
@@ -309,8 +330,13 @@ def _cmd_train(params: dict, out: Path) -> None:
     model, history = train.fit(tcfg, data["X_train"], data["y_train"], data.pop("matrix"),
                                on_epoch=log)
     modelio.save_model(model, data["vocab"], out / "model.rkn")
-    history.save_csv(out / "history.csv")
-    embed.save_vocab(data["vocab"], out / "vocab.csv")
+    _write_csv(out / "history.csv", ["epoch", "loss", "accuracy"],
+               ([epoch, repr(loss), repr(acc)] for epoch, (loss, acc)
+                in enumerate(zip(history.loss, history.accuracy), start=1)))
+    # the reserved rows, then the corpus tokens in index order
+    tokens = sorted(data["vocab"].token_to_index.items(), key=lambda item: item[1])
+    _write_csv(out / "vocab.csv", ["token", "index"],
+               [[embed.PAD_TOKEN, embed.PAD_INDEX], [embed.UNK_TOKEN, embed.UNK_INDEX], *tokens])
     write_tokens(data["test_rows"], out / "test.jsonl")
 
 
@@ -337,25 +363,18 @@ def _load_and_encode(params: dict, require_labels: bool):
 def _cmd_evaluate(params: dict, out: Path) -> None:
     model, rows, X = _load_and_encode(params, require_labels=True)
     y = np.array([r["label"] for r in rows], dtype=np.int64)
-    train.evaluate(model, X, y).save(out / "metrics.json")
+    _write_json(out / "metrics.json", train.evaluate(model, X, y).to_dict())
 
 
 def _cmd_predict(params: dict, out: Path) -> None:
     model, rows, X = _load_and_encode(params, require_labels=False)
-    preds = model.predict(X)
+    preds = model.predict(X).tolist()
+    _write_csv(out / "predictions.csv", ["post_id", "user_id", "label"],
+               ([row["post_id"], row["user_id"], pred] for row, pred in zip(rows, preds)))
     per_user: dict[str, int] = {}
-    with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["post_id", "user_id", "label"])
-        for row, pred in zip(rows, preds):
-            writer.writerow([row["post_id"], row["user_id"], int(pred)])
-            user = row["user_id"]
-            per_user[user] = max(per_user.get(user, -1), int(pred))  # max risk over posts
-    with (out / "users.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "label"])
-        for user_id in sorted(per_user):
-            writer.writerow([user_id, per_user[user_id]])
+    for row, pred in zip(rows, preds):  # a user's label is the max risk over their posts
+        per_user[row["user_id"]] = max(per_user.get(row["user_id"], -1), pred)
+    _write_csv(out / "users.csv", ["user_id", "label"], sorted(per_user.items()))
 
 
 def _cmd_ablate(params: dict, out: Path) -> None:
@@ -365,7 +384,12 @@ def _cmd_ablate(params: dict, out: Path) -> None:
     matrix = data.pop("matrix").matrix.astype(tcfg.model.np_dtype)
     rows = baselines.ablation_suite(tcfg, data["X_train"], data["y_train"], data["X_test"],
                                     data["y_test"], embed.EmbeddingMatrix(matrix))
-    baselines.save_ablation_csv(rows, out / "ablation.csv")
+    cols = ("accuracy", "precision", "recall", "f1")
+    reference = ",".join(f"{k}={v}" for k, v in zip(cols, REFERENCE_FULL_MODEL))
+    _write_csv(out / "ablation.csv", ["model", *cols],
+               ([r["model"], *(f"{r[k]:.4f}" for k in cols)] for r in rows),
+               footer="# reference lstm_attention_cnn (published benchmark, percent, "
+                      f"non-binding): {reference}\n")
 
 
 # ------------------------------------------------------------------ parser
@@ -485,12 +509,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (FileExistsError, NotADirectoryError):  # a file is in the way
             raise UsageError(f"--out {out}: not a directory") from None
         doc = {"command": args.command, "params": params}
+        _check_bounds(params)
         stats = args.run(params, out)  # may add resolved values to params
         if stats is not None:
             doc["stats"] = stats
-        with (out / "run.json").open("w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "run.json", doc)
         return 0
     except (ValueError, KeyError, FileNotFoundError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)

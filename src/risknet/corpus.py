@@ -73,6 +73,9 @@ def _make_post(rec: dict, seen_ids: dict[str, int], line: int) -> Post:
         raise ValueError("empty post_id")
     if post_id in seen_ids:
         raise ValueError(f"duplicate post_id '{post_id}' (first seen at line {seen_ids[post_id]})")
+    user_id = str(rec["user_id"])
+    if not user_id:  # predict would write an empty user cell
+        raise ValueError("empty user_id")
     try:
         timestamp = int(rec["timestamp"])
     except (TypeError, ValueError):
@@ -83,7 +86,7 @@ def _make_post(rec: dict, seen_ids: dict[str, int], line: int) -> Post:
         raise ValueError("both post_title and post_body are empty")
     label = _parse_label(rec.get(LABEL_COLUMN))
     seen_ids[post_id] = line
-    return Post(post_id, str(rec["user_id"]), timestamp, str(rec["subreddit"]), title, body, label)
+    return Post(post_id, user_id, timestamp, str(rec["subreddit"]), title, body, label)
 
 
 def load_posts(path: str | Path, format: str | None = None) -> LoadResult:

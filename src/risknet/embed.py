@@ -7,7 +7,6 @@ max_len tokens, so the most recent words sit nearest the classifier head.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,16 +56,10 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 
-    def index_to_token(self) -> dict[int, str]:
-        inv = {idx: tok for tok, idx in self.token_to_index.items()}
-        inv[PAD_INDEX] = PAD_TOKEN
-        inv[UNK_INDEX] = UNK_TOKEN
-        return inv
-
 
 @dataclass
 class EmbeddingMatrix:
-    matrix: np.ndarray  # V x D, float64
+    matrix: np.ndarray  # V x D, in the caller's dtype (the loaders here make float64)
 
     def __post_init__(self):
         if self.matrix.ndim != 2:
@@ -176,13 +169,3 @@ def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> list[int]:
 def encode_batch(docs: Sequence[Sequence[str]], vocab: Vocabulary, max_len: int) -> np.ndarray:
     """B x max_len int64 index matrix."""
     return np.array([encode(toks, vocab, max_len) for toks in docs], dtype=np.int64)
-
-
-def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    """CSV dump `token,index`, reserved rows included, index order."""
-    inv = vocab.index_to_token()
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["token", "index"])
-        for idx in range(vocab.size):
-            writer.writerow([inv[idx], idx])

@@ -7,9 +7,7 @@ precision + recall is 0; macro values are unweighted means over classes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,21 +25,7 @@ class Metrics:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.tolist(),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }
-
-    def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> np.ndarray:

@@ -1,18 +1,17 @@
 """Loss, Adam, and the mini-batch training loop.
 
 Training is fully seeded: parameter init, per-epoch shuffles, and dropout
-masks all derive from the run seed, so two runs with the same config produce
-bit-identical models and histories.  Each step draws its own dropout mask
-as its forward pass reaches dropout.  With more than one usable CPU, `fit`
-hands two pieces of each large step to one helper thread (see `fit`).  No
-early stopping; the final partial batch is trained rather than dropped.
+masks all derive from the one seed of `ModelConfig`, so two runs with the
+same config produce bit-identical models and histories.  Each step draws its
+own dropout mask as its forward pass reaches dropout.  With more than one
+usable CPU, `fit` hands two pieces of each large step to one helper thread
+(see `fit`).  No early stopping; the final partial batch is trained rather
+than dropped.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -203,7 +202,6 @@ class TrainConfig:
     model: ModelConfig
     epochs: int = 10
     batch_size: int = 32
-    seed: int = 0
     adam: AdamHyper = field(default_factory=AdamHyper)
 
     def __post_init__(self):
@@ -217,13 +215,6 @@ class TrainConfig:
 class History:
     loss: list[float] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
-
-    def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "loss", "accuracy"])
-            for i, (l, a) in enumerate(zip(self.loss, self.accuracy), start=1):
-                writer.writerow([i, repr(l), repr(a)])
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +279,7 @@ def fit(
     step = 0
     try:
         for epoch in range(cfg.epochs):
-            order = shuffled_indices(n, derive_seed(cfg.seed, STREAM_EPOCH, epoch))
+            order = shuffled_indices(n, derive_seed(cfg.model.seed, STREAM_EPOCH, epoch))
             loss_sum = 0.0
             correct = 0
             for batch, start in enumerate(range(0, n, cfg.batch_size)):

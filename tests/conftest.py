@@ -3,14 +3,29 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
+
+from risknet.cli import main, write_tokens
 
 # `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples on
 # every run and drops the per-example deadline, which shared runners miss
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def fit_on_tiny_corpus(cmd: str, tmp_path: Path) -> Path:
+    """Run `risknet train` or `risknet ablate` for one epoch at a tiny shape
+    on eight labeled two-token posts; returns the run's output directory."""
+    dataset = tmp_path / "tokens.jsonl"
+    write_tokens([{"post_id": f"p{i}", "user_id": "u", "label": i % 4, "tokens": ["a", "b"]}
+                  for i in range(8)], dataset)
+    out = tmp_path / cmd
+    assert main([cmd, "--dataset", str(dataset), "--out", str(out), "--epochs", "1",
+                 "--embed-dim", "4", "--lstm-units", "4", "--max-len", "8"]) == 0
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

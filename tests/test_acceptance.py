@@ -238,7 +238,7 @@ def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
     cfg = TrainConfig(
         model=ModelConfig(max_len=20, embed_dim=16, lstm_units=8, dropout_rate=0.0,
                           filters=3, kernel=8, pool=2, seed=7, dtype="float64"),
-        epochs=200, batch_size=8, seed=7)
+        epochs=200, batch_size=8)
     _, hist = fit(cfg, X, y, emb)
     assert min(hist.loss) < 0.05
     assert hist.loss[-1] < 0.05
@@ -248,20 +248,21 @@ def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
 
 
 def test_full_model_trains_on_a_run_that_stalled_with_unscaled_attention(monkeypatch):
-    """200 synthetic posts, seed 5, 20 epochs at embed 32, LSTM 16, T 48.
+    """200 synthetic posts (corpus seed 5), run seed 0, 20 epochs at embed
+    32, LSTM 16, T 48.
 
     With attention's output at ``alpha * P``, 1/48 of the LSTM's scale, this
-    run's conv layer died: every filter inactive at every position, every
-    conv bias negative, loss stuck at ln 4 and macro-F1 at 0.108.  Scaled by
-    T, it reaches 1.0 with every filter active."""
+    run's conv layer dies: every filter inactive at every position, every
+    conv bias negative, loss stuck at 1.384 (ln 4 is 1.386) and macro-F1 at
+    0.108.  Scaled by T, it reaches 1.0 with every filter active."""
     posts = generate_corpus(200, seed=5)
     token_lists = [preprocess(merge_title_body(p)) for p in posts]
     vocab = build_vocab(token_lists)
     X = encode_batch(token_lists, vocab, max_len=48)
     y = np.array([int(p.label) for p in posts])
-    cfg = TrainConfig(model=ModelConfig(max_len=48, embed_dim=32, lstm_units=16),
-                      epochs=20, batch_size=32, seed=5)
-    model, hist = fit(cfg, X, y, init_embeddings(vocab, 32, seed=5))
+    cfg = TrainConfig(model=ModelConfig(max_len=48, embed_dim=32, lstm_units=16, seed=0),
+                      epochs=20, batch_size=32)
+    model, hist = fit(cfg, X, y, init_embeddings(vocab, 32, seed=0))
     assert hist.loss[-1] < 0.5
     active = []
     conv = risknet.model.conv1d_relu_forward

@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fit_on_tiny_corpus
+from risknet import baselines
 from risknet.baselines import (
     ABLATION_VARIANTS,
     FEATURE_BLOCK,
@@ -16,7 +18,6 @@ from risknet.baselines import (
     _ablation_row,
     ablation_suite,
     mean_embedding_features,
-    save_ablation_csv,
     svm_baseline,
 )
 from risknet.embed import PAD_INDEX, UNK_INDEX, EmbeddingMatrix
@@ -177,7 +178,7 @@ def test_svm_baseline_separable_vocab_bands():
 def small_cfg(seed=0, dtype="float64"):
     model = ModelConfig(max_len=6, embed_dim=4, lstm_units=4, dropout_rate=0.0,
                         filters=2, kernel=3, pool=2, seed=seed, dtype=dtype)
-    return TrainConfig(model=model, epochs=2, batch_size=8, seed=seed)
+    return TrainConfig(model=model, epochs=2, batch_size=8)
 
 
 def band_task(seed=5, n=48):
@@ -270,23 +271,27 @@ def noisy_band_task(seed, n=96):
     return X, np.arange(n) % 4, EmbeddingMatrix(mat)
 
 
-def test_ablation_svm_row_is_pinned(tmp_path):
+def ablation_csv_lines(tmp_path, monkeypatch, suite) -> list[str]:
+    """The lines of the ablation.csv that `risknet ablate` writes when its
+    suite returns the rows of `suite()`."""
+    monkeypatch.setattr(baselines, "ablation_suite", lambda *args, **kwargs: suite())
+    out = fit_on_tiny_corpus("ablate", tmp_path)
+    return (out / "ablation.csv").read_text(encoding="utf-8").splitlines()
+
+
+def test_ablation_svm_row_is_pinned(tmp_path, monkeypatch):
     X, y, emb = noisy_band_task(seed=6)
-    rows = ablation_suite(small_cfg(seed=3), X[:64], y[:64], X[64:], y[64:], emb,
-                          variants=("svm",))
-    save_ablation_csv(rows, tmp_path / "ablation.csv")
-    lines = (tmp_path / "ablation.csv").read_text(encoding="utf-8").splitlines()
+    lines = ablation_csv_lines(tmp_path, monkeypatch, lambda: ablation_suite(
+        small_cfg(seed=3), X[:64], y[:64], X[64:], y[64:], emb, variants=("svm",)))
     assert lines[1] == "svm,0.8438,0.8462,0.8438,0.8434"
 
 
-def test_ablation_csv_format_and_reference_footer(tmp_path):
+def test_ablation_csv_format_and_reference_footer(tmp_path, monkeypatch):
     rows = [
         {"model": "svm", "accuracy": 0.5, "precision": 0.25, "recall": 1 / 3, "f1": 0.125},
         {"model": "cnn", "accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0},
     ]
-    path = tmp_path / "ablation.csv"
-    save_ablation_csv(rows, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = ablation_csv_lines(tmp_path, monkeypatch, lambda: rows)
     assert lines[0] == "model,accuracy,precision,recall,f1"
     assert lines[1] == "svm,0.5000,0.2500,0.3333,0.1250"
     assert lines[2] == "cnn,1.0000,1.0000,1.0000,1.0000"

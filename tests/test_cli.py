@@ -869,6 +869,39 @@ def test_empty_post_id_exits_1_naming_the_line(pipeline, tmp_path, capsys, cmd):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd", ["train", "annotate", "predict"])
+def test_empty_user_id_exits_1_naming_the_line(pipeline, tmp_path, capsys, cmd):
+    # used to be read, and predict wrote a `,0` row to users.csv
+    lines = (pipeline / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), user_id=""))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags = {"train": ABLATE_FLAGS, "annotate": (),
+             "predict": ("--model", pipeline / "train" / "model.rkn")}[cmd]
+    assert run(cmd, "--dataset", path, *flags, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: empty user_id\n"
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_preprocess_empty_user_id_exits_1_naming_the_line(tmp_path, capsys, fmt):
+    # used to write `"user_id": ""` to tokens.jsonl
+    fields = ("post_id", "user_id", "timestamp", "subreddit", "post_title", "post_body",
+              "label")
+    records = [("p1", "u1", 1, "s", "feeling lost", "", 1), ("p2", "", 2, "s", "calm day", "", 0)]
+    posts = tmp_path / f"posts.{fmt}"
+    if fmt == "csv":
+        text = "".join(",".join(map(str, r)) + "\n" for r in [fields, *records])
+    else:
+        text = "".join(json.dumps(dict(zip(fields, r))) + "\n" for r in records)
+    posts.write_text(text, encoding="utf-8")
+    assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 1
+    line = 3 if fmt == "csv" else 2  # the CSV header is line 1
+    assert capsys.readouterr().err == (
+        f"error: {posts}: 1 malformed records (first: line {line}: empty user_id)\n")
+    assert list((tmp_path / "p").iterdir()) == []
+
+
 @pytest.mark.parametrize("token", ["", "a b", "a\tb"], ids=["empty", "space", "tab"])
 @pytest.mark.parametrize("cmd", ["train", "annotate", "predict"])
 def test_token_a_join_and_split_would_change_exits_1(pipeline, tmp_path, capsys, cmd, token):

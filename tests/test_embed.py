@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fit_on_tiny_corpus
+from risknet import embed
 from risknet.embed import (
     PAD_INDEX,
     PAD_TOKEN,
@@ -18,7 +20,6 @@ from risknet.embed import (
     encode_batch,
     init_embeddings,
     load_embeddings,
-    save_vocab,
 )
 
 
@@ -225,10 +226,11 @@ def test_encode_keeps_short_known_sequences_whole(tokens):
 # ------------------------------------------------------------------- dump
 
 
-def test_save_vocab_csv(tmp_path):
-    v = Vocabulary({"b": 3, "a": 2})
-    path = tmp_path / "vocab.csv"
-    save_vocab(v, path)
-    assert path.read_text(encoding="utf-8") == (
+def test_save_vocab_csv(tmp_path, monkeypatch):
+    # `train` writes the vocabulary in index order, whatever its dict order
+    monkeypatch.setattr(embed, "build_vocab",
+                        lambda token_lists, min_count: Vocabulary({"b": 3, "a": 2}))
+    out = fit_on_tiny_corpus("train", tmp_path)
+    assert (out / "vocab.csv").read_text(encoding="utf-8") == (
         f"token,index\n{PAD_TOKEN},0\n{UNK_TOKEN},1\na,2\nb,3\n"
     )

@@ -680,7 +680,7 @@ def test_fit_with_dense_embedding_oracle_writes_the_same_parameters(monkeypatch,
     E = rng.uniform(-0.05, 0.05, size=(V, 8))
     E[PAD_INDEX] = 0.0
     cfg = TrainConfig(ModelConfig(max_len=T, embed_dim=8, lstm_units=5, kernel=3,
-                                  seed=2, variant=variant), epochs=2, batch_size=16, seed=2)
+                                  seed=2, variant=variant), epochs=2, batch_size=16)
     model, history = fit(cfg, X, y, EmbeddingMatrix(E))
     monkeypatch.setattr(risknet.model, "embedding_backward", ref_embedding_backward)
     ref_model, ref_history = fit(cfg, X, y, EmbeddingMatrix(E))

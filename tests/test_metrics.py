@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from risknet.cli import _write_json
 from risknet.metrics import Metrics, compute_metrics, confusion_matrix
 
 
@@ -120,7 +121,7 @@ def test_rates_all_within_unit_interval():
 def test_metrics_json_round_trip(tmp_path):
     m = compute_metrics([0, 1, 2, 3], [0, 1, 2, 2])
     path = tmp_path / "metrics.json"
-    m.save(path)
+    _write_json(path, m.to_dict())  # as `risknet evaluate` writes metrics.json
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["accuracy"] == 0.75
     assert loaded["confusion"] == m.confusion.tolist()

@@ -192,22 +192,31 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 
 
 # dest -> (test, wording) for the numeric flags, checked in this order before
-# a subcommand reads anything.  Seeds are masked to 64 bits, so one outside
-# [0, 2**64) would run as another seed while run.json records it as given.
+# a subcommand reads anything; a flag left null (`--max-len`) is not checked.
+# Seeds are masked to 64 bits, so one outside [0, 2**64) would run as another
+# seed while run.json records it as given.  `ModelConfig` and `TrainConfig`
+# check their fields again for library callers and model files.
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
 _FLAG_BOUNDS = {
     "seed": (lambda v: 0 <= v < 2**64, "be in [0, 2**64)"),
-    "posts": (lambda v: v >= 1, "be >= 1"),
-    "top_k": (lambda v: v >= 1, "be >= 1"),
-    "top": (lambda v: v >= 1, "be >= 1"),
-    "min_count": (lambda v: v >= 1, "be >= 1"),
+    "posts": _AT_LEAST_1,
+    "top_k": _AT_LEAST_1,
+    "top": _AT_LEAST_1,
+    "min_count": _AT_LEAST_1,
     "train_fraction": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+    **dict.fromkeys(("epochs", "batch_size", "max_len", "embed_dim", "lstm_units", "filters",
+                     "kernel", "pool"), _AT_LEAST_1),
+    "dropout_rate": (lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
 }
 
 
-def _check_bounds(params: dict) -> None:
+def _check_bounds(params: dict, sub: argparse.ArgumentParser) -> None:
+    """Raise UsageError for the first param outside its `_FLAG_BOUNDS` range,
+    naming its flag as typed (`--dropout` for `dropout_rate`)."""
+    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
     for dest, (ok, wording) in _FLAG_BOUNDS.items():
-        if dest in params and not ok(params[dest]):
-            raise UsageError(f"--{dest.replace('_', '-')} must {wording}, got {params[dest]}")
+        if params.get(dest) is not None and not ok(params[dest]):
+            raise UsageError(f"{flags[dest]} must {wording}, got {params[dest]}")
 
 
 def _cmd_synth(params: dict, out: Path) -> None:
@@ -509,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (FileExistsError, NotADirectoryError):  # a file is in the way
             raise UsageError(f"--out {out}: not a directory") from None
         doc = {"command": args.command, "params": params}
-        _check_bounds(params)
+        _check_bounds(params, parser.commands[args.command])
         stats = args.run(params, out)  # may add resolved values to params
         if stats is not None:
             doc["stats"] = stats

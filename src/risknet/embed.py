@@ -8,6 +8,7 @@ max_len tokens, so the most recent words sit nearest the classifier head.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -137,10 +138,7 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
 
 def build_vocab(token_lists: Sequence[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Corpus vocabulary: frequency >= min_count, ordered by count then token."""
-    freq: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            freq[token] = freq.get(token, 0) + 1
+    freq = Counter(token for tokens in token_lists for token in tokens)
     kept = sorted(
         (t for t, c in freq.items() if c >= min_count),
         key=lambda t: (-freq[t], t),

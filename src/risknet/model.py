@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .corpus import RiskLabel
 from .embed import EmbeddingMatrix
 from .layers import (
     AttentionParams,
@@ -204,6 +205,8 @@ class ModelConfig:
         for name in _SIZES:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.classes != len(RiskLabel):  # a label past 3 is no risk tier
+            raise ValueError(f"classes must be {len(RiskLabel)}, got {self.classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_len < self.pool:

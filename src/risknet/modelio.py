@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import EmbeddingMatrix, Vocabulary
+from .embed import EmbeddingMatrix, Vocabulary, all_finite
 from .model import Model, ModelConfig, ModelParams, param_groups, param_shapes
 
 FORMAT_VERSION = 4
@@ -124,6 +124,9 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     for name, shape in shapes.items():
         count = math.prod(shape)
         arr = tensors[offset : offset + count].reshape(shape)
+        # the embedding's constructor checks its own values
+        if name != "embedding" and not all_finite(arr):
+            raise ModelFileError(f"corrupted model: non-finite values in tensor '{name}'")
         if arr.dtype != cfg.np_dtype:  # a float64 config, or a big-endian host
             arr = arr.astype(cfg.np_dtype)
         group, _, member = name.partition(".")

@@ -1,21 +1,23 @@
 """Weak labeling: n-gram counts, TF-IDF term weights, post scores, thresholds.
 
 Posts start with user-level labels only.  Every post of a user inherits the
-user's label, and one table of n-gram counts per size is built over all
-posts and per class.  The table picks the common n-grams, and its per-class
-counts weight each term by TF-IDF with each class treated as one document:
-tf counts a term's occurrences within the class's posts, so an n-gram that
-spans two posts counts for nothing, and the weights do not depend on record
-order.  A signed severity axis turns the per-class weights into one scalar
-per term.  A post's score is the mean weight of its matched n-gram
-occurrences, and quantile-calibrated thresholds cut the score axis into the
-four classes.
+user's label, and each n-gram size gets one `Counter` per class.  A heap
+takes the n-grams of highest summed count, with no totals table or full
+sort, and the per-class counts weight each term by TF-IDF with each class
+treated as one document: tf counts a term's occurrences within the class's
+posts, so an n-gram that spans two posts counts for nothing, and the weights
+do not depend on record order.  A signed severity axis turns the per-class
+weights into one scalar per term.  A post's score is the mean weight of its
+matched n-gram occurrences, and quantile-calibrated thresholds cut the score
+axis into the four classes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,12 +49,6 @@ class DegenerateScores(ValueError):
     pass
 
 
-@dataclass
-class NgramTable:
-    counts: dict[str, int] = field(default_factory=dict)
-    per_class: dict[RiskLabel, dict[str, int]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class Thresholds:
     t1: float
@@ -72,36 +68,38 @@ def ngrams(tokens: Sequence[str], n: int) -> Iterable[str]:
 
 def count_ngrams(
     token_lists: Sequence[Sequence[str]], labels: Sequence[int], n: int
-) -> NgramTable:
-    """n-gram counts over all posts and per class; `labels[i]` is post i's class."""
+) -> dict[RiskLabel, Counter]:
+    """n-gram counts per class; `labels[i]` is post i's class."""
     if n not in NGRAM_SIZES:
         raise ValueError(f"n must be one of {NGRAM_SIZES}, got {n}")
-    table = NgramTable(per_class={c: {} for c in RiskLabel})
+    table = {c: Counter() for c in RiskLabel}
     for tokens, label in zip(token_lists, labels, strict=True):
         if label is None:
             raise ValueError("count_ngrams requires labeled posts")
-        cls_counts = table.per_class[label]
-        for gram in ngrams(tokens, n):
-            table.counts[gram] = table.counts.get(gram, 0) + 1
-            cls_counts[gram] = cls_counts.get(gram, 0) + 1
+        table[label].update(ngrams(tokens, n))
     return table
 
 
-def top_terms(table: NgramTable, k: int) -> list[str]:
-    """The k highest-count n-grams; ties broken lexicographically."""
+def top_terms(table: Mapping[RiskLabel, Counter], k: int) -> list[str]:
+    """The k n-grams of highest summed class count; ties broken lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [g for g, _ in ranked[:k]]
+    counts = list(table.values())
+    # each n-gram once, from the first class that has it; the (-count, gram)
+    # keys are unique, so the heap's k are a full sort's first k
+    ranked = heapq.nsmallest(k, ((-sum(c[gram] for c in counts), gram)
+                                 for i, cls_counts in enumerate(counts) for gram in cls_counts
+                                 if not any(gram in earlier for earlier in counts[:i])))
+    return [gram for _, gram in ranked]
 
 
-def top_terms_for_class(table: NgramTable, cls: RiskLabel, k: int) -> list[tuple[str, int]]:
+def top_terms_for_class(table: Mapping[RiskLabel, Counter], cls: RiskLabel, k: int
+                        ) -> list[tuple[str, int]]:
     """Per-class top-k (ngram, count) pairs with the same tie rule."""
-    ranked = sorted(table.per_class[cls].items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return heapq.nsmallest(k, table[cls].items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def tfidf_weights(table: NgramTable, terms: Sequence[str]) -> dict[str, float]:
+def tfidf_weights(table: Mapping[RiskLabel, Counter], terms: Sequence[str]) -> dict[str, float]:
     """Scalar term weights over the four classes, each one document.
 
     tf(term, c) is the term's occurrence count within the posts of class c,
@@ -116,7 +114,7 @@ def tfidf_weights(table: NgramTable, terms: Sequence[str]) -> dict[str, float]:
     n_classes = len(RiskLabel)
     weights: dict[str, float] = {}
     for term in terms:
-        tf = {c: table.per_class[c].get(term, 0) for c in RiskLabel}
+        tf = {c: table[c][term] for c in RiskLabel}
         df = sum(1 for c in RiskLabel if tf[c] > 0)
         if df == 0:
             continue

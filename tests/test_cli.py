@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import weakref
@@ -953,7 +954,7 @@ def _flip_last_byte(blob):
     (lambda m, b: _flip_last_byte(b), "checksum mismatch"),
     (lambda m, _: m["config"].update(dropout_rate="x"), "dropout_rate must be of type float"),
     (lambda m, _: m["config"].update(seed="7"), "seed must be of type int"),
-    (lambda m, _: m["config"].update(classes=3), "blob length mismatch: the config and"),
+    (lambda m, _: m["config"].update(classes=3), "bad config (classes must be 4, got 3)"),
     (lambda m, _: m["config"].update(filters=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(lstm_units=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(kernel=3), "blob length mismatch: the config and"),
@@ -972,6 +973,22 @@ def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, me
                "--out", tmp_path / "pred") == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("cmd,dataset", [("predict", "prep/tokens.jsonl"),
+                                         ("evaluate", "train/test.jsonl")])
+def test_model_with_a_nan_weight_exits_1(pipeline, tmp_path, capsys, cmd, dataset):
+    # used to end in "runtime error: NumericsError", exit 2
+    data = bytearray((pipeline / "train" / "model.rkn").read_bytes())
+    data[-8:-4] = struct.pack("<f", math.nan)  # the last dense.b entry, before the CRC
+    data[-4:] = zlib.crc32(data[:-4]).to_bytes(4, "little")
+    model = tmp_path / "model.rkn"
+    model.write_bytes(data)
+    assert run(cmd, "--model", model, "--dataset", pipeline / dataset,
+               "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == (
+        "error: corrupted model: non-finite values in tensor 'dense.b'\n")
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_evaluate_rejects_swapped_vocab_tokens(pipeline, tmp_path, capsys):
@@ -1010,27 +1027,32 @@ def test_train_flags_override_config(pipeline, tmp_path):
     assert a != b
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    # used to end in "runtime error: ZeroDivisionError", exit 2
-    ("--lstm-units", 0, "lstm_units must be >= 1, got 0"),
-    ("--kernel", 0, "kernel must be >= 1, got 0"),
-    ("--pool", 0, "pool must be >= 1, got 0"),
-    # used to exit 0 with a dense head that sees no features
-    ("--filters", 0, "filters must be >= 1, got 0"),
-    # used to print a bare NumPy message
-    ("--embed-dim", 0, "embed_dim must be >= 1, got 0"),
-    ("--embed-dim", -3, "embed_dim must be >= 1, got -3"),
-    ("--lstm-units", -3, "lstm_units must be >= 1, got -3"),
-    # used to be found only at the first training step
-    ("--dropout", 1.0, "dropout_rate must be in [0, 1), got 1.0"),
-    ("--dropout", -0.5, "dropout_rate must be in [0, 1), got -0.5"),
-], ids=["lstm_units_0", "kernel_0", "pool_0", "filters_0", "embed_dim_0", "embed_dim_neg",
-        "lstm_units_neg", "dropout_1", "dropout_neg"])
-def test_train_config_out_of_range_exits_1_naming_field(pipeline, tmp_path, capsys, flag,
-                                                        value, message):
-    out = tmp_path / "t"
-    assert run("train", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
-               "--epochs", 1, "--embed-dim", 8, "--lstm-units", 4, "--max-len", 16,
-               flag, value) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "model.rkn").exists()
+@pytest.mark.parametrize("flag,value,wording", [
+    # each used to be found only once the dataset was read, split and encoded,
+    # in a message that named the config field: "epochs must be >= 1", say
+    ("--epochs", 0, "be >= 1"),
+    ("--batch-size", 0, "be >= 1"),
+    ("--max-len", 0, "be >= 1"),
+    ("--embed-dim", 0, "be >= 1"),
+    ("--embed-dim", -3, "be >= 1"),
+    ("--lstm-units", 0, "be >= 1"),
+    ("--lstm-units", -3, "be >= 1"),
+    ("--filters", 0, "be >= 1"),
+    ("--kernel", 0, "be >= 1"),
+    ("--pool", 0, "be >= 1"),
+    ("--dropout", 1.0, "be in [0, 1)"),
+    ("--dropout", -0.5, "be in [0, 1)"),
+    ("--dropout", math.nan, "be in [0, 1)"),
+], ids=["epochs_0", "batch_size_0", "max_len_0", "embed_dim_0", "embed_dim_neg",
+        "lstm_units_0", "lstm_units_neg", "filters_0", "kernel_0", "pool_0", "dropout_1",
+        "dropout_neg", "dropout_nan"])
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+def test_fit_flag_out_of_range_exits_1_before_reading(tmp_path, capsys, cmd, flag, value,
+                                                      wording):
+    # the first record is malformed, so a check made after reading would name it
+    dataset = tmp_path / "tokens.jsonl"
+    dataset.write_text('{"post_id": "p1"}\n', encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(cmd, "--dataset", dataset, "--out", out, *ABLATE_FLAGS, flag, value) == 1
+    assert capsys.readouterr().err == f"error: {flag} must {wording}, got {value}\n"
+    assert list(out.iterdir()) == []

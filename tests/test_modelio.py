@@ -1,15 +1,18 @@
 """Model file format: byte-exact round trips and corruption diagnostics."""
 
 import json
+import math
 import struct
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
-from risknet.model import VARIANTS, Model, ModelConfig, init_params
+from risknet.model import VARIANTS, Model, ModelConfig, init_params, param_shapes
 from risknet.modelio import FORMAT_VERSION, ModelFileError, load_model, save_model
 
 HEADER = struct.Struct("<I")
@@ -323,7 +326,7 @@ def test_vocab_longer_than_embedding(tmp_path):
     (lambda m: m["config"].update(dropout_rate="x"),
      r"bad config \(dropout_rate must be of type float"),
     (lambda m: m["config"].update(seed="7"), r"bad config \(seed must be of type int"),
-    (lambda m: m["config"].update(classes=3), "need 696 bytes, the file has 724"),
+    (lambda m: m["config"].update(classes=3), r"bad config \(classes must be 4, got 3\)"),
     (lambda m: m["config"].update(filters=5), "need 988 bytes, the file has 724"),
     (lambda m: m["config"].update(lstm_units=5), "need 1196 bytes, the file has 724"),
     (lambda m: m["config"].update(kernel=5), "need 772 bytes, the file has 724"),
@@ -337,3 +340,124 @@ def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
     rewrite(path, mutate)
     with pytest.raises(ModelFileError, match=message):
         load_model(path)
+
+
+def tensor_spans(cfg, rows):
+    """Each tensor's dotted name -> its (start, end) float offsets in the blob."""
+    spans, start = {}, 0
+    for name, shape in param_shapes(cfg, rows).items():
+        spans[name] = (start, start + math.prod(shape))
+        start += math.prod(shape)
+    return spans
+
+
+def test_model_with_five_classes_is_rejected(tmp_path):
+    # a fifth dense column whose bias wins: the file used to load, and predict
+    # exited 0 with label 4, which is no risk tier
+    path = saved(tmp_path)
+    start, end = tensor_spans(small_model().cfg, VOCAB.size)["dense.W"]
+
+    def widen(blob):
+        floats = np.frombuffer(blob, dtype="<f4")
+        W = np.zeros(((end - start) // 4, 5), dtype="<f4")
+        W[:, :4] = floats[start:end].reshape(-1, 4)
+        b = np.array([0, 0, 0, 0, 50], dtype="<f4")
+        return floats[:start].tobytes() + W.tobytes() + b.tobytes()
+
+    rewrite(path, lambda m: m["config"].update(classes=5), widen)
+    with pytest.raises(ModelFileError, match=r"bad config \(classes must be 4, got 5\)"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("tensor", ["lstm.U", "attention.w", "conv.kernels", "dense.W"])
+def test_non_finite_tensor_is_rejected(tmp_path, tensor, value):
+    # the file used to load, and predict ended in a NumericsError, exit 2
+    path = saved(tmp_path)
+    start, _ = tensor_spans(small_model().cfg, VOCAB.size)[tensor]
+
+    def poison(blob):
+        floats = np.frombuffer(blob, dtype="<f4").copy()
+        floats[start] = value
+        return floats.tobytes()
+
+    rewrite(path, edit_blob=poison)
+    with pytest.raises(ModelFileError, match=rf"non-finite values in tensor '{tensor}'"):
+        load_model(path)
+
+
+def test_non_finite_embedding_is_rejected(tmp_path):
+    path = saved(tmp_path)
+    rewrite(path, edit_blob=lambda b: b[:40] + np.float32(math.nan).tobytes() + b[44:])
+    with pytest.raises(ModelFileError, match="embedding matrix contains non-finite entries"):
+        load_model(path)
+
+
+# ----------------------------------------------------------------- fuzzing
+
+# JSON values a resealed manifest may hold where a config value belongs
+_ODD_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=9), st.booleans(), st.just(2**70), st.just(-(2**70)),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(["", "4", "float64"]),
+    st.none(), st.lists(st.integers(0, 3), max_size=2))
+_SIZE = st.one_of(st.integers(min_value=1, max_value=8), _ODD_VALUES)
+_CONFIG_VALUES = {
+    "max_len": _SIZE, "embed_dim": _SIZE, "lstm_units": _SIZE, "filters": _SIZE,
+    "kernel": _SIZE, "pool": _SIZE, "classes": _SIZE,
+    "dropout_rate": st.one_of(st.floats(min_value=0.0, max_value=0.9), _ODD_VALUES),
+    "seed": st.one_of(st.integers(min_value=0, max_value=2**64 - 1), _ODD_VALUES),
+    "variant": st.one_of(st.sampled_from(VARIANTS), _ODD_VALUES),
+    "dtype": st.one_of(st.sampled_from(["float32", "float64"]), _ODD_VALUES),
+}
+_TOKENS = st.sampled_from(["help", "die", "", " ", "a b", "\t", "end"])
+# tensors past this many floats are not written, so the blob is short
+_FUZZ_MAX_FLOATS = 20_000
+
+
+def _implied_floats(config: dict, rows: int):
+    """The floats of every tensor the config implies, or None if it implies
+    none (a config that is no `ModelConfig`'s) or too many to write.  The
+    config's own checks are skipped, so that a config they would reject gets
+    its tensors too."""
+    cfg = ModelConfig.__new__(ModelConfig)
+    cfg.__dict__.update(config)
+    try:
+        total = sum(math.prod(s) for s in param_shapes(cfg, rows).values())
+    except (TypeError, ValueError, KeyError, AttributeError, ArithmeticError):
+        return None
+    return total if type(total) is int and 0 <= total <= _FUZZ_MAX_FLOATS else None
+
+
+@given(overrides=st.dictionaries(st.sampled_from(sorted(_CONFIG_VALUES)), st.none(), max_size=3)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: _CONFIG_VALUES[k] for k in keys})),
+       vocab=st.one_of(st.lists(_TOKENS, max_size=6, unique=True), st.lists(_TOKENS, max_size=6)),
+       tensors=st.sampled_from(["implied", "implied", "short", "long"]),
+       poison=st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf])),
+       data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_resealed_manifest_fuzz(tmp_path, overrides, vocab, tensors, poison, data):
+    """A manifest resealed with drawn config values and vocabulary tokens
+    either fails to load with `ModelFileError`, or loads a model whose every
+    prediction is a risk tier."""
+    config = {**small_model().cfg.to_dict(), **overrides}
+    count = _implied_floats(config, len(vocab) + 2)
+    if count is None or tensors != "implied":
+        # 181 floats are the small model's tensors
+        count = (count or 181) + (1 if tensors == "long" else -1)
+    values = np.random.default_rng(0).normal(scale=0.3, size=count).astype("<f4")
+    dim = config["embed_dim"] if type(config["embed_dim"]) is int else 0
+    values[: max(0, min(dim, count))] = 0.0  # the PAD row
+    if poison is not None and count > 0:
+        values[data.draw(st.integers(0, count - 1), label="poisoned float")] = poison
+    path = tmp_path / "fuzz.rkn"
+    save_model(small_model(), VOCAB, path)
+    rewrite(path, lambda m: {**m, "config": config, "vocab": vocab},
+            lambda _: values.tobytes())
+    try:
+        model, loaded_vocab = load_model(path)
+    except ModelFileError:
+        return
+    X = np.random.default_rng(1).integers(0, loaded_vocab.size, size=(3, model.cfg.max_len))
+    labels = model.predict(X)
+    assert labels.shape == (3,) and set(labels.tolist()) <= {0, 1, 2, 3}

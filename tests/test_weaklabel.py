@@ -1,17 +1,20 @@
 """Weak-labeling pipeline: n-gram counts, TF-IDF weights, scores, thresholds."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risknet.cli import main, read_tokens
 from risknet.corpus import RiskLabel
 from risknet.weaklabel import (
     DEFAULT_TARGET_FRACTIONS,
+    NGRAM_SIZES,
     DegenerateScores,
-    NgramTable,
     Thresholds,
     assign_label,
     calibrate_thresholds,
@@ -43,17 +46,18 @@ def test_ngrams_windows():
 
 def test_count_ngrams_unigrams():
     table = count_ngrams(*docs_from([("a b a", 0)]), 1)
-    assert table.counts == {"a": 2, "b": 1}
+    assert table == {RiskLabel.NO_RISK: {"a": 2, "b": 1}, RiskLabel.LOW_RISK: {},
+                     RiskLabel.MODERATE_RISK: {}, RiskLabel.SEVERE_RISK: {}}
 
 
 def test_count_ngrams_bigrams():
-    table = count_ngrams(*docs_from([("a b a", 2)]), 2)
-    assert table.counts == {"a b": 1, "b a": 1}
-    assert table.per_class[RiskLabel.MODERATE_RISK] == {"a b": 1, "b a": 1}
+    table = count_ngrams(*docs_from([("a b a", 2), ("b a", 3)]), 2)
+    assert table[RiskLabel.MODERATE_RISK] == {"a b": 1, "b a": 1}
+    assert table[RiskLabel.SEVERE_RISK] == {"b a": 1}
 
 
 def test_count_ngrams_too_short():
-    assert count_ngrams(*docs_from([("a", 1)]), 3).counts == {}
+    assert all(not counts for counts in count_ngrams(*docs_from([("a", 1)]), 3).values())
 
 
 def test_count_ngrams_rejects_bad_n():
@@ -66,35 +70,34 @@ def test_count_ngrams_rejects_unlabeled():
         count_ngrams([["a", "b"]], [None], 1)
 
 
-def test_per_class_counts_conserve_total():
-    docs = docs_from([("a b a", 0), ("b c", 1), ("a c a b", 3), ("c c c", 2)])
-    for n in (1, 2, 3):
-        table = count_ngrams(*docs, n)
-        for gram, total in table.counts.items():
-            assert total == sum(m.get(gram, 0) for m in table.per_class.values())
-            assert total >= 1
-
-
 # --------------------------------------------------------------- top terms
 
 
+def counts(no=None, low=None, mod=None, sev=None) -> dict[RiskLabel, Counter]:
+    """A count table of the shape `count_ngrams` makes, from per-class dicts."""
+    return {c: Counter(d or {}) for c, d in zip(RiskLabel, (no, low, mod, sev))}
+
+
 def test_top_terms_tie_breaks_lexicographically():
-    table = NgramTable(counts={"a": 5, "c": 3, "b": 3})
-    assert top_terms(table, 2) == ["a", "b"]
+    assert top_terms(counts(no={"a": 5, "c": 3, "b": 3}), 2) == ["a", "b"]
+
+
+def test_top_terms_ranks_by_count_summed_over_classes():
+    # "a" leads no class, but its 2 + 2 beats "b"'s 3
+    assert top_terms(counts(no={"a": 2, "b": 3}, sev={"a": 2}), 1) == ["a"]
 
 
 def test_top_terms_k_larger_than_table():
-    table = NgramTable(counts={"b": 1, "a": 1})
-    assert top_terms(table, 10) == ["a", "b"]
+    assert top_terms(counts(low={"b": 1}, mod={"a": 1, "b": 1}), 10) == ["b", "a"]
 
 
 def test_top_terms_empty_table():
-    assert top_terms(NgramTable(), 3) == []
+    assert top_terms(counts(), 3) == []
 
 
 def test_top_terms_rejects_k_below_one():
     with pytest.raises(ValueError):
-        top_terms(NgramTable(counts={"a": 1}), 0)
+        top_terms(counts(no={"a": 1}), 0)
 
 
 def test_top_terms_for_class():
@@ -102,6 +105,41 @@ def test_top_terms_for_class():
     table = count_ngrams(*docs, 1)
     assert top_terms_for_class(table, RiskLabel.SEVERE_RISK, 2) == [("a", 2), ("b", 1)]
     assert top_terms_for_class(table, RiskLabel.NO_RISK, 2) == [("b", 1)]
+
+
+def _ranked(items, k):
+    """Oracle: sort every (ngram, count) pair by count then ngram; the first k."""
+    return sorted(items, key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), max_size=6),
+                          st.sampled_from(list(RiskLabel))), max_size=12),
+       st.sampled_from(NGRAM_SIZES), st.integers(min_value=1, max_value=25))
+@settings(max_examples=300, deadline=None)
+def test_top_terms_equal_a_full_sort(posts, n, k):
+    table = count_ngrams([toks for toks, _ in posts], [c for _, c in posts], n)
+    totals = Counter()
+    for cls in RiskLabel:
+        totals.update(table[cls])
+        assert top_terms_for_class(table, cls, k) == _ranked(table[cls].items(), k)
+    assert top_terms(table, k) == [gram for gram, _ in _ranked(totals.items(), k)]
+
+
+def test_weak_label_documents_peak_memory(tmp_path):
+    # the 2000-post acceptance corpus (seed 5); one totals table beside the
+    # per-class ones peaked at 15.7 MiB, the per-class tables alone at 7 MiB
+    assert main(["synth", "--posts", "2000", "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert main(["preprocess", "--dataset", str(tmp_path / "posts.csv"),
+                 "--out", str(tmp_path)]) == 0
+    rows = read_tokens(tmp_path / "tokens.jsonl")
+    token_lists, labels = [r["tokens"] for r in rows], [r["label"] for r in rows]
+    tracemalloc.start()
+    try:
+        weak_label_documents(token_lists, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ------------------------------------------------------------------ tf-idf

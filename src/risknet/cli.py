@@ -54,55 +54,32 @@ def read_tokens(path: Path) -> list[dict]:
 
 def iter_tokens(path: Path) -> Iterator[dict]:
     """The records of a JSONL token file, checked and yielded one at a time;
-    a malformed record, or one whose `post_id` an earlier record has, raises
-    UsageError naming its line, and a file with no records raises once it has
-    been read to the end.  Only the ids of the records read so far are kept."""
+    a record that breaks one of `corpus`'s record rules, or whose `tokens` is
+    not a non-empty list of words, raises UsageError naming its line, and a
+    file with no records raises once it has been read to the end.  Only the
+    ids of the records read so far are kept."""
     first_line: dict[str, int] = {}  # post_id -> the line of its record
     with path.open("r", encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}: line {line_num}: invalid JSON ({exc.msg})") from None
-            if not isinstance(row, dict):
-                raise UsageError(f"{path}: line {line_num}: expected a JSON object")
-            for fieldname in ("post_id", "user_id", "label", "tokens"):
-                if fieldname not in row:
-                    raise UsageError(f"{path}: line {line_num}: missing field '{fieldname}'")
-            for fieldname in ("post_id", "user_id"):
-                if not isinstance(row[fieldname], str):
-                    raise UsageError(f"{path}: line {line_num}: '{fieldname}' must be a string")
-                if not row[fieldname]:  # predict would write an empty cell
-                    raise UsageError(f"{path}: line {line_num}: empty {fieldname}")
-            tokens = row["tokens"]
-            try:
-                if not isinstance(tokens, list):  # a str would join character by character
-                    raise TypeError
-                # n-grams are space-joined tokens, so each token must be one
-                # word that a join and a split give back unchanged
-                lossless = " ".join(tokens).split() == tokens
-            except TypeError:
-                raise UsageError(
-                    f"{path}: line {line_num}: 'tokens' must be a list of strings") from None
-            if not tokens:
-                raise UsageError(f"{path}: line {line_num}: 'tokens' must not be empty")
-            if not lossless:
-                raise UsageError(f"{path}: line {line_num}: each token must be non-empty "
-                                 f"and contain no whitespace")
-            label = row["label"]
-            if label is not None:
-                # bool is an int subclass; JSON true/false is not a class id
-                if type(label) is not int:
-                    raise UsageError(f"{path}: line {line_num}: 'label' must be null or an "
-                                     f"integer, got {json.dumps(label)}")
-                if not 0 <= label <= 3:
-                    raise UsageError(f"{path}: line {line_num}: label out of range")
-            seen = first_line.setdefault(row["post_id"], line_num)
-            if seen != line_num:
-                raise UsageError(f"{path}: line {line_num}: duplicate post_id "
-                                 f"'{row['post_id']}' (first seen at line {seen})")
+                row = corpus.parse_json_object(line)
+                corpus.require_fields(row, ("post_id", "user_id", "label", "tokens"))
+                corpus.check_ids(row)
+                corpus.check_label(row["label"])
+                tokens = row["tokens"]
+                try:
+                    if not isinstance(tokens, list):  # a str would join character by character
+                        raise TypeError
+                    corpus.check_words(tokens)
+                except TypeError:
+                    raise ValueError("'tokens' must be a list of strings") from None
+                if not tokens:
+                    raise ValueError("'tokens' must not be empty")
+                corpus.check_unique(row["post_id"], first_line, line_num)
+            except ValueError as exc:
+                raise UsageError(f"{path}: line {line_num}: {exc}") from None
             yield row
     if not first_line:
         raise UsageError(f"{path}: no records")
@@ -150,13 +127,11 @@ def _replay_config(sub: argparse.ArgumentParser, path: str, cmd: str) -> None:
     defaults of `sub`, so that explicit flags still win.  Keys that no flag
     of `sub` sets (such as `thresholds`) are ignored."""
     try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+        loaded = corpus.parse_json_object(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"--config {path}: cannot read ({exc.strerror})") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--config {path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(loaded, dict):
-        raise UsageError(f"--config {path}: expected a JSON object")
+    except ValueError as exc:  # not UTF-8, not JSON, or not an object
+        raise UsageError(f"--config {path}: {exc}") from None
     if loaded.get("command") != cmd:
         raise UsageError(f"--config was written by '{loaded.get('command')}', not '{cmd}'")
     params = loaded.get("params", {})
@@ -217,6 +192,10 @@ def _check_bounds(params: dict, sub: argparse.ArgumentParser) -> None:
     for dest, (ok, wording) in _FLAG_BOUNDS.items():
         if params.get(dest) is not None and not ok(params[dest]):
             raise UsageError(f"{flags[dest]} must {wording}, got {params[dest]}")
+    # the pool's first window must fit in a post
+    if params.get("max_len") is not None and params["max_len"] < params["pool"]:
+        raise UsageError(f"--max-len must be >= --pool ({params['pool']}), "
+                         f"got {params['max_len']}")
 
 
 def _cmd_synth(params: dict, out: Path) -> None:
@@ -225,16 +204,11 @@ def _cmd_synth(params: dict, out: Path) -> None:
 
 
 def _cmd_preprocess(params: dict, out: Path) -> dict:
-    result = corpus.load_posts(params["dataset"], format=params["format"])
-    if result.errors:
-        first = result.errors[0]
-        raise UsageError(
-            f"{params['dataset']}: {len(result.errors)} malformed records "
-            f"(first: line {first.line}: {first.message})")
+    posts = corpus.load_posts(params["dataset"], format=params["format"])
     rows = []
     seen: set[str] = set()  # cleaned texts kept so far; the first post of each wins
     dropped_empty = dropped_duplicate = 0
-    for p in result.posts:
+    for p in posts:
         text = textprep.clean(corpus.merge_title_body(p))
         if not text:  # every empty text counts as empty, never as a duplicate
             dropped_empty += 1
@@ -250,7 +224,7 @@ def _cmd_preprocess(params: dict, out: Path) -> dict:
             else:
                 dropped_empty += 1
     write_tokens(rows, out / "tokens.jsonl")
-    return {"posts_read": len(result.posts), "dropped_empty": dropped_empty,
+    return {"posts_read": len(posts), "dropped_empty": dropped_empty,
             "dropped_duplicate": dropped_duplicate}
 
 

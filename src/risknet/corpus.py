@@ -1,15 +1,19 @@
-"""Post collections: loading, saving, and title+body merging.
+"""Post collections: loading, saving, and title+body merging; and the record
+rules that post files and token files share.
 
 A post record carries six fields (id, user, timestamp, subreddit, title,
 body) plus an optional integer risk label in 0..3.  Posts load from CSV with
 RFC-4180 quoting or from JSON-lines with the same keys, and save as CSV.
+Each shared rule raises `ValueError` with a message that its reader, here or
+`cli.iter_tokens`, prefixes with `file: line N:`; both stop at the first
+malformed record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Optional
@@ -39,140 +43,148 @@ class Post:
     label: Optional[RiskLabel] = None
 
 
-@dataclass(frozen=True)
-class RecordError:
-    line: int
-    message: str
-
-
-@dataclass
-class LoadResult:
-    posts: list[Post] = field(default_factory=list)
-    errors: list[RecordError] = field(default_factory=list)
-
-
 class CorpusFormatError(ValueError):
-    """File-level problem: missing file, bad header, unknown format."""
+    """Missing file, bad header, unknown format, or a malformed record."""
 
 
-def _parse_label(raw) -> Optional[RiskLabel]:
-    if raw is None or raw == "":
-        return None
-    code = int(raw)
-    if code not in (0, 1, 2, 3):
-        raise ValueError(f"label code {code} outside 0..3")
-    return RiskLabel(code)
+# ------------------------------------------------------------ record rules
 
 
-def _make_post(rec: dict, seen_ids: dict[str, int], line: int) -> Post:
-    for key in CSV_COLUMNS:
-        if key not in rec or rec[key] is None:
-            raise ValueError(f"missing field '{key}'")
-    post_id = str(rec["post_id"])
-    if not post_id:
-        raise ValueError("empty post_id")
-    if post_id in seen_ids:
-        raise ValueError(f"duplicate post_id '{post_id}' (first seen at line {seen_ids[post_id]})")
-    user_id = str(rec["user_id"])
-    if not user_id:  # predict would write an empty user cell
-        raise ValueError("empty user_id")
+def parse_json_object(text: str) -> dict:
+    """A JSONL line, a `--config` file or a model manifest, as its object."""
     try:
-        timestamp = int(rec["timestamp"])
-    except (TypeError, ValueError):
-        raise ValueError(f"non-integer timestamp {rec['timestamp']!r}") from None
-    title = str(rec["post_title"])
-    body = str(rec["post_body"])
-    if not title and not body:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    return obj
+
+
+def require_fields(rec: dict, keys: Iterable[str]) -> None:
+    for key in keys:
+        if key not in rec:
+            raise ValueError(f"missing field '{key}'")
+
+
+def check_string(rec: dict, key: str) -> None:
+    """`str()` would turn 12 into "12" and {"a": 1} into text."""
+    if not isinstance(rec[key], str):
+        raise ValueError(f"'{key}' must be a string, got {json.dumps(rec[key])}")
+
+
+def check_ids(rec: dict) -> None:
+    for key in ("post_id", "user_id"):
+        check_string(rec, key)
+        if not rec[key]:  # predict would write an empty cell
+            raise ValueError(f"empty {key}")
+
+
+def check_label(label) -> Optional[RiskLabel]:
+    """Null, or a class code; `int()` would truncate 2.9 and take true for 1."""
+    if label is None:
+        return None
+    if type(label) is not int:
+        raise ValueError(f"'label' must be null or an integer, got {json.dumps(label)}")
+    if not 0 <= label <= 3:
+        raise ValueError(f"label code {label} outside 0..3")
+    return RiskLabel(label)
+
+
+def check_words(tokens: list[str]) -> None:
+    """N-grams are space-joined tokens, so each token must be one word that a
+    join and a split give back unchanged."""
+    if " ".join(tokens).split() != tokens:
+        raise ValueError("each token must be non-empty and contain no whitespace")
+
+
+def check_unique(post_id: str, first_line: dict[str, int], line: int) -> None:
+    """`first_line` maps each `post_id` read so far to its line.  Checked last,
+    so that only an otherwise well-formed record is the first of its id."""
+    seen = first_line.setdefault(post_id, line)
+    if seen != line:
+        raise ValueError(f"duplicate post_id '{post_id}' (first seen at line {seen})")
+
+
+# ------------------------------------------------------------- post files
+
+
+def _make_post(rec: dict, first_line: dict[str, int], line: int) -> Post:
+    require_fields(rec, CSV_COLUMNS)
+    check_ids(rec)
+    for key in ("subreddit", "post_title", "post_body"):
+        check_string(rec, key)
+    if type(rec["timestamp"]) is not int:
+        raise ValueError(f"non-integer timestamp {json.dumps(rec['timestamp'])}")
+    if not rec["post_title"] and not rec["post_body"]:
         raise ValueError("both post_title and post_body are empty")
-    label = _parse_label(rec.get(LABEL_COLUMN))
-    seen_ids[post_id] = line
-    return Post(post_id, user_id, timestamp, str(rec["subreddit"]), title, body, label)
+    label = check_label(rec.get(LABEL_COLUMN))
+    check_unique(rec["post_id"], first_line, line)
+    return Post(rec["post_id"], rec["user_id"], rec["timestamp"], rec["subreddit"],
+                rec["post_title"], rec["post_body"], label)
 
 
-def load_posts(path: str | Path, format: str | None = None) -> LoadResult:
-    """Read a post collection; malformed records are collected, not fatal.
+def load_posts(path: str | Path, format: str | None = None) -> list[Post]:
+    """Read a post collection.
 
     ``format`` is "csv" or "jsonl"; if omitted it is taken from the file
-    extension.  File-level problems (missing file, missing header column)
-    raise :class:`CorpusFormatError`; record-level problems are returned as
-    :class:`RecordError` entries with 1-based line numbers.
+    extension.  A missing file, a bad header or the first malformed record
+    raises :class:`CorpusFormatError`, a record's naming its 1-based line.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusFormatError(f"no such file: {path}")
     if format is None:
         format = path.suffix.lstrip(".").lower()
-    if format == "csv":
-        return _load_csv(path)
-    if format == "jsonl":
-        return _load_jsonl(path)
-    raise CorpusFormatError(f"unknown format '{format}' (expected csv or jsonl)")
-
-
-def _load_csv(path: Path) -> LoadResult:
-    result = LoadResult()
-    seen: dict[str, int] = {}
+    if format not in ("csv", "jsonl"):
+        raise CorpusFormatError(f"unknown format '{format}' (expected csv or jsonl)")
+    posts: list[Post] = []
+    first_line: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty file, expected a header row") from None
-        if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            raise CorpusFormatError(f"{path}: bad header, missing columns {missing or header}")
-        has_label = len(header) > len(CSV_COLUMNS) and header[len(CSV_COLUMNS)] == LABEL_COLUMN
-        for row in reader:
-            line = reader.line_num  # physical line where the record ends
-            if not row:
-                continue
-            rec = dict(zip(CSV_COLUMNS, row))
-            if has_label and len(row) > len(CSV_COLUMNS):
-                rec[LABEL_COLUMN] = row[len(CSV_COLUMNS)]
+        if format == "csv":
+            lines, to_record = _csv_lines(path, fh)
+        else:
+            lines = ((n, raw) for n, raw in enumerate(fh, start=1) if raw.strip())
+            to_record = parse_json_object
+        for line, raw in lines:
             try:
-                result.posts.append(_make_post(rec, seen, line))
+                posts.append(_make_post(to_record(raw), first_line, line))
             except ValueError as exc:
-                result.errors.append(RecordError(line, str(exc)))
-    return result
+                raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
+    return posts
 
 
-def _load_jsonl(path: Path) -> LoadResult:
-    result = LoadResult()
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                if not isinstance(rec, dict):
-                    raise ValueError("record is not a JSON object")
-                _check_json_types(rec)
-                result.posts.append(_make_post(rec, seen, line_no))
-            except (json.JSONDecodeError, ValueError) as exc:
-                result.errors.append(RecordError(line_no, str(exc)))
-    return result
+def _csv_lines(path: Path, fh):
+    """The rows after the header, each with the physical line where it ends,
+    and the function that makes a record of a row."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusFormatError(f"{path}: empty file, expected a header row") from None
+    if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        raise CorpusFormatError(f"{path}: bad header, missing columns {missing or header}")
+    columns = header[: len(CSV_COLUMNS) + 1]
+    if columns[-1] != LABEL_COLUMN:
+        columns = CSV_COLUMNS
+
+    def to_record(row: list[str]) -> dict:
+        rec = dict(zip(columns, row))
+        for key in ("timestamp", LABEL_COLUMN):
+            if key in rec:
+                rec[key] = _csv_int(rec[key])
+        return rec
+
+    return ((reader.line_num, row) for row in reader if row), to_record
 
 
-# the JSONL fields that must be JSON strings; `str()` would turn 12 into "12"
-# and {"a": 1} into text
-_JSON_STRINGS = ("post_id", "user_id", "subreddit", "post_title", "post_body")
-
-
-def _check_json_types(rec: dict) -> None:
-    """Text fields must be JSON strings, a JSON `timestamp` an integer and a
-    JSON `label` null or an integer; `int()` would truncate 2.9 to 2 and take
-    true for 1.  A missing or null field is left to `_make_post`."""
-    for key in _JSON_STRINGS:
-        value = rec.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"'{key}' must be a string, got {json.dumps(value)}")
-    timestamp = rec.get("timestamp")
-    if timestamp is not None and type(timestamp) is not int:
-        raise ValueError(f"non-integer timestamp {json.dumps(timestamp)}")
-    label = rec.get(LABEL_COLUMN)
-    if label is not None and type(label) is not int:
-        raise ValueError(f"label must be null or an integer, got {json.dumps(label)}")
+def _csv_int(cell: str):
+    """The int a cell spells; an empty cell is null, another is kept to be rejected."""
+    try:
+        return int(cell) if cell else None
+    except ValueError:
+        return cell
 
 
 def save_posts(path: str | Path, posts: Iterable[Post]) -> None:

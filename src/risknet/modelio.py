@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import check_words, parse_json_object
 from .embed import EmbeddingMatrix, Vocabulary, all_finite
 from .model import Model, ModelConfig, ModelParams, param_groups, param_shapes
 
@@ -94,11 +95,9 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     if len(payload) < mlen:
         raise ModelFileError("truncated file: manifest shorter than declared")
     try:
-        manifest = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = parse_json_object(payload.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or not an object
         raise ModelFileError(f"corrupted manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ModelFileError("corrupted manifest: expected a JSON object")
     version = _require(manifest, "format_version")
     if version != FORMAT_VERSION:
         raise ModelFileError(f"format version mismatch: file has {version}, expected {FORMAT_VERSION}")
@@ -112,6 +111,10 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
         raise ModelFileError("corrupted manifest: 'vocab' must be a list of strings")
     if len(set(vocab_tokens)) != len(vocab_tokens):
         raise ModelFileError("corrupted manifest: 'vocab' repeats a token")
+    try:  # a token that no token file can hold would never be looked up
+        check_words(vocab_tokens)
+    except ValueError as exc:
+        raise ModelFileError(f"corrupted manifest: 'vocab': {exc}") from None
 
     # PAD and UNK take the first two embedding rows
     shapes = param_shapes(cfg, len(vocab_tokens) + 2)

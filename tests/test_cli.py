@@ -171,6 +171,8 @@ def config_params(cmd, params):
 
 @pytest.mark.parametrize("cmd,write", [
     ("synth", lambda p: p.write_text("[]", encoding="utf-8")),
+    # used to be named only by the codec's message
+    ("synth", lambda p: p.write_bytes(b'\xff{"command": "synth"}')),
     ("synth", config_params("synth", [1])),
     ("synth", config_params("synth", {"posts": [5]})),
     ("synth", lambda p: p.mkdir()),
@@ -182,8 +184,8 @@ def config_params(cmd, params):
     ("preprocess", config_params("preprocess", {"format": "xml"})),
     ("annotate", config_params("annotate", {"fractions": 0.25})),
     ("synth", config_params("synth", {"seed": None})),
-], ids=["not_an_object", "params_list", "posts_list", "directory", "embeddings_int",
-        "max_len_float", "max_len_str", "max_len_bool",
+], ids=["not_an_object", "not_utf8", "params_list", "posts_list", "directory",
+        "embeddings_int", "max_len_float", "max_len_str", "max_len_bool",
         "format_not_a_choice", "fractions_float", "seed_null"])
 def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     # each of these used to end in a TypeError, AttributeError or OSError and
@@ -280,7 +282,7 @@ def test_preprocess_jsonl_float_label_exits_1_naming_line(tmp_path, capsys):
                                  "subreddit": "s", "post_title": "a", "post_body": "b",
                                  "label": 2.9}) + "\n", encoding="utf-8")
     assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 1
-    assert "line 1: label must be null or an integer, got 2.9" in capsys.readouterr().err
+    assert "line 1: 'label' must be null or an integer, got 2.9" in capsys.readouterr().err
 
 
 def test_preprocess_jsonl_non_string_text_exits_1_naming_line(tmp_path, capsys):
@@ -898,8 +900,7 @@ def test_preprocess_empty_user_id_exits_1_naming_the_line(tmp_path, capsys, fmt)
     posts.write_text(text, encoding="utf-8")
     assert run("preprocess", "--dataset", posts, "--out", tmp_path / "p") == 1
     line = 3 if fmt == "csv" else 2  # the CSV header is line 1
-    assert capsys.readouterr().err == (
-        f"error: {posts}: 1 malformed records (first: line {line}: empty user_id)\n")
+    assert capsys.readouterr().err == f"error: {posts}: line {line}: empty user_id\n"
     assert list((tmp_path / "p").iterdir()) == []
 
 
@@ -963,9 +964,13 @@ def _flip_last_byte(blob):
      "bad config (dropout_rate must be in [0, 1), got 1.0)"),
     # used to end in a ZeroDivisionError, exit 2
     (lambda m, _: m["config"].update(pool=0), "bad config (pool must be >= 1, got 0)"),
+    # used to load and predict, exit 0, with a row that no token could reach
+    *[(lambda m, _, t=token: m["vocab"].__setitem__(2, t),
+       "'vocab': each token must be non-empty and contain no whitespace")
+      for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "max_len_float", "pool_bool", "vocab_repeated", "blob_byte_flipped",
         "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3",
-        "dropout_1", "pool_0"])
+        "dropout_1", "pool_0", "token_empty", "token_space", "token_two_words", "token_tab"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"
     _rewrite_manifest(pipeline / "train" / "model.rkn", model, mutate)
@@ -1043,9 +1048,11 @@ def test_train_flags_override_config(pipeline, tmp_path):
     ("--dropout", 1.0, "be in [0, 1)"),
     ("--dropout", -0.5, "be in [0, 1)"),
     ("--dropout", math.nan, "be in [0, 1)"),
+    # used to end in "max_len shorter than pool window", naming neither flag
+    ("--max-len", 1, "be >= --pool (2)"),
 ], ids=["epochs_0", "batch_size_0", "max_len_0", "embed_dim_0", "embed_dim_neg",
         "lstm_units_0", "lstm_units_neg", "filters_0", "kernel_0", "pool_0", "dropout_1",
-        "dropout_neg", "dropout_nan"])
+        "dropout_neg", "dropout_nan", "max_len_below_pool"])
 @pytest.mark.parametrize("cmd", ["train", "ablate"])
 def test_fit_flag_out_of_range_exits_1_before_reading(tmp_path, capsys, cmd, flag, value,
                                                       wording):

@@ -7,7 +7,6 @@ import pytest
 from risknet.corpus import (
     CorpusFormatError,
     Post,
-    RecordError,
     RiskLabel,
     load_posts,
     merge_title_body,
@@ -33,25 +32,22 @@ def make_post(i, label=None, title="t", body="b"):
 
 
 def test_csv_zero_rows(tmp_path):
-    res = load_posts(_write(tmp_path, "a.csv", HEADER + "\n"))
-    assert res.posts == [] and res.errors == []
+    assert load_posts(_write(tmp_path, "a.csv", HEADER + "\n")) == []
 
 
 def test_csv_direct_field_mapping(tmp_path):
-    res = load_posts(_write(
+    (p,) = load_posts(_write(
         tmp_path, "a.csv",
         HEADER + '\np1,u1,1420070400,SuicideWatch,"help","I feel lost"\n'))
-    assert res.errors == []
-    (p,) = res.posts
     assert p == Post("p1", "u1", 1420070400, "SuicideWatch", "help", "I feel lost")
 
 
 def test_csv_with_label_column(tmp_path):
-    res = load_posts(_write(
+    posts = load_posts(_write(
         tmp_path, "a.csv",
         HEADER + ",label\np1,u1,10,s,hello,world,3\np2,u2,11,s,hi,there,\n"))
-    assert res.posts[0].label == RiskLabel.SEVERE_RISK
-    assert res.posts[1].label is None
+    assert posts[0].label == RiskLabel.SEVERE_RISK
+    assert posts[1].label is None
 
 
 def test_jsonl_missing_body_key(tmp_path):
@@ -64,10 +60,9 @@ def test_jsonl_missing_body_key(tmp_path):
          "post_title": "d", "post_body": "e"},
     ]
     path = _write(tmp_path, "a.jsonl", "".join(json.dumps(r) + "\n" for r in recs))
-    res = load_posts(path)
-    assert [p.post_id for p in res.posts] == ["p1", "p3"]
-    (err,) = res.errors
-    assert err.line == 2 and "post_body" in err.message
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 2: missing field 'post_body'"
 
 
 def test_missing_file():
@@ -89,30 +84,30 @@ def test_unknown_format(tmp_path):
 
 def test_non_integer_timestamp_reported_with_line(tmp_path):
     path = _write(tmp_path, "a.csv", HEADER + "\np1,u1,notatime,s,a,b\n")
-    res = load_posts(path)
-    assert res.posts == []
-    (err,) = res.errors
-    assert err.line == 2 and "timestamp" in err.message
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f'{path}: line 2: non-integer timestamp "notatime"'
 
 
 def test_duplicate_post_id_cites_first_line(tmp_path):
     path = _write(tmp_path, "a.csv", HEADER + "\np1,u1,1,s,a,b\np1,u2,2,s,c,d\n")
-    res = load_posts(path)
-    assert len(res.posts) == 1
-    (err,) = res.errors
-    assert err.line == 3 and "first seen at line 2" in err.message
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 3: duplicate post_id 'p1' (first seen at line 2)"
 
 
 def test_both_title_and_body_empty_rejected(tmp_path):
     path = _write(tmp_path, "a.csv", HEADER + "\np1,u1,1,s,,\n")
-    res = load_posts(path)
-    assert res.posts == [] and len(res.errors) == 1
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 2: both post_title and post_body are empty"
 
 
 def test_label_out_of_range_rejected(tmp_path):
     path = _write(tmp_path, "a.csv", HEADER + ",label\np1,u1,1,s,a,b,7\n")
-    res = load_posts(path)
-    assert res.posts == [] and "label" in res.errors[0].message
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 2: label code 7 outside 0..3"
 
 
 # a quote, a comma plus a newline, an empty title, an empty body, a null label
@@ -126,12 +121,11 @@ ODD_FIELD_POSTS = [
 def test_save_load_round_trip_preserves_fields(tmp_path):
     path = tmp_path / "posts.csv"
     save_posts(path, ODD_FIELD_POSTS)
-    res = load_posts(path)
-    assert res.errors == []
-    assert res.posts == ODD_FIELD_POSTS
+    posts = load_posts(path)
+    assert posts == ODD_FIELD_POSTS
     # and the bytes themselves are stable over a second save
     second = tmp_path / "again.csv"
-    save_posts(second, res.posts)
+    save_posts(second, posts)
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -144,19 +138,17 @@ def test_jsonl_load_preserves_fields(tmp_path):
         '{"post_id": "p3", "user_id": "u3", "timestamp": 30, "subreddit": "other", '
         '"post_title": "only title", "post_body": "", "label": 0}',
     ]) + "\n")
-    res = load_posts(path)
-    assert res.errors == []
-    assert res.posts == ODD_FIELD_POSTS
+    assert load_posts(path) == ODD_FIELD_POSTS
 
 
 @pytest.mark.parametrize("fields,message", [
     # each used to load through int(), truncated or converted, with no record error
     ('"timestamp": 2.5, "label": 1', "non-integer timestamp 2.5"),
-    ('"timestamp": 10, "label": 2.9', "label must be null or an integer, got 2.9"),
-    ('"timestamp": 10, "label": true', "label must be null or an integer, got true"),
+    ('"timestamp": 10, "label": 2.9', "'label' must be null or an integer, got 2.9"),
+    ('"timestamp": 10, "label": true', "'label' must be null or an integer, got true"),
     ('"timestamp": true, "label": 1', "non-integer timestamp true"),
     ('"timestamp": "10", "label": 1', 'non-integer timestamp "10"'),
-    ('"timestamp": 10, "label": "1"', 'label must be null or an integer, got "1"'),
+    ('"timestamp": 10, "label": "1"', '\'label\' must be null or an integer, got "1"'),
 ], ids=["timestamp_float", "label_float", "label_bool", "timestamp_bool",
         "timestamp_string", "label_string"])
 def test_jsonl_numbers_must_be_json_integers(tmp_path, fields, message):
@@ -164,9 +156,10 @@ def test_jsonl_numbers_must_be_json_integers(tmp_path, fields, message):
             '"post_title": "a", "post_body": "b", "label": 0}')
     bad = ('{"post_id": "p2", "user_id": "u2", "subreddit": "s", '
            '"post_title": "a", "post_body": "b", ' + fields + "}")
-    res = load_posts(_write(tmp_path, "a.jsonl", good + "\n" + bad + "\n"))
-    assert [p.post_id for p in res.posts] == ["p1"]
-    assert res.errors == [RecordError(2, message)]
+    path = _write(tmp_path, "a.jsonl", good + "\n" + bad + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 2: {message}"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -178,9 +171,10 @@ def test_jsonl_text_fields_must_be_json_strings(tmp_path, key, value):
     good = {"post_id": "p1", "user_id": "u1", "timestamp": 1, "subreddit": "s",
             "post_title": "a", "post_body": "b", "label": 0}
     bad = {**good, "post_id": "p2", key: value}
-    res = load_posts(_write(tmp_path, "a.jsonl", json.dumps(good) + "\n" + json.dumps(bad) + "\n"))
-    assert [p.post_id for p in res.posts] == ["p1"]
-    assert res.errors == [RecordError(2, f"'{key}' must be a string, got {json.dumps(value)}")]
+    path = _write(tmp_path, "a.jsonl", json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == f"{path}: line 2: '{key}' must be a string, got {json.dumps(value)}"
 
 
 # ------------------------------------------------------------------ merging

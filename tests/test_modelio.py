@@ -332,9 +332,14 @@ def test_vocab_longer_than_embedding(tmp_path):
     (lambda m: m["config"].update(kernel=5), "need 772 bytes, the file has 724"),
     (lambda m: m["config"].update(embed_dim=5), "need 800 bytes, the file has 724"),
     (lambda m: m["config"].update(max_len=8), "need 764 bytes, the file has 724"),
+    # tokens that no token file can hold, so their rows could never be looked up
+    *[(lambda m, t=token: m["vocab"].__setitem__(2, t),
+       "'vocab': each token must be non-empty and contain no whitespace")
+      for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "vocab_ints", "max_len_float", "vocab_repeated", "pool_bool",
         "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_5",
-        "embed_dim_5", "max_len_8"])
+        "embed_dim_5", "max_len_8", "token_empty", "token_space", "token_two_words",
+        "token_tab"])
 def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
     path = saved(tmp_path)
     rewrite(path, mutate)
@@ -439,7 +444,7 @@ def _implied_floats(config: dict, rows: int):
 def test_resealed_manifest_fuzz(tmp_path, overrides, vocab, tensors, poison, data):
     """A manifest resealed with drawn config values and vocabulary tokens
     either fails to load with `ModelFileError`, or loads a model whose every
-    prediction is a risk tier."""
+    prediction is a risk tier and whose every token a token file can hold."""
     config = {**small_model().cfg.to_dict(), **overrides}
     count = _implied_floats(config, len(vocab) + 2)
     if count is None or tensors != "implied":
@@ -458,6 +463,7 @@ def test_resealed_manifest_fuzz(tmp_path, overrides, vocab, tensors, poison, dat
         model, loaded_vocab = load_model(path)
     except ModelFileError:
         return
+    assert all(tok and not any(c.isspace() for c in tok) for tok in vocab)
     X = np.random.default_rng(1).integers(0, loaded_vocab.size, size=(3, model.cfg.max_len))
     labels = model.predict(X)
     assert labels.shape == (3,) and set(labels.tolist()) <= {0, 1, 2, 3}

@@ -141,22 +141,33 @@ def load_posts(path: str | Path, format: str | None = None) -> list[Post]:
     posts: list[Post] = []
     first_line: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        if format == "csv":
-            lines, to_record = _csv_lines(path, fh)
-        else:
-            lines = ((n, raw) for n, raw in enumerate(fh, start=1) if raw.strip())
-            to_record = parse_json_object
-        for line, raw in lines:
+        records = _csv_records(path, fh) if format == "csv" else _jsonl_records(path, fh)
+        for line, rec in records:
             try:
-                posts.append(_make_post(to_record(raw), first_line, line))
+                posts.append(_make_post(rec, first_line, line))
             except ValueError as exc:
-                raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
+                raise _record_error(path, line, exc) from None
     return posts
 
 
-def _csv_lines(path: Path, fh):
-    """The rows after the header, each with the physical line where it ends,
-    and the function that makes a record of a row."""
+def _record_error(path: Path, line: int, exc: ValueError) -> CorpusFormatError:
+    return CorpusFormatError(f"{path}: line {line}: {exc}")
+
+
+def _jsonl_records(path: Path, fh):
+    for line, raw in enumerate(fh, start=1):
+        if raw.strip():
+            try:
+                rec = parse_json_object(raw)
+            except ValueError as exc:
+                raise _record_error(path, line, exc) from None
+            yield line, rec
+
+
+def _csv_records(path: Path, fh):
+    """Each row after the header as a record, with the physical line where it
+    ends.  A timestamp or label cell becomes the int that `int()` reads, an
+    empty one null; any other cell stays text, for `_make_post` to reject."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -168,23 +179,16 @@ def _csv_lines(path: Path, fh):
     columns = header[: len(CSV_COLUMNS) + 1]
     if columns[-1] != LABEL_COLUMN:
         columns = CSV_COLUMNS
-
-    def to_record(row: list[str]) -> dict:
-        rec = dict(zip(columns, row))
-        for key in ("timestamp", LABEL_COLUMN):
-            if key in rec:
-                rec[key] = _csv_int(rec[key])
-        return rec
-
-    return ((reader.line_num, row) for row in reader if row), to_record
-
-
-def _csv_int(cell: str):
-    """The int a cell spells; an empty cell is null, another is kept to be rejected."""
-    try:
-        return int(cell) if cell else None
-    except ValueError:
-        return cell
+    for row in reader:
+        if row:
+            rec = dict(zip(columns, row))
+            for key in ("timestamp", LABEL_COLUMN):
+                if key in rec:
+                    try:
+                        rec[key] = int(rec[key]) if rec[key] else None
+                    except ValueError:
+                        pass
+            yield reader.line_num, rec
 
 
 def save_posts(path: str | Path, posts: Iterable[Post]) -> None:

@@ -56,6 +56,8 @@ def parse_json_object(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     return obj
@@ -166,8 +168,10 @@ def _jsonl_records(path: Path, fh):
 
 def _csv_records(path: Path, fh):
     """Each row after the header as a record, with the physical line where it
-    ends.  A timestamp or label cell becomes the int that `int()` reads, an
-    empty one null; any other cell stays text, for `_make_post` to reject."""
+    ends.  A row with more cells than the header has columns is rejected: an
+    unquoted comma in the body would otherwise drop the text after it.  A
+    timestamp or label cell becomes the int that `int()` reads, an empty one
+    null; any other cell stays text, for `_make_post` to reject."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -180,6 +184,9 @@ def _csv_records(path: Path, fh):
     if columns[-1] != LABEL_COLUMN:
         columns = CSV_COLUMNS
     for row in reader:
+        if len(row) > len(header):
+            raise _record_error(path, reader.line_num, ValueError(
+                f"{len(row)} cells, but the header has {len(header)} columns"))
         if row:
             rec = dict(zip(columns, row))
             for key in ("timestamp", LABEL_COLUMN):

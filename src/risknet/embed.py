@@ -87,17 +87,21 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
     start as a trainable vector rather than a silent drop.
     """
     path = Path(path)
+
+    def bad(line: int, problem: str) -> EmbeddingFormatError:
+        return EmbeddingFormatError(f"{path}: line {line}: {problem}")
+
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
-            raise EmbeddingFormatError(f"line 1: header must be '<vocab> <dim>', got {header!r}")
+            raise bad(1, f"header must be '<vocab> <dim>', got {header!r}")
         try:
             n_tokens, dim = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EmbeddingFormatError(f"line 1: non-integer header fields {parts}") from None
+            raise bad(1, f"non-integer header fields {parts}") from None
         if n_tokens < 1 or dim < 1:
-            raise EmbeddingFormatError(f"line 1: header counts must be positive, got {parts}")
+            raise bad(1, f"header counts must be positive, got {parts}")
         token_to_index: dict[str, int] = {}
         first_line: dict[str, int] = {}
         rows = np.zeros((n_tokens + 2, dim), dtype=np.float64)
@@ -107,31 +111,26 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
                 continue
             fields = line.split()
             if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"line {line_num}: expected 1 token + {dim} values, got {len(fields)} fields"
-                )
+                raise bad(line_num, f"expected 1 token + {dim} values, got {len(fields)} fields")
             token = fields[0]
             if token in first_line:
-                raise EmbeddingFormatError(
-                    f"line {line_num}: duplicate token '{token}' (first seen on line {first_line[token]})"
-                )
+                raise bad(line_num,
+                          f"duplicate token '{token}' (first seen on line {first_line[token]})")
             if count >= n_tokens:
-                raise EmbeddingFormatError(
-                    f"header mismatch: header declares {n_tokens} tokens but line {line_num} is one more"
-                )
+                raise bad(line_num, f"header mismatch: header declares {n_tokens} tokens, "
+                                    f"this line is one more")
             try:
                 vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
-                raise EmbeddingFormatError(f"line {line_num}: non-numeric vector entry") from None
+                raise bad(line_num, "non-numeric vector entry") from None
             if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(f"line {line_num}: non-finite vector entry")
+                raise bad(line_num, "non-finite vector entry")
             first_line[token] = line_num
             token_to_index[token] = 2 + count
             rows[2 + count] = vec
             count += 1
     if count != n_tokens:
-        raise EmbeddingFormatError(
-            f"header mismatch: line 1 declares {n_tokens} tokens, file has {count}")
+        raise bad(1, f"header mismatch: header declares {n_tokens} tokens, file has {count}")
     rows[UNK_INDEX] = bulk_generator(seed, STREAM_UNK).uniform(-INIT_SCALE, INIT_SCALE, size=dim)
     return Vocabulary(token_to_index), EmbeddingMatrix(rows)
 

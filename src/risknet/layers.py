@@ -1,31 +1,33 @@
 """Layer primitives with hand-derived backward passes.
 
 Every layer is a pair of pure functions: forward(...) -> (out, cache) and
-backward(cache, dout) -> gradients.  These pairs are the training path.
-Caches hold exactly the arrays the backward pass needs.  The LSTM's cache is
-a few time-major arrays, indexed by step first, with each step's gate
-activations gate-major, and holds no view of its input, so the layer below
-can free its output.  The LSTM's time loops make their views once per call,
-so a step only indexes them, and training and inference run one gate step,
-`_gate_step`.  The embedding gradient is a `RowGrad`, which holds only the
-rows a batch touched, summed with one reduce per power-of-two count bucket.
-The dense head's backward starts from the fused softmax + cross-entropy
-gradient at the logits.  Dropout runs in training only, with a mask drawn
-from the raw bits of its own PCG64 stream.  Attention scales its output by
-the sequence length, so uniform attention is the identity; inference has it
-scale its input in place.  The conv pads its input `CONV_BLOCK` posts at a
-time and caches the unpadded input.  `lstm_infer` is the one forward-only
-kernel: the LSTM of the inference path, which starts from the input
-projection of a batch's distinct rows and keeps no cache.  All math is plain
-numpy; dtype follows the inputs (float64 in gradient tests, float32 in
-training).
+backward(cache, dout) -> gradients.  These pairs are the training path.  A
+forward pass takes its parameters as plain arrays, in the order of
+`model.param_shapes` (``lstm_forward(W, U, b, X)``), and its backward pass
+returns their gradients keyed by the names after the dot there ("W", "U",
+"b", ...).  Caches hold exactly the arrays the backward pass needs.  The
+LSTM's cache is its `W` and `U`, then a few time-major arrays, indexed by
+step first, with each step's gate activations gate-major; it holds no view
+of its input, so the layer below can free its output.  The LSTM's time
+loops make their views once per call, so a step only indexes them, and
+training and inference run one gate step, `_gate_step`.  The embedding
+gradient is a `RowGrad`, which holds only the rows a batch touched, summed
+with one reduce per power-of-two count bucket.  The dense head's backward
+starts from the fused softmax + cross-entropy gradient at the logits.
+Dropout runs in training only, with a mask drawn from the raw bits of its
+own PCG64 stream.  Attention scales its output by the sequence length, so
+uniform attention is the identity; inference has it scale its input in
+place.  The conv pads its input `CONV_BLOCK` posts at a time and caches the
+unpadded input.  `lstm_infer` is the one forward-only kernel: the LSTM of
+the inference path, which starts from the input projection of a batch's
+distinct rows and keeps no cache.  All math is plain numpy; dtype follows
+the inputs (float64 in gradient tests, float32 in training).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,65 +73,6 @@ def check_finite_grad(name: str, grad, layer: str | None = None) -> None:
     if not all_finite(values):
         after = f" after layer '{layer}' backward" if layer else ""
         raise NumericsError(f"non-finite gradient for parameter '{name}'{after}")
-
-
-class _ParamBase:
-    """Mixin giving parameter dataclasses a stable name -> array view."""
-
-    def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-
-@dataclass
-class LSTMParams(_ParamBase):
-    """The four gates fused side by side in the order f, i, o, u."""
-
-    W: np.ndarray  # (D, 4H)
-    U: np.ndarray  # (H, 4H)
-    b: np.ndarray  # (4H,)
-
-    def __post_init__(self):
-        H = self.U.shape[0]
-        want = {"W": (self.W.shape[0], 4 * H), "U": (H, 4 * H), "b": (4 * H,)}
-        for name, arr in self.named_arrays():
-            if arr.shape != want[name]:
-                raise ValueError(f"LSTM param {name}: expected shape {want[name]}, "
-                                 f"got {arr.shape}")
-
-
-@dataclass
-class AttentionParams(_ParamBase):
-    w: np.ndarray  # (d, 1)
-    b: np.ndarray  # (T, 1)
-
-    def __post_init__(self):
-        if self.w.ndim != 2 or self.w.shape[1] != 1:
-            raise ValueError(f"attention w must be (d, 1), got {self.w.shape}")
-        if self.b.ndim != 2 or self.b.shape[1] != 1:
-            raise ValueError(f"attention b must be (T, 1), got {self.b.shape}")
-
-
-@dataclass
-class Conv1DParams(_ParamBase):
-    kernels: np.ndarray  # (k, d_in, F)
-    bias: np.ndarray  # (F,)
-
-    def __post_init__(self):
-        if self.kernels.ndim != 3:
-            raise ValueError(f"conv kernels must be (k, d_in, F), got {self.kernels.shape}")
-        if self.bias.shape != (self.kernels.shape[2],):
-            raise ValueError("conv bias length must equal filter count")
-
-
-@dataclass
-class DenseParams(_ParamBase):
-    W: np.ndarray  # (M, C)
-    b: np.ndarray  # (C,)
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
-            raise ValueError(f"dense shapes inconsistent: W {self.W.shape}, b {self.b.shape}")
 
 
 # ---------------------------------------------------------------- embedding
@@ -237,7 +180,7 @@ BPTT_BLOCK = 16
 CONV_BLOCK = 32
 
 
-def _gate_step(p: LSTMParams, B: int, dtype):
+def _gate_step(U: np.ndarray, b: np.ndarray, B: int, dtype):
     """Make the LSTM's one gate step, for batches of `B` rows.
 
     The step's scratch, its views and the bias tiled gate-major are made
@@ -252,9 +195,8 @@ def _gate_step(p: LSTMParams, B: int, dtype):
     cell state, its tanh and the new hidden state go to `c_out`, `tc_out` and
     `h_out`.
     """
-    H = p.U.shape[0]
-    U = p.U
-    b = np.repeat(p.b.reshape(4, 1, H), B, axis=1)  # (4, B, H)
+    H = U.shape[0]
+    b = np.repeat(b.reshape(4, 1, H), B, axis=1)  # (4, B, H)
     s = np.empty((B, 4 * H), dtype=dtype)
     z = s.reshape(B, 4, H).transpose(1, 0, 2)  # s's gate blocks, gate-major
     iu = s.reshape(4, B, H)[0]  # s is free once z has been read
@@ -283,10 +225,12 @@ def _gate_views(g: np.ndarray) -> tuple:
     return (g, g[..., :3, :, :], *g.swapaxes(0, -3))
 
 
-def lstm_forward(p: LSTMParams, X: np.ndarray):
+def lstm_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out.
 
-    The cache list is time-major.  `Xt` (T, B, D) is the input.  `G` first
+    The four gates sit side by side in the order f, i, o, u: `W` (D, 4H),
+    `U` (H, 4H) and `b` (4H,).  The cache list holds `W` and `U`, then
+    time-major arrays.  `Xt` (T, B, D) is the input.  `G` first
     holds every step's input projection (T, B, 4H), one ``(T*B, D) @ W``
     GEMM (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites
     its row with the gate activations, gate-major, so the cache holds `G`
@@ -296,23 +240,23 @@ def lstm_forward(p: LSTMParams, X: np.ndarray):
     runs `_gate_step` on views made before it starts.
     """
     B, T, D = X.shape
-    H = p.U.shape[0]
-    if p.W.shape[0] != D:
-        raise ValueError(f"LSTM input dim mismatch: params expect {p.W.shape[0]}, got {D}")
+    H = U.shape[0]
+    if W.shape[0] != D:
+        raise ValueError(f"LSTM input dim mismatch: params expect {W.shape[0]}, got {D}")
     Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
-    G = (Xt.reshape(T * B, D) @ p.W).reshape(T, B, 4 * H)
+    G = (Xt.reshape(T * B, D) @ W).reshape(T, B, 4 * H)
     G4 = G.reshape(T, 4, B, H)
     C = np.zeros((T + 1, B, H), dtype=X.dtype)
     Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
     TC = np.empty((T, B, H), dtype=X.dtype)
-    step = _gate_step(p, B, G.dtype)
+    step = _gate_step(U, b, B, G.dtype)
     for args in zip(G, zip(*_gate_views(G4)), Hs, C, C[1:], TC, Hs[1:]):
         step(*args)
     out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
-    return out, [p, Xt, G4, C, Hs, TC]
+    return out, [W, U, Xt, G4, C, Hs, TC]
 
 
-def lstm_infer(p: LSTMParams, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def lstm_infer(U: np.ndarray, b: np.ndarray, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Forward-only `lstm_forward` output (B, T, H), with no cache kept.
 
     `xW` (U, 4H) is the input projection ``rows @ W`` of a batch's distinct
@@ -327,7 +271,7 @@ def lstm_infer(p: LSTMParams, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
     NumPy/BLAS build the tests run on.
     """
     B, T = inv.shape
-    H = p.U.shape[0]
+    H = U.shape[0]
     if xW.ndim != 2 or xW.shape[1] != 4 * H:
         raise ValueError(f"LSTM projection mismatch: params expect (U, {4 * H}), got {xW.shape}")
     at = np.ascontiguousarray(inv.T)  # (T, B): row of each position, step by step
@@ -337,7 +281,7 @@ def lstm_infer(p: LSTMParams, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
     tc = np.empty((B, H), dtype=xW.dtype)
     a = np.empty((B, 4 * H), dtype=xW.dtype)
     gates = _gate_views(a.reshape(4, B, H))
-    step = _gate_step(p, B, xW.dtype)
+    step = _gate_step(U, b, B, xW.dtype)
     take = np.take
     for rows_t, h_out in zip(at, out.transpose(1, 0, 2)):
         take(xW, rows_t, 0, a)
@@ -373,17 +317,17 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     gradients need only step t's activations) when `dH` has their dtype, and
     its cell states `C` and `TC` are dropped before the weight GEMMs.
     """
-    p, Xt, G, C, Hs, TC = cache
+    W, U, Xt, G, C, Hs, TC = cache
     cache.clear()
     T, B, D = Xt.shape
-    H = p.U.shape[0]
+    H = U.shape[0]
     if G.dtype == dH.dtype:
         dA = G.reshape(T, B, 4 * H)
     else:
         dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dA_gates = dA.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # dA[t] seen as (4, B, H)
     dHt = np.ascontiguousarray(dH.transpose(1, 0, 2))  # (T, B, H)
-    UT = p.U.T
+    UT = U.T
     dh = np.empty((B, H), dtype=dH.dtype)
     dc = np.empty((B, H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
@@ -421,13 +365,13 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     # C and TC are freed here; the loop's views of G go too, since G may be dA
     G = C = TC = one_minus = fac = k_gates = k_tc = Gsig = Gf = Gi = Go = Gu = None
     dA2 = dA.reshape(T * B, 4 * H)
-    dW = np.empty(p.W.shape, dtype=dA.dtype)
+    dW = np.empty(W.shape, dtype=dA.dtype)
     if pool is None:
         np.matmul(Xt.reshape(T * B, D).T, dA2, out=dW)
     else:
         job = pool.submit(np.matmul, Xt.reshape(T * B, D).T, dA2, out=dW)
     try:
-        dX = dA2 @ p.W.T
+        dX = dA2 @ W.T
         g = {"W": dW, "U": Hs[:-1].reshape(T * B, H).T @ dA2, "b": dA2.sum(axis=0)}
     finally:
         if pool is not None:
@@ -440,9 +384,10 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
 # ---------------------------------------------------------------- attention
 
 
-def attention_forward(p: AttentionParams, P: np.ndarray, out: np.ndarray | None = None):
-    """e = tanh(P w + b); alpha = softmax over time; out = P * (T * alpha)
-    (3-D kept).
+def attention_forward(w: np.ndarray, b: np.ndarray, P: np.ndarray,
+                      out: np.ndarray | None = None):
+    """e = tanh(P w + b), with `w` (d, 1) and `b` (T, 1); alpha = softmax over
+    time; out = P * (T * alpha) (3-D kept).
 
     The factor T makes uniform attention the identity, so the layer above
     sees inputs of the LSTM's scale, not 1/T of it.  A context vector, the
@@ -458,22 +403,22 @@ def attention_forward(p: AttentionParams, P: np.ndarray, out: np.ndarray | None 
     and its cache, which holds `P`.
     """
     B, T, d = P.shape
-    if p.w.shape[0] != d:
-        raise ValueError(f"attention feature dim mismatch: w has {p.w.shape[0]}, input {d}")
-    if p.b.shape[0] != T:
-        raise ValueError(f"attention length mismatch: b has {p.b.shape[0]}, input {T}")
-    e = np.tanh(P @ p.w + p.b)  # (B, T, 1)
+    if w.shape[0] != d:
+        raise ValueError(f"attention feature dim mismatch: w has {w.shape[0]}, input {d}")
+    if b.shape[0] != T:
+        raise ValueError(f"attention length mismatch: b has {b.shape[0]}, input {T}")
+    e = np.tanh(P @ w + b)  # (B, T, 1)
     m = e.max(axis=1, keepdims=True)
     ex = np.exp(e - m)
     alpha = ex / ex.sum(axis=1, keepdims=True)
     if out is not None:
         return np.multiply(P, T * alpha, out=out), None
-    return P * (T * alpha), (p, P, e, alpha)
+    return P * (T * alpha), (w, P, e, alpha)
 
 
 def attention_backward(cache, dout: np.ndarray):
     """Chain through broadcast product, time softmax, and tanh."""
-    p, P, e, alpha = cache
+    w, P, e, alpha = cache
     T = P.shape[1]
     dP = dout * (T * alpha)
     dalpha = T * (dout * P).sum(axis=2, keepdims=True)  # (B, T, 1)
@@ -481,7 +426,7 @@ def attention_backward(cache, dout: np.ndarray):
     ds = de * (1.0 - e * e)  # gradient at P w + b
     dw = (P * ds).sum(axis=(0, 1)).reshape(-1, 1)
     db = ds.sum(axis=0)
-    dP += ds * p.w.T
+    dP += ds * w.T
     return {"w": dw, "b": db}, dP
 
 
@@ -493,8 +438,9 @@ def conv_padding(k: int) -> tuple[int, int]:
     return (k - 1) // 2, k - 1 - (k - 1) // 2
 
 
-def conv1d_relu_forward(p: Conv1DParams, X: np.ndarray):
-    """'same'-padded conv over time, then ReLU: (B, T, d_in) -> (B, T, F).
+def conv1d_relu_forward(kernels: np.ndarray, bias: np.ndarray, X: np.ndarray):
+    """'same'-padded conv over time, then ReLU: (B, T, d_in) -> (B, T, F),
+    with `kernels` (k, d_in, F) and `bias` (F,).
 
     The input is padded `CONV_BLOCK` posts at a time into one reused zeroed
     buffer, and each tap j adds ``window_j @ kernels[j]``, one (T, d_in) GEMM
@@ -504,38 +450,38 @@ def conv1d_relu_forward(p: Conv1DParams, X: np.ndarray):
     `conv1d_relu_backward` pads.
     """
     B, T, d_in = X.shape
-    k, d_k, F = p.kernels.shape
+    k, d_k, F = kernels.shape
     if d_k != d_in:
         raise ValueError(f"conv channel mismatch: kernels expect {d_k}, input {d_in}")
     pl, _ = conv_padding(k)
     Xp = np.zeros((min(B, CONV_BLOCK), T + k - 1, d_in), dtype=X.dtype)
-    z = np.broadcast_to(p.bias, (B, T, F)).astype(X.dtype).copy()
+    z = np.broadcast_to(bias, (B, T, F)).astype(X.dtype).copy()
     for start in range(0, B, CONV_BLOCK):
         zb = z[start : start + CONV_BLOCK]
         xp = Xp[: len(zb)]
         xp[:, pl : pl + T] = X[start : start + CONV_BLOCK]
         for j in range(k):
-            zb += xp[:, j : j + T, :] @ p.kernels[j]
-    return np.maximum(z, 0.0), (p, X, z)
+            zb += xp[:, j : j + T, :] @ kernels[j]
+    return np.maximum(z, 0.0), (kernels, X, z)
 
 
 def conv1d_relu_backward(cache, dout: np.ndarray):
     """Gradients of `conv1d_relu_forward` from its cache: the input is padded
     once, whole, and each tap's window gives the kernel gradient and adds its
     share of the input gradient."""
-    p, X, z = cache
+    kernels, X, z = cache
     B, T, d_in = X.shape
-    k = p.kernels.shape[0]
+    k = kernels.shape[0]
     pl, pr = conv_padding(k)
     Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
     dz = dout * (z > 0.0)
     dz2 = dz.reshape(B * T, -1)
-    g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
+    g = {"kernels": np.zeros_like(kernels), "bias": dz.sum(axis=(0, 1))}
     dXp = np.zeros_like(Xp)
     for j in range(k):
         window = np.ascontiguousarray(Xp[:, j : j + T, :]).reshape(B * T, d_in)
         g["kernels"][j] = window.T @ dz2
-        dXp[:, j : j + T, :] += dz @ p.kernels[j].T
+        dXp[:, j : j + T, :] += dz @ kernels[j].T
     return g, dXp[:, pl : pl + T, :]
 
 
@@ -585,15 +531,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def dense_softmax_forward(p: DenseParams, v: np.ndarray):
-    if v.shape[1] != p.W.shape[0]:
-        raise ValueError(f"dense input dim mismatch: W expects {p.W.shape[0]}, got {v.shape[1]}")
-    return softmax(v @ p.W + p.b), (p, v)
+def dense_softmax_forward(W: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """softmax(v W + b), with `W` (M, C) and `b` (C,)."""
+    if v.shape[1] != W.shape[0]:
+        raise ValueError(f"dense input dim mismatch: W expects {W.shape[0]}, got {v.shape[1]}")
+    return softmax(v @ W + b), (W, v)
 
 
 def dense_softmax_backward(cache, dlogits: np.ndarray):
     """Backward from the loss gradient at the logits (the fused softmax +
     cross-entropy gradient in training)."""
-    p, v = cache
+    W, v = cache
     g = {"W": v.T @ dlogits, "b": dlogits.sum(axis=0)}
-    return g, dlogits @ p.W.T
+    return g, dlogits @ W.T

@@ -9,6 +9,13 @@ layer chain with pieces removed, so the ablation runs share one engine:
     lstm                LSTM last step straight into the dense head
     cnn                 convolution directly over the embeddings
 
+`param_shapes(cfg, rows)` is the one statement of the parameter layout:
+every array's dotted name ("embedding", "lstm.W", ..., "dense.b") and shape,
+in file and optimizer order, from the config alone.  `Model.params` is a
+plain dict of exactly those arrays in that order, which `init_params` and
+`modelio.load_model` build, and the layer table hands each layer its arrays
+by name.
+
 `Model` has two paths.  Training, `forward(batch, step=k)` then
 `backward(trace, dlogits)`, draws and applies step k's dropout mask and
 keeps every layer's cache in the trace; backward consumes it in reverse from
@@ -19,10 +26,9 @@ checked for NaN/Inf as that layer returns them.  Inference, `forward(batch)`
 (which `predict` runs), leaves dropout out, keeps no cache and runs the LSTM
 over each batch's distinct tokens through `lstm_infer`; `predict` maps it
 over fixed `PREDICT_BATCH`-row chunks, on a pool of one thread per usable
-CPU when there is more than one.  `param_shapes` gives every array's shape
-from the config alone.  `ModelConfig.dtype` is float32 unless a gradient
-check asks for float64: `model.rkn` stores float32 tensors, so the CLI
-trains float32 only.
+CPU when there is more than one.  `ModelConfig.dtype` is float32 unless a
+gradient check asks for float64: `model.rkn` stores float32 tensors, so the
+CLI trains float32 only.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ import numpy as np
 from .corpus import RiskLabel
 from .embed import EmbeddingMatrix
 from .layers import (
-    AttentionParams,
-    Conv1DParams,
-    DenseParams,
-    LSTMParams,
     RowGrad,
     check_finite,
     check_finite_grad,
@@ -102,55 +104,50 @@ class _Op(NamedTuple):
     module at call time, so a wrapper on `risknet.model.<layer>_forward` sees
     every call."""
 
-    group: Optional[str]  # the ModelParams field holding the op's parameters
-    params: Optional[type]  # that field's class
-    forward: Callable  # (w = the op's group, x, cfg, step) -> (out, cache)
-    # (cache, dout, pool) -> (gradients by name within the group, dx); the
-    # LSTM's empties its cache list, to reuse and free its arrays
+    # the prefix of the op's parameter names in `param_shapes`; the
+    # embedding's one array is named by it alone
+    group: Optional[str]
+    forward: Callable  # (params by dotted name, x, cfg, step) -> (out, cache)
+    # (cache, dout, pool) -> (gradients by the name after the group's dot,
+    # dx); the LSTM's empties its cache list, to reuse and free its arrays
     backward: Callable
 
 
 _OPS = {
-    # the embedding group is one array, named by the group alone
-    "embedding": _Op("embedding", EmbeddingMatrix,
-                     lambda w, x, *_: embedding_forward(w.matrix, x),
+    "embedding": _Op("embedding", lambda p, x, *_: embedding_forward(p["embedding"], x),
                      lambda c, d, _: ({"": embedding_backward(c, d)}, None)),
-    "dropout": _Op(None, None,
-                   lambda w, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
+    "dropout": _Op(None,
+                   lambda p, x, cfg, step: dropout_forward(x, cfg.dropout_rate, cfg.seed, step),
                    lambda c, d, _: ({}, dropout_backward(c, d))),
-    "lstm": _Op("lstm", LSTMParams, lambda w, x, *_: lstm_forward(w, x),
+    "lstm": _Op("lstm",
+                lambda p, x, *_: lstm_forward(p["lstm.W"], p["lstm.U"], p["lstm.b"], x),
                 lambda c, d, pool: lstm_backward(c, d, pool)),
     # inference (no step) scales the LSTM output in place: `lstm_infer` made
     # it and nothing else holds it
-    "attention": _Op("attention", AttentionParams,
-                     lambda w, x, cfg, step: attention_forward(w, x, x if step is None else None),
+    "attention": _Op("attention",
+                     lambda p, x, cfg, step: attention_forward(
+                         p["attention.w"], p["attention.b"], x, x if step is None else None),
                      lambda c, d, _: attention_backward(c, d)),
-    "conv1d_relu": _Op("conv", Conv1DParams, lambda w, x, *_: conv1d_relu_forward(w, x),
+    "conv1d_relu": _Op("conv",
+                       lambda p, x, *_: conv1d_relu_forward(p["conv.kernels"], p["conv.bias"], x),
                        lambda c, d, _: conv1d_relu_backward(c, d)),
-    "maxpool1d": _Op(None, None, lambda w, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
+    "maxpool1d": _Op(None, lambda p, x, cfg, *_: maxpool1d_forward(x, cfg.pool),
                      lambda c, d, _: ({}, maxpool1d_backward(c, d))),
-    "flatten": _Op(None, None, lambda w, x, *_: flatten_forward(x),
+    "flatten": _Op(None, lambda p, x, *_: flatten_forward(x),
                    lambda c, d, _: ({}, flatten_backward(c, d))),
-    "last_step": _Op(None, None, lambda w, x, *_: (x[:, -1, :], x.shape),
+    "last_step": _Op(None, lambda p, x, *_: (x[:, -1, :], x.shape),
                      lambda c, d, _: ({}, _last_step_backward(c, d))),
     # the dense head's upstream gradient is the loss gradient at the logits
-    "dense_softmax": _Op("dense", DenseParams, lambda w, x, *_: dense_softmax_forward(w, x),
+    "dense_softmax": _Op("dense",
+                         lambda p, x, *_: dense_softmax_forward(p["dense.W"], p["dense.b"], x),
                          lambda c, d, _: dense_softmax_backward(c, d)),
 }
 
-# parameter group -> class, in file and optimizer order (embedding first)
-_PARAM_GROUPS = {op.group: op.params for op in _OPS.values() if op.group is not None}
-
-
-def param_groups(variant: str) -> dict[str, type]:
-    """The parameter groups a variant's chain uses, in file order."""
-    used = {_OPS[op].group for op in _CHAINS[variant]}
-    return {g: cls for g, cls in _PARAM_GROUPS.items() if g in used}
-
 
 def param_shapes(cfg: ModelConfig, rows: int) -> dict[str, tuple[int, ...]]:
-    """Every parameter array's dotted name and shape, in file order, for `cfg`
-    and an embedding of `rows` rows."""
+    """Every parameter array's dotted name and shape, in file and optimizer
+    order, for `cfg` and an embedding of `rows` rows: the arrays of the
+    groups that the variant's chain uses."""
     D, H, F, C = cfg.embed_dim, cfg.lstm_units, cfg.filters, cfg.classes
     shapes = {
         "embedding": (rows, D),
@@ -159,8 +156,8 @@ def param_shapes(cfg: ModelConfig, rows: int) -> dict[str, tuple[int, ...]]:
         "conv.kernels": (cfg.kernel, cfg.conv_in_dim(), F), "conv.bias": (F,),
         "dense.W": (cfg.flattened_dim(), C), "dense.b": (C,),
     }
-    groups = param_groups(cfg.variant)
-    return {name: s for name, s in shapes.items() if name.partition(".")[0] in groups}
+    used = {_OPS[op].group for op in _CHAINS[cfg.variant]}
+    return {name: s for name, s in shapes.items() if name.partition(".")[0] in used}
 
 
 def _is_int(value) -> bool:
@@ -228,78 +225,49 @@ class ModelConfig:
         return asdict(self)
 
 
-@dataclass
-class ModelParams:
-    embedding: EmbeddingMatrix
-    dense: DenseParams
-    lstm: Optional[LSTMParams] = None
-    attention: Optional[AttentionParams] = None
-    conv: Optional[Conv1DParams] = None
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [("embedding", self.embedding.matrix)]
-        for group in list(_PARAM_GROUPS)[1:]:
-            params = getattr(self, group)
-            if params is not None:
-                out.extend((f"{group}.{n}", a) for n, a in params.named_arrays())
-        return out
-
-
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> ModelParams:
-    """Glorot kernels, N(0, 0.05^2) attention w, forget bias 1, other biases 0.
+def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> dict[str, np.ndarray]:
+    """The arrays of `param_shapes`, by name and in its order: the embedding
+    in the config dtype, Glorot kernels, N(0, 0.05^2) attention w, forget
+    bias 1, other biases 0.
 
-    All draws come from one substream of the config seed in a fixed order,
-    so the same seed always yields the same parameters.
+    The cast embedding passes `EmbeddingMatrix`'s checks again, since float32
+    can overflow.  All draws come from one substream of the config seed in a
+    fixed order, so the same seed always yields the same parameters.
     """
     if embedding.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {embedding.dim} != config embed_dim {cfg.embed_dim}")
     dt = cfg.np_dtype
+    shapes = param_shapes(cfg, len(embedding.matrix))
+    p = {"embedding": EmbeddingMatrix(embedding.matrix.astype(dt)).matrix}
+    p.update((name, np.zeros(s, dtype=dt)) for name, s in list(shapes.items())[1:])
     rng = bulk_generator(cfg.seed, STREAM_INIT, 1)
-    D, H, T = cfg.embed_dim, cfg.lstm_units, cfg.max_len
-    groups = param_groups(cfg.variant)
-
-    lstm = None
-    if "lstm" in groups:
+    if "lstm.W" in p:
+        D, H = cfg.embed_dim, cfg.lstm_units
         # a W and then a U draw per gate, in the gate order f, i, o, u
-        draws = [(_glorot(rng, (D, H), D, H, dt), _glorot(rng, (H, H), H, H, dt))
-                 for _ in range(4)]
-        b = np.zeros(4 * H, dtype=dt)
-        b[:H] = 1.0
-        lstm = LSTMParams(W=np.concatenate([w for w, _ in draws], axis=1),
-                          U=np.concatenate([u for _, u in draws], axis=1), b=b)
-
-    attention = None
-    if "attention" in groups:
-        attention = AttentionParams(
-            w=rng.normal(0.0, 0.05, size=(H, 1)).astype(dt),
-            b=np.zeros((T, 1), dtype=dt),
-        )
-
-    conv = None
-    if "conv" in groups:
-        d_in = cfg.conv_in_dim()
-        k, F = cfg.kernel, cfg.filters
-        conv = Conv1DParams(
-            kernels=_glorot(rng, (k, d_in, F), k * d_in, k * F, dt),
-            bias=np.zeros(F, dtype=dt),
-        )
-
-    M, C = cfg.flattened_dim(), cfg.classes
-    dense = DenseParams(W=_glorot(rng, (M, C), M, C, dt), b=np.zeros(C, dtype=dt))
-
-    emb = EmbeddingMatrix(embedding.matrix.astype(dt))
-    return ModelParams(embedding=emb, dense=dense, lstm=lstm, attention=attention, conv=conv)
+        for k in range(4):
+            p["lstm.W"][:, k * H : (k + 1) * H] = _glorot(rng, (D, H), D, H, dt)
+            p["lstm.U"][:, k * H : (k + 1) * H] = _glorot(rng, (H, H), H, H, dt)
+        p["lstm.b"][:H] = 1.0
+    if "attention.w" in p:
+        p["attention.w"][...] = rng.normal(0.0, 0.05, size=shapes["attention.w"]).astype(dt)
+    if "conv.kernels" in p:
+        k, d_in, F = shapes["conv.kernels"]
+        p["conv.kernels"][...] = _glorot(rng, (k, d_in, F), k * d_in, k * F, dt)
+    M, C = shapes["dense.W"]
+    p["dense.W"][...] = _glorot(rng, (M, C), M, C, dt)
+    return p
 
 
 class Model:
-    """Forward/backward engine for one config + parameter set."""
+    """Forward/backward engine for one config + parameter set: the arrays of
+    `param_shapes(cfg, rows)`, by name and in its order."""
 
-    def __init__(self, cfg: ModelConfig, params: ModelParams):
+    def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
 
@@ -330,18 +298,16 @@ class Model:
             chain = _INFER_CHAINS[cfg.variant]
             if chain[: len(_FOLDED)] == _FOLDED:
                 uniq, inv = np.unique(batch, return_inverse=True)
-                rows, _ = embedding_forward(p.embedding.matrix, uniq)
-                xW = check_finite("embedding", rows) @ p.lstm.W
+                rows, _ = embedding_forward(p["embedding"], uniq)
+                xW = check_finite("embedding", rows) @ p["lstm.W"]
                 del rows  # freed before the LSTM's time loop starts
                 # the shape of `inv` differs across NumPy releases
-                x = lstm_infer(p.lstm, xW, inv.reshape(batch.shape))
+                x = lstm_infer(p["lstm.U"], p["lstm.b"], xW, inv.reshape(batch.shape))
                 del xW  # freed before the check's (B, T, H) temporary is made
                 check_finite("lstm", x)
                 chain = chain[len(_FOLDED) :]
         for op in chain:
-            row = _OPS[op]
-            w = getattr(p, row.group) if row.group else None
-            x, c = row.forward(w, x, cfg, step)
+            x, c = _OPS[op].forward(p, x, cfg, step)
             check_finite(op, x)
             if trace is not None:
                 trace.append((op, c))
@@ -350,7 +316,7 @@ class Model:
 
     def backward(self, trace, dlogits: np.ndarray, pool=None) -> dict[str, np.ndarray | RowGrad]:
         """Gradients for every parameter array from a training trace and the
-        loss gradient at the logits.
+        loss gradient at the logits, keyed and ordered as `params`.
 
         The trace is consumed: each layer's cache is dropped from it once that
         layer's backward pass has used it.  The LSTM's cache list is emptied
@@ -370,7 +336,7 @@ class Model:
                 name = f"{row.group}.{n}" if n else row.group
                 check_finite_grad(name, a, op)
                 grads[name] = a
-        return grads
+        return {name: grads[name] for name in self.params}
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Argmax class per row, lowest index on ties.

@@ -20,7 +20,10 @@ buffer (allocated as float32, so it is aligned for them), and the trailer.
 The CRC32 runs over those pieces in file order, and the manifest is parsed
 only once it matches.  Each tensor is then a float32 view of the buffer, so
 a float32 model costs the file's tensor bytes once; the tensors are cast,
-and so copied, only for a float64 config or on a big-endian host.
+and so copied, only for a float64 config or on a big-endian host.  The
+slicing loop puts each tensor straight into `Model.params` under its
+`param_shapes` name.  The embedding passes `EmbeddingMatrix`'s PAD-row and
+finiteness checks, and every other tensor a finiteness check.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .corpus import check_words, parse_json_object
 from .embed import EmbeddingMatrix, Vocabulary, all_finite
-from .model import Model, ModelConfig, ModelParams, param_groups, param_shapes
+from .model import Model, ModelConfig, param_shapes
 
 FORMAT_VERSION = 4
 _U32 = struct.Struct("<I")
@@ -54,8 +57,7 @@ def save_model(model: Model, vocab: Vocabulary, path: str | Path) -> None:
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks = [_U32.pack(len(payload)), payload]
-    chunks += [np.ascontiguousarray(a, dtype="<f4").tobytes()
-               for _, a in model.params.named_arrays()]
+    chunks += [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in model.params.values()]
     crc = 0
     with Path(path).open("wb") as fh:
         for chunk in chunks:
@@ -122,24 +124,20 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     if nblob != need:
         raise ModelFileError(f"blob length mismatch: the config and {len(vocab_tokens)} "
                              f"vocabulary tokens need {need} bytes, the file has {nblob}")
-    members: dict[str, dict[str, np.ndarray]] = {}
+    params: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in shapes.items():
         count = math.prod(shape)
         arr = tensors[offset : offset + count].reshape(shape)
-        # the embedding's constructor checks its own values
+        # `EmbeddingMatrix` checks the embedding's values below
         if name != "embedding" and not all_finite(arr):
             raise ModelFileError(f"corrupted model: non-finite values in tensor '{name}'")
         if arr.dtype != cfg.np_dtype:  # a float64 config, or a big-endian host
             arr = arr.astype(cfg.np_dtype)
-        group, _, member = name.partition(".")
-        members.setdefault(group, {})[member] = arr
+        params[name] = arr
         offset += count
-    groups = param_groups(cfg.variant)
-    try:
-        # the embedding group is one array, named by the group alone
-        params = ModelParams(embedding=EmbeddingMatrix(members.pop("embedding")[""]),
-                             **{g: groups[g](**arrays) for g, arrays in members.items()})
+    try:  # the PAD row and finiteness checks of an input embedding
+        EmbeddingMatrix(params["embedding"])
     except ValueError as exc:
         raise ModelFileError(f"corrupted model: bad tensor values ({exc})") from None
     vocab = Vocabulary({tok: i + 2 for i, tok in enumerate(vocab_tokens)})

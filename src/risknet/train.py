@@ -267,7 +267,7 @@ def fit(
     params = init_params(cfg.model, embedding)
     del embedding
     model = Model(cfg.model, params)
-    opt = Adam(params.named_arrays(), cfg.adam)
+    opt = Adam(params.items(), cfg.adam)
     history = History()
     n = X.shape[0]
     pool = None
@@ -314,14 +314,14 @@ def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray, step: i
     probs, trace = model.forward(xb, step=step)
     loss = sparse_cce(probs, yb)
     hits = int((probs.argmax(axis=1) == yb).sum())
-    E = model.params.embedding.matrix
+    E = model.params["embedding"]
     if pool is not None and E.size >= HELPER_MIN_ELEMENTS:
         opt.start_rows("embedding", E, np.unique(xb[xb != PAD_INDEX]), pool)
     # the LSTM input's element count
     big = len(xb) * cfg.max_len * cfg.embed_dim >= HELPER_MIN_ELEMENTS
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, yb),
                            pool=pool if big else None)
-    opt.step(model.params.named_arrays(), grads)
+    opt.step(model.params.items(), grads)
     return loss, hits
 
 

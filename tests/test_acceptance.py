@@ -25,10 +25,6 @@ from risknet.embed import (
     load_embeddings,
 )
 from risknet.layers import (
-    AttentionParams,
-    Conv1DParams,
-    DenseParams,
-    LSTMParams,
     attention_backward,
     attention_forward,
     conv1d_relu_backward,
@@ -64,13 +60,13 @@ from risknet.weaklabel import DEFAULT_TARGET_FRACTIONS, assign_label, calibrate_
 B, T, D, H, F, K = 2, 7, 5, 4, 2, 3
 
 
-def _lstm_params(rng, dtype=np.float64) -> LSTMParams:
+def _lstm_params(rng, dtype=np.float64) -> dict[str, np.ndarray]:
     def w(shape):
         return rng.normal(0.0, 0.4, size=shape).astype(dtype)
 
     # a W, U and b draw per gate, in the gate order f, i, o, u, side by side
     gates = [(w((D, H)), w((H, H)), w((H,))) for _ in "fiou"]
-    return LSTMParams(*(np.concatenate(arrs, axis=-1) for arrs in zip(*gates)))
+    return {name: np.concatenate(arrs, axis=-1) for name, arrs in zip("WUb", zip(*gates))}
 
 
 def _small_model(seed: int = 0) -> tuple[Model, np.ndarray]:
@@ -113,39 +109,39 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     p = _lstm_params(rng)
     X = rng.normal(size=(B, T, D))
     R, loss = projection_loss(rng, (B, T, H))
-    out, cache = lstm_forward(p, X)
+    out, cache = lstm_forward(**p, X=X)
     grads, dX = lstm_backward(cache, R)
     for k, gate in enumerate("fiou"):  # every gate block of W, U and b
         cols = np.s_[..., k * H : (k + 1) * H]
-        for name, arr in p.named_arrays():
-            fd_check(lambda: loss(lstm_forward(p, X)[0]), arr[cols], grads[name][cols], rng,
+        for name, arr in p.items():
+            fd_check(lambda: loss(lstm_forward(**p, X=X)[0]), arr[cols], grads[name][cols], rng,
                      samples=4, name=f"lstm.{name}[{gate}]")
-    fd_check(lambda: loss(lstm_forward(p, X)[0]), X, dX, rng, name="lstm.X")
+    fd_check(lambda: loss(lstm_forward(**p, X=X)[0]), X, dX, rng, name="lstm.X")
 
     # attention weights, bias, and input
-    ap = AttentionParams(rng.normal(size=(H, 1)), rng.normal(size=(T, 1)))
+    ap = dict(w=rng.normal(size=(H, 1)), b=rng.normal(size=(T, 1)))
     P = rng.normal(size=(B, T, H))
     R, loss = projection_loss(rng, (B, T, H))
-    out, cache = attention_forward(ap, P)
+    out, cache = attention_forward(**ap, P=P)
     grads, dP = attention_backward(cache, R)
-    fd_check(lambda: loss(attention_forward(ap, P)[0]), ap.w, grads["w"], rng,
+    fd_check(lambda: loss(attention_forward(**ap, P=P)[0]), ap["w"], grads["w"], rng,
              name="attention.w")
-    fd_check(lambda: loss(attention_forward(ap, P)[0]), ap.b, grads["b"], rng,
+    fd_check(lambda: loss(attention_forward(**ap, P=P)[0]), ap["b"], grads["b"], rng,
              name="attention.b")
-    fd_check(lambda: loss(attention_forward(ap, P)[0]), P, dP, rng, name="attention.P")
+    fd_check(lambda: loss(attention_forward(**ap, P=P)[0]), P, dP, rng, name="attention.P")
 
     # conv + ReLU, checked away from the activation kink
-    cp = Conv1DParams(rng.normal(size=(K, H, F)), rng.normal(size=(F,)) + 0.3)
+    cp = dict(kernels=rng.normal(size=(K, H, F)), bias=rng.normal(size=(F,)) + 0.3)
     Xc = rng.normal(size=(B, T, H))
-    out, cache = conv1d_relu_forward(cp, Xc)
+    out, cache = conv1d_relu_forward(**cp, X=Xc)
     assert np.abs(cache[2]).min() > 1e-3  # pre-activations clear of zero
     R, loss = projection_loss(rng, out.shape)
     grads, dXc = conv1d_relu_backward(cache, R)
-    fd_check(lambda: loss(conv1d_relu_forward(cp, Xc)[0]), cp.kernels,
+    fd_check(lambda: loss(conv1d_relu_forward(**cp, X=Xc)[0]), cp["kernels"],
              grads["kernels"], rng, name="conv.kernels")
-    fd_check(lambda: loss(conv1d_relu_forward(cp, Xc)[0]), cp.bias,
+    fd_check(lambda: loss(conv1d_relu_forward(**cp, X=Xc)[0]), cp["bias"],
              grads["bias"], rng, name="conv.bias")
-    fd_check(lambda: loss(conv1d_relu_forward(cp, Xc)[0]), Xc, dXc, rng, name="conv.X")
+    fd_check(lambda: loss(conv1d_relu_forward(**cp, X=Xc)[0]), Xc, dXc, rng, name="conv.X")
 
     # maxpool, with window gaps wide enough that FD cannot flip the argmax
     Xm = rng.normal(size=(B, T, F))
@@ -157,17 +153,17 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     fd_check(lambda: loss(maxpool1d_forward(Xm, 2)[0]), Xm, dXm, rng, name="maxpool")
 
     # dense + softmax + cross-entropy through the fused gradient
-    dp = DenseParams(rng.normal(size=(6, 4)), rng.normal(size=(4,)))
+    dp = dict(W=rng.normal(size=(6, 4)), b=rng.normal(size=(4,)))
     v = rng.normal(size=(B, 6))
     labels = rng.integers(0, 4, size=B)
-    probs, cache = dense_softmax_forward(dp, v)
+    probs, cache = dense_softmax_forward(**dp, v=v)
     grads, dv = dense_softmax_backward(cache, dlogits=cce_grad_logits(probs, labels))
 
     def nll(arr_src):
-        return sparse_cce(dense_softmax_forward(dp, v)[0], labels)
+        return sparse_cce(dense_softmax_forward(**dp, v=v)[0], labels)
 
-    fd_check(lambda: nll(None), dp.W, grads["W"], rng, name="fused.W")
-    fd_check(lambda: nll(None), dp.b, grads["b"], rng, name="fused.b")
+    fd_check(lambda: nll(None), dp["W"], grads["W"], rng, name="fused.W")
+    fd_check(lambda: nll(None), dp["b"], grads["b"], rng, name="fused.b")
     fd_check(lambda: nll(None), v, dv, rng, name="fused.v")
 
     # full stack: cross-entropy through every named parameter
@@ -180,7 +176,7 @@ def test_gradient_checks_cover_every_layer_and_the_full_stack():
     probs, trace = model.forward(batch, step=2)
     grads = model.backward(trace, dlogits=cce_grad_logits(probs, y))
     grads["embedding"] = dense(grads["embedding"])
-    for name, arr in model.params.named_arrays():
+    for name, arr in model.params.items():
         fd_check(stack_loss, arr, grads[name], rng, samples=4, name=f"stack.{name}")
 
     assert time.monotonic() - started < 60.0
@@ -196,16 +192,16 @@ def test_attention_and_softmax_rows_normalize_over_1000_draws():
     worst_probs = 0.0
     for _ in range(1000):
         P = rng.normal(0.0, 2.0, size=(2, 6, 3)).astype(np.float32)
-        ap = AttentionParams(rng.normal(size=(3, 1)).astype(np.float32),
-                             rng.normal(size=(6, 1)).astype(np.float32))
-        _, cache = attention_forward(ap, P)
+        ap = dict(w=rng.normal(size=(3, 1)).astype(np.float32),
+                  b=rng.normal(size=(6, 1)).astype(np.float32))
+        _, cache = attention_forward(**ap, P=P)
         alpha = cache[3]
         worst_alpha = max(worst_alpha, float(np.abs(alpha.sum(axis=1) - 1.0).max()))
 
-        dp = DenseParams(rng.normal(0.0, 3.0, size=(5, 4)).astype(np.float32),
-                         rng.normal(size=(4,)).astype(np.float32))
+        dp = dict(W=rng.normal(0.0, 3.0, size=(5, 4)).astype(np.float32),
+                  b=rng.normal(size=(4,)).astype(np.float32))
         v = rng.normal(0.0, 3.0, size=(2, 5)).astype(np.float32)
-        probs, _ = dense_softmax_forward(dp, v)
+        probs, _ = dense_softmax_forward(**dp, v=v)
         worst_probs = max(worst_probs, float(np.abs(probs.sum(axis=1) - 1.0).max()))
     assert worst_alpha < 1e-6
     assert worst_probs < 1e-6
@@ -220,8 +216,8 @@ def test_lstm_unit_cell_matches_high_precision_hand_value():
     50-digit evaluation: sigmoid(2) = 0.88079707797788244406...,
     tanh(2) = 0.96402758007581688395..., giving h1 below.
     """
-    p = LSTMParams(np.ones((1, 4)), np.ones((1, 4)), np.ones(4))
-    out, _ = lstm_forward(p, np.ones((1, 1, 1)))
+    p = dict(W=np.ones((1, 4)), U=np.ones((1, 4)), b=np.ones(4))
+    out, _ = lstm_forward(**p, X=np.ones((1, 1, 1)))
     assert abs(float(out[0, 0, 0]) - 0.6082834181835159) < 1e-3
 
 
@@ -267,8 +263,8 @@ def test_full_model_trains_on_a_run_that_stalled_with_unscaled_attention(monkeyp
     active = []
     conv = risknet.model.conv1d_relu_forward
 
-    def spy(p, x):
-        out, cache = conv(p, x)
+    def spy(kernels, bias, x):
+        out, cache = conv(kernels, bias, x)
         active.append((out > 0.0).mean(axis=(0, 1)))
         return out, cache
 

@@ -1,9 +1,11 @@
 """End-to-end command-line pipeline in temporary directories."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risknet
 from risknet import baselines, cli, embed
@@ -184,9 +188,12 @@ def config_params(cmd, params):
     ("preprocess", config_params("preprocess", {"format": "xml"})),
     ("annotate", config_params("annotate", {"fractions": 0.25})),
     ("synth", config_params("synth", {"seed": None})),
+    # nested past the decoder's recursion limit: its RecursionError made it exit 2
+    ("synth", lambda p: p.write_text('{"command": "synth", "params": ' + "[" * 100_000
+                                     + "]" * 100_000 + "}", encoding="utf-8")),
 ], ids=["not_an_object", "not_utf8", "params_list", "posts_list", "directory",
         "embeddings_int", "max_len_float", "max_len_str", "max_len_bool",
-        "format_not_a_choice", "fractions_float", "seed_null"])
+        "format_not_a_choice", "fractions_float", "seed_null", "nested_too_deeply"])
 def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     # each of these used to end in a TypeError, AttributeError or OSError and
     # exit 2, or to be read as some other value
@@ -196,6 +203,65 @@ def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     assert run(cmd, *dataset, "--out", tmp_path / "s", "--config", config) == 1
     assert f"error: --config {config}: " in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+# each subcommand's flag dests, which a run.json of it may hold
+_CONFIG_KEYS = {cmd: sorted(a.dest for a in sub._actions if a.dest not in ("help", "config"))
+                for cmd, sub in cli.build_parser().commands.items()}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64 - 1, 2**64, 2**70]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["csv", "jsonl", "cnn", "lstm", "0.4,0.3,0.2,0.1", ""]), st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=5)
+# values near the flags' bounds, and values of every JSON type
+_PARAM_VALUES = st.integers(-2, 3) | st.floats(-0.5, 1.5) | _JSON_VALUES
+
+
+@st.composite
+def _config_bytes(draw, cmd):
+    """The bytes of a run.json for `cmd`: its command right, wrong, missing or
+    not a string; its params an object of known and unknown keys, some other
+    JSON value, or missing; and now and then bytes that are not UTF-8."""
+    doc = {}
+    command = draw(st.sampled_from(["right", "right", "right", "wrong", "missing", "value"]))
+    if command != "missing":
+        doc["command"] = {"right": cmd, "wrong": "synth" if cmd != "synth" else "train",
+                          "value": draw(_JSON_VALUES)}[command]
+    shape = draw(st.sampled_from(["object", "object", "value", "missing"]))
+    if shape == "object":
+        known = st.sampled_from(_CONFIG_KEYS[cmd])
+        other = st.sampled_from(sorted(set().union(*_CONFIG_KEYS.values()))) | st.text(max_size=6)
+        doc["params"] = draw(st.dictionaries(known | known | other, _PARAM_VALUES, max_size=4))
+    elif shape == "value":
+        doc["params"] = draw(_JSON_VALUES)
+    raw = json.dumps(doc).encode("utf-8")  # NaN and Infinity as Python writes them
+    if draw(st.sampled_from([False] * 4 + [True]), label="mangled"):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(min_size=1, max_size=3)) + raw[at:]
+    return raw
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_replay_fuzz_exits_0_or_1_with_an_error(tmp_path_factory, data):
+    """A drawn run.json, replayed into a subcommand whose work is a no-op,
+    either runs or stops with exit 1 and `error:`: only `_replay_config` and
+    `_check_bounds` see it."""
+    cmd = data.draw(st.sampled_from(sorted(FIRST_RUNS)), label="subcommand")
+    root = tmp_path_factory.getbasetemp() / "config_fuzz"
+    root.mkdir(exist_ok=True)
+    (root / "input").write_text("{}\n", encoding="utf-8")
+    config = root / "run.json"
+    config.write_bytes(data.draw(_config_bytes(cmd), label="run.json"))
+    inputs = [flag if i % 2 == 0 else root / "input"
+              for i, flag in enumerate(FIRST_RUNS[cmd][0])]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, f"_cmd_{cmd.replace('-', '_')}", lambda params, out: None)
+        code = run(cmd, *inputs, "--out", root / "out", "--config", config)
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: ")), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,6 +811,21 @@ def test_empty_train_shard_exits_1_naming_it(tmp_path, capsys, cmd, flags):
         "error: empty training set: --train-fraction 0.1 of 2 posts puts none in the "
         "train shard\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("2 2\nfoo 0.1 0.2\nfoo 0.3 0.4\n", "line 3: duplicate token 'foo' (first seen on line 2)"),
+    ("1 2\nfoo nan 0.2\n", "line 2: non-finite vector entry"),
+], ids=["duplicate", "non_finite"])
+def test_embedding_file_error_names_the_file(tmp_path, capsys, text, problem):
+    # it used to name the line alone, unlike every other reader's errors
+    write_tokens([{"post_id": f"p{i}", "user_id": "u", "label": i, "tokens": ["foo"]}
+                  for i in range(4)], tmp_path / "four.jsonl")
+    emb = tmp_path / "emb.txt"
+    emb.write_text(text, encoding="utf-8")
+    assert run("train", "--dataset", tmp_path / "four.jsonl", "--out", tmp_path / "o",
+               "--embeddings", emb) == 1
+    assert capsys.readouterr().err == f"error: {emb}: {problem}\n"
 
 
 def test_train_is_byte_identical_for_one_or_two_usable_cpus(tmp_path, monkeypatch):

@@ -110,6 +110,27 @@ def test_label_out_of_range_rejected(tmp_path):
     assert str(info.value) == f"{path}: line 2: label code 7 outside 0..3"
 
 
+@pytest.mark.parametrize("text,line,cells,columns", [
+    # an unquoted comma in the body, which used to lose "go on anymore"
+    (HEADER + "\np1,u1,1,s,feeling lost,i cannot, go on anymore\n", 2, 7, 6),
+    # past a label column, in a row that a quoted newline ends on line 3
+    (HEADER + ',label\np1,u1,1,s,"a\nb",c,2,extra\n', 3, 8, 7),
+], ids=["comma_in_body", "labeled_multiline"])
+def test_row_with_more_cells_than_the_header_rejected(tmp_path, text, line, cells, columns):
+    path = _write(tmp_path, "a.csv", text)
+    with pytest.raises(CorpusFormatError) as info:
+        load_posts(path)
+    assert str(info.value) == (
+        f"{path}: line {line}: {cells} cells, but the header has {columns} columns")
+
+
+def test_header_with_extra_columns_of_its_own_loads(tmp_path):
+    posts = load_posts(_write(tmp_path, "a.csv",
+                              HEADER + ",label,source\np1,u1,1,s,a,b,2,web\np2,u2,2,s,c,d\n"))
+    assert [(p.post_id, p.body, p.label) for p in posts] == [
+        ("p1", "b", RiskLabel.MODERATE_RISK), ("p2", "d", None)]
+
+
 # a quote, a comma plus a newline, an empty title, an empty body, a null label
 ODD_FIELD_POSTS = [
     Post("p1", "u1", 10, "sub", 'ti "tle', "body, with commas\nand newline", RiskLabel.LOW_RISK),

@@ -59,54 +59,61 @@ def test_load_embeddings_unk_row_seeded(tmp_path):
     assert np.any(a.matrix[UNK_INDEX] != 0.0)
 
 
+def embedding_error(path) -> str:
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embeddings(path)
+    return str(info.value)
+
+
 def test_header_declares_more_than_file(tmp_path):
     path = write_emb(tmp_path, "5 3\na 1 2 3\nb 4 5 6\n")
-    with pytest.raises(EmbeddingFormatError, match="header mismatch"):
-        load_embeddings(path)
+    assert embedding_error(path) == (
+        f"{path}: line 1: header mismatch: header declares 5 tokens, file has 2")
 
 
 def test_file_has_more_than_header(tmp_path):
     path = write_emb(tmp_path, "1 2\na 1 2\nb 3 4\n")
-    with pytest.raises(EmbeddingFormatError, match="header mismatch"):
-        load_embeddings(path)
+    assert embedding_error(path) == (
+        f"{path}: line 3: header mismatch: header declares 1 tokens, this line is one more")
 
 
 def test_bad_header_shape(tmp_path):
-    with pytest.raises(EmbeddingFormatError, match="line 1"):
-        load_embeddings(write_emb(tmp_path, "3\na 1 2 3\n"))
+    path = write_emb(tmp_path, "3\na 1 2 3\n")
+    assert embedding_error(path) == f"{path}: line 1: header must be '<vocab> <dim>', got '3\\n'"
 
 
 def test_non_integer_header(tmp_path):
-    with pytest.raises(EmbeddingFormatError, match="line 1"):
-        load_embeddings(write_emb(tmp_path, "two 3\na 1 2 3\n"))
+    path = write_emb(tmp_path, "two 3\na 1 2 3\n")
+    assert embedding_error(path) == f"{path}: line 1: non-integer header fields ['two', '3']"
+
+
+def test_non_positive_header_counts(tmp_path):
+    path = write_emb(tmp_path, "0 3\n")
+    assert embedding_error(path) == (
+        f"{path}: line 1: header counts must be positive, got ['0', '3']")
 
 
 def test_wrong_field_count_cites_line(tmp_path):
     path = write_emb(tmp_path, "2 3\na 1 2 3\nb 1 2\n")
-    with pytest.raises(EmbeddingFormatError, match="line 3"):
-        load_embeddings(path)
+    assert embedding_error(path) == f"{path}: line 3: expected 1 token + 3 values, got 3 fields"
 
 
 def test_non_numeric_entry_cites_line(tmp_path):
     path = write_emb(tmp_path, "2 2\na 1 2\nb x 4\n")
-    with pytest.raises(EmbeddingFormatError, match="line 3: non-numeric"):
-        load_embeddings(path)
+    assert embedding_error(path) == f"{path}: line 3: non-numeric vector entry"
 
 
 def test_non_finite_entry_rejected(tmp_path):
     path = write_emb(tmp_path, "1 2\na nan 4\n")
-    with pytest.raises(EmbeddingFormatError, match="non-finite"):
-        load_embeddings(path)
+    assert embedding_error(path) == f"{path}: line 2: non-finite vector entry"
 
 
 def test_duplicate_token_cites_both_lines(tmp_path):
     lines = ["8 2"] + [f"tok{i} {i} {i}" for i in range(7)]
     lines.insert(8, "tok2 9 9")  # line 9 duplicates line 4's token
     path = write_emb(tmp_path, "\n".join(lines) + "\n")
-    with pytest.raises(
-        EmbeddingFormatError, match=r"line 9: duplicate token 'tok2' \(first seen on line 4\)"
-    ):
-        load_embeddings(path)
+    assert embedding_error(path) == (
+        f"{path}: line 9: duplicate token 'tok2' (first seen on line 4)")
 
 
 # ------------------------------------------------------------- vocabulary

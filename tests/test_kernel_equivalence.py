@@ -30,8 +30,6 @@ import risknet.model
 from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.layers import (
     BPTT_BLOCK,
-    Conv1DParams,
-    LSTMParams,
     NumericsError,
     RowGrad,
     conv1d_relu_backward,
@@ -72,11 +70,11 @@ def gate(arr, k):
     return arr[..., k * H : (k + 1) * H]
 
 
-def ref_lstm_forward(p, X):
+def ref_lstm_forward(W, U, b, X):
     """Per-gate recurrence; its steps hold each gate's activation apart."""
     B, T, D = X.shape
     (W_f, W_i, W_o, W_u), (U_f, U_i, U_o, U_u), (b_f, b_i, b_o, b_u) = (
-        [gate(a, k) for k in range(4)] for a in (p.W, p.U, p.b))
+        [gate(a, k) for k in range(4)] for a in (W, U, b))
     H = U_f.shape[0]
     h = np.zeros((B, H), dtype=X.dtype)
     c = np.zeros((B, H), dtype=X.dtype)
@@ -94,15 +92,15 @@ def ref_lstm_forward(p, X):
         h = o * tc
         c = c_new
         out[:, t, :] = h
-    return out, (p, steps)
+    return out, (W, U, steps)
 
 
 def ref_lstm_backward(cache, dH):
-    p, steps = cache
+    W, U, steps = cache
     B, T, H = dH.shape
-    D = p.W.shape[0]
-    W = [gate(p.W, k) for k in range(4)]
-    U = [gate(p.U, k) for k in range(4)]
+    D = W.shape[0]
+    W = [gate(W, k) for k in range(4)]
+    U = [gate(U, k) for k in range(4)]
     gW = [np.zeros((D, H), dtype=dH.dtype) for _ in range(4)]
     gU = [np.zeros((H, H), dtype=dH.dtype) for _ in range(4)]
     gb = [np.zeros(H, dtype=dH.dtype) for _ in range(4)]
@@ -129,19 +127,19 @@ def ref_lstm_backward(cache, dH):
     return {"W": cat(gW), "U": cat(gU), "b": cat(gb)}, dX
 
 
-def steplist_lstm_forward(p, X):
+def steplist_lstm_forward(W, U, b, X):
     """The fused LSTM whose cache is a list of per-step tuples; the input
     projection is one (T*B, D) @ W product, as in `lstm_forward`."""
     B, T, D = X.shape
-    H = p.U.shape[0]
-    XW = (np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(T * B, D) @ p.W).reshape(T, B, -1)
+    H = U.shape[0]
+    XW = (np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(T * B, D) @ W).reshape(T, B, -1)
     h = np.zeros((B, H), dtype=X.dtype)
     c = np.zeros((B, H), dtype=X.dtype)
     out = np.empty((B, T, H), dtype=X.dtype)
     steps = []
     for t in range(T):
         x = X[:, t, :]
-        a = XW[t] + h @ p.U + p.b
+        a = XW[t] + h @ U + b
         fio = sigmoid(a[:, : 3 * H])
         u = np.tanh(a[:, 3 * H :])
         c_new = fio[:, :H] * c + fio[:, H : 2 * H] * u
@@ -150,14 +148,14 @@ def steplist_lstm_forward(p, X):
         h = fio[:, 2 * H :] * tc
         c = c_new
         out[:, t, :] = h
-    return out, (p, (B, T, D, H), steps)
+    return out, (W, U, (B, T, D, H), steps)
 
 
-def loop_lstm_infer(p, rows, inv):
+def loop_lstm_infer(W, U, b, rows, inv):
     """`lstm_infer` with the gate step spelled out, new h and c every step."""
     B, T = inv.shape
-    H = p.U.shape[0]
-    xW = rows @ p.W
+    H = U.shape[0]
+    xW = rows @ W
     at = np.ascontiguousarray(inv.T)
     h = np.zeros((B, H), dtype=rows.dtype)
     c = np.zeros((B, H), dtype=rows.dtype)
@@ -165,8 +163,8 @@ def loop_lstm_infer(p, rows, inv):
     a = np.empty((B, 4 * H), dtype=xW.dtype)
     for t in range(T):
         np.take(xW, at[t], axis=0, out=a)
-        a += h @ p.U
-        a += p.b
+        a += h @ U
+        a += b
         fio = sigmoid(a[:, : 3 * H])
         u = np.tanh(a[:, 3 * H :])
         c = fio[:, :H] * c + fio[:, H : 2 * H] * u
@@ -176,7 +174,7 @@ def loop_lstm_infer(p, rows, inv):
 
 
 def steplist_lstm_backward(cache, dH):
-    p, (B, T, D, H), steps = cache
+    W, U, (B, T, D, H), steps = cache
     dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dh_next = np.zeros((B, H), dtype=dH.dtype)
     dc_next = np.zeros((B, H), dtype=dH.dtype)
@@ -195,28 +193,28 @@ def steplist_lstm_backward(cache, dH):
         da[:, H : 2 * H] = di * i * (1.0 - i)
         da[:, 2 * H : 3 * H] = do * o * (1.0 - o)
         da[:, 3 * H :] = du * (1.0 - u * u)
-        dh_next = da @ p.U.T
+        dh_next = da @ U.T
     dA2 = dA.reshape(T * B, 4 * H)
     Xs = np.stack([s[0] for s in steps]).reshape(T * B, D)
     Hs = np.stack([s[1] for s in steps]).reshape(T * B, H)
-    dX = (dA2 @ p.W.T).reshape(T, B, D).transpose(1, 0, 2)
+    dX = (dA2 @ W.T).reshape(T, B, D).transpose(1, 0, 2)
     g = {"W": Xs.T @ dA2, "U": Hs.T @ dA2, "b": dA2.sum(axis=0)}
     return g, np.ascontiguousarray(dX)
 
 
 def ref_conv1d_relu_backward(cache, dout):
-    p, X, z = cache
+    kernels, X, z = cache
     T = X.shape[1]
-    k = p.kernels.shape[0]
+    k = kernels.shape[0]
     pl, pr = conv_padding(k)
     Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
     dz = dout * (z > 0.0)
-    g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
+    g = {"kernels": np.zeros_like(kernels), "bias": dz.sum(axis=(0, 1))}
     dXp = np.zeros_like(Xp)
     for j in range(k):
         window = Xp[:, j : j + T, :]
         g["kernels"][j] = np.einsum("btc,btf->cf", window, dz)
-        dXp[:, j : j + T, :] += dz @ p.kernels[j].T
+        dXp[:, j : j + T, :] += dz @ kernels[j].T
     return g, dXp[:, pl : pl + T, :]
 
 
@@ -254,8 +252,8 @@ def random_lstm(rng, D, H, dtype):
     def mat(r, c):
         return rng.normal(scale=0.3, size=(r, c)).astype(dtype)
 
-    return LSTMParams(mat(D, 4 * H), mat(H, 4 * H),
-                      rng.normal(scale=0.2, size=4 * H).astype(dtype))
+    return dict(W=mat(D, 4 * H), U=mat(H, 4 * H),
+                b=rng.normal(scale=0.2, size=4 * H).astype(dtype))
 
 
 # --------------------------------------------------------------------- lstm
@@ -267,8 +265,8 @@ def test_lstm_backward_matches_per_step_reference(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T)
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
-    _, cache = lstm_forward(p, X)
-    _, ref_cache = ref_lstm_forward(p, X)
+    _, cache = lstm_forward(**p, X=X)
+    _, ref_cache = ref_lstm_forward(**p, X=X)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
     grads, dX = lstm_backward(cache, dH)
     ref_grads, ref_dX = ref_lstm_backward(ref_cache, dH)
@@ -285,8 +283,8 @@ def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T + 2)
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
-    out, (_, _, G, _, _, TC) = lstm_forward(p, X)
-    ref, (_, ref_steps) = ref_lstm_forward(p, X)
+    out, (_, _, _, G, _, _, TC) = lstm_forward(**p, X=X)
+    ref, (_, _, ref_steps) = ref_lstm_forward(**p, X=X)
     assert_close(out, ref, dtype, "out")
     for t in (0, T - 1):  # the cached activations, gate by gate
         f, i, o, u = G[t]  # gate-major: G[t, k] is gate k
@@ -313,10 +311,10 @@ def test_lstm_infer_matches_lstm_forward(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T + 1)
     p = random_lstm(rng, D, H, dtype)
     E, ids = embedded_ids(rng, B, T, D, dtype)
-    ref, _ = lstm_forward(p, E[ids])
+    ref, _ = lstm_forward(**p, X=E[ids])
     uniq, inv = np.unique(ids, return_inverse=True)
     assert uniq.size < ids.size and uniq[0] == 0
-    out = lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T))
+    out = lstm_infer(p["U"], p["b"], E[uniq] @ p["W"], inv.reshape(B, T))
     assert out.dtype == ref.dtype == dtype
     assert out.tobytes() == ref.tobytes()
 
@@ -328,8 +326,8 @@ def test_lstm_infer_is_bit_identical_to_its_step_loop(B, T, D, H, dtype):
     p = random_lstm(rng, D, H, dtype)
     E, ids = embedded_ids(rng, B, T, D, dtype)
     uniq, inv = np.unique(ids, return_inverse=True)
-    out = lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T))
-    ref = loop_lstm_infer(p, E[uniq], inv.reshape(B, T))
+    out = lstm_infer(p["U"], p["b"], E[uniq] @ p["W"], inv.reshape(B, T))
+    ref = loop_lstm_infer(**p, rows=E[uniq], inv=inv.reshape(B, T))
     assert out.dtype == ref.dtype == dtype
     assert out.tobytes() == ref.tobytes()
 
@@ -341,8 +339,8 @@ def test_time_major_lstm_is_bit_identical_to_per_step_list(B, T, D, H, dtype):
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
-    out, cache = lstm_forward(p, X)
-    ref, ref_cache = steplist_lstm_forward(p, X)
+    out, cache = lstm_forward(**p, X=X)
+    ref, ref_cache = steplist_lstm_forward(**p, X=X)
     grads, dX = lstm_backward(cache, dH)
     ref_grads, ref_dX = steplist_lstm_backward(ref_cache, dH)
     assert list(grads) == list(ref_grads) == ["W", "U", "b"]
@@ -375,8 +373,8 @@ def test_lstm_kernels_equal_their_step_loops_on_drawn_shapes(B, T, D, H, dtype, 
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
-    out, cache = lstm_forward(p, X)
-    ref, ref_cache = steplist_lstm_forward(p, X)
+    out, cache = lstm_forward(**p, X=X)
+    ref, ref_cache = steplist_lstm_forward(**p, X=X)
     assert_same_bits(out, ref, "out")
     ref_grads, ref_dX = steplist_lstm_backward(ref_cache, dH)
     grads, dX = lstm_backward(cache, dH)  # G becomes dA
@@ -386,19 +384,18 @@ def test_lstm_kernels_equal_their_step_loops_on_drawn_shapes(B, T, D, H, dtype, 
     assert_same_bits(dX, ref_dX, "dX")
     E, ids = embedded_ids(rng, B, T, D, dtype)
     uniq, inv = np.unique(ids, return_inverse=True)
-    assert_same_bits(lstm_infer(p, E[uniq] @ p.W, inv.reshape(B, T)),
-                     loop_lstm_infer(p, E[uniq], inv.reshape(B, T)), "lstm_infer")
+    assert_same_bits(lstm_infer(p["U"], p["b"], E[uniq] @ p["W"], inv.reshape(B, T)),
+                     loop_lstm_infer(**p, rows=E[uniq], inv=inv.reshape(B, T)), "lstm_infer")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_lstm_backward_returns_exactly_the_param_keys(dtype):
     rng = np.random.default_rng(5)
     p = random_lstm(rng, 7, 3, dtype)
-    _, cache = lstm_forward(p, rng.normal(size=(2, 4, 7)).astype(dtype))
+    _, cache = lstm_forward(**p, X=rng.normal(size=(2, 4, 7)).astype(dtype))
     grads, _ = lstm_backward(cache, rng.normal(size=(2, 4, 3)).astype(dtype))
-    named = dict(p.named_arrays())
-    assert list(grads) == list(named)
-    for name, arr in named.items():
+    assert list(grads) == list(p)
+    for name, arr in p.items():
         assert grads[name].shape == arr.shape, name
         assert grads[name].dtype == arr.dtype, name
 
@@ -410,10 +407,10 @@ def test_lstm_backward_returns_exactly_the_param_keys(dtype):
 @pytest.mark.parametrize("B,T,d_in,k,F", CONV_SHAPES)
 def test_conv_backward_matches_einsum_reference(B, T, d_in, k, F, dtype):
     rng = np.random.default_rng(B * 1000 + d_in)
-    p = Conv1DParams(kernels=rng.normal(scale=0.3, size=(k, d_in, F)).astype(dtype),
-                     bias=rng.normal(scale=0.1, size=F).astype(dtype))
+    p = dict(kernels=rng.normal(scale=0.3, size=(k, d_in, F)).astype(dtype),
+             bias=rng.normal(scale=0.1, size=F).astype(dtype))
     X = rng.normal(size=(B, T, d_in)).astype(dtype)
-    out, cache = conv1d_relu_forward(p, X)
+    out, cache = conv1d_relu_forward(**p, X=X)
     assert 0 < np.count_nonzero(out) < out.size  # both ReLU branches are exercised
     dout = rng.normal(size=out.shape).astype(dtype)
     grads, dX = conv1d_relu_backward(cache, dout)
@@ -431,9 +428,9 @@ def test_lstm_backward_with_a_helper_thread_is_bit_identical(B, T, D, H, dtype):
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dtype)
-    grads, dX = lstm_backward(lstm_forward(p, X)[1], dH)
+    grads, dX = lstm_backward(lstm_forward(**p, X=X)[1], dH)
     with ThreadPoolExecutor(1) as pool:  # a cache serves one call, so a fresh one
-        pooled, pooled_dX = lstm_backward(lstm_forward(p, X)[1], dH, pool)
+        pooled, pooled_dX = lstm_backward(lstm_forward(**p, X=X)[1], dH, pool)
     assert list(pooled) == list(grads)
     for name, g in grads.items():
         assert pooled[name].tobytes() == g.tobytes(), name
@@ -450,9 +447,9 @@ def test_lstm_backward_on_an_owned_cache_is_bit_identical(B, T, D, H, dtype, dH_
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
     dH = rng.normal(size=(B, T, H)).astype(dH_dtype or dtype)
-    grads, dX = steplist_lstm_backward(steplist_lstm_forward(p, X)[1], dH)
+    grads, dX = steplist_lstm_backward(steplist_lstm_forward(**p, X=X)[1], dH)
     for pool in (None, ThreadPoolExecutor(1)):
-        cache = lstm_forward(p, X)[1]
+        cache = lstm_forward(**p, X=X)[1]
         got, got_dX = lstm_backward(cache, dH, pool)
         if pool is not None:
             pool.shutdown()
@@ -465,7 +462,7 @@ def test_lstm_backward_on_an_owned_cache_is_bit_identical(B, T, D, H, dtype, dH_
 def test_lstm_backward_consumes_its_cache():
     rng = np.random.default_rng(6)
     p = random_lstm(rng, 5, 3, np.float64)
-    _, cache = lstm_forward(p, rng.normal(size=(2, 4, 5)))
+    _, cache = lstm_forward(**p, X=rng.normal(size=(2, 4, 5)))
     dH = rng.normal(size=(2, 4, 3))
     lstm_backward(cache, dH)
     assert cache == []
@@ -685,7 +682,6 @@ def test_fit_with_dense_embedding_oracle_writes_the_same_parameters(monkeypatch,
     monkeypatch.setattr(risknet.model, "embedding_backward", ref_embedding_backward)
     ref_model, ref_history = fit(cfg, X, y, EmbeddingMatrix(E))
     assert history.loss == ref_history.loss
-    named, ref_named = model.params.named_arrays(), ref_model.params.named_arrays()
-    assert [n for n, _ in named] == [n for n, _ in ref_named]
-    for (name, arr), (_, ref) in zip(named, ref_named):
-        assert arr.tobytes() == ref.tobytes(), name
+    assert list(model.params) == list(ref_model.params)
+    for name, arr in model.params.items():
+        assert arr.tobytes() == ref_model.params[name].tobytes(), name

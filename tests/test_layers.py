@@ -14,10 +14,6 @@ from risknet.layers import (
     CONV_BLOCK,
     DROPOUT_WORDS,
     LAYER_EMBED_DROPOUT,
-    AttentionParams,
-    Conv1DParams,
-    DenseParams,
-    LSTMParams,
     NumericsError,
     attention_backward,
     attention_forward,
@@ -60,7 +56,7 @@ def lstm_params(D, H, rng, dtype=np.float64):
     # a W, U and b draw per gate, in the gate order f, i, o, u
     gates = [(mat(D, H), mat(H, H), rng.normal(scale=0.2, size=H).astype(dtype))
              for _ in range(4)]
-    return LSTMParams(*(np.concatenate(arrs, axis=-1) for arrs in zip(*gates)))
+    return {name: np.concatenate(arrs, axis=-1) for name, arrs in zip("WUb", zip(*gates))}
 
 
 # ---------------------------------------------------------------- embedding
@@ -247,29 +243,29 @@ def test_dropout_backward_applies_same_mask():
 
 def test_lstm_zero_params_fixed_point():
     D, H = 3, 4
-    zeros = LSTMParams(np.zeros((D, 4 * H)), np.zeros((H, 4 * H)), np.zeros(4 * H))
+    zeros = dict(W=np.zeros((D, 4 * H)), U=np.zeros((H, 4 * H)), b=np.zeros(4 * H))
     X = RNG(0).normal(size=(2, 5, D))
-    out, _ = lstm_forward(zeros, X)
+    out, _ = lstm_forward(**zeros, X=X)
     assert np.all(out == 0.0)
 
 
 def test_lstm_scalar_all_ones_oracle():
-    ones = LSTMParams(np.ones((1, 4)), np.ones((1, 4)), np.ones(4))
+    ones = dict(W=np.ones((1, 4)), U=np.ones((1, 4)), b=np.ones(4))
     X = np.ones((1, 1, 1))
-    out, _ = lstm_forward(ones, X)
+    out, _ = lstm_forward(**ones, X=X)
     assert out[0, 0, 0] == pytest.approx(LSTM_SCALAR_H1, abs=1e-12)
 
 
 def test_lstm_output_shape():
     p = lstm_params(5, 4, RNG(1))
-    out, _ = lstm_forward(p, RNG(2).normal(size=(2, 7, 5)))
+    out, _ = lstm_forward(**p, X=RNG(2).normal(size=(2, 7, 5)))
     assert out.shape == (2, 7, 4)
 
 
 def test_lstm_gate_ranges():
     p = lstm_params(4, 6, RNG(3))
     X = RNG(4).normal(size=(3, 8, 4)) * 3.0
-    _, (_, _, G, _, _, TC) = lstm_forward(p, X)
+    _, (_, _, _, G, _, _, TC) = lstm_forward(**p, X=X)
     fio, u = G[:, :3], G[:, 3]  # every step's gates at once, gate-major
     assert np.all(fio > 0.0) and np.all(fio < 1.0)
     assert np.all(u > -1.0) and np.all(u < 1.0)
@@ -281,7 +277,7 @@ def test_lstm_cache_holds_no_view_of_its_input():
     # LSTM forward pass returns
     p = lstm_params(3, 4, RNG(9))
     X = RNG(10).normal(size=(2, 5, 3))
-    _, (_, *arrays) = lstm_forward(p, X)
+    _, (_, _, *arrays) = lstm_forward(**p, X=X)
     assert len(arrays) == 5
     assert not any(np.shares_memory(a, X) for a in arrays)
 
@@ -289,15 +285,15 @@ def test_lstm_cache_holds_no_view_of_its_input():
 def test_lstm_deterministic_bitwise():
     p = lstm_params(3, 3, RNG(5))
     X = RNG(6).normal(size=(2, 4, 3))
-    a, _ = lstm_forward(p, X)
-    b, _ = lstm_forward(p, X)
+    a, _ = lstm_forward(**p, X=X)
+    b, _ = lstm_forward(**p, X=X)
     assert np.array_equal(a, b)
 
 
 def test_lstm_input_dim_mismatch():
     p = lstm_params(3, 3, RNG(7))
     with pytest.raises(ValueError, match="dim mismatch"):
-        lstm_forward(p, np.zeros((1, 2, 5)))
+        lstm_forward(**p, X=np.zeros((1, 2, 5)))
 
 
 def test_lstm_gradients_finite_difference():
@@ -305,17 +301,17 @@ def test_lstm_gradients_finite_difference():
     H = 4
     p = lstm_params(3, H, rng)
     X = rng.normal(size=(2, 5, 3))
-    out, cache = lstm_forward(p, X)
+    out, cache = lstm_forward(**p, X=X)
     R, loss_of = projection_loss(rng, out.shape)
     grads, dX = lstm_backward(cache, R)
 
     def loss():
-        return loss_of(lstm_forward(p, X)[0])
+        return loss_of(lstm_forward(**p, X=X)[0])
 
     # six samples in each gate block of W, U and b, so every gate is checked
     for k, gate in enumerate("fiou"):
         cols = np.s_[..., k * H : (k + 1) * H]
-        for name, arr in p.named_arrays():
+        for name, arr in p.items():
             fd_check(loss, arr[cols], grads[name][cols], rng, samples=6,
                      name=f"{name}[{gate}]")
     fd_check(loss, X, dX, rng, samples=10, name="X")
@@ -328,16 +324,16 @@ def test_attention_zero_params_uniform():
     # alpha = 1/5 at every step, so T * alpha * P = 5 * (1/5) * P: uniform
     # attention is the identity
     P = RNG(0).normal(size=(2, 5, 3))
-    p = AttentionParams(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
-    out, (_, _, _, alpha) = attention_forward(p, P)
+    p = dict(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
+    out, (_, _, _, alpha) = attention_forward(**p, P=P)
     assert np.allclose(alpha, 1.0 / 5.0)
     assert np.allclose(out, P)
 
 
 def test_attention_single_step_identity():
     P = RNG(1).normal(size=(3, 1, 4))
-    p = AttentionParams(w=RNG(2).normal(size=(4, 1)), b=np.zeros((1, 1)))
-    out, _ = attention_forward(p, P)
+    p = dict(w=RNG(2).normal(size=(4, 1)), b=np.zeros((1, 1)))
+    out, _ = attention_forward(**p, P=P)
     assert np.allclose(out, P)
 
 
@@ -346,16 +342,16 @@ def test_attention_uniform_backward_passes_dout_through():
     # softmax and tanh terms add ds * w^T = 0
     rng = RNG(6)
     P, dout = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 3))
-    p = AttentionParams(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
-    _, cache = attention_forward(p, P)
+    p = dict(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
+    _, cache = attention_forward(**p, P=P)
     _, dP = attention_backward(cache, dout)
     assert np.allclose(dP, dout, rtol=1e-14, atol=0.0)
 
 
 def test_attention_hand_oracle():
     P = np.array([[[1.0], [3.0]]])
-    p = AttentionParams(w=np.array([[1.0]]), b=np.zeros((2, 1)))
-    out, (_, _, e, alpha) = attention_forward(p, P)
+    p = dict(w=np.array([[1.0]]), b=np.zeros((2, 1)))
+    out, (_, _, e, alpha) = attention_forward(**p, P=P)
     assert e[0, :, 0] == pytest.approx([math.tanh(1.0), math.tanh(3.0)], abs=1e-12)
     assert alpha[0, :, 0] == pytest.approx([0.4418985074116459, 0.5581014925883541], abs=1e-12)
     # T * alpha * P with T = 2 and P = (1, 3)
@@ -364,33 +360,33 @@ def test_attention_hand_oracle():
 
 def test_attention_weights_sum_to_one():
     rng = RNG(3)
-    p = AttentionParams(w=rng.normal(size=(6, 1)), b=rng.normal(size=(9, 1)))
-    _, (_, _, _, alpha) = attention_forward(p, rng.normal(size=(4, 9, 6)) * 5)
+    p = dict(w=rng.normal(size=(6, 1)), b=rng.normal(size=(9, 1)))
+    _, (_, _, _, alpha) = attention_forward(**p, P=rng.normal(size=(4, 9, 6)) * 5)
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(alpha > 0.0)
 
 
 def test_attention_shape_validation():
-    p = AttentionParams(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
+    p = dict(w=np.zeros((3, 1)), b=np.zeros((5, 1)))
     with pytest.raises(ValueError, match="length mismatch"):
-        attention_forward(p, np.zeros((1, 4, 3)))
+        attention_forward(**p, P=np.zeros((1, 4, 3)))
     with pytest.raises(ValueError, match="dim mismatch"):
-        attention_forward(p, np.zeros((1, 5, 2)))
+        attention_forward(**p, P=np.zeros((1, 5, 2)))
 
 
 def test_attention_gradients_finite_difference():
     rng = RNG(4)
     P = rng.normal(size=(2, 6, 4))
-    p = AttentionParams(w=rng.normal(scale=0.5, size=(4, 1)), b=rng.normal(scale=0.5, size=(6, 1)))
-    out, cache = attention_forward(p, P)
+    p = dict(w=rng.normal(scale=0.5, size=(4, 1)), b=rng.normal(scale=0.5, size=(6, 1)))
+    out, cache = attention_forward(**p, P=P)
     R, loss_of = projection_loss(rng, out.shape)
     grads, dP = attention_backward(cache, R)
 
     def loss():
-        return loss_of(attention_forward(p, P)[0])
+        return loss_of(attention_forward(**p, P=P)[0])
 
-    fd_check(loss, p.w, grads["w"], rng, samples=4, name="w")
-    fd_check(loss, p.b, grads["b"], rng, samples=6, name="b")
+    fd_check(loss, p["w"], grads["w"], rng, samples=4, name="w")
+    fd_check(loss, p["b"], grads["b"], rng, samples=6, name="b")
     fd_check(loss, P, dP, rng, samples=12, name="P")
 
 
@@ -404,59 +400,59 @@ def test_conv_padding_split():
 
 
 def test_conv_zero_params_zero_output():
-    p = Conv1DParams(kernels=np.zeros((3, 2, 4)), bias=np.zeros(4))
-    out, _ = conv1d_relu_forward(p, RNG(0).normal(size=(2, 6, 2)))
+    p = dict(kernels=np.zeros((3, 2, 4)), bias=np.zeros(4))
+    out, _ = conv1d_relu_forward(**p, X=RNG(0).normal(size=(2, 6, 2)))
     assert np.all(out == 0.0)
 
 
 def test_conv_hand_oracle_1234():
     X = np.array([[[1.0], [2.0], [3.0], [4.0]]])
-    p = Conv1DParams(kernels=np.ones((3, 1, 1)), bias=np.zeros(1))
-    out, _ = conv1d_relu_forward(p, X)
+    p = dict(kernels=np.ones((3, 1, 1)), bias=np.zeros(1))
+    out, _ = conv1d_relu_forward(**p, X=X)
     assert out[0, :, 0].tolist() == [3.0, 6.0, 9.0, 7.0]
 
 
 def test_conv_relu_clips_negative():
     X = np.array([[[-1.0], [-2.0]]])
-    p = Conv1DParams(kernels=np.ones((1, 1, 1)), bias=np.zeros(1))
-    out, _ = conv1d_relu_forward(p, X)
+    p = dict(kernels=np.ones((1, 1, 1)), bias=np.zeros(1))
+    out, _ = conv1d_relu_forward(**p, X=X)
     assert np.all(out == 0.0)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_conv_same_length_for_all_kernels(k):
     rng = RNG(k)
-    p = Conv1DParams(kernels=rng.normal(size=(k, 3, 2)), bias=rng.normal(size=2))
-    out, _ = conv1d_relu_forward(p, rng.normal(size=(2, 11, 3)))
+    p = dict(kernels=rng.normal(size=(k, 3, 2)), bias=rng.normal(size=2))
+    out, _ = conv1d_relu_forward(**p, X=rng.normal(size=(2, 11, 3)))
     assert out.shape == (2, 11, 2)
 
 
 def test_conv_reference_config_shapes():
     rng = RNG(10)
-    p = Conv1DParams(kernels=rng.normal(size=(8, 100, 3)) * 0.1, bias=np.zeros(3))
-    out, _ = conv1d_relu_forward(p, rng.normal(size=(2, 10, 100)))
+    p = dict(kernels=rng.normal(size=(8, 100, 3)) * 0.1, bias=np.zeros(3))
+    out, _ = conv1d_relu_forward(**p, X=rng.normal(size=(2, 10, 100)))
     assert out.shape == (2, 10, 3)
 
 
 def test_conv_channel_mismatch():
-    p = Conv1DParams(kernels=np.zeros((3, 4, 2)), bias=np.zeros(2))
+    p = dict(kernels=np.zeros((3, 4, 2)), bias=np.zeros(2))
     with pytest.raises(ValueError, match="channel mismatch"):
-        conv1d_relu_forward(p, np.zeros((1, 5, 3)))
+        conv1d_relu_forward(**p, X=np.zeros((1, 5, 3)))
 
 
 def test_conv_gradients_finite_difference():
     rng = RNG(11)
-    p = Conv1DParams(kernels=rng.normal(size=(3, 3, 2)), bias=rng.normal(size=2))
+    p = dict(kernels=rng.normal(size=(3, 3, 2)), bias=rng.normal(size=2))
     X = rng.normal(size=(2, 7, 3))
-    out, cache = conv1d_relu_forward(p, X)
+    out, cache = conv1d_relu_forward(**p, X=X)
     R, loss_of = projection_loss(rng, out.shape)
     grads, dX = conv1d_relu_backward(cache, R)
 
     def loss():
-        return loss_of(conv1d_relu_forward(p, X)[0])
+        return loss_of(conv1d_relu_forward(**p, X=X)[0])
 
-    fd_check(loss, p.kernels, grads["kernels"], rng, samples=10, name="kernels")
-    fd_check(loss, p.bias, grads["bias"], rng, samples=2, name="bias")
+    fd_check(loss, p["kernels"], grads["kernels"], rng, samples=10, name="kernels")
+    fd_check(loss, p["bias"], grads["bias"], rng, samples=2, name="bias")
     fd_check(loss, X, dX, rng, samples=12, name="X")
 
 
@@ -523,22 +519,22 @@ def test_flatten_shape():
 
 
 def test_dense_zero_params_uniform():
-    p = DenseParams(W=np.zeros((6, 4)), b=np.zeros(4))
-    probs, _ = dense_softmax_forward(p, RNG(0).normal(size=(3, 6)))
+    p = dict(W=np.zeros((6, 4)), b=np.zeros(4))
+    probs, _ = dense_softmax_forward(**p, v=RNG(0).normal(size=(3, 6)))
     assert np.allclose(probs, 0.25)
 
 
 def test_dense_hand_softmax_oracle():
-    p = DenseParams(W=np.eye(4), b=np.zeros(4))
+    p = dict(W=np.eye(4), b=np.zeros(4))
     v = np.array([[0.0, 0.0, 0.0, math.log(3.0)]])
-    probs, _ = dense_softmax_forward(p, v)
+    probs, _ = dense_softmax_forward(**p, v=v)
     assert probs[0] == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 2], abs=1e-12)
 
 
 def test_dense_rows_sum_to_one():
     rng = RNG(1)
-    p = DenseParams(W=rng.normal(size=(5, 4)), b=rng.normal(size=4))
-    probs, _ = dense_softmax_forward(p, rng.normal(size=(50, 5)) * 10)
+    p = dict(W=rng.normal(size=(5, 4)), b=rng.normal(size=4))
+    probs, _ = dense_softmax_forward(**p, v=rng.normal(size=(50, 5)) * 10)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -550,24 +546,24 @@ def test_softmax_max_subtraction_stable():
 
 
 def test_dense_shape_mismatch():
-    p = DenseParams(W=np.zeros((5, 4)), b=np.zeros(4))
+    p = dict(W=np.zeros((5, 4)), b=np.zeros(4))
     with pytest.raises(ValueError, match="dim mismatch"):
-        dense_softmax_forward(p, np.zeros((2, 6)))
+        dense_softmax_forward(**p, v=np.zeros((2, 6)))
 
 
 def test_dense_gradients_finite_difference():
     rng = RNG(2)
-    p = DenseParams(W=rng.normal(size=(5, 4)), b=rng.normal(size=4))
+    p = dict(W=rng.normal(size=(5, 4)), b=rng.normal(size=4))
     v = rng.normal(size=(3, 5))
-    probs, cache = dense_softmax_forward(p, v)
+    probs, cache = dense_softmax_forward(**p, v=v)
     R, loss_of = projection_loss(rng, probs.shape)
     grads, dv = dense_softmax_backward(cache, dlogits_through_softmax(probs, R))
 
     def loss():
-        return loss_of(dense_softmax_forward(p, v)[0])
+        return loss_of(dense_softmax_forward(**p, v=v)[0])
 
-    fd_check(loss, p.W, grads["W"], rng, samples=10, name="W")
-    fd_check(loss, p.b, grads["b"], rng, samples=4, name="b")
+    fd_check(loss, p["W"], grads["W"], rng, samples=10, name="W")
+    fd_check(loss, p["b"], grads["b"], rng, samples=4, name="b")
     fd_check(loss, v, dv, rng, samples=10, name="v")
 
 
@@ -595,19 +591,19 @@ def padded_conv1d_relu(p, X, dout):
     the conv layer as it was before it padded in blocks.  Returns (out,
     grads, dX)."""
     B, T, d_in = X.shape
-    k = p.kernels.shape[0]
+    k = p["kernels"].shape[0]
     pl, pr = conv_padding(k)
     Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
-    z = np.broadcast_to(p.bias, (B, T, p.bias.size)).astype(X.dtype).copy()
+    z = np.broadcast_to(p["bias"], (B, T, p["bias"].size)).astype(X.dtype).copy()
     for j in range(k):
-        z += Xp[:, j : j + T, :] @ p.kernels[j]
+        z += Xp[:, j : j + T, :] @ p["kernels"][j]
     dz = dout * (z > 0.0)
-    g = {"kernels": np.zeros_like(p.kernels), "bias": dz.sum(axis=(0, 1))}
+    g = {"kernels": np.zeros_like(p["kernels"]), "bias": dz.sum(axis=(0, 1))}
     dXp = np.zeros_like(Xp)
     for j in range(k):
         window = np.ascontiguousarray(Xp[:, j : j + T, :]).reshape(B * T, d_in)
         g["kernels"][j] = window.T @ dz.reshape(B * T, -1)
-        dXp[:, j : j + T, :] += dz @ p.kernels[j].T
+        dXp[:, j : j + T, :] += dz @ p["kernels"][j].T
     return np.maximum(z, 0.0), g, dXp[:, pl : pl + T, :]
 
 
@@ -629,11 +625,11 @@ def eighths(rng, size):
 def test_conv_on_drawn_shapes_matches_the_padded_oracle_and_finite_differences(
         B, T, d_in, k, F, seed):
     rng = RNG(seed)
-    p = Conv1DParams(kernels=rng.normal(scale=0.5, size=(k, d_in, F)),
-                     bias=rng.normal(scale=0.1, size=F))
+    p = dict(kernels=rng.normal(scale=0.5, size=(k, d_in, F)),
+             bias=rng.normal(scale=0.1, size=F))
     X = rng.normal(size=(B, T, d_in))
     dout = rng.normal(size=(B, T, F))
-    out, cache = conv1d_relu_forward(p, X)
+    out, cache = conv1d_relu_forward(**p, X=X)
     grads, dX = conv1d_relu_backward(cache, dout)
     ref_out, ref_grads, ref_dX = padded_conv1d_relu(p, X, dout)
     assert out.tobytes() == ref_out.tobytes()
@@ -646,17 +642,17 @@ def test_conv_on_drawn_shapes_matches_the_padded_oracle_and_finite_differences(
     # so a step of 2**-20 crosses no ReLU kink.  With normal draws over up to
     # 2 * CONV_BLOCK + 1 posts, some pre-activation often lies within a step
     # of the kink
-    p = Conv1DParams(kernels=eighths(rng, (k, d_in, F)), bias=eighths(rng, F) + 1 / 128)
+    p = dict(kernels=eighths(rng, (k, d_in, F)), bias=eighths(rng, F) + 1 / 128)
     X = eighths(rng, (B, T, d_in))
     R = eighths(rng, (B, T, F))
-    out, cache = conv1d_relu_forward(p, X)
+    out, cache = conv1d_relu_forward(**p, X=X)
     grads, dX = conv1d_relu_backward(cache, R)
 
     def loss():
-        return float(np.sum(conv1d_relu_forward(p, X)[0] * R))
+        return float(np.sum(conv1d_relu_forward(**p, X=X)[0] * R))
 
-    fd_check(loss, p.kernels, grads["kernels"], rng, h=2**-20, name="kernels")
-    fd_check(loss, p.bias, grads["bias"], rng, samples=2, h=2**-20, name="bias")
+    fd_check(loss, p["kernels"], grads["kernels"], rng, h=2**-20, name="kernels")
+    fd_check(loss, p["bias"], grads["bias"], rng, samples=2, h=2**-20, name="bias")
     fd_check(loss, X, dX, rng, h=2**-20, name="X")
 
 
@@ -666,22 +662,21 @@ def test_conv_on_drawn_shapes_matches_the_padded_oracle_and_finite_differences(
 @example(B=2 * CONV_BLOCK + 1, T=7, d=1, seed=1)
 def test_attention_on_drawn_shapes_in_place_and_finite_differences(B, T, d, seed):
     rng = RNG(seed)
-    p = AttentionParams(w=rng.normal(scale=0.5, size=(d, 1)),
-                        b=rng.normal(scale=0.5, size=(T, 1)))
+    p = dict(w=rng.normal(scale=0.5, size=(d, 1)), b=rng.normal(scale=0.5, size=(T, 1)))
     P = rng.normal(size=(B, T, d))
-    out, cache = attention_forward(p, P)
+    out, cache = attention_forward(**p, P=P)
     scaled = P.copy()
-    in_place, none = attention_forward(p, scaled, scaled)
+    in_place, none = attention_forward(**p, P=scaled, out=scaled)
     assert in_place is scaled and none is None
     assert scaled.tobytes() == out.tobytes()
     R, loss_of = projection_loss(rng, out.shape)
     grads, dP = attention_backward(cache, R)
 
     def loss():
-        return loss_of(attention_forward(p, P)[0])
+        return loss_of(attention_forward(**p, P=P)[0])
 
-    fd_check(loss, p.w, grads["w"], rng, name="w")
-    fd_check(loss, p.b, grads["b"], rng, name="b")
+    fd_check(loss, p["w"], grads["w"], rng, name="w")
+    fd_check(loss, p["b"], grads["b"], rng, name="b")
     fd_check(loss, P, dP, rng, name="P")
 
 
@@ -710,17 +705,17 @@ def test_dense_on_drawn_shapes_finite_differences(B, M, C, seed):
     rng = RNG(seed)
     # small weights keep the softmax off saturation, whose gradients are too
     # small for finite differences to resolve
-    p = DenseParams(W=rng.normal(scale=0.3, size=(M, C)), b=rng.normal(size=C))
+    p = dict(W=rng.normal(scale=0.3, size=(M, C)), b=rng.normal(size=C))
     v = rng.normal(size=(B, M))
-    probs, cache = dense_softmax_forward(p, v)
+    probs, cache = dense_softmax_forward(**p, v=v)
     R, loss_of = projection_loss(rng, probs.shape)
     grads, dv = dense_softmax_backward(cache, dlogits_through_softmax(probs, R))
 
     def loss():
-        return loss_of(dense_softmax_forward(p, v)[0])
+        return loss_of(dense_softmax_forward(**p, v=v)[0])
 
-    fd_check(loss, p.W, grads["W"], rng, name="W")
-    fd_check(loss, p.b, grads["b"], rng, samples=2, name="b")
+    fd_check(loss, p["W"], grads["W"], rng, name="W")
+    fd_check(loss, p["b"], grads["b"], rng, samples=2, name="b")
     fd_check(loss, v, dv, rng, name="v")
 
 

@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 import risknet.model
+import risknet.train
 from conftest import dense, dlogits_through_softmax, fd_check, projection_loss
-from risknet.embed import EmbeddingMatrix, PAD_INDEX
+from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
 from risknet.layers import CONV_BLOCK, NumericsError
 from risknet.model import (
     VARIANTS,
     Model,
     ModelConfig,
-    ModelParams,
     _glorot,
     init_params,
     param_shapes,
 )
+from risknet.modelio import load_model, save_model
 from risknet.rng import STREAM_INIT, bulk_generator
+from risknet.train import Adam, TrainConfig, fit
 
 
 def make_embedding(V, D, seed=0, dtype=np.float64):
@@ -118,17 +120,18 @@ def test_init_params_deterministic_per_seed():
     cfg = small_cfg(seed=3)
     a = init_params(cfg, emb)
     b = init_params(cfg, emb)
-    for (name, arr_a), (_, arr_b) in zip(a.named_arrays(), b.named_arrays()):
-        assert np.array_equal(arr_a, arr_b), name
+    assert list(a) == list(b)
+    for name, arr in a.items():
+        assert np.array_equal(arr, b[name]), name
     c = init_params(small_cfg(seed=4), emb)
-    assert not np.array_equal(a.dense.W, c.dense.W)
+    assert not np.array_equal(a["dense.W"], c["dense.W"])
 
 
 def test_init_forget_bias_one_other_biases_zero():
     p = init_params(small_cfg(), make_embedding(9, 5))
     H = 4
-    assert np.all(p.lstm.b[:H] == 1.0)  # the forget gate's block
-    for b in (p.lstm.b[H:], p.dense.b, p.conv.bias, p.attention.b):
+    assert np.all(p["lstm.b"][:H] == 1.0)  # the forget gate's block
+    for b in (p["lstm.b"][H:], p["dense.b"], p["conv.bias"], p["attention.b"]):
         assert np.all(b == 0.0)
 
 
@@ -144,37 +147,64 @@ def test_init_lstm_equals_the_per_gate_draws_side_by_side(dtype):
     for _ in "fiou":
         W.append(_glorot(rng, (D, H), D, H, dt))
         U.append(_glorot(rng, (H, H), H, H, dt))
-    assert np.array_equal(p.lstm.W, np.concatenate(W, axis=1))
-    assert np.array_equal(p.lstm.U, np.concatenate(U, axis=1))
-    assert p.lstm.W.dtype == p.lstm.U.dtype == p.lstm.b.dtype == dt
+    assert np.array_equal(p["lstm.W"], np.concatenate(W, axis=1))
+    assert np.array_equal(p["lstm.U"], np.concatenate(U, axis=1))
+    assert p["lstm.W"].dtype == p["lstm.U"].dtype == p["lstm.b"].dtype == dt
     # the draws after the LSTM's are unchanged too
-    assert np.array_equal(p.attention.w, rng.normal(0.0, 0.05, size=(H, 1)).astype(dt))
+    assert np.array_equal(p["attention.w"], rng.normal(0.0, 0.05, size=(H, 1)).astype(dt))
+    k, d_in, F = 3, 4, 2
+    assert np.array_equal(p["conv.kernels"],
+                          _glorot(rng, (k, d_in, F), k * d_in, k * F, dt))
+    assert np.array_equal(p["dense.W"], _glorot(rng, (6, 4), 6, 4, dt))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_param_shapes_match_init(variant):
     cfg = small_cfg(variant)
     p = init_params(cfg, make_embedding(9, 5))
-    assert {n: a.shape for n, a in p.named_arrays()} == param_shapes(cfg, 9)
-    assert list(param_shapes(cfg, 9)) == [n for n, _ in p.named_arrays()]
+    assert {n: a.shape for n, a in p.items()} == param_shapes(cfg, 9)
+    assert list(param_shapes(cfg, 9)) == list(p)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_name_table(tmp_path, monkeypatch, variant):
+    """`init_params`, the model file, the gradients and Adam's moments all
+    name the arrays as `param_shapes` does, in its order."""
+    cfg = small_cfg(variant)
+    names = list(param_shapes(cfg, 9))
+    params = init_params(cfg, make_embedding(9, 5))
+    assert list(params) == names
+    model = Model(cfg, params)
+    path = tmp_path / "m.rkn"
+    save_model(model, Vocabulary({f"t{i}": i + 2 for i in range(7)}), path)
+    assert list(load_model(path)[0].params) == names
+    probs, trace = model.forward(batch_for(cfg), step=0)
+    assert list(model.backward(trace, np.ones_like(probs))) == names
+    made = []
+    monkeypatch.setattr(risknet.train, "Adam", lambda *args: made.append(Adam(*args)) or made[-1])
+    fit(TrainConfig(cfg, epochs=1, batch_size=2), batch_for(cfg), np.arange(3),
+        make_embedding(9, 5))
+    (opt,) = made
+    assert list(opt.m) == list(opt.v) == names
 
 
 def test_init_shapes_follow_config():
     cfg = small_cfg()
     p = init_params(cfg, make_embedding(9, 5))
-    assert p.lstm.W.shape == (5, 16) and p.lstm.U.shape == (4, 16) and p.lstm.b.shape == (16,)
-    assert p.attention.w.shape == (4, 1) and p.attention.b.shape == (6, 1)
-    assert p.conv.kernels.shape == (3, 4, 2) and p.conv.bias.shape == (2,)
-    assert p.dense.W.shape == (6, 4)
+    assert p["lstm.W"].shape == (5, 16) and p["lstm.U"].shape == (4, 16)
+    assert p["lstm.b"].shape == (16,)
+    assert p["attention.w"].shape == (4, 1) and p["attention.b"].shape == (6, 1)
+    assert p["conv.kernels"].shape == (3, 4, 2) and p["conv.bias"].shape == (2,)
+    assert p["dense.W"].shape == (6, 4)
 
 
 def test_init_variant_drops_unused_groups():
-    p = init_params(small_cfg("cnn"), make_embedding(9, 5))
-    assert p.lstm is None and p.attention is None and p.conv is not None
-    p = init_params(small_cfg("lstm"), make_embedding(9, 5))
-    assert p.conv is None and p.attention is None and p.lstm is not None
-    p = init_params(small_cfg("lstm_cnn"), make_embedding(9, 5))
-    assert p.attention is None and p.lstm is not None and p.conv is not None
+    def groups(variant):
+        return {n.partition(".")[0] for n in init_params(small_cfg(variant), make_embedding(9, 5))}
+
+    assert groups("cnn") == {"embedding", "conv", "dense"}
+    assert groups("lstm") == {"embedding", "lstm", "dense"}
+    assert groups("lstm_cnn") == {"embedding", "lstm", "conv", "dense"}
 
 
 def test_init_rejects_dim_mismatch():
@@ -184,13 +214,20 @@ def test_init_rejects_dim_mismatch():
 
 def test_init_casts_to_config_dtype():
     p32 = init_params(small_cfg(dtype="float32"), make_embedding(9, 5))
-    for name, arr in p32.named_arrays():
+    for name, arr in p32.items():
         assert arr.dtype == np.float32, name
 
 
-def test_named_arrays_order_stable():
+def test_init_rejects_an_embedding_that_overflows_the_model_dtype():
+    m = make_embedding(9, 5).matrix
+    m[3, 1] = 1e300  # finite in float64, inf in float32
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        init_params(small_cfg(dtype="float32"), EmbeddingMatrix(m))
+
+
+def test_param_names_order_stable():
     p = init_params(small_cfg(), make_embedding(9, 5))
-    names = [n for n, _ in p.named_arrays()]
+    names = list(p)
     assert names[0] == "embedding"
     assert names[1:4] == ["lstm.W", "lstm.U", "lstm.b"]
     assert names[4:6] == ["attention.w", "attention.b"]
@@ -251,9 +288,9 @@ def test_forward_nan_tripwire_names_layer(poisoned, run):
     model = build()
     X = batch_for(model.cfg)
     if poisoned == "lstm":
-        model.params.lstm.W[0, 0] = np.nan
+        model.params["lstm.W"][0, 0] = np.nan
     else:
-        model.params.embedding.matrix[X[1, 2], 0] = np.nan
+        model.params["embedding"][X[1, 2], 0] = np.nan
     with pytest.raises(NumericsError, match=f"after layer '{poisoned}'"):
         model.forward(X, step=0) if run == "forward" else model.predict(X)
 
@@ -324,10 +361,10 @@ def poison(model, X, chunk, kind):
     """Make chunk `chunk` of X fail.  "nan" puts in the last embedding row,
     made NaN; "index" a token outside the embedding.  X must not use the
     last row otherwise."""
-    V = model.params.embedding.matrix.shape[0]
+    V = model.params["embedding"].shape[0]
     token = V if kind == "index" else V - 1
     if kind == "nan":
-        model.params.embedding.matrix[token, 0] = np.nan
+        model.params["embedding"][token, 0] = np.nan
     X[chunk * risknet.model.PREDICT_BATCH + 5, 1] = token
 
 
@@ -384,7 +421,7 @@ def test_full_stack_gradients_finite_difference(variant):
     def loss():
         return loss_of(model.forward(X, step=4)[0])
 
-    for name, arr in model.params.named_arrays():
+    for name, arr in model.params.items():
         if name == "embedding":
             continue  # PAD-masked; checked separately on non-PAD rows
         fd_check(loss, arr, grads[name], rng, samples=5, name=f"{variant}:{name}")
@@ -397,7 +434,7 @@ def test_full_stack_embedding_gradient_nonpad_rows():
     probs, trace = model.forward(X, step=4)
     R, loss_of = projection_loss(rng, probs.shape)
     dE = dense(model.backward(trace, dlogits_through_softmax(probs, R))["embedding"])
-    E = model.params.embedding.matrix
+    E = model.params["embedding"]
     sub = E[2:]
     fd_check(lambda: loss_of(model.forward(X, step=4)[0]), sub, dE[2:], rng, samples=10,
              name="E[2:]")
@@ -436,9 +473,8 @@ def test_backward_grad_names_match_params():
         model = build(variant)
         _, trace = model.forward(batch_for(model.cfg), step=0)
         grads = model.backward(trace, np.ones((3, 4)))
-        param_names = {n for n, _ in model.params.named_arrays()}
-        assert set(grads) == param_names
-        for name, arr in model.params.named_arrays():
+        assert set(grads) == set(model.params)
+        for name, arr in model.params.items():
             assert grads[name].shape == arr.shape, name
 
 
@@ -452,7 +488,7 @@ def test_lstm_variant_routes_last_step_only():
     # grads flow: upstream on the logits affects only via last step, so
     # earlier steps receive gradient solely through the recurrence
     grads = model.backward(trace, np.ones_like(probs))
-    assert grads["lstm.W"].shape == model.params.lstm.W.shape
+    assert grads["lstm.W"].shape == model.params["lstm.W"].shape
 
 
 def _backward_peak(model, X, dlogits, hold_lstm_cache):
@@ -462,7 +498,7 @@ def _backward_peak(model, X, dlogits, hold_lstm_cache):
     try:
         _, trace = model.forward(X, step=0)
         (cache,) = [c for op, c in trace if op == "lstm"]
-        _, _, G, C, _, TC = cache
+        _, _, _, G, C, _, TC = cache
         gate_and_cell = G.nbytes + C.nbytes + TC.nbytes
         held = list(cache) if hold_lstm_cache else []  # the emptied list holds nothing
         G = C = TC = cache = None

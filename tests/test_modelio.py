@@ -77,8 +77,9 @@ def test_load_restores_config_vocab_params(tmp_path):
     loaded, vocab = load_model(path)
     assert loaded.cfg == model.cfg
     assert vocab.token_to_index == VOCAB.token_to_index
-    for (name, a), (_, b) in zip(model.params.named_arrays(), loaded.params.named_arrays()):
-        assert np.array_equal(a, b), name
+    assert list(model.params) == list(loaded.params)
+    for name, a in model.params.items():
+        assert np.array_equal(a, loaded.params[name]), name
 
 
 def test_loaded_model_predicts_identically(tmp_path):
@@ -93,7 +94,7 @@ def test_float64_round_trip_preserves_float32_storage(tmp_path):
     model = small_model(dtype="float64")
     path = saved(tmp_path, model)
     loaded, _ = load_model(path)
-    assert loaded.params.dense.W.dtype == np.float64
+    assert loaded.params["dense.W"].dtype == np.float64
     second = tmp_path / "again.rkn"
     save_model(loaded, VOCAB, second)
     assert path.read_bytes() == second.read_bytes()
@@ -118,7 +119,7 @@ def test_load_allocates_the_tensor_bytes_about_once(tmp_path):
     assert tensor_bytes > 1_000_000
     assert peak <= 1.1 * tensor_bytes + manifest_bytes
     # the float32 tensors are views of one buffer, not copies
-    bases = [a.base for _, a in loaded.params.named_arrays()]
+    bases = [a.base for a in loaded.params.values()]
     assert bases[0] is not None and all(b is bases[0] for b in bases)
 
 

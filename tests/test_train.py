@@ -229,15 +229,16 @@ def test_fit_bitwise_reproducible():
     m1, h1 = fit(cfg, X, y, emb)
     m2, h2 = fit(cfg, X, y, emb)
     assert h1.loss == h2.loss and h1.accuracy == h2.accuracy
-    for (name, a), (_, b) in zip(m1.params.named_arrays(), m2.params.named_arrays()):
-        assert np.array_equal(a, b), name
+    assert list(m1.params) == list(m2.params)
+    for name, a in m1.params.items():
+        assert np.array_equal(a, m2.params[name]), name
 
 
 def test_fit_seed_changes_outcome():
     X, y, emb = tiny_task()
     m1, _ = fit(small_train_cfg(seed=1, epochs=1), X, y, emb)
     m2, _ = fit(small_train_cfg(seed=2, epochs=1), X, y, emb)
-    assert not np.array_equal(m1.params.dense.W, m2.params.dense.W)
+    assert not np.array_equal(m1.params["dense.W"], m2.params["dense.W"])
 
 
 def test_fit_trains_final_partial_batch():
@@ -254,7 +255,7 @@ def test_fit_trains_final_partial_batch():
 def test_fit_pad_row_never_moves():
     X, y, emb = tiny_task()
     model, _ = fit(small_train_cfg(epochs=4), X, y, emb)
-    assert np.all(model.params.embedding.matrix[PAD_INDEX] == 0.0)
+    assert np.all(model.params["embedding"][PAD_INDEX] == 0.0)
 
 
 def test_fit_on_epoch_callback_order():
@@ -357,8 +358,9 @@ def test_fit_with_a_helper_thread_is_bit_identical(monkeypatch):
     assert sorted(jobs) == sorted(["_adam_blocks"] * 4 + ["matmul"] * 2)
     (m1, h1), (m2, h2) = runs
     assert h1.loss == h2.loss and h1.accuracy == h2.accuracy
-    for (name, a), (_, b) in zip(m1.params.named_arrays(), m2.params.named_arrays()):
-        assert a.tobytes() == b.tobytes(), name
+    assert list(m1.params) == list(m2.params)
+    for name, a in m1.params.items():
+        assert a.tobytes() == m2.params[name].tobytes(), name
 
 
 def test_fit_on_one_cpu_starts_no_thread(monkeypatch):
@@ -408,10 +410,11 @@ def test_fit_frees_each_steps_lstm_cache_before_the_next_forward(monkeypatch):
     freed = []
     real = risknet.model.lstm_forward
 
-    def spy(p, x):
+    def spy(W, U, b, x):
         freed.append(all(ref() is None for ref in last))
-        out, cache = real(p, x)
-        last[:] = [weakref.ref(a) for a in cache_arrays(cache)]
+        out, cache = real(W, U, b, x)
+        # the arrays after W and U, which are the model's own
+        last[:] = [weakref.ref(a) for a in cache_arrays(cache[2:])]
         assert last
         return out, cache
 

@@ -308,10 +308,17 @@ def _cmd_train(params: dict, out: Path) -> None:
     data, tcfg = _prepare_fit(params, params["variant"])
     log = lambda epoch, loss, acc: print(
         f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
-    # fit gets the only reference to the initial embedding, so the matrix is
-    # freed once the model has its own copy
-    model, history = train.fit(tcfg, data["X_train"], data["y_train"], data.pop("matrix"),
-                               on_epoch=log)
+    # the test shard is written first, so that fit runs without its token
+    # strings, and removed again if fit fails
+    write_tokens(data.pop("test_rows"), out / "test.jsonl")
+    try:
+        # fit gets the only reference to the initial embedding, so the matrix
+        # is freed once the model has its own copy
+        model, history = train.fit(tcfg, data["X_train"], data["y_train"], data.pop("matrix"),
+                                   on_epoch=log)
+    except BaseException:
+        (out / "test.jsonl").unlink()
+        raise
     modelio.save_model(model, data["vocab"], out / "model.rkn")
     _write_csv(out / "history.csv", ["epoch", "loss", "accuracy"],
                ([epoch, repr(loss), repr(acc)] for epoch, (loss, acc)
@@ -320,7 +327,6 @@ def _cmd_train(params: dict, out: Path) -> None:
     tokens = sorted(data["vocab"].token_to_index.items(), key=lambda item: item[1])
     _write_csv(out / "vocab.csv", ["token", "index"],
                [[embed.PAD_TOKEN, embed.PAD_INDEX], [embed.UNK_TOKEN, embed.UNK_INDEX], *tokens])
-    write_tokens(data["test_rows"], out / "test.jsonl")
 
 
 def _load_and_encode(params: dict, require_labels: bool):

@@ -58,6 +58,8 @@ def parse_json_object(text: str) -> dict:
         raise ValueError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError("invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+        raise ValueError("invalid JSON (an integer has too many digits)") from None
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     return obj

@@ -23,6 +23,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 INIT_SCALE = 0.05  # uniform half-width for embedding init and the UNK row
+# the largest magnitude an embedding file may hold: model.rkn stores float32
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 # elements per block of `all_finite`'s check
 _FINITE_CHECK_BLOCK = 1 << 16
 
@@ -84,7 +86,9 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
 
     File tokens get indices 2.. in file order.  The PAD row is zero and the
     UNK row is drawn from U(-0.05, 0.05) with the run seed so unknown words
-    start as a trainable vector rather than a silent drop.
+    start as a trainable vector rather than a silent drop.  Every entry must
+    be finite and at most `FLOAT32_MAX` in magnitude, so that the float32
+    model keeps it finite.
     """
     path = Path(path)
 
@@ -125,6 +129,8 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
                 raise bad(line_num, "non-numeric vector entry") from None
             if not np.all(np.isfinite(vec)):
                 raise bad(line_num, "non-finite vector entry")
+            if np.abs(vec).max() > FLOAT32_MAX:
+                raise bad(line_num, f"vector entry beyond the float32 range ({FLOAT32_MAX:.8g})")
             first_line[token] = line_num
             token_to_index[token] = 2 + count
             rows[2 + count] = vec

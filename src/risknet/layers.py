@@ -5,23 +5,27 @@ backward(cache, dout) -> gradients.  These pairs are the training path.  A
 forward pass takes its parameters as plain arrays, in the order of
 `model.param_shapes` (``lstm_forward(W, U, b, X)``), and its backward pass
 returns their gradients keyed by the names after the dot there ("W", "U",
-"b", ...).  Caches hold exactly the arrays the backward pass needs.  The
-LSTM's cache is its `W` and `U`, then a few time-major arrays, indexed by
-step first, with each step's gate activations gate-major; it holds no view
-of its input, so the layer below can free its output.  The LSTM's time
-loops make their views once per call, so a step only indexes them, and
-training and inference run one gate step, `_gate_step`.  The embedding
-gradient is a `RowGrad`, which holds only the rows a batch touched, summed
-with one reduce per power-of-two count bucket.  The dense head's backward
-starts from the fused softmax + cross-entropy gradient at the logits.
-Dropout runs in training only, with a mask drawn from the raw bits of its
-own PCG64 stream.  Attention scales its output by the sequence length, so
+"b", ...).  Caches hold each array the backward pass needs once, in its
+narrowest form, and what is cheap to form again is recomputed.  The LSTM's
+cache is its `W` and `U`, then its time-major input, gate activations
+(gate-major within a step) and cell states, and its output itself, which the
+layer above caches as its input too; it holds no view of its input, so the
+layer below can free its output, and its backward pass recomputes tanh of
+the cell states.  The LSTM's time loops make their views once per call, so
+a step only indexes them, and training and inference run one gate step,
+`_gate_step`.  The embedding gradient is a `RowGrad`, which holds only the
+rows a batch touched, summed with one reduce per power-of-two count bucket.
+The dense head's backward starts from the fused softmax + cross-entropy
+gradient at the logits.  Dropout runs in training only, with a mask drawn
+from the raw bits of its own PCG64 stream, cached as a boolean keep array
+and a scale.  Attention scales its output by the sequence length, so
 uniform attention is the identity; inference has it scale its input in
 place.  The conv pads its input `CONV_BLOCK` posts at a time and caches the
-unpadded input.  `lstm_infer` is the one forward-only kernel: the LSTM of
-the inference path, which starts from the input projection of a batch's
-distinct rows and keeps no cache.  All math is plain numpy; dtype follows
-the inputs (float64 in gradient tests, float32 in training).
+unpadded input, from which its backward pass builds each tap's window.
+`lstm_infer` is the one forward-only kernel: the LSTM of the inference path,
+which starts from the input projection of a batch's distinct rows and keeps
+no cache.  All math is plain numpy; dtype follows the inputs (float64 in
+gradient tests, float32 in training).
 """
 
 from __future__ import annotations
@@ -128,8 +132,11 @@ def embedding_backward(cache, dout: np.ndarray) -> RowGrad:
 # ------------------------------------------------------------------ dropout
 
 
-def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
-    """Inverted-dropout mask, deterministic in (seed, step).
+def dropout_mask(shape, rate: float, seed: int, step: int,
+                 dtype) -> tuple[np.ndarray, np.floating]:
+    """Inverted-dropout mask, deterministic in (seed, step): the boolean keep
+    array of `shape` and the scale ``dtype(1) / dtype(1 - rate)`` of a kept
+    element.
 
     The mask reads the raw 64-bit words of its PCG64 stream as little-endian
     unsigned integers of `bits` bits, one per element: 8 when ``rate * 256``
@@ -137,7 +144,7 @@ def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
     its integer is at least ``ceil(rate * 2**bits)``, so the keep probability
     is exactly ``1 - rate`` on 8 bits and within 2**-64 of it on 64, and the
     mask does not depend on the host's byte order.  The words are read
-    `DROPOUT_WORDS` at a time, each block compared into one boolean array, so
+    `DROPOUT_WORDS` at a time, each block compared into the keep array, so
     the draw holds one block of words, not one word per element; the words
     and their order are those of a single read.
     """
@@ -152,20 +159,33 @@ def dropout_mask(shape, rate: float, seed: int, step: int, dtype) -> np.ndarray:
         words = rng.bit_generator.random_raw(-(-block.size // per_word))
         ints = words.astype("<u8", copy=False).view(f"<u{bits // 8}")[: block.size]
         np.greater_equal(ints, threshold, out=block)
-    return np.multiply(keep, dtype(1) / dtype(1 - rate), dtype=dtype).reshape(shape)
+        del words, ints  # freed before the next block is read
+    return keep.reshape(shape), dtype(1) / dtype(1 - rate)
+
+
+def _apply_mask(x: np.ndarray, cache, out: np.ndarray) -> np.ndarray:
+    """``x * mask`` into `out`, which may be `x`, for the float mask of 0 and
+    the scale that `cache` (keep, scale) stands for, with that product's
+    bits: ``(x * keep) * scale`` is ``x * scale`` where kept, and where
+    dropped ``x * 0.0``, a signed zero or NaN, which the scale keeps."""
+    keep, scale = cache
+    np.multiply(x, keep, out=out)
+    return np.multiply(out, scale, out=out)
 
 
 def dropout_forward(x: np.ndarray, rate: float, seed: int, step: int):
     """Training-time dropout with step `step`'s mask; `ModelConfig` keeps the
-    rate in [0, 1)."""
+    rate in [0, 1).  The cache is `dropout_mask`'s (keep, scale) pair."""
     if rate == 0.0:
         return x, None
-    mask = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
-    return x * mask, mask
+    cache = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
+    return _apply_mask(x, cache, np.empty_like(x)), cache
 
 
 def dropout_backward(cache, dout: np.ndarray) -> np.ndarray:
-    return dout if cache is None else dout * cache
+    """``dout * mask``, written over `dout`, which the layer above made and
+    nothing else holds."""
+    return dout if cache is None else _apply_mask(dout, cache, dout)
 
 
 # --------------------------------------------------------------------- lstm
@@ -229,15 +249,17 @@ def lstm_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
     """Gate recurrence over (B, T, D), zero initial state, full (B, T, H) out.
 
     The four gates sit side by side in the order f, i, o, u: `W` (D, 4H),
-    `U` (H, 4H) and `b` (4H,).  The cache list holds `W` and `U`, then
-    time-major arrays.  `Xt` (T, B, D) is the input.  `G` first
-    holds every step's input projection (T, B, 4H), one ``(T*B, D) @ W``
-    GEMM (Appleyard et al. 2016, arXiv:1604.01946), and each step overwrites
-    its row with the gate activations, gate-major, so the cache holds `G`
-    viewed as (T, 4, B, H): `G[t, k]` is gate k (f, i, o, u) of step t.  `C`
-    and `Hs` (T+1, B, H) are the cell and hidden states, row 0 the zero
-    initial state, and `TC` (T, B, H) is tanh of `C[1:]`.  The time loop
-    runs `_gate_step` on views made before it starts.
+    `U` (H, 4H) and `b` (4H,).  The cache list is ``[W, U, Xt, G, C, out]``.
+    `Xt` (T, B, D) is the input, time-major.  `G` first holds every step's
+    input projection (T, B, 4H), one ``(T*B, D) @ W`` GEMM (Appleyard et al.
+    2016, arXiv:1604.01946), and each step overwrites its row with the gate
+    activations, gate-major, so the cache holds `G` viewed as (T, 4, B, H):
+    `G[t, k]` is gate k (f, i, o, u) of step t.  `C` (T+1, B, H) holds the
+    cell states, row 0 the zero initial state.  `out` is the returned output
+    itself: each step writes its `h` straight into it, as `lstm_infer` does,
+    and reads it back as the next step's `h`, and each step's tanh of `c`
+    goes to one (B, H) scratch, which `lstm_backward` recomputes.  The time
+    loop runs `_gate_step` on views made before it starts.
     """
     B, T, D = X.shape
     H = U.shape[0]
@@ -247,13 +269,15 @@ def lstm_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray):
     G = (Xt.reshape(T * B, D) @ W).reshape(T, B, 4 * H)
     G4 = G.reshape(T, 4, B, H)
     C = np.zeros((T + 1, B, H), dtype=X.dtype)
-    Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
-    TC = np.empty((T, B, H), dtype=X.dtype)
+    out = np.empty((B, T, H), dtype=X.dtype)
+    h = np.zeros((B, H), dtype=X.dtype)
+    tc = np.empty((B, H), dtype=X.dtype)
     step = _gate_step(U, b, B, G.dtype)
-    for args in zip(G, zip(*_gate_views(G4)), Hs, C, C[1:], TC, Hs[1:]):
-        step(*args)
-    out = np.ascontiguousarray(Hs[1:].transpose(1, 0, 2))
-    return out, [W, U, Xt, G4, C, Hs, TC]
+    for a, gates, c, c_out, h_out in zip(G, zip(*_gate_views(G4)), C, C[1:],
+                                         out.transpose(1, 0, 2)):
+        step(a, gates, h, c, c_out, tc, h_out)
+        h = h_out
+    return out, [W, U, Xt, G4, C, out]
 
 
 def lstm_infer(U: np.ndarray, b: np.ndarray, xW: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -299,25 +323,29 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     and the weight, bias and input gradients are then single GEMMs over all
     steps (Appleyard et al. 2016, arXiv:1604.01946), with the cached
     time-major inputs and hidden states as operands.  The time loop reads
-    `dH` from one time-major copy and the gate-major activations as
+    `dH` through a time-major view and the gate-major activations as
     contiguous (B, H) blocks, through views made before it starts, and forms
-    each step's gate gradients in a (4, B, H) scratch, with the factors
-    ``1 - f``, ``1 - i``, ``1 - o``, ``1 - u*u`` and ``1 - tc*tc`` formed
-    `BPTT_BLOCK` steps at a time; the last product, by those factors, is the
-    step's one strided pass and writes the gradients into ``dA[t]``.  Every
-    product keeps the order ``(df * f) * (1 - f)`` of the per-gate
-    expressions, so the gradients are their bits.  Given an executor `pool`,
-    the weight GEMM ``dW = Xt^T dA`` runs on it, into an array allocated
-    here, while this thread forms the other gradients; each GEMM is the same
-    call on either thread, so the gradients are the same bits.
+    each step's gate gradients in a (4, B, H) scratch.  `BPTT_BLOCK` steps at
+    a time, it recomputes ``tc = tanh(c)`` from the cached cell states into a
+    block scratch, with the bits of the forward pass's tanh, and forms the
+    factors ``1 - f``, ``1 - i``, ``1 - o``, ``1 - u*u`` and ``1 - tc*tc``;
+    the last product, by those factors, is the step's one strided pass and
+    writes the gradients into ``dA[t]``.  Every product keeps the order
+    ``(df * f) * (1 - f)`` of the per-gate expressions, so the gradients are
+    their bits.  Given an executor `pool`, the weight GEMM ``dW = Xt^T dA``
+    runs on it, into an array allocated here, while this thread forms the
+    other gradients; each GEMM is the same call on either thread, so the
+    gradients are the same bits.
 
     `cache` is `lstm_forward`'s list, and it serves one call: this call
     empties it, so a second one raises `ValueError`.  Its gate activations `G`
     become the gate gradients `dA` as the loop goes back in time (step t's
     gradients need only step t's activations) when `dH` has their dtype, and
-    its cell states `C` and `TC` are dropped before the weight GEMMs.
+    its cell states `C` are dropped before the weight GEMMs.  The time-major
+    hidden states ``h_{t-1}``, the operand of ``dU``, are copied from `out`
+    then, and dropped with it before `dX` is allocated.
     """
-    W, U, Xt, G, C, Hs, TC = cache
+    W, U, Xt, G, C, out = cache
     cache.clear()
     T, B, D = Xt.shape
     H = U.shape[0]
@@ -326,7 +354,7 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     else:
         dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
     dA_gates = dA.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # dA[t] seen as (4, B, H)
-    dHt = np.ascontiguousarray(dH.transpose(1, 0, 2))  # (T, B, H)
+    dHt = dH.transpose(1, 0, 2)  # (T, B, H)
     UT = U.T
     dh = np.empty((B, H), dtype=dH.dtype)
     dc = np.empty((B, H), dtype=dH.dtype)
@@ -335,17 +363,19 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     dg = np.empty((4, B, H), dtype=dH.dtype)  # step t's gate gradients
     dsig, df, di, do, du = _gate_views(dg)[1:]
     Gsig, Gf, Gi, Go, Gu = _gate_views(G)[1:]
-    # per step of a block: 1 - f, 1 - i, 1 - o, 1 - u*u and 1 - tc*tc, in
-    # the activations' dtype, as the per-gate expressions form them
+    # per step of a block: tanh(c), then 1 - f, 1 - i, 1 - o, 1 - u*u and
+    # 1 - tc*tc, in the activations' dtype, as the per-gate expressions form them
+    TC = np.empty((min(BPTT_BLOCK, T), B, H), dtype=G.dtype)
     one_minus = np.empty((min(BPTT_BLOCK, T), 5, B, H), dtype=G.dtype)
     k_gates, k_tc = one_minus[:, :4], one_minus[:, 4]
     add, multiply, matmul = np.add, np.multiply, np.matmul
     for end in range(T, 0, -BPTT_BLOCK):
         start = max(end - BPTT_BLOCK, 0)
-        fac = one_minus[: end - start]
+        tc, fac = TC[: end - start], one_minus[: end - start]
+        np.tanh(C[start + 1 : end + 1], out=tc)
         np.subtract(1.0, G[start:end, :3], out=fac[:, :3])
         np.multiply(G[start:end, 3], G[start:end, 3], out=fac[:, 3])
-        np.multiply(TC[start:end], TC[start:end], out=fac[:, 4])
+        np.multiply(tc, tc, out=fac[:, 4])
         np.subtract(1.0, fac[:, 3:], out=fac[:, 3:])
         for t in range(end - 1, start - 1, -1):
             j = t - start
@@ -355,15 +385,15 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
             add(dc, dc_next, dc)
             multiply(dc, C[t], df)
             multiply(dc, Gu[t], di)
-            multiply(dh, TC[t], do)
+            multiply(dh, tc[j], do)
             multiply(dc, Gi[t], du)
             multiply(dc, Gf[t], dc_next)
             multiply(dsig, Gsig[t], dsig)
             # every read of step t is done, so dA[t] may be G[t]'s memory
             multiply(dg, k_gates[j], dA_gates[t])
             matmul(dA[t], UT, dh_next)
-    # C and TC are freed here; the loop's views of G go too, since G may be dA
-    G = C = TC = one_minus = fac = k_gates = k_tc = Gsig = Gf = Gi = Go = Gu = None
+    # C is freed here; the loop's views of G go too, since G may be dA
+    G = C = TC = tc = one_minus = fac = k_gates = k_tc = Gsig = Gf = Gi = Go = Gu = None
     dA2 = dA.reshape(T * B, 4 * H)
     dW = np.empty(W.shape, dtype=dA.dtype)
     if pool is None:
@@ -371,13 +401,20 @@ def lstm_backward(cache, dH: np.ndarray, pool=None):
     else:
         job = pool.submit(np.matmul, Xt.reshape(T * B, D).T, dA2, out=dW)
     try:
+        # h_{t-1} for every step, time-major: the zero initial state, then out's
+        # first T - 1 steps
+        H_prev = np.empty((T, B, H), dtype=out.dtype)
+        H_prev[0] = 0.0
+        H_prev[1:] = out[:, :-1].transpose(1, 0, 2)
+        g = {"W": dW, "U": H_prev.reshape(T * B, H).T @ dA2, "b": dA2.sum(axis=0)}
+        H_prev = out = None
         dX = dA2 @ W.T
-        g = {"W": dW, "U": Hs[:-1].reshape(T * B, H).T @ dA2, "b": dA2.sum(axis=0)}
     finally:
         if pool is not None:
             job.result()
-    # drop every view of dA, so that it is freed before dX's (B, T, D) copy is made
-    dA = dA2 = dA_gates = None
+    # drop every view of dA, and the input, so that they are freed before
+    # dX's (B, T, D) copy is made
+    dA = dA2 = dA_gates = Xt = None
     return g, np.ascontiguousarray(dX.reshape(T, B, D).transpose(1, 0, 2))
 
 
@@ -466,23 +503,31 @@ def conv1d_relu_forward(kernels: np.ndarray, bias: np.ndarray, X: np.ndarray):
 
 
 def conv1d_relu_backward(cache, dout: np.ndarray):
-    """Gradients of `conv1d_relu_forward` from its cache: the input is padded
-    once, whole, and each tap's window gives the kernel gradient and adds its
-    share of the input gradient."""
+    """Gradients of `conv1d_relu_forward` from its cache.  Each tap's window,
+    the input shifted with zero rows past either end, is built in one reused
+    buffer, with no padded copy, and gives the kernel gradient; the tap then
+    adds its share of the input gradient to the rows its window read, in tap
+    order from zero.  These are the sums of the input padded whole, bit for
+    bit, also when `k` exceeds `T`."""
     kernels, X, z = cache
     B, T, d_in = X.shape
     k = kernels.shape[0]
-    pl, pr = conv_padding(k)
-    Xp = np.pad(X, ((0, 0), (pl, pr), (0, 0)))
+    pl, _ = conv_padding(k)
     dz = dout * (z > 0.0)
     dz2 = dz.reshape(B * T, -1)
     g = {"kernels": np.zeros_like(kernels), "bias": dz.sum(axis=(0, 1))}
-    dXp = np.zeros_like(Xp)
+    dX = np.zeros_like(X)
+    window = np.empty_like(X)
     for j in range(k):
-        window = np.ascontiguousarray(Xp[:, j : j + T, :]).reshape(B * T, d_in)
-        g["kernels"][j] = window.T @ dz2
-        dXp[:, j : j + T, :] += dz @ kernels[j].T
-    return g, dXp[:, pl : pl + T, :]
+        shift = j - pl  # output step t reads input step t + shift
+        lo, hi = min(max(-shift, 0), T), min(max(T - shift, 0), T)  # the steps inside
+        window[:, :lo] = 0.0
+        window[:, hi:] = 0.0
+        window[:, lo:hi] = X[:, lo + shift : hi + shift]
+        g["kernels"][j] = window.reshape(B * T, d_in).T @ dz2
+        # the whole tap product, the GEMM of the padded route, then its inside rows
+        dX[:, lo + shift : hi + shift] += (dz @ kernels[j].T)[:, lo:hi]
+    return g, dX
 
 
 # ------------------------------------------------------------------ maxpool

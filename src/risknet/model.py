@@ -18,15 +18,18 @@ by name.
 
 `Model` has two paths.  Training, `forward(batch, step=k)` then
 `backward(trace, dlogits)`, draws and applies step k's dropout mask and
-keeps every layer's cache in the trace; backward consumes it in reverse from
-the fused loss gradient at the logits and returns one gradient per parameter
-array, keyed by dotted names ("lstm.W", "dense.b", ...); the embedding's is
-a `RowGrad` over the batch's rows.  Each layer's parameter gradients are
-checked for NaN/Inf as that layer returns them.  Inference, `forward(batch)`
-(which `predict` runs), leaves dropout out, keeps no cache and runs the LSTM
-over each batch's distinct tokens through `lstm_infer`; `predict` maps it
-over fixed `PREDICT_BATCH`-row chunks, on a pool of one thread per usable
-CPU when there is more than one.  `ModelConfig.dtype` is float32 unless a
+keeps every layer's cache in the trace: each activation once, so the
+dropout mask is a boolean array, and the LSTM output is one array that the
+LSTM's cache and the next layer's share.  Backward consumes the trace in
+reverse from the fused loss gradient at the logits, handing each layer the
+gradient that the layer above made (dropout scales it in place), and
+returns one gradient per parameter array, keyed by dotted names ("lstm.W",
+"dense.b", ...); the embedding's is a `RowGrad` over the batch's rows.  Each
+layer's parameter gradients are checked for NaN/Inf as that layer returns
+them.  Inference, `forward(batch)` (which `predict` runs), leaves dropout
+out, keeps no cache and runs the LSTM over each batch's distinct tokens
+through `lstm_infer`; `predict` maps it over fixed `PREDICT_BATCH`-row
+chunks, on a pool of one thread per usable CPU when there is more than one.  `ModelConfig.dtype` is float32 unless a
 gradient check asks for float64: `model.rkn` stores float32 tensors, so the
 CLI trains float32 only.
 """
@@ -321,7 +324,8 @@ class Model:
         The trace is consumed: each layer's cache is dropped from it once that
         layer's backward pass has used it.  The LSTM's cache list is emptied
         by `lstm_backward`, which writes its gate gradients over the cached
-        gate activations and frees the cell states before its weight GEMMs.
+        gate activations, frees the cell states before its weight GEMMs and
+        frees its output once the recurrent weight gradient is formed.
         `pool`, an executor, is handed to `lstm_backward`.  A non-finite
         gradient raises `NumericsError` naming the parameter and the layer
         whose backward pass returned it.

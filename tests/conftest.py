@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from risknet.cli import main, write_tokens
@@ -14,6 +16,11 @@ from risknet.cli import main, write_tokens
 # every run and drops the per-example deadline, which shared runners miss
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# JSON integers past the int-to-str digit limit (4300 by default) raise on
+# interpreters that have one; on others they parse
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-str digit limit")
 
 
 def fit_on_tiny_corpus(cmd: str, tmp_path: Path) -> Path:

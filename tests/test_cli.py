@@ -13,6 +13,7 @@ import random
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risknet
+from conftest import needs_digit_limit
 from risknet import baselines, cli, embed
 from risknet.cli import main, read_tokens, write_tokens
 from risknet.model import PREDICT_BATCH
@@ -191,9 +193,14 @@ def config_params(cmd, params):
     # nested past the decoder's recursion limit: its RecursionError made it exit 2
     ("synth", lambda p: p.write_text('{"command": "synth", "params": ' + "[" * 100_000
                                      + "]" * 100_000 + "}", encoding="utf-8")),
+    # past the int-to-str digit limit: it printed the interpreter's advice
+    pytest.param("synth", lambda p: p.write_text('{"command": "synth", "params": {"posts": 1'
+                                                 + "0" * 5000 + "}}", encoding="utf-8"),
+                 marks=needs_digit_limit),
 ], ids=["not_an_object", "not_utf8", "params_list", "posts_list", "directory",
         "embeddings_int", "max_len_float", "max_len_str", "max_len_bool",
-        "format_not_a_choice", "fractions_float", "seed_null", "nested_too_deeply"])
+        "format_not_a_choice", "fractions_float", "seed_null", "nested_too_deeply",
+        "integer_too_long"])
 def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     # each of these used to end in a TypeError, AttributeError or OSError and
     # exit 2, or to be read as some other value
@@ -203,6 +210,16 @@ def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     assert run(cmd, *dataset, "--out", tmp_path / "s", "--config", config) == 1
     assert f"error: --config {config}: " in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@needs_digit_limit
+def test_config_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"command": "synth", "params": {"posts": 1' + "0" * 5000 + "}}",
+                      encoding="utf-8")
+    assert run("synth", "--out", tmp_path / "s", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: --config {config}: invalid JSON (an integer has too many digits)\n")
 
 
 # each subcommand's flag dests, which a run.json of it may hold
@@ -608,6 +625,44 @@ def test_train_frees_the_initial_embedding_before_the_first_update(pipeline, tmp
     assert len(refs) == 1 and alive and not any(alive)
 
 
+def test_train_writes_the_test_shard_before_fit(pipeline, tmp_path, monkeypatch):
+    # so that fit runs without the test shard's token strings
+    out = tmp_path / "t"
+    seen = []
+    real_fit = risknet.train.fit
+
+    def spy_fit(*args, **kwargs):
+        seen.append((out / "test.jsonl").read_bytes())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(risknet.train, "fit", spy_fit)
+    assert run("train", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out,
+               "--config", pipeline / "train" / "run.json") == 0
+    assert seen == [(pipeline / "train" / "test.jsonl").read_bytes()]
+    for name in ("model.rkn", "history.csv", "vocab.csv", "test.jsonl"):
+        assert (out / name).read_bytes() == (pipeline / "train" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+def test_train_removes_the_test_shard_if_fit_fails(pipeline, tmp_path, monkeypatch, error):
+    out = tmp_path / "t"
+    seen = []
+
+    def failing_fit(*args, **kwargs):
+        seen.append(sorted(p.name for p in out.iterdir()))
+        raise error("fit failed")
+
+    monkeypatch.setattr(risknet.train, "fit", failing_fit)
+    args = ("train", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", out)
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run(*args)
+    else:
+        assert run(*args) == 2
+    assert seen == [["test.jsonl"]]
+    assert list(out.iterdir()) == []  # what a failed fit left before the shard came first
+
+
 def test_train_then_evaluate(pipeline, tmp_path):
     out = tmp_path / "eval"
     code = run("evaluate", "--model", pipeline / "train" / "model.rkn",
@@ -816,15 +871,20 @@ def test_empty_train_shard_exits_1_naming_it(tmp_path, capsys, cmd, flags):
 @pytest.mark.parametrize("text,problem", [
     ("2 2\nfoo 0.1 0.2\nfoo 0.3 0.4\n", "line 3: duplicate token 'foo' (first seen on line 2)"),
     ("1 2\nfoo nan 0.2\n", "line 2: non-finite vector entry"),
-], ids=["duplicate", "non_finite"])
+    # used to print NumPy's cast overflow warning, then an error naming no file
+    ("1 2\nfoo 1e300 0.1\n", "line 2: vector entry beyond the float32 range (3.4028235e+38)"),
+], ids=["duplicate", "non_finite", "beyond_float32"])
 def test_embedding_file_error_names_the_file(tmp_path, capsys, text, problem):
     # it used to name the line alone, unlike every other reader's errors
     write_tokens([{"post_id": f"p{i}", "user_id": "u", "label": i, "tokens": ["foo"]}
                   for i in range(4)], tmp_path / "four.jsonl")
     emb = tmp_path / "emb.txt"
     emb.write_text(text, encoding="utf-8")
-    assert run("train", "--dataset", tmp_path / "four.jsonl", "--out", tmp_path / "o",
-               "--embeddings", emb) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--dataset", tmp_path / "four.jsonl", "--out", tmp_path / "o",
+                   "--embeddings", emb) == 1
+    assert [str(w.message) for w in caught] == []  # nothing else reaches stderr
     assert capsys.readouterr().err == f"error: {emb}: {problem}\n"
 
 

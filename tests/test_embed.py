@@ -108,6 +108,20 @@ def test_non_finite_entry_rejected(tmp_path):
     assert embedding_error(path) == f"{path}: line 2: non-finite vector entry"
 
 
+@pytest.mark.parametrize("value", ["1e300", "-3.5e38"])
+def test_entry_beyond_float32_rejected(tmp_path, value):
+    path = write_emb(tmp_path, f"2 2\na 0.1 0.2\nb 0.3 {value}\n")
+    assert embedding_error(path) == (
+        f"{path}: line 3: vector entry beyond the float32 range (3.4028235e+38)")
+
+
+def test_entry_at_float32_max_loads_and_stays_finite(tmp_path):
+    top = np.finfo(np.float32).max
+    path = write_emb(tmp_path, f"1 2\na {float(top)!r} {float(-top)!r}\n")
+    _, emb = load_embeddings(path)
+    assert np.array_equal(emb.matrix[2].astype(np.float32), [top, -top])
+
+
 def test_duplicate_token_cites_both_lines(tmp_path):
     lines = ["8 2"] + [f"tok{i} {i} {i}" for i in range(7)]
     lines.insert(8, "tok2 9 9")  # line 9 duplicates line 4's token

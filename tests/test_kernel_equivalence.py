@@ -15,7 +15,10 @@ cache-free inference LSTM, `lstm_infer`, is checked bit for bit against
 `lstm_forward` on embedded ids, at every batch size, and against its own
 loop from before it shared `lstm_forward`'s gate step.  Work that training
 hands to its helper thread (the LSTM's weight GEMM, Adam's g = 0 pass) must
-give the bits the calling thread gives.
+give the bits the calling thread gives.  Dropout followed by the LSTM is
+checked bit for bit against the layout that cached every activation apart: a
+float dropout mask, and an LSTM cache with its hidden states `Hs` and tanh of
+its cell states `TC` beside a batch-major copy of the output.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -32,9 +35,14 @@ from risknet.layers import (
     BPTT_BLOCK,
     NumericsError,
     RowGrad,
+    _gate_step,
+    _gate_views,
     conv1d_relu_backward,
     conv1d_relu_forward,
     conv_padding,
+    dropout_backward,
+    dropout_forward,
+    dropout_mask,
     embedding_backward,
     embedding_forward,
     lstm_backward,
@@ -202,6 +210,74 @@ def steplist_lstm_backward(cache, dH):
     return g, np.ascontiguousarray(dX)
 
 
+def hs_lstm_forward(W, U, b, X):
+    """`lstm_forward` with the cache ``[W, U, Xt, G, C, Hs, TC]``: the hidden
+    states `Hs` (T+1, B, H), row 0 the zero state, and `TC` (T, B, H), tanh
+    of `C[1:]`, each step's own rows, and the output a batch-major copy of
+    `Hs[1:]`."""
+    B, T, D = X.shape
+    H = U.shape[0]
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+    G = (Xt.reshape(T * B, D) @ W).reshape(T, B, 4 * H)
+    G4 = G.reshape(T, 4, B, H)
+    C = np.zeros((T + 1, B, H), dtype=X.dtype)
+    Hs = np.zeros((T + 1, B, H), dtype=X.dtype)
+    TC = np.empty((T, B, H), dtype=X.dtype)
+    step = _gate_step(U, b, B, G.dtype)
+    for args in zip(G, zip(*_gate_views(G4)), Hs, C, C[1:], TC, Hs[1:]):
+        step(*args)
+    return np.ascontiguousarray(Hs[1:].transpose(1, 0, 2)), [W, U, Xt, G4, C, Hs, TC]
+
+
+def hs_lstm_backward(cache, dH):
+    """BPTT over `hs_lstm_forward`'s cache: `dH` copied time-major, the
+    factors of a `BPTT_BLOCK` formed from the cached `TC`, and `dU` from the
+    cached `Hs`."""
+    W, U, Xt, G, C, Hs, TC = cache
+    T, B, D = Xt.shape
+    H = U.shape[0]
+    dA = np.empty((T, B, 4 * H), dtype=dH.dtype)
+    dA_gates = dA.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
+    dHt = np.ascontiguousarray(dH.transpose(1, 0, 2))
+    dh_next = np.zeros((B, H), dtype=dH.dtype)
+    dc_next = np.zeros((B, H), dtype=dH.dtype)
+    dg = np.empty((4, B, H), dtype=dH.dtype)
+    dsig, df, di, do, du = _gate_views(dg)[1:]
+    Gsig, Gf, Gi, Go, Gu = _gate_views(G)[1:]
+    one_minus = np.empty((min(BPTT_BLOCK, T), 5, B, H), dtype=G.dtype)
+    for end in range(T, 0, -BPTT_BLOCK):
+        start = max(end - BPTT_BLOCK, 0)
+        fac = one_minus[: end - start]
+        np.subtract(1.0, G[start:end, :3], out=fac[:, :3])
+        np.multiply(G[start:end, 3], G[start:end, 3], out=fac[:, 3])
+        np.multiply(TC[start:end], TC[start:end], out=fac[:, 4])
+        np.subtract(1.0, fac[:, 3:], out=fac[:, 3:])
+        for t in range(end - 1, start - 1, -1):
+            dh = dHt[t] + dh_next
+            dc = dh * Go[t]
+            dc = dc * fac[t - start, 4] + dc_next
+            np.multiply(dc, C[t], df)
+            np.multiply(dc, Gu[t], di)
+            np.multiply(dh, TC[t], do)
+            np.multiply(dc, Gi[t], du)
+            dc_next = dc * Gf[t]
+            np.multiply(dsig, Gsig[t], dsig)
+            np.multiply(dg, fac[t - start, :4], dA_gates[t])
+            dh_next = dA[t] @ U.T
+    dA2 = dA.reshape(T * B, 4 * H)
+    g = {"W": Xt.reshape(T * B, D).T @ dA2, "U": Hs[:-1].reshape(T * B, H).T @ dA2,
+         "b": dA2.sum(axis=0)}
+    return g, np.ascontiguousarray((dA2 @ W.T).reshape(T, B, D).transpose(1, 0, 2))
+
+
+def float_mask_dropout(x, rate, seed, step):
+    """Dropout as the product with a float mask of 0 and the scale, which
+    its backward pass multiplies too.  Returns (out, mask)."""
+    keep, scale = dropout_mask(x.shape, rate, seed, step, x.dtype.type)
+    mask = np.multiply(keep, scale, dtype=x.dtype)
+    return x * mask, mask
+
+
 def ref_conv1d_relu_backward(cache, dout):
     kernels, X, z = cache
     T = X.shape[1]
@@ -283,16 +359,46 @@ def test_fused_lstm_forward_matches_per_gate_reference(B, T, D, H, dtype):
     rng = np.random.default_rng(B * 1000 + T + 2)
     p = random_lstm(rng, D, H, dtype)
     X = rng.normal(size=(B, T, D)).astype(dtype)
-    out, (_, _, _, G, _, _, TC) = lstm_forward(**p, X=X)
+    out, (_, _, _, G, C, _) = lstm_forward(**p, X=X)
     ref, (_, _, ref_steps) = ref_lstm_forward(**p, X=X)
     assert_close(out, ref, dtype, "out")
     for t in (0, T - 1):  # the cached activations, gate by gate
         f, i, o, u = G[t]  # gate-major: G[t, k] is gate k
         _, _, _, ref_f, ref_i, ref_o, ref_u, ref_tc = ref_steps[t]
         pairs = {"f": (f, ref_f), "i": (i, ref_i), "o": (o, ref_o),
-                 "u": (u, ref_u), "tc": (TC[t], ref_tc)}
+                 "u": (u, ref_u), "tc": (np.tanh(C[t + 1]), ref_tc)}
         for name, (new, old) in pairs.items():
             assert_close(new, old, dtype, f"{name} at step {t}")
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.3, 0.5])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B,T,D,H", LSTM_SHAPES)
+def test_dropout_and_lstm_are_bit_identical_to_the_hs_and_tc_cache_layout(B, T, D, H, dtype,
+                                                                          rate):
+    # rates 0.25 and 0.5 draw the mask on the 8-bit path, 0.3 on the 64-bit one
+    rng = np.random.default_rng(B * 1000 + T + 5)
+    p = random_lstm(rng, D, H, dtype)
+    x = rng.normal(size=(B, T, D)).astype(dtype)
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    dH = rng.normal(size=(B, T, H)).astype(dtype)
+    dH[rng.random(dH.shape) < 0.1] = 0.0
+    dH[rng.random(dH.shape) < 0.1] = -0.0
+    ref_dropped, mask = float_mask_dropout(x, rate, seed=4, step=9)
+    ref_out, ref_cache = hs_lstm_forward(**p, X=ref_dropped)
+    ref_grads, ref_dX = hs_lstm_backward(ref_cache, dH)
+    dropped, mask_cache = dropout_forward(x, rate, seed=4, step=9)
+    out, cache = lstm_forward(**p, X=dropped)
+    grads, dX = lstm_backward(cache, dH)
+    refs = {"dropped": ref_dropped, "out": ref_out, "dX": ref_dX, **ref_grads}
+    for name, new in {"dropped": dropped, "out": out, "dX": dX, **grads}.items():
+        assert_same_bits(new, refs[name], name)
+    dx = dropout_backward(mask_cache, dX)  # written over dX
+    assert_same_bits(dx, ref_dX * mask, "dx")
+    # dropped entries carry the sign of the upstream value
+    assert np.any(np.signbit(dx) & (dx == 0.0)) and np.any(~np.signbit(dx) & (dx == 0.0))
+    assert np.any(np.signbit(dropped) & (dropped == 0.0))
 
 
 def embedded_ids(rng, B, T, D, dtype):

@@ -119,14 +119,21 @@ def test_dropout_rate_zero_is_identity():
     assert out is x and cache is None
 
 
+def float_mask(shape, rate, seed, step, dtype):
+    """`dropout_mask`'s (keep, scale) pair as the float array of 0 and the
+    scale that it stands for."""
+    keep, scale = dropout_mask(shape, rate, seed, step, dtype)
+    assert keep.dtype == bool and keep.shape == tuple(shape)
+    assert type(scale) is dtype and scale == dtype(1) / dtype(1 - rate)
+    return np.multiply(keep, scale, dtype=dtype)
+
+
 def test_dropout_mask_deterministic_in_seed_and_step():
-    a = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
-    b = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
+    a, _ = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
+    b, _ = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
     assert np.array_equal(a, b)
-    for other in (
-        dropout_mask((4, 6), 0.5, seed=8, step=3, dtype=np.float64),
-        dropout_mask((4, 6), 0.5, seed=9, step=4, dtype=np.float64),
-    ):
+    for seed, step in ((8, 3), (9, 4)):
+        other, _ = dropout_mask((4, 6), 0.5, seed=seed, step=step, dtype=np.float64)
         assert not np.array_equal(a, other)
 
 
@@ -148,7 +155,7 @@ def mask_oracle(shape, rate, seed, step, dtype):
 
 def test_dropout_mask_draws_from_the_embedding_dropout_stream():
     # the mask's bits are the (seed, step, LAYER_EMBED_DROPOUT) stream's raw words
-    mask = dropout_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
+    mask = float_mask((4, 6), 0.5, seed=9, step=3, dtype=np.float64)
     assert mask.tobytes() == mask_oracle((4, 6), 0.5, 9, 3, np.float64).tobytes()
     assert set(np.unique(mask)) == {0.0, 2.0}
 
@@ -164,7 +171,7 @@ def test_dropout_mask_draws_from_the_embedding_dropout_stream():
 @example(shape=(13,), rate=0.999, dtype=np.float64, seed=3, step=7)
 @example(shape=(2, 7), rate=0.0, dtype=np.float32, seed=4, step=0)
 def test_dropout_mask_matches_the_raw_word_oracle(shape, rate, dtype, seed, step):
-    mask = dropout_mask(shape, rate, seed, step, dtype)
+    mask = float_mask(shape, rate, seed, step, dtype)
     assert mask.shape == shape and mask.dtype == dtype
     assert mask.tobytes() == mask_oracle(shape, rate, seed, step, dtype).tobytes()
 
@@ -187,7 +194,7 @@ def test_dropout_mask_read_in_blocks_matches_one_read(rate, past_block):
     # a third block; a block holds 8 elements per word on the 8-bit path
     per_word = 8 if float(rate * 256).is_integer() else 1
     n = DROPOUT_WORDS * per_word + past_block
-    mask = dropout_mask((n,), rate, seed=7, step=2, dtype=np.float32)
+    mask = float_mask((n,), rate, seed=7, step=2, dtype=np.float32)
     assert mask.tobytes() == one_read_mask((n,), rate, 7, 2, np.float32).tobytes()
 
 
@@ -201,12 +208,12 @@ def test_dropout_mask_holds_one_block_of_words_on_the_64_bit_path():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float32 mask, its boolean keep array and one block of words
-    assert peak <= 1.1 * (4 * n + n + 8 * DROPOUT_WORDS)
+    # the boolean keep array and one block of words
+    assert peak <= 1.1 * (n + 8 * DROPOUT_WORDS)
 
 
 def test_dropout_mask_values_are_zero_or_scaled():
-    mask = dropout_mask((50, 50), 0.25, seed=1, step=0, dtype=np.float64)
+    mask = float_mask((50, 50), 0.25, seed=1, step=0, dtype=np.float64)
     assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
 
 
@@ -214,7 +221,8 @@ def test_dropout_mask_values_are_zero_or_scaled():
 def test_dropout_mask_keeps_one_minus_rate(rate):
     # the share kept of 400k elements, within 5 binomial standard deviations
     n = 400_000
-    kept = np.count_nonzero(dropout_mask((n,), rate, seed=2, step=5, dtype=np.float32))
+    keep, _ = dropout_mask((n,), rate, seed=2, step=5, dtype=np.float32)
+    kept = np.count_nonzero(keep)
     assert abs(kept / n - (1 - rate)) < 5 * math.sqrt(rate * (1 - rate) / n)
 
 
@@ -232,9 +240,13 @@ def test_dropout_monte_carlo_mean_preserved():
 def test_dropout_backward_applies_same_mask():
     x = RNG(5).normal(size=(4, 4))
     out, cache = dropout_forward(x, 0.5, seed=2, step=1)
+    mask = float_mask((4, 4), 0.5, seed=2, step=1, dtype=np.float64)
+    assert np.array_equal(out, x * mask)
     dout = RNG(6).normal(size=(4, 4))
+    want = dout * mask
     dx = dropout_backward(cache, dout)
-    assert np.array_equal(dx, dout * cache)
+    assert dx is dout  # written over the upstream gradient, which the layer owns
+    assert np.array_equal(dx, want)
     assert dropout_backward(None, dout) is dout
 
 
@@ -265,11 +277,12 @@ def test_lstm_output_shape():
 def test_lstm_gate_ranges():
     p = lstm_params(4, 6, RNG(3))
     X = RNG(4).normal(size=(3, 8, 4)) * 3.0
-    _, (_, _, _, G, _, _, TC) = lstm_forward(**p, X=X)
+    out, (_, _, _, G, _, h) = lstm_forward(**p, X=X)
     fio, u = G[:, :3], G[:, 3]  # every step's gates at once, gate-major
     assert np.all(fio > 0.0) and np.all(fio < 1.0)
     assert np.all(u > -1.0) and np.all(u < 1.0)
-    assert np.all(TC > -1.0) and np.all(TC < 1.0)
+    assert h is out  # the cache's hidden states are the output itself
+    assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
 def test_lstm_cache_holds_no_view_of_its_input():
@@ -278,7 +291,7 @@ def test_lstm_cache_holds_no_view_of_its_input():
     p = lstm_params(3, 4, RNG(9))
     X = RNG(10).normal(size=(2, 5, 3))
     _, (_, _, *arrays) = lstm_forward(**p, X=X)
-    assert len(arrays) == 5
+    assert len(arrays) == 4
     assert not any(np.shares_memory(a, X) for a in arrays)
 
 

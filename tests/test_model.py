@@ -6,12 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import risknet.model
 import risknet.train
 from conftest import dense, dlogits_through_softmax, fd_check, projection_loss
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
-from risknet.layers import CONV_BLOCK, NumericsError
+from risknet.layers import BPTT_BLOCK, CONV_BLOCK, NumericsError
 from risknet.model import (
     VARIANTS,
     Model,
@@ -427,6 +429,66 @@ def test_full_stack_gradients_finite_difference(variant):
         fd_check(loss, arr, grads[name], rng, samples=5, name=f"{variant}:{name}")
 
 
+def relu_signs_and_pool_choices(trace):
+    """The conv pre-activations' signs and maxpool's picks in a training trace:
+    the loss is smooth in the parameters while these stay put."""
+    return [c[2] > 0.0 if op == "conv1d_relu" else c[2]
+            for op, c in trace if op in ("conv1d_relu", "maxpool1d")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), B=st.integers(1, 4), D=st.integers(1, 5),
+       H=st.integers(1, 5), kernel=st.integers(1, 9), pool=st.integers(1, 3),
+       windows=st.integers(1, 3), rest=st.integers(0, 2), filters=st.integers(1, 3),
+       rate=st.sampled_from([0.0, 0.25, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1))
+# a one-row batch whose kernel is longer than the post, a one-unit LSTM over
+# one input column without dropout, and a pool as long as the post
+@example(variant="lstm_attention_cnn", B=1, D=2, H=3, kernel=8, pool=2, windows=1, rest=1,
+         filters=1, rate=0.5, seed=0)
+@example(variant="lstm", B=2, D=1, H=1, kernel=3, pool=1, windows=4, rest=0, filters=2,
+         rate=0.0, seed=1)
+@example(variant="cnn", B=3, D=4, H=2, kernel=9, pool=3, windows=1, rest=0, filters=3,
+         rate=0.3, seed=2)
+@example(variant="lstm_cnn", B=4, D=5, H=5, kernel=1, pool=2, windows=3, rest=1, filters=1,
+         rate=0.25, seed=3)
+def test_full_stack_finite_differences_on_drawn_shapes(variant, B, D, H, kernel, pool, windows,
+                                                       rest, filters, rate, seed):
+    T = pool * windows + rest % pool
+    rng = np.random.default_rng(seed)
+    model = build(variant, V=9, seed=seed % 1000, max_len=T, embed_dim=D, lstm_units=H,
+                  kernel=kernel, pool=pool, filters=filters, dropout_rate=rate)
+    X = batch_for(model.cfg, seed=seed % 997, B=B)  # no PAD, whose row gets no gradient
+    probs, trace = model.forward(X, step=3)
+    smooth = relu_signs_and_pool_choices(trace)
+    R, loss_of = projection_loss(rng, probs.shape)
+    grads = model.backward(trace, dlogits_through_softmax(probs, R))
+    grads["embedding"] = dense(grads["embedding"])
+
+    def loss_if_smooth():
+        """The loss, or None when a ReLU or a pool pick moved."""
+        p, tr = model.forward(X, step=3)
+        moved = any(not np.array_equal(a, b)
+                    for a, b in zip(relu_signs_and_pool_choices(tr), smooth))
+        return None if moved else loss_of(p)
+
+    h, checked = 1e-6, 0
+    for name, arr in model.params.items():
+        for flat in rng.choice(arr.size, size=min(3, arr.size), replace=False):
+            ix = np.unravel_index(flat, arr.shape)
+            old = arr[ix]
+            arr[ix] = old + h
+            lp = loss_if_smooth()
+            arr[ix] = old - h
+            lm = loss_if_smooth()
+            arr[ix] = old
+            if lp is None or lm is None:
+                continue  # the step crosses a kink
+            fd, an = (lp - lm) / (2 * h), grads[name][ix]
+            assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an)) + 1e-8, f"{name}{ix}: {an} vs {fd}"
+            checked += 1
+    assert checked >= len(model.params)
+
+
 def test_full_stack_embedding_gradient_nonpad_rows():
     rng = np.random.default_rng(23)
     model = build(seed=5)
@@ -493,15 +555,15 @@ def test_lstm_variant_routes_last_step_only():
 
 def _backward_peak(model, X, dlogits, hold_lstm_cache):
     """tracemalloc's peak over `Model.backward`, counting the trace's arrays,
-    and the bytes of the LSTM cache's G, C and TC."""
+    and the bytes of the LSTM cache's G and C."""
     tracemalloc.start()
     try:
         _, trace = model.forward(X, step=0)
         (cache,) = [c for op, c in trace if op == "lstm"]
-        _, _, _, G, C, _, TC = cache
-        gate_and_cell = G.nbytes + C.nbytes + TC.nbytes
+        _, _, _, G, C, _ = cache
+        gate_and_cell = G.nbytes + C.nbytes
         held = list(cache) if hold_lstm_cache else []  # the emptied list holds nothing
-        G = C = TC = cache = None
+        G = C = cache = None
         tracemalloc.reset_peak()
         model.backward(trace, dlogits)
         peak = tracemalloc.get_traced_memory()[1]
@@ -513,7 +575,7 @@ def _backward_peak(model, X, dlogits, hold_lstm_cache):
 
 def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
     # a wide input and a narrow LSTM, so that the pass peaks after the LSTM's
-    # time loop, by when G (reused as dA), C and TC are no longer needed
+    # time loop, by when G (reused as dA) and C are no longer needed
     cfg = ModelConfig(max_len=32, embed_dim=64, lstm_units=4, dropout_rate=0.5, variant="lstm")
     model = Model(cfg, init_params(cfg, make_embedding(50, 64)))
     X = batch_for(cfg, V=50, B=16)
@@ -522,6 +584,46 @@ def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
     # as when a reference to every cached array outlives lstm_backward
     held, _ = _backward_peak(model, X, dlogits, hold_lstm_cache=True)
     assert held - handed_over >= 0.9 * freed
+
+
+def test_training_step_peak_fits_the_byte_table_of_its_caches():
+    # one forward and backward pass of the full model at a mid shape, float32.
+    # Every activation is cached once, in its narrowest form, so one cached
+    # twice (a float dropout mask, the hidden states apart from the output, or
+    # tanh of the cell states) adds an activation of B*T*H*4 bytes or more, and
+    # the slack is half of one
+    B, T, D, H, V = 16, 32, 64, 64, 200
+    cfg = ModelConfig(max_len=T, embed_dim=D, lstm_units=H, dropout_rate=0.5, seed=1)
+    model = Model(cfg, init_params(cfg, make_embedding(V, D, dtype=np.float32)))
+    X = batch_for(cfg, V=V, B=B)
+    dlogits = np.full((B, cfg.classes), 0.25 / B, dtype=np.float32)
+    model.backward(model.forward(X, step=0)[1], dlogits)  # first-call allocations
+    a, act = 4, 4 * B * T * H  # float32 bytes; one (B, T, H) activation
+    caches = {
+        "dropout keep (bool)": B * T * D,
+        "lstm Xt": a * T * B * D,
+        "lstm G, then dA": a * T * B * 4 * H,
+        "lstm C": a * (T + 1) * B * H,
+        "lstm out, attention's input": act,
+    }
+    # one buffered ufunc call: at most three operand buffers
+    ufunc_buffers = 3 * np.getbufsize() * a
+    conv_backward = {  # attention's output is the conv input; dX, a window, a tap product
+        "attention out": act, "conv transients": 3 * act, "ufunc buffers": ufunc_buffers}
+    lstm_time_loop = {  # upstream dH; tanh(c) and the five factors of a BPTT block
+        "dH": act, "tanh block": a * min(BPTT_BLOCK, T) * B * H,
+        "factor block": 5 * a * min(BPTT_BLOCK, T) * B * H,
+        "step scratch": 8 * a * B * H, "ufunc buffers": ufunc_buffers}
+    budget = sum(caches.values()) + max(sum(conv_backward.values()),
+                                        sum(lstm_time_loop.values()))
+    tracemalloc.start()
+    try:
+        _, trace = model.forward(X, step=1)
+        model.backward(trace, dlogits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + act // 2
 
 
 def test_predict_chunk_peak_is_the_projection_one_activation_and_one_pad_block():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_digit_limit
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
 from risknet.model import VARIANTS, Model, ModelConfig, init_params, param_shapes
 from risknet.modelio import FORMAT_VERSION, ModelFileError, load_model, save_model
@@ -152,6 +153,16 @@ def test_garbage_manifest(tmp_path):
     path.write_bytes(seal(HEADER.pack(len(payload)) + payload))
     with pytest.raises(ModelFileError, match="corrupted manifest"):
         load_model(path)
+
+
+@needs_digit_limit
+def test_manifest_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "m.rkn"
+    payload = b'{"format_version": 1' + b"0" * 5000 + b"}"
+    path.write_bytes(seal(HEADER.pack(len(payload)) + payload))
+    with pytest.raises(ModelFileError) as info:
+        load_model(path)
+    assert str(info.value) == "corrupted manifest: invalid JSON (an integer has too many digits)"
 
 
 def test_version_mismatch(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_digit_limit
 from risknet.cli import UsageError, read_tokens
 from risknet.corpus import CorpusFormatError, load_posts
 
@@ -45,9 +46,12 @@ def _edit(field, value):
     (_edit("label", 4), "label code 4 outside 0..3"),
     (_edit("label", -1), "label code -1 outside 0..3"),
     (json.dumps, "duplicate post_id 'p1' (first seen at line 1)"),
+    # past the int-to-str digit limit, which raised a ValueError of its own
+    pytest.param(lambda rec: '{"label": 1' + "0" * 5000 + "}",
+                 "invalid JSON (an integer has too many digits)", marks=needs_digit_limit),
 ], ids=["not_an_object", "invalid_json", "no_post_id", "no_user_id", "post_id_number",
         "user_id_null", "post_id_empty", "user_id_empty", "label_float", "label_bool",
-        "label_string", "label_4", "label_negative", "post_id_repeated"])
+        "label_string", "label_4", "label_negative", "post_id_repeated", "integer_too_long"])
 def test_post_and_token_files_share_each_rule_and_its_wording(tmp_path, second, message):
     posts, tokens = tmp_path / "posts.jsonl", tmp_path / "tokens.jsonl"
     posts.write_text(json.dumps(POST) + "\n" + second(POST) + "\n", encoding="utf-8")

@@ -64,3 +64,14 @@ def test_loader_rejects_a_step_with_two_run_keys():
 def test_malformed_steps_are_reported(step, problem):
     (found,) = step_problems("jobs:\n  t:\n    steps:\n" + step)
     assert found.endswith(problem)
+
+
+def test_one_blas_thread_step_runs_every_byte_identity_file():
+    # fit's rerun and helper-thread byte-identity tests live in test_train.py
+    doc = yaml.load(WORKFLOW.read_text(encoding="utf-8"), Loader=UniqueKeyLoader)
+    (step,) = [s for s in doc["jobs"]["tier1"]["steps"]
+               if s.get("name") == "Kernel equivalence and model tests with one BLAS thread"]
+    assert "OPENBLAS_NUM_THREADS=1" in step["run"]
+    for path in ("tests/test_kernel_equivalence.py", "tests/test_model.py",
+                 "tests/test_layers.py", "tests/test_train.py"):
+        assert path in step["run"].split(), path

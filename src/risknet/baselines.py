@@ -125,7 +125,7 @@ def svm_baseline(
     clf = LinearSVM()
     clf.fit(mean_embedding_features(X_train, embedding), y_train)
     preds = clf.predict(mean_embedding_features(X_test, embedding))
-    return compute_metrics(np.asarray(y_test, dtype=np.int64), preds, len(RiskLabel))
+    return compute_metrics(np.asarray(y_test, dtype=np.int64), preds)
 
 
 def _ablation_row(

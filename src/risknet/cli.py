@@ -60,7 +60,7 @@ def iter_tokens(path: Path) -> Iterator[dict]:
     ids of the records read so far are kept."""
     first_line: dict[str, int] = {}  # post_id -> the line of its record
     with path.open("r", encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
+        for line_num, line in enumerate(corpus.utf8_lines(path, fh, UsageError), start=1):
             if not line.strip():
                 continue
             try:
@@ -368,9 +368,9 @@ def _cmd_predict(params: dict, out: Path) -> None:
 
 def _cmd_ablate(params: dict, out: Path) -> None:
     data, tcfg = _prepare_fit(params, "lstm_attention_cnn")
-    # every fit casts the initial embedding to the model dtype, so the suite,
-    # and each worker it pickles it for, gets it cast once
-    matrix = data.pop("matrix").matrix.astype(tcfg.model.np_dtype)
+    # every fit casts the initial embedding to float32, so the suite, and
+    # each worker it pickles it for, gets it cast once
+    matrix = data.pop("matrix").matrix.astype(np.float32)
     rows = baselines.ablation_suite(tcfg, data["X_train"], data["y_train"], data["X_test"],
                                     data["y_test"], embed.EmbeddingMatrix(matrix))
     cols = ("accuracy", "precision", "recall", "f1")

@@ -90,8 +90,8 @@ def check_label(label) -> Optional[RiskLabel]:
         return None
     if type(label) is not int:
         raise ValueError(f"'label' must be null or an integer, got {json.dumps(label)}")
-    if not 0 <= label <= 3:
-        raise ValueError(f"label code {label} outside 0..3")
+    if not 0 <= label < len(RiskLabel):
+        raise ValueError(f"label code {label} outside 0..{len(RiskLabel) - 1}")
     return RiskLabel(label)
 
 
@@ -100,6 +100,16 @@ def check_words(tokens: list[str]) -> None:
     join and a split give back unchanged."""
     if " ".join(tokens).split() != tokens:
         raise ValueError("each token must be non-empty and contain no whitespace")
+
+
+def utf8_lines(path, fh, error: type[ValueError]):
+    """The lines of `fh`, a file open in UTF-8; bytes that are not UTF-8
+    raise `error` naming `path`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                    f"{exc.reason})") from None
 
 
 def check_unique(post_id: str, first_line: dict[str, int], line: int) -> None:
@@ -145,7 +155,8 @@ def load_posts(path: str | Path, format: str | None = None) -> list[Post]:
     posts: list[Post] = []
     first_line: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        records = _csv_records(path, fh) if format == "csv" else _jsonl_records(path, fh)
+        lines = utf8_lines(path, fh, CorpusFormatError)
+        records = _csv_records(path, lines) if format == "csv" else _jsonl_records(path, lines)
         for line, rec in records:
             try:
                 posts.append(_make_post(rec, first_line, line))
@@ -154,12 +165,12 @@ def load_posts(path: str | Path, format: str | None = None) -> list[Post]:
     return posts
 
 
-def _record_error(path: Path, line: int, exc: ValueError) -> CorpusFormatError:
+def _record_error(path: Path, line: int, exc: Exception) -> CorpusFormatError:
     return CorpusFormatError(f"{path}: line {line}: {exc}")
 
 
-def _jsonl_records(path: Path, fh):
-    for line, raw in enumerate(fh, start=1):
+def _jsonl_records(path: Path, lines):
+    for line, raw in enumerate(lines, start=1):
         if raw.strip():
             try:
                 rec = parse_json_object(raw)
@@ -168,15 +179,16 @@ def _jsonl_records(path: Path, fh):
             yield line, rec
 
 
-def _csv_records(path: Path, fh):
+def _csv_records(path: Path, lines):
     """Each row after the header as a record, with the physical line where it
     ends.  A row with more cells than the header has columns is rejected: an
     unquoted comma in the body would otherwise drop the text after it.  A
     timestamp or label cell becomes the int that `int()` reads, an empty one
     null; any other cell stays text, for `_make_post` to reject."""
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
+    rows = _csv_rows(path, reader)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise CorpusFormatError(f"{path}: empty file, expected a header row") from None
     if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
@@ -185,7 +197,7 @@ def _csv_records(path: Path, fh):
     columns = header[: len(CSV_COLUMNS) + 1]
     if columns[-1] != LABEL_COLUMN:
         columns = CSV_COLUMNS
-    for row in reader:
+    for row in rows:
         if len(row) > len(header):
             raise _record_error(path, reader.line_num, ValueError(
                 f"{len(row)} cells, but the header has {len(header)} columns"))
@@ -198,6 +210,16 @@ def _csv_records(path: Path, fh):
                     except ValueError:
                         pass
             yield reader.line_num, rec
+
+
+def _csv_rows(path: Path, reader):
+    """`reader`'s rows; one that the csv module rejects, such as one with a
+    cell over `csv.field_size_limit()` characters (a process-wide limit, so
+    left as it is), raises naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise _record_error(path, reader.line_num, exc) from None
 
 
 def save_posts(path: str | Path, posts: Iterable[Post]) -> None:

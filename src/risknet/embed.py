@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import utf8_lines
 from .rng import STREAM_INIT, STREAM_UNK, bulk_generator
 
 PAD_INDEX = 0
@@ -96,7 +97,8 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
         return EmbeddingFormatError(f"{path}: line {line}: {problem}")
 
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
+        lines = utf8_lines(path, fh, EmbeddingFormatError)
+        header = next(lines, "")
         parts = header.split()
         if len(parts) != 2:
             raise bad(1, f"header must be '<vocab> <dim>', got {header!r}")
@@ -110,7 +112,7 @@ def load_embeddings(path: str | Path, seed: int = 0) -> tuple[Vocabulary, Embedd
         first_line: dict[str, int] = {}
         rows = np.zeros((n_tokens + 2, dim), dtype=np.float64)
         count = 0
-        for line_num, line in enumerate(fh, start=2):
+        for line_num, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             fields = line.split()

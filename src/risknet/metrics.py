@@ -1,8 +1,9 @@
 """Classification metrics: confusion matrix, per-class and macro P/R/F1.
 
-Confusion rows are true classes, columns are predictions.  Precision and
-recall fall back to 0 when their denominator is 0, and F1 is 0 when
-precision + recall is 0; macro values are unweighted means over classes.
+Labels are the `RiskLabel` codes.  Confusion rows are true classes, columns
+are predictions.  Precision and recall fall back to 0 when their denominator
+is 0, and F1 is 0 when precision + recall is 0; macro values are unweighted
+means over classes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .corpus import RiskLabel
 
 
 @dataclass
@@ -28,7 +31,8 @@ class Metrics:
         return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
-def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> np.ndarray:
+def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int]) -> np.ndarray:
+    n_classes = len(RiskLabel)
     t = np.asarray(y_true, dtype=np.int64)
     p = np.asarray(y_pred, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
@@ -43,8 +47,9 @@ def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: in
     return cm
 
 
-def compute_metrics(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int = 4) -> Metrics:
-    cm = confusion_matrix(y_true, y_pred, n_classes)
+def compute_metrics(y_true: Sequence[int], y_pred: Sequence[int]) -> Metrics:
+    n_classes = len(RiskLabel)
+    cm = confusion_matrix(y_true, y_pred)
     total = int(cm.sum())
     diag = np.diag(cm).astype(np.float64)
     col = cm.sum(axis=0).astype(np.float64)  # predicted counts

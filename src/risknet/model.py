@@ -29,9 +29,12 @@ layer's parameter gradients are checked for NaN/Inf as that layer returns
 them.  Inference, `forward(batch)` (which `predict` runs), leaves dropout
 out, keeps no cache and runs the LSTM over each batch's distinct tokens
 through `lstm_infer`; `predict` maps it over fixed `PREDICT_BATCH`-row
-chunks, on a pool of one thread per usable CPU when there is more than one.  `ModelConfig.dtype` is float32 unless a
-gradient check asks for float64: `model.rkn` stores float32 tensors, so the
-CLI trains float32 only.
+chunks, on a pool of one thread per usable CPU when there is more than one.
+
+`ModelConfig` holds only the choices a run makes: the class count is
+`len(RiskLabel)`, and `init_params` builds float32 arrays, which `model.rkn`
+stores.  The layers follow their inputs' dtype, so a gradient check casts the
+params to float64.
 """
 
 from __future__ import annotations
@@ -151,15 +154,18 @@ def param_shapes(cfg: ModelConfig, rows: int) -> dict[str, tuple[int, ...]]:
     """Every parameter array's dotted name and shape, in file and optimizer
     order, for `cfg` and an embedding of `rows` rows: the arrays of the
     groups that the variant's chain uses."""
-    D, H, F, C = cfg.embed_dim, cfg.lstm_units, cfg.filters, cfg.classes
+    D, H, F, C = cfg.embed_dim, cfg.lstm_units, cfg.filters, len(RiskLabel)
+    chain = _CHAINS[cfg.variant]
+    conv_in = H if "lstm" in chain else D
+    dense_in = H if "last_step" in chain else (cfg.max_len // cfg.pool) * F
     shapes = {
         "embedding": (rows, D),
         "lstm.W": (D, 4 * H), "lstm.U": (H, 4 * H), "lstm.b": (4 * H,),
         "attention.w": (H, 1), "attention.b": (cfg.max_len, 1),
-        "conv.kernels": (cfg.kernel, cfg.conv_in_dim(), F), "conv.bias": (F,),
-        "dense.W": (cfg.flattened_dim(), C), "dense.b": (C,),
+        "conv.kernels": (cfg.kernel, conv_in, F), "conv.bias": (F,),
+        "dense.W": (dense_in, C), "dense.b": (C,),
     }
-    used = {_OPS[op].group for op in _CHAINS[cfg.variant]}
+    used = {_OPS[op].group for op in chain}
     return {name: s for name, s in shapes.items() if name.partition(".")[0] in used}
 
 
@@ -176,7 +182,7 @@ _ACCEPTS = {
 
 
 # the ModelConfig fields that count something and must be at least 1
-_SIZES = ("max_len", "embed_dim", "lstm_units", "filters", "kernel", "pool", "classes")
+_SIZES = ("max_len", "embed_dim", "lstm_units", "filters", "kernel", "pool")
 
 
 @dataclass
@@ -188,10 +194,8 @@ class ModelConfig:
     filters: int = 3
     kernel: int = 8
     pool: int = 2
-    classes: int = 4
     seed: int = 0
     variant: str = "lstm_attention_cnn"
-    dtype: str = "float32"
 
     def __post_init__(self):
         for f in fields(self):
@@ -200,43 +204,27 @@ class ModelConfig:
                 raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for name in _SIZES:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.classes != len(RiskLabel):  # a label past 3 is no risk tier
-            raise ValueError(f"classes must be {len(RiskLabel)}, got {self.classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_len < self.pool:
             raise ValueError("max_len shorter than pool window")
 
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
-
-    def flattened_dim(self) -> int:
-        if self.variant == "lstm":
-            return self.lstm_units
-        return (self.max_len // self.pool) * self.filters
-
-    def conv_in_dim(self) -> int:
-        return self.embed_dim if self.variant == "cnn" else self.lstm_units
-
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> dict[str, np.ndarray]:
-    """The arrays of `param_shapes`, by name and in its order: the embedding
-    in the config dtype, Glorot kernels, N(0, 0.05^2) attention w, forget
-    bias 1, other biases 0.
+    """The arrays of `param_shapes`, by name and in its order, all float32:
+    the embedding cast from `embedding`, Glorot kernels, N(0, 0.05^2)
+    attention w, forget bias 1, other biases 0.
 
     The cast embedding passes `EmbeddingMatrix`'s checks again, since float32
     can overflow.  All draws come from one substream of the config seed in a
@@ -244,25 +232,24 @@ def init_params(cfg: ModelConfig, embedding: EmbeddingMatrix) -> dict[str, np.nd
     """
     if embedding.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {embedding.dim} != config embed_dim {cfg.embed_dim}")
-    dt = cfg.np_dtype
     shapes = param_shapes(cfg, len(embedding.matrix))
-    p = {"embedding": EmbeddingMatrix(embedding.matrix.astype(dt)).matrix}
-    p.update((name, np.zeros(s, dtype=dt)) for name, s in list(shapes.items())[1:])
+    p = {"embedding": EmbeddingMatrix(embedding.matrix.astype(np.float32)).matrix}
+    p.update((name, np.zeros(s, dtype=np.float32)) for name, s in list(shapes.items())[1:])
     rng = bulk_generator(cfg.seed, STREAM_INIT, 1)
     if "lstm.W" in p:
         D, H = cfg.embed_dim, cfg.lstm_units
         # a W and then a U draw per gate, in the gate order f, i, o, u
         for k in range(4):
-            p["lstm.W"][:, k * H : (k + 1) * H] = _glorot(rng, (D, H), D, H, dt)
-            p["lstm.U"][:, k * H : (k + 1) * H] = _glorot(rng, (H, H), H, H, dt)
+            p["lstm.W"][:, k * H : (k + 1) * H] = _glorot(rng, (D, H), D, H)
+            p["lstm.U"][:, k * H : (k + 1) * H] = _glorot(rng, (H, H), H, H)
         p["lstm.b"][:H] = 1.0
     if "attention.w" in p:
-        p["attention.w"][...] = rng.normal(0.0, 0.05, size=shapes["attention.w"]).astype(dt)
+        p["attention.w"][...] = rng.normal(0.0, 0.05, size=shapes["attention.w"])
     if "conv.kernels" in p:
         k, d_in, F = shapes["conv.kernels"]
-        p["conv.kernels"][...] = _glorot(rng, (k, d_in, F), k * d_in, k * F, dt)
+        p["conv.kernels"][...] = _glorot(rng, (k, d_in, F), k * d_in, k * F)
     M, C = shapes["dense.W"]
-    p["dense.W"][...] = _glorot(rng, (M, C), M, C, dt)
+    p["dense.W"][...] = _glorot(rng, (M, C), M, C)
     return p
 
 

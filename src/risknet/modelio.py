@@ -1,12 +1,12 @@
 """Model persistence: JSON manifest + little-endian float32 tensors + CRC32.
 
-File layout (format version 4, whose models scale attention's output by T;
-see `layers.attention_forward`):
+File layout (format version 5, whose config holds only the choices a run
+makes; see `model.ModelConfig`):
 
     <u32 manifest length> | manifest JSON | float32 tensors | <u32 CRC32>
 
 All integers are little-endian.  The manifest holds only `format_version`,
-`config` (the full model config, seed included) and `vocab` (the tokens of
+`config` (every `ModelConfig` field, seed included) and `vocab` (the tokens of
 indices 2, 3, ...), so a model file is self-contained for prediction.  The
 config alone fixes the tensors: exactly `model.param_shapes(cfg,
 len(vocab) + 2)`, in that order, back to back.  The trailing CRC32 covers
@@ -19,11 +19,11 @@ word and the manifest bytes, then the tensor bytes straight into one NumPy
 buffer (allocated as float32, so it is aligned for them), and the trailer.
 The CRC32 runs over those pieces in file order, and the manifest is parsed
 only once it matches.  Each tensor is then a float32 view of the buffer, so
-a float32 model costs the file's tensor bytes once; the tensors are cast,
-and so copied, only for a float64 config or on a big-endian host.  The
-slicing loop puts each tensor straight into `Model.params` under its
-`param_shapes` name.  The embedding passes `EmbeddingMatrix`'s PAD-row and
-finiteness checks, and every other tensor a finiteness check.
+a model costs the file's tensor bytes once; the tensors are cast, and so
+copied, only on a big-endian host.  The slicing loop puts each tensor
+straight into `Model.params` under its `param_shapes` name.  The embedding
+passes `EmbeddingMatrix`'s PAD-row and finiteness checks, and every other
+tensor a finiteness check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .corpus import check_words, parse_json_object
 from .embed import EmbeddingMatrix, Vocabulary, all_finite
 from .model import Model, ModelConfig, param_shapes
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _U32 = struct.Struct("<I")
 
 
@@ -132,8 +132,8 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
         # `EmbeddingMatrix` checks the embedding's values below
         if name != "embedding" and not all_finite(arr):
             raise ModelFileError(f"corrupted model: non-finite values in tensor '{name}'")
-        if arr.dtype != cfg.np_dtype:  # a float64 config, or a big-endian host
-            arr = arr.astype(cfg.np_dtype)
+        if not arr.dtype.isnative:  # a big-endian host
+            arr = arr.astype(np.float32)
         params[name] = arr
         offset += count
     try:  # the PAD row and finiteness checks of an input embedding

@@ -151,7 +151,7 @@ def generate_corpus(n_posts: int, seed: int) -> list[Post]:
     posts: list[Post] = []
     user_idx = 0
     while len(posts) < n_posts:
-        label = RiskLabel(user_idx % 4)
+        label = RiskLabel(user_idx % len(RiskLabel))
         user_id = f"u{user_idx:05d}"
         for _ in range(int(rng.integers(1, 5))):
             if len(posts) >= n_posts:

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .corpus import RiskLabel
 from .embed import PAD_INDEX, EmbeddingMatrix
 from .layers import NumericsError, RowGrad, check_finite_grad
 from .metrics import Metrics, compute_metrics
@@ -237,12 +238,11 @@ def fit(
 ) -> tuple[Model, History]:
     """Train on encoded sequences X (N, T) with integer labels y (N,).
 
-    The model trains its own copy of `embedding`, in the model dtype, and
-    `fit` drops its reference to the argument once that copy is made, so an
-    embedding the caller keeps no reference to is freed before training
-    starts.  Each step's forward caches, probabilities and gradients are
-    freed before the next step's forward pass, so one step's activations are
-    alive at a time.
+    The model trains its own float32 copy of `embedding`, and `fit` drops
+    its reference to the argument once that copy is made, so an embedding
+    the caller keeps no reference to is freed before training starts.  Each
+    step's forward caches, probabilities and gradients are freed before the
+    next step's forward pass, so one step's activations are alive at a time.
 
     With more than one usable CPU, `fit` makes one helper thread, which
     overlaps two jobs with the calling thread's work: Adam's g = 0 pass over
@@ -262,8 +262,8 @@ def fit(
         raise ValueError("empty training set")
     if y.shape != (X.shape[0],):
         raise ValueError("labels must align with rows of X")
-    if y.min() < 0 or y.max() >= cfg.model.classes:
-        raise ValueError(f"label out of range [0, {cfg.model.classes})")
+    if y.min() < 0 or y.max() >= len(RiskLabel):
+        raise ValueError(f"label out of range [0, {len(RiskLabel)})")
     params = init_params(cfg.model, embedding)
     del embedding
     model = Model(cfg.model, params)
@@ -328,4 +328,4 @@ def _train_step(model: Model, opt: Adam, xb: np.ndarray, yb: np.ndarray, step: i
 def evaluate(model: Model, X: np.ndarray, y: np.ndarray) -> Metrics:
     """Argmax predictions (lowest class wins ties) scored over labeled rows."""
     preds = model.predict(np.asarray(X))
-    return compute_metrics(np.asarray(y, dtype=np.int64), preds, model.cfg.classes)
+    return compute_metrics(np.asarray(y, dtype=np.int64), preds)

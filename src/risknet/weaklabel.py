@@ -138,10 +138,10 @@ def post_score(tokens: Sequence[str], weights: Mapping[str, float]) -> float:
 
 
 def check_fractions(target_fractions: Sequence[float]) -> np.ndarray:
-    """The fractions as a float64 array, if they are 4 positive reals summing to 1."""
+    """The fractions as a float64 array, if they are one positive real per tier summing to 1."""
     fr = np.asarray(target_fractions, dtype=np.float64)
-    if fr.shape != (4,) or not np.all(fr > 0):  # NaN is not > 0
-        raise ValueError("target_fractions must be 4 positive reals")
+    if fr.shape != (len(RiskLabel),) or not np.all(fr > 0):  # NaN is not > 0
+        raise ValueError(f"target_fractions must be {len(RiskLabel)} positive reals")
     if abs(float(fr.sum()) - 1.0) > 1e-9:
         raise ValueError("target_fractions must sum to 1")
     return fr
@@ -186,7 +186,6 @@ class WeakLabelResult:
     labels: list[RiskLabel]
     weights: dict[str, float]
     thresholds: Thresholds
-    scores: list[float]
 
 
 def weak_label_documents(
@@ -207,5 +206,4 @@ def weak_label_documents(
         weights.update(tfidf_weights(table, top_terms(table, top_k)))
     scores = [post_score(tokens, weights) for tokens in token_lists]
     thresholds = calibrate_thresholds(scores, target_fractions)
-    return WeakLabelResult([assign_label(s, thresholds) for s in scores], weights,
-                           thresholds, scores)
+    return WeakLabelResult([assign_label(s, thresholds) for s in scores], weights, thresholds)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from risknet.cli import main, write_tokens
+from risknet.model import Model
 
 # `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples on
 # every run and drops the per-example deadline, which shared runners miss
@@ -33,6 +34,13 @@ def fit_on_tiny_corpus(cmd: str, tmp_path: Path) -> Path:
     assert main([cmd, "--dataset", str(dataset), "--out", str(out), "--epochs", "1",
                  "--embed-dim", "4", "--lstm-units", "4", "--max-len", "8"]) == 0
     return out
+
+
+def float64_model(model: Model) -> Model:
+    """`model` with its params cast to float64.  The layers follow their
+    inputs' dtype, so a finite-difference check runs the float32 model's
+    layer chain in double precision."""
+    return Model(model.cfg, {name: a.astype(np.float64) for name, a in model.params.items()})
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense, fd_check, projection_loss
+from conftest import dense, fd_check, float64_model, projection_loss
 import risknet.model
 from risknet.cli import main
 from risknet.corpus import merge_title_body
@@ -73,8 +73,8 @@ def _small_model(seed: int = 0) -> tuple[Model, np.ndarray]:
     vocab = Vocabulary({f"t{i}": i + 2 for i in range(7)})
     emb = init_embeddings(vocab, D, seed)
     cfg = ModelConfig(max_len=T, embed_dim=D, lstm_units=H, dropout_rate=0.0,
-                      filters=F, kernel=K, pool=2, seed=seed, dtype="float64")
-    model = Model(cfg, init_params(cfg, emb))
+                      filters=F, kernel=K, pool=2, seed=seed)
+    model = float64_model(Model(cfg, init_params(cfg, emb)))
     rng = bulk_generator(seed, 90, 1)
     batch = rng.integers(1, vocab.size, size=(B, T))  # no PAD: every row grads
     return model, batch
@@ -233,7 +233,7 @@ def test_overfits_32_synthetic_posts_below_005_loss_within_200_epochs():
     y = np.array([int(p.label) for p in posts])
     cfg = TrainConfig(
         model=ModelConfig(max_len=20, embed_dim=16, lstm_units=8, dropout_rate=0.0,
-                          filters=3, kernel=8, pool=2, seed=7, dtype="float64"),
+                          filters=3, kernel=8, pool=2, seed=7),
         epochs=200, batch_size=8)
     _, hist = fit(cfg, X, y, emb)
     assert min(hist.loss) < 0.05
@@ -271,7 +271,7 @@ def test_full_model_trains_on_a_run_that_stalled_with_unscaled_attention(monkeyp
     monkeypatch.setattr(risknet.model, "conv1d_relu_forward", spy)
     probs, _ = model.forward(X)
     assert np.mean(active, axis=0).min() > 0.1  # no dead filter
-    assert compute_metrics(y, probs.argmax(axis=1), 4).macro_f1 >= 0.9
+    assert compute_metrics(y, probs.argmax(axis=1)).macro_f1 >= 0.9
 
 
 # --------------------------------------------------------- gate: end to end
@@ -329,7 +329,7 @@ def test_macro_metrics_match_independent_tally_exactly():
             y_pred = np.full(n, trial % 4)  # degenerate single-class output
         else:
             y_pred = rng.integers(0, 4, size=n)
-        m = compute_metrics(y_true, y_pred, 4)
+        m = compute_metrics(y_true, y_pred)
         acc, (mp, mr, mf) = _tally(y_true.tolist(), y_pred.tolist())
         assert m.accuracy == acc
         assert m.macro_precision == mp

@@ -175,9 +175,9 @@ def test_svm_baseline_separable_vocab_bands():
 # ----------------------------------------------------------------- ablation
 
 
-def small_cfg(seed=0, dtype="float64"):
+def small_cfg(seed=0):
     model = ModelConfig(max_len=6, embed_dim=4, lstm_units=4, dropout_rate=0.0,
-                        filters=2, kernel=3, pool=2, seed=seed, dtype=dtype)
+                        filters=2, kernel=3, pool=2, seed=seed)
     return TrainConfig(model=model, epochs=2, batch_size=8)
 
 
@@ -218,14 +218,10 @@ def test_ablation_subset_of_variants():
     assert [r["model"] for r in rows] == ["svm", "cnn"]
 
 
-@pytest.mark.parametrize("dtype, variants", [
-    ("float64", ABLATION_VARIANTS),
-    ("float32", ABLATION_VARIANTS),
-    ("float64", ("svm", "cnn")),
-])
-def test_ablation_pool_equals_in_process_rows(dtype, variants):
+@pytest.mark.parametrize("variants", [ABLATION_VARIANTS, ("svm", "cnn")])
+def test_ablation_pool_equals_in_process_rows(variants):
     X, y, emb = band_task()
-    args = (small_cfg(seed=3, dtype=dtype), X[:32], y[:32], X[32:], y[32:], emb)
+    args = (small_cfg(seed=3), X[:32], y[:32], X[32:], y[32:], emb)
     pooled = ablation_suite(*args, variants=variants)
     assert pooled == [_ablation_row(*args, v) for v in variants]
 

@@ -1096,7 +1096,10 @@ def _flip_last_byte(blob):
     (lambda m, b: _flip_last_byte(b), "checksum mismatch"),
     (lambda m, _: m["config"].update(dropout_rate="x"), "dropout_rate must be of type float"),
     (lambda m, _: m["config"].update(seed="7"), "seed must be of type int"),
-    (lambda m, _: m["config"].update(classes=3), "bad config (classes must be 4, got 3)"),
+    # format 4's config keys, and a format 4 file
+    (lambda m, _: m["config"].update(classes=4), "unexpected keyword argument 'classes')"),
+    (lambda m, _: m.update(format_version=4) or m["config"].update(classes=4, dtype="float32"),
+     "error: format version mismatch: file has 4, expected 5\n"),
     (lambda m, _: m["config"].update(filters=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(lstm_units=5), "blob length mismatch: the config and"),
     (lambda m, _: m["config"].update(kernel=3), "blob length mismatch: the config and"),
@@ -1110,7 +1113,8 @@ def _flip_last_byte(blob):
        "'vocab': each token must be non-empty and contain no whitespace")
       for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "max_len_float", "pool_bool", "vocab_repeated", "blob_byte_flipped",
-        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_3",
+        "dropout_string", "seed_string", "classes_4", "format_4", "filters_5", "lstm_units_5",
+        "kernel_3",
         "dropout_1", "pool_0", "token_empty", "token_space", "token_two_words", "token_tab"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"

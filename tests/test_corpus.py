@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from risknet.cli import main
 from risknet.corpus import (
     CorpusFormatError,
     Post,
@@ -122,6 +123,17 @@ def test_row_with_more_cells_than_the_header_rejected(tmp_path, text, line, cell
         load_posts(path)
     assert str(info.value) == (
         f"{path}: line {line}: {cells} cells, but the header has {columns} columns")
+
+
+def test_csv_cell_past_the_field_limit_exits_1(tmp_path, capsys):
+    # the csv module's limit of 131,072 characters a cell, which is
+    # process-wide and so left as it is; the error used to exit 2
+    path = _write(tmp_path, "big.csv",
+                  f"{HEADER}\np1,u1,1,s,title,ok\np2,u1,2,s,title,{'x' * 150_000}\n")
+    assert main(["preprocess", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 3: "
+                                       "field larger than field limit (131072)\n")
+    assert not (tmp_path / "out" / "tokens.jsonl").exists()
 
 
 def test_header_with_extra_columns_of_its_own_loads(tmp_path):

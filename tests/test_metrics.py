@@ -28,7 +28,7 @@ def brute_force(y_true, y_pred, n_classes):
 
 
 def test_confusion_rows_true_cols_pred():
-    cm = confusion_matrix([0, 1, 2, 3], [0, 1, 2, 2], 4)
+    cm = confusion_matrix([0, 1, 2, 3], [0, 1, 2, 2])
     want = np.zeros((4, 4), dtype=np.int64)
     want[0, 0] = want[1, 1] = want[2, 2] = want[3, 2] = 1
     assert np.array_equal(cm, want)
@@ -38,7 +38,7 @@ def test_confusion_row_sums_are_true_counts():
     rng = np.random.default_rng(0)
     y_true = rng.integers(0, 4, size=200)
     y_pred = rng.integers(0, 4, size=200)
-    cm = confusion_matrix(y_true, y_pred, 4)
+    cm = confusion_matrix(y_true, y_pred)
     assert cm.sum() == 200
     assert np.array_equal(cm.sum(axis=1), np.bincount(y_true, minlength=4))
     assert np.array_equal(cm.sum(axis=0), np.bincount(y_pred, minlength=4))
@@ -46,13 +46,13 @@ def test_confusion_row_sums_are_true_counts():
 
 def test_confusion_validation():
     with pytest.raises(ValueError, match="same length"):
-        confusion_matrix([0, 1], [0], 4)
+        confusion_matrix([0, 1], [0])
     with pytest.raises(ValueError, match="empty"):
-        confusion_matrix([], [], 4)
+        confusion_matrix([], [])
     with pytest.raises(ValueError, match="y_pred"):
-        confusion_matrix([0], [4], 4)
+        confusion_matrix([0], [4])
     with pytest.raises(ValueError, match="y_true"):
-        confusion_matrix([-1], [0], 4)
+        confusion_matrix([-1], [0])
 
 
 def test_hand_worked_example():

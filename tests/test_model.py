@@ -1,6 +1,7 @@
 """Model assembly: config validation, init, variant chains, full-stack grads."""
 
 import contextlib
+import dataclasses
 import threading
 import tracemalloc
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import risknet.model
 import risknet.train
-from conftest import dense, dlogits_through_softmax, fd_check, projection_loss
+from conftest import dense, dlogits_through_softmax, fd_check, float64_model, projection_loss
+from risknet.corpus import RiskLabel
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
 from risknet.layers import BPTT_BLOCK, CONV_BLOCK, NumericsError
 from risknet.model import (
@@ -35,15 +37,17 @@ def make_embedding(V, D, seed=0, dtype=np.float64):
 
 def small_cfg(variant="lstm_attention_cnn", **kw):
     base = dict(max_len=6, embed_dim=5, lstm_units=4, dropout_rate=0.0, filters=2,
-                kernel=3, pool=2, classes=4, seed=0, variant=variant, dtype="float64")
+                kernel=3, pool=2, seed=0, variant=variant)
     base.update(kw)
     return ModelConfig(**base)
 
 
-def build(variant="lstm_attention_cnn", V=9, seed=0, **kw):
+def build(variant="lstm_attention_cnn", V=9, seed=0, dtype="float64", **kw):
+    """A model of `small_cfg`, its float32 params cast to float64 unless
+    `dtype` is "float32"."""
     cfg = small_cfg(variant, **kw)
-    emb = make_embedding(V, cfg.embed_dim, seed=seed)
-    return Model(cfg, init_params(cfg, emb))
+    model = Model(cfg, init_params(cfg, make_embedding(V, cfg.embed_dim, seed=seed)))
+    return float64_model(model) if dtype == "float64" else model
 
 
 def batch_for(cfg, V=9, seed=1, B=3, lo=1):
@@ -56,15 +60,23 @@ def batch_for(cfg, V=9, seed=1, B=3, lo=1):
 def test_config_defaults_match_reference_table():
     cfg = ModelConfig(max_len=50)
     assert (cfg.embed_dim, cfg.lstm_units, cfg.dropout_rate) == (300, 100, 0.5)
-    assert (cfg.filters, cfg.kernel, cfg.pool, cfg.classes) == (3, 8, 2, 4)
-    assert cfg.variant == "lstm_attention_cnn" and cfg.dtype == "float32"
+    assert (cfg.filters, cfg.kernel, cfg.pool) == (3, 8, 2)
+    assert cfg.variant == "lstm_attention_cnn"
+
+
+def test_config_holds_only_the_choices_a_run_makes():
+    # the class count and the dtype are no choice: four risk tiers, float32
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "max_len", "embed_dim", "lstm_units", "dropout_rate", "filters", "kernel", "pool",
+        "seed", "variant"]
+    for gone in ("classes", "dtype"):
+        with pytest.raises(TypeError, match=gone):
+            ModelConfig(max_len=10, **{gone: 4})
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="variant"):
         ModelConfig(max_len=10, variant="transformer")
-    with pytest.raises(ValueError, match="dtype"):
-        ModelConfig(max_len=10, dtype="float16")
     with pytest.raises(ValueError, match="max_len"):
         ModelConfig(max_len=0)
     with pytest.raises(ValueError, match="pool"):
@@ -72,7 +84,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["max_len", "embed_dim", "lstm_units", "filters", "kernel",
-                                   "pool", "classes"])
+                                   "pool"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_config_sizes_below_one_rejected(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
@@ -87,7 +99,7 @@ def test_config_dropout_rate_outside_unit_interval_rejected(rate):
 
 @pytest.mark.parametrize("field,value", [
     ("max_len", 16.5), ("pool", True), ("kernel", "8"), ("dropout_rate", "x"),
-    ("dropout_rate", False), ("seed", "7"), ("variant", 3), ("dtype", None),
+    ("dropout_rate", False), ("seed", "7"), ("variant", 3), ("variant", None),
 ])
 def test_config_field_types(field, value):
     # an int field takes an int but not a bool, a float field an int or a float
@@ -99,14 +111,16 @@ def test_config_float_field_takes_an_int():
     assert small_cfg(dropout_rate=0).dropout_rate == 0
 
 
-def test_config_derived_dims():
-    cfg = small_cfg()  # T=6, pool=2, F=2 -> 3*2
-    assert cfg.flattened_dim() == 6
-    assert cfg.conv_in_dim() == 4  # lstm_units feeds the conv
-    cnn = small_cfg("cnn")
-    assert cnn.conv_in_dim() == 5  # embeddings feed the conv directly
-    lstm = small_cfg("lstm")
-    assert lstm.flattened_dim() == 4  # h_T straight into the head
+@pytest.mark.parametrize("variant,conv_in,dense_in", [
+    ("lstm_attention_cnn", 4, 6),  # lstm_units feed the conv; T=6, pool=2, F=2 -> 3*2
+    ("lstm_cnn", 4, 6),
+    ("cnn", 5, 6),  # the embeddings feed the conv directly
+    ("lstm", None, 4),  # h_T straight into the head, no conv
+])
+def test_param_shapes_derive_the_widths_from_the_chain(variant, conv_in, dense_in):
+    shapes = param_shapes(small_cfg(variant), 9)
+    assert shapes.get("conv.kernels") == (None if conv_in is None else (3, conv_in, 2))
+    assert shapes["dense.W"] == (dense_in, len(RiskLabel)) and shapes["dense.b"] == (4,)
 
 
 def test_config_round_trips_through_dict():
@@ -137,27 +151,25 @@ def test_init_forget_bias_one_other_biases_zero():
         assert np.all(b == 0.0)
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_init_lstm_equals_the_per_gate_draws_side_by_side(dtype):
+def test_init_lstm_equals_the_per_gate_draws_side_by_side():
     # init draws each gate's W and then its U, in the gate order f, i, o, u,
     # from the init stream, and sets the gates side by side
-    cfg = small_cfg(seed=11, dtype=dtype)
-    p = init_params(cfg, make_embedding(9, 5))
+    p = init_params(small_cfg(seed=11), make_embedding(9, 5))
     rng = bulk_generator(11, STREAM_INIT, 1)
-    D, H, dt = 5, 4, cfg.np_dtype
+    D, H = 5, 4
     W, U = [], []
     for _ in "fiou":
-        W.append(_glorot(rng, (D, H), D, H, dt))
-        U.append(_glorot(rng, (H, H), H, H, dt))
+        W.append(_glorot(rng, (D, H), D, H))
+        U.append(_glorot(rng, (H, H), H, H))
     assert np.array_equal(p["lstm.W"], np.concatenate(W, axis=1))
     assert np.array_equal(p["lstm.U"], np.concatenate(U, axis=1))
-    assert p["lstm.W"].dtype == p["lstm.U"].dtype == p["lstm.b"].dtype == dt
+    assert p["lstm.W"].dtype == p["lstm.U"].dtype == p["lstm.b"].dtype == np.float32
     # the draws after the LSTM's are unchanged too
-    assert np.array_equal(p["attention.w"], rng.normal(0.0, 0.05, size=(H, 1)).astype(dt))
+    assert np.array_equal(p["attention.w"],
+                          rng.normal(0.0, 0.05, size=(H, 1)).astype(np.float32))
     k, d_in, F = 3, 4, 2
-    assert np.array_equal(p["conv.kernels"],
-                          _glorot(rng, (k, d_in, F), k * d_in, k * F, dt))
-    assert np.array_equal(p["dense.W"], _glorot(rng, (6, 4), 6, 4, dt))
+    assert np.array_equal(p["conv.kernels"], _glorot(rng, (k, d_in, F), k * d_in, k * F))
+    assert np.array_equal(p["dense.W"], _glorot(rng, (6, 4), 6, 4))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -214,17 +226,17 @@ def test_init_rejects_dim_mismatch():
         init_params(small_cfg(), make_embedding(9, 7))
 
 
-def test_init_casts_to_config_dtype():
-    p32 = init_params(small_cfg(dtype="float32"), make_embedding(9, 5))
+def test_init_builds_float32_arrays():
+    p32 = init_params(small_cfg(), make_embedding(9, 5))
     for name, arr in p32.items():
         assert arr.dtype == np.float32, name
 
 
-def test_init_rejects_an_embedding_that_overflows_the_model_dtype():
+def test_init_rejects_an_embedding_that_overflows_float32():
     m = make_embedding(9, 5).matrix
     m[3, 1] = 1e300  # finite in float64, inf in float32
     with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-        init_params(small_cfg(dtype="float32"), EmbeddingMatrix(m))
+        init_params(small_cfg(), EmbeddingMatrix(m))
 
 
 def test_param_names_order_stable():
@@ -579,7 +591,7 @@ def test_backward_hands_the_lstm_cache_over_to_lstm_backward():
     cfg = ModelConfig(max_len=32, embed_dim=64, lstm_units=4, dropout_rate=0.5, variant="lstm")
     model = Model(cfg, init_params(cfg, make_embedding(50, 64)))
     X = batch_for(cfg, V=50, B=16)
-    dlogits = np.full((16, cfg.classes), 0.25, dtype=np.float32)
+    dlogits = np.full((16, len(RiskLabel)), 0.25, dtype=np.float32)
     handed_over, freed = _backward_peak(model, X, dlogits, hold_lstm_cache=False)
     # as when a reference to every cached array outlives lstm_backward
     held, _ = _backward_peak(model, X, dlogits, hold_lstm_cache=True)
@@ -596,7 +608,7 @@ def test_training_step_peak_fits_the_byte_table_of_its_caches():
     cfg = ModelConfig(max_len=T, embed_dim=D, lstm_units=H, dropout_rate=0.5, seed=1)
     model = Model(cfg, init_params(cfg, make_embedding(V, D, dtype=np.float32)))
     X = batch_for(cfg, V=V, B=B)
-    dlogits = np.full((B, cfg.classes), 0.25 / B, dtype=np.float32)
+    dlogits = np.full((B, len(RiskLabel)), 0.25 / B, dtype=np.float32)
     model.backward(model.forward(X, step=0)[1], dlogits)  # first-call allocations
     a, act = 4, 4 * B * T * H  # float32 bytes; one (B, T, H) activation
     caches = {

@@ -1,5 +1,6 @@
 """Model file format: byte-exact round trips and corruption diagnostics."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import needs_digit_limit
+from conftest import float64_model, needs_digit_limit
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
 from risknet.model import VARIANTS, Model, ModelConfig, init_params, param_shapes
 from risknet.modelio import FORMAT_VERSION, ModelFileError, load_model, save_model
@@ -19,11 +20,11 @@ from risknet.modelio import FORMAT_VERSION, ModelFileError, load_model, save_mod
 HEADER = struct.Struct("<I")
 
 
-def small_model(variant="lstm_attention_cnn", dtype="float32", seed=0):
+def small_model(variant="lstm_attention_cnn", seed=0):
     cfg = ModelConfig(max_len=6, embed_dim=4, lstm_units=3, dropout_rate=0.5,
-                      filters=2, kernel=3, pool=2, seed=seed, variant=variant, dtype=dtype)
+                      filters=2, kernel=3, pool=2, seed=seed, variant=variant)
     rng = np.random.default_rng(seed)
-    m = rng.normal(scale=0.3, size=(7, 4)).astype(cfg.np_dtype)
+    m = rng.normal(scale=0.3, size=(7, 4)).astype(np.float32)
     m[PAD_INDEX] = 0.0
     return Model(cfg, init_params(cfg, EmbeddingMatrix(m)))
 
@@ -91,14 +92,13 @@ def test_loaded_model_predicts_identically(tmp_path):
     assert np.array_equal(model.predict(X), loaded.predict(X))
 
 
-def test_float64_round_trip_preserves_float32_storage(tmp_path):
-    model = small_model(dtype="float64")
-    path = saved(tmp_path, model)
+def test_float64_params_save_as_float32_storage(tmp_path):
+    # a gradient check's float64 copy of a model saves the model's own bytes
+    model = small_model()
+    path = saved(tmp_path, float64_model(model))
+    assert path.read_bytes() == saved(tmp_path, model, "f32.rkn").read_bytes()
     loaded, _ = load_model(path)
-    assert loaded.params["dense.W"].dtype == np.float64
-    second = tmp_path / "again.rkn"
-    save_model(loaded, VOCAB, second)
-    assert path.read_bytes() == second.read_bytes()
+    assert all(a.dtype == np.float32 for a in loaded.params.values())
 
 
 def test_load_allocates_the_tensor_bytes_about_once(tmp_path):
@@ -168,7 +168,7 @@ def test_manifest_integer_past_the_digit_limit(tmp_path):
 def test_version_mismatch(tmp_path):
     path = saved(tmp_path)
     rewrite(path, lambda m: m.update(format_version=FORMAT_VERSION + 1))
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 5, expected 4"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 6, expected 5"):
         load_model(path)
 
 
@@ -176,7 +176,7 @@ def test_version_1_file_is_rejected(tmp_path):
     # version 1 stored the LSTM as twelve per-gate tensors; it is not converted
     path = saved(tmp_path)
     rewrite(path, lambda m: m.update(format_version=1))
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 4"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 1, expected 5"):
         load_model(path)
 
 
@@ -184,8 +184,19 @@ def test_version_3_file_is_rejected(tmp_path):
     # version 3 models scaled attention's output by alpha alone, not T * alpha
     path = saved(tmp_path)
     rewrite(path, lambda m: m.update(format_version=3))
-    with pytest.raises(ModelFileError, match="format version mismatch: file has 3, expected 4"):
+    with pytest.raises(ModelFileError, match="format version mismatch: file has 3, expected 5"):
         load_model(path)
+
+
+def test_version_4_file_is_rejected(tmp_path):
+    # version 4 had the same tensors, but its config also held the class
+    # count and a dtype; it is not converted
+    path = saved(tmp_path)
+    rewrite(path, lambda m: m.update(format_version=4)
+            or m["config"].update(classes=4, dtype="float32"))
+    with pytest.raises(ModelFileError) as info:
+        load_model(path)
+    assert str(info.value) == "format version mismatch: file has 4, expected 5"
 
 
 def test_version_2_file_is_rejected_at_the_checksum(tmp_path):
@@ -195,15 +206,16 @@ def test_version_2_file_is_rejected_at_the_checksum(tmp_path):
     manifest.update(format_version=2, blob_bytes=len(blob), blob_crc32=zlib.crc32(blob))
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(HEADER.pack(len(payload)) + payload + blob)
-    with pytest.raises(ModelFileError, match="checksum mismatch: .* older than format version 4"):
+    with pytest.raises(ModelFileError, match="checksum mismatch: .* older than format version 5"):
         load_model(path)
 
 
 def test_file_is_manifest_tensors_and_a_crc32_of_every_byte_before(tmp_path):
     data = saved(tmp_path).read_bytes()
     manifest, blob = split(data)
-    assert manifest["format_version"] == FORMAT_VERSION == 4
+    assert manifest["format_version"] == FORMAT_VERSION == 5
     assert sorted(manifest) == ["config", "format_version", "vocab"]
+    assert sorted(manifest["config"]) == sorted(f.name for f in dataclasses.fields(ModelConfig))
     assert manifest["vocab"] == ["help", "die", "want", "lost", "end"]
     # 7 x 4 embedding, 4 x 12 + 3 x 12 + 12 LSTM, 3 + 6 attention, 3 x 3 x 2 + 2
     # conv, 6 x 4 + 4 dense
@@ -338,7 +350,11 @@ def test_vocab_longer_than_embedding(tmp_path):
     (lambda m: m["config"].update(dropout_rate="x"),
      r"bad config \(dropout_rate must be of type float"),
     (lambda m: m["config"].update(seed="7"), r"bad config \(seed must be of type int"),
-    (lambda m: m["config"].update(classes=3), r"bad config \(classes must be 4, got 3\)"),
+    # format 4's keys: the class count is the risk tiers', the dtype float32
+    (lambda m: m["config"].update(classes=4),
+     r"bad config \(.*unexpected keyword argument 'classes'\)"),
+    (lambda m: m["config"].update(dtype="float32"),
+     r"bad config \(.*unexpected keyword argument 'dtype'\)"),
     (lambda m: m["config"].update(filters=5), "need 988 bytes, the file has 724"),
     (lambda m: m["config"].update(lstm_units=5), "need 1196 bytes, the file has 724"),
     (lambda m: m["config"].update(kernel=5), "need 772 bytes, the file has 724"),
@@ -349,7 +365,7 @@ def test_vocab_longer_than_embedding(tmp_path):
        "'vocab': each token must be non-empty and contain no whitespace")
       for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "vocab_ints", "max_len_float", "vocab_repeated", "pool_bool",
-        "dropout_string", "seed_string", "classes_3", "filters_5", "lstm_units_5", "kernel_5",
+        "dropout_string", "seed_string", "classes_4", "dtype_float32", "filters_5", "lstm_units_5", "kernel_5",
         "embed_dim_5", "max_len_8", "token_empty", "token_space", "token_two_words",
         "token_tab"])
 def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
@@ -370,7 +386,8 @@ def tensor_spans(cfg, rows):
 
 def test_model_with_five_classes_is_rejected(tmp_path):
     # a fifth dense column whose bias wins: the file used to load, and predict
-    # exited 0 with label 4, which is no risk tier
+    # exited 0 with label 4, which is no risk tier.  The config cannot state
+    # the class count, so the widened head is a blob of the wrong length
     path = saved(tmp_path)
     start, end = tensor_spans(small_model().cfg, VOCAB.size)["dense.W"]
 
@@ -381,8 +398,11 @@ def test_model_with_five_classes_is_rejected(tmp_path):
         b = np.array([0, 0, 0, 0, 50], dtype="<f4")
         return floats[:start].tobytes() + W.tobytes() + b.tobytes()
 
-    rewrite(path, lambda m: m["config"].update(classes=5), widen)
-    with pytest.raises(ModelFileError, match=r"bad config \(classes must be 4, got 5\)"):
+    rewrite(path, edit_blob=widen)
+    with pytest.raises(ModelFileError, match="need 724 bytes, the file has 752"):
+        load_model(path)
+    rewrite(path, lambda m: m["config"].update(classes=5))
+    with pytest.raises(ModelFileError, match="bad config"):
         load_model(path)
 
 
@@ -418,6 +438,7 @@ _ODD_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(["", "4", "float64"]),
     st.none(), st.lists(st.integers(0, 3), max_size=2))
 _SIZE = st.one_of(st.integers(min_value=1, max_value=8), _ODD_VALUES)
+# "classes" and "dtype" are format 4's keys, which a version 5 config must not hold
 _CONFIG_VALUES = {
     "max_len": _SIZE, "embed_dim": _SIZE, "lstm_units": _SIZE, "filters": _SIZE,
     "kernel": _SIZE, "pool": _SIZE, "classes": _SIZE,

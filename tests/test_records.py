@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import needs_digit_limit
-from risknet.cli import UsageError, read_tokens
+from risknet.cli import UsageError, main, read_tokens, write_tokens
 from risknet.corpus import CorpusFormatError, load_posts
 
 POST = {"post_id": "p1", "user_id": "u1", "timestamp": 1, "subreddit": "s",
@@ -62,6 +62,34 @@ def test_post_and_token_files_share_each_rule_and_its_wording(tmp_path, second, 
     with pytest.raises(UsageError) as info:
         read_tokens(tokens)
     assert str(info.value) == f"{tokens}: line 2: {message}"
+
+
+def _not_utf8_input(tmp_path, kind):
+    """The argv of a run whose `kind` input file has a 0xff byte on its
+    second line, and that file."""
+    bad = tmp_path / "bad"
+    out = ["--out", str(tmp_path / "out")]
+    if kind == "posts":
+        bad.write_bytes(json.dumps(POST).encode() + b'\n{"post_id": "p\xff"}\n')
+        return ["preprocess", "--dataset", str(bad), "--format", "jsonl", *out], bad
+    if kind == "tokens":
+        bad.write_bytes(json.dumps(TOKENS).encode() + b'\n{"post_id": "p\xff"}\n')
+        return ["annotate", "--dataset", str(bad), *out], bad
+    dataset = tmp_path / "tokens.jsonl"
+    write_tokens([{**TOKENS, "post_id": f"p{i}", "label": i % 4} for i in range(8)], dataset)
+    bad.write_bytes(b"2 2\na 0.1 0.2\nb\xff 0.3 0.4\n")
+    return ["train", "--dataset", str(dataset), "--embeddings", str(bad), "--epochs", "1",
+            *out], bad
+
+
+@pytest.mark.parametrize("kind", ["posts", "tokens", "embeddings"])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, capsys, kind):
+    # each reader used to print only the codec's message, which names no file
+    argv, bad = _not_utf8_input(tmp_path, kind)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {bad}: not UTF-8 text "
+                                       "(byte 0xff: invalid start byte)\n")
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 # ---------------------------------------------------------------- fuzzing

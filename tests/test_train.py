@@ -211,7 +211,7 @@ def tiny_task(n=24, T=8, V=12, D=6, seed=0):
 
 def small_train_cfg(seed=0, epochs=3, **model_kw):
     base = dict(max_len=8, embed_dim=6, lstm_units=5, dropout_rate=0.0, filters=2,
-                kernel=3, pool=2, seed=seed, dtype="float64")
+                kernel=3, pool=2, seed=seed)
     base.update(model_kw)
     return TrainConfig(model=ModelConfig(**base), epochs=epochs, batch_size=8)
 

@@ -349,13 +349,14 @@ def test_weak_label_documents_roundtrip():
     result = weak_label_documents(token_lists, labels, top_k=50,
                                   target_fractions=(0.25, 0.25, 0.25, 0.25))
     assert len(result.labels) == len(token_lists)
-    assert len(result.scores) == len(token_lists)
     assert result.thresholds.t1 < result.thresholds.t2 < result.thresholds.t3
-    # relabeled posts agree with scalar assignment of the reported scores
-    for label, score in zip(result.labels, result.scores):
+    # relabeled posts agree with scalar assignment of their scores under the
+    # reported weights
+    scores = [post_score(tokens, result.weights) for tokens in token_lists]
+    for label, score in zip(result.labels, scores):
         assert label == assign_label(score, result.thresholds)
     # severity axis orders the class means
     per_class_mean = [
-        np.mean([s for lab, s in zip(labels, result.scores) if lab == c]) for c in RiskLabel
+        np.mean([s for lab, s in zip(labels, scores) if lab == c]) for c in RiskLabel
     ]
     assert per_class_mean == sorted(per_class_mean)

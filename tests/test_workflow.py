@@ -66,12 +66,26 @@ def test_malformed_steps_are_reported(step, problem):
     assert found.endswith(problem)
 
 
+def tier1_step(name: str) -> dict:
+    doc = yaml.load(WORKFLOW.read_text(encoding="utf-8"), Loader=UniqueKeyLoader)
+    (step,) = [s for s in doc["jobs"]["tier1"]["steps"] if s.get("name") == name]
+    return step
+
+
 def test_one_blas_thread_step_runs_every_byte_identity_file():
     # fit's rerun and helper-thread byte-identity tests live in test_train.py
-    doc = yaml.load(WORKFLOW.read_text(encoding="utf-8"), Loader=UniqueKeyLoader)
-    (step,) = [s for s in doc["jobs"]["tier1"]["steps"]
-               if s.get("name") == "Kernel equivalence and model tests with one BLAS thread"]
+    step = tier1_step("Kernel equivalence and model tests with one BLAS thread")
     assert "OPENBLAS_NUM_THREADS=1" in step["run"]
     for path in ("tests/test_kernel_equivalence.py", "tests/test_model.py",
                  "tests/test_layers.py", "tests/test_train.py"):
+        assert path in step["run"].split(), path
+
+
+def test_unclosed_file_step_runs_the_tests_of_every_reader():
+    # the model loader's, the token reader's, the post readers', the
+    # embedding reader's and the CLI's tests, their raise paths included
+    step = tier1_step("Model file and CLI tests with unclosed files as errors")
+    assert "error::ResourceWarning" in step["run"]
+    for path in ("tests/test_modelio.py", "tests/test_cli.py", "tests/test_corpus.py",
+                 "tests/test_records.py", "tests/test_embed.py"):
         assert path in step["run"].split(), path

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import baselines, corpus, embed, modelio, synth, textprep, train, weaklabel
 from .corpus import RiskLabel
-from .model import VARIANTS, ModelConfig
+from .model import BOUNDS, VARIANTS, ModelConfig, check_bounds
 
 MAX_LEN_CAP = 512
 # token lists that predict and evaluate hold before encoding them
@@ -127,10 +128,13 @@ def _replay_config(sub: argparse.ArgumentParser, path: str, cmd: str) -> None:
     defaults of `sub`, so that explicit flags still win.  Keys that no flag
     of `sub` sets (such as `thresholds`) are ignored."""
     try:
-        loaded = corpus.parse_json_object(Path(path).read_text(encoding="utf-8"))
+        with Path(path).open(encoding="utf-8") as fh:
+            text = "".join(corpus.utf8_lines(f"--config {path}", fh, UsageError))
     except OSError as exc:
         raise UsageError(f"--config {path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # not UTF-8, not JSON, or not an object
+    try:
+        loaded = corpus.parse_json_object(text)
+    except ValueError as exc:  # not JSON, or not an object
         raise UsageError(f"--config {path}: {exc}") from None
     if loaded.get("command") != cmd:
         raise UsageError(f"--config was written by '{loaded.get('command')}', not '{cmd}'")
@@ -166,36 +170,19 @@ def _config_value_fits(value, flag: argparse.Action) -> bool:
 # values to the params, and returns the stats for run.json, if any.
 
 
-# dest -> (test, wording) for the numeric flags, checked in this order before
-# a subcommand reads anything; a flag left null (`--max-len`) is not checked.
-# Seeds are masked to 64 bits, so one outside [0, 2**64) would run as another
-# seed while run.json records it as given.  `ModelConfig` and `TrainConfig`
-# check their fields again for library callers and model files.
-_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
-_FLAG_BOUNDS = {
-    "seed": (lambda v: 0 <= v < 2**64, "be in [0, 2**64)"),
-    "posts": _AT_LEAST_1,
-    "top_k": _AT_LEAST_1,
-    "top": _AT_LEAST_1,
-    "min_count": _AT_LEAST_1,
-    "train_fraction": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
-    **dict.fromkeys(("epochs", "batch_size", "max_len", "embed_dim", "lstm_units", "filters",
-                     "kernel", "pool"), _AT_LEAST_1),
-    "dropout_rate": (lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
-}
-
-
-def _check_bounds(params: dict, sub: argparse.ArgumentParser) -> None:
-    """Raise UsageError for the first param outside its `_FLAG_BOUNDS` range,
-    naming its flag as typed (`--dropout` for `dropout_rate`)."""
-    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
-    for dest, (ok, wording) in _FLAG_BOUNDS.items():
-        if params.get(dest) is not None and not ok(params[dest]):
-            raise UsageError(f"{flags[dest]} must {wording}, got {params[dest]}")
-    # the pool's first window must fit in a post
-    if params.get("max_len") is not None and params["max_len"] < params["pool"]:
-        raise UsageError(f"--max-len must be >= --pool ({params['pool']}), "
-                         f"got {params['max_len']}")
+# (dests, test, wording) rules for the numeric flags, checked in this order
+# by `model.check_bounds` before a subcommand reads anything: the CLI's own,
+# then the fit flags' by the rules that `TrainConfig` and `ModelConfig` check
+# their fields by.  A flag left null (`--max-len`) is not checked.  Seeds are
+# masked to 64 bits, so one outside [0, 2**64) would run as another seed
+# while run.json records it as given.
+_FLAG_BOUNDS = (
+    (("seed",), lambda v: 0 <= v < 2**64, "be in [0, 2**64)"),
+    (("posts", "top_k", "top", "min_count"), lambda v: v >= 1, "be >= 1"),
+    (("train_fraction",), lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+    *train.BOUNDS,
+    *BOUNDS,
+)
 
 
 def _cmd_synth(params: dict, out: Path) -> None:
@@ -263,7 +250,7 @@ def _cmd_report_ngrams(params: dict, out: Path) -> None:
     _write_csv(out / "ngrams.csv", ["class", "n", "ngram", "count", "rank"], ranks)
 
 
-def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
+def _prepare_fit(params: dict) -> tuple[dict, train.TrainConfig]:
     """Split, build vocab/embeddings from the train shard, encode both shards,
     and put the resolved `max_len` and `embed_dim` into `params`.
 
@@ -287,11 +274,8 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
         if longest == 0:
             raise UsageError("training shard has no tokens; pass --max-len explicitly")
         params["max_len"] = min(longest, MAX_LEN_CAP)
-    mcfg = ModelConfig(
-        max_len=params["max_len"], embed_dim=params["embed_dim"],
-        lstm_units=params["lstm_units"], dropout_rate=params["dropout_rate"],
-        filters=params["filters"], kernel=params["kernel"], pool=params["pool"],
-        seed=params["seed"], variant=variant)
+    # ablate has no --variant: its config is the full model's
+    mcfg = ModelConfig(**{f.name: params[f.name] for f in fields(ModelConfig) if f.name in params})
     if matrix is None:  # drawn once the config has checked embed_dim
         matrix = embed.init_embeddings(vocab, mcfg.embed_dim, params["seed"])
     tcfg = train.TrainConfig(model=mcfg, epochs=params["epochs"],
@@ -305,7 +289,7 @@ def _prepare_fit(params: dict, variant: str) -> tuple[dict, train.TrainConfig]:
 
 
 def _cmd_train(params: dict, out: Path) -> None:
-    data, tcfg = _prepare_fit(params, params["variant"])
+    data, tcfg = _prepare_fit(params)
     log = lambda epoch, loss, acc: print(
         f"epoch {epoch}/{tcfg.epochs}: loss {loss:.4f} acc {acc:.4f}")
     # the test shard is written first, so that fit runs without its token
@@ -367,7 +351,7 @@ def _cmd_predict(params: dict, out: Path) -> None:
 
 
 def _cmd_ablate(params: dict, out: Path) -> None:
-    data, tcfg = _prepare_fit(params, "lstm_attention_cnn")
+    data, tcfg = _prepare_fit(params)
     # every fit casts the initial embedding to float32, so the suite, and
     # each worker it pickles it for, gets it cast once
     matrix = data.pop("matrix").matrix.astype(np.float32)
@@ -407,10 +391,9 @@ def _add_common(sub: argparse.ArgumentParser, run, *, dataset=True) -> None:
 
 
 def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="split, init, shuffle and dropout seed")
-    sub.add_argument("--epochs", type=int, default=10, help="passes over the train shard")
-    sub.add_argument("--batch-size", dest="batch_size", type=int, default=32,
-                     help="posts per step")
+    sub.add_argument("--seed", type=int, help="split, init, shuffle and dropout seed")
+    sub.add_argument("--epochs", type=int, help="passes over the train shard")
+    sub.add_argument("--batch-size", dest="batch_size", type=int, help="posts per step")
     sub.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.8,
                      help="share of posts in the train shard")
     sub.add_argument("--embeddings", help="pre-trained vectors in text format; by default random")
@@ -419,15 +402,17 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-len", dest="max_len", type=int,
                      help=f"tokens per post; by default the longest in the train shard, "
                           f"at most {MAX_LEN_CAP}")
-    sub.add_argument("--embed-dim", dest="embed_dim", type=int, default=300,
+    sub.add_argument("--embed-dim", dest="embed_dim", type=int,
                      help="embedding width without --embeddings")
-    sub.add_argument("--lstm-units", dest="lstm_units", type=int, default=100,
-                     help="LSTM hidden units")
-    sub.add_argument("--dropout", dest="dropout_rate", type=float, default=0.5,
-                     help="dropout rate")
-    sub.add_argument("--filters", type=int, default=3, help="convolution filters")
-    sub.add_argument("--kernel", type=int, default=8, help="convolution width")
-    sub.add_argument("--pool", type=int, default=2, help="max-pool width")
+    sub.add_argument("--lstm-units", dest="lstm_units", type=int, help="LSTM hidden units")
+    sub.add_argument("--dropout", dest="dropout_rate", type=float, help="dropout rate")
+    sub.add_argument("--filters", type=int, help="convolution filters")
+    sub.add_argument("--kernel", type=int, help="convolution width")
+    sub.add_argument("--pool", type=int, help="max-pool width")
+    # the flags of config fields, train's --variant too, take the fields' defaults
+    defaults = {f.name: f.default for cfg in (ModelConfig, train.TrainConfig)
+                for f in fields(cfg) if f.default is not MISSING}
+    sub.set_defaults(**{a.dest: defaults[a.dest] for a in sub._actions if a.dest in defaults})
 
 
 def build_parser() -> _Parser:
@@ -459,8 +444,7 @@ def build_parser() -> _Parser:
     _add_common(s, _cmd_report_ngrams)
 
     s = add("train", "fit a model on a labeled token file")
-    s.add_argument("--variant", choices=VARIANTS, default="lstm_attention_cnn",
-                   help="model stack")
+    s.add_argument("--variant", choices=VARIANTS, help="model stack")
     _add_fit_flags(s)
     _add_common(s, _cmd_train)
 
@@ -498,7 +482,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (FileExistsError, NotADirectoryError):  # a file is in the way
             raise UsageError(f"--out {out}: not a directory") from None
         doc = {"command": args.command, "params": params}
-        _check_bounds(params, parser.commands[args.command])
+        flags = {a.dest: a.option_strings[0] for a in parser.commands[args.command]._actions
+                 if a.option_strings}
+        check_bounds({k: v for k, v in params.items() if v is not None}, _FLAG_BOUNDS,
+                     flags.get)
         stats = args.run(params, out)  # may add resolved values to params
         if stats is not None:
             doc["stats"] = stats

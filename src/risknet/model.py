@@ -181,8 +181,28 @@ _ACCEPTS = {
 }
 
 
-# the ModelConfig fields that count something and must be at least 1
-_SIZES = ("max_len", "embed_dim", "lstm_units", "filters", "kernel", "pool")
+# ModelConfig's ranges as (fields, test, wording) rules, in the order
+# `check_bounds` checks them; the CLI checks its fit flags by them too
+BOUNDS = (
+    (("max_len", "embed_dim", "lstm_units", "filters", "kernel", "pool"), lambda v: v >= 1,
+     "be >= 1"),
+    (("dropout_rate",), lambda v: 0.0 <= v < 1.0, "be in [0, 1)"),
+)
+
+
+def check_bounds(values: dict, rules, name=str) -> None:
+    """Raise ValueError for the first field, in `rules` order, whose value in
+    `values` fails its rule's test, naming the field by `name`; a field that
+    `values` lacks is not checked.  Then `max_len`, where `values` has it and
+    `pool`, must be at least `pool`: the pool's first window must fit in a
+    post."""
+    for names, ok, wording in rules:
+        for field in names:
+            if field in values and not ok(values[field]):
+                raise ValueError(f"{name(field)} must {wording}, got {values[field]}")
+    if {"max_len", "pool"} <= values.keys() and values["max_len"] < values["pool"]:
+        raise ValueError(f"{name('max_len')} must be >= {name('pool')} ({values['pool']}), "
+                         f"got {values['max_len']}")
 
 
 @dataclass
@@ -204,13 +224,7 @@ class ModelConfig:
                 raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in _SIZES:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.max_len < self.pool:
-            raise ValueError("max_len shorter than pool window")
+        check_bounds(vars(self), BOUNDS)
 
     def to_dict(self) -> dict:
         return asdict(self)

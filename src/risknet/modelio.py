@@ -6,12 +6,13 @@ makes; see `model.ModelConfig`):
     <u32 manifest length> | manifest JSON | float32 tensors | <u32 CRC32>
 
 All integers are little-endian.  The manifest holds only `format_version`,
-`config` (every `ModelConfig` field, seed included) and `vocab` (the tokens of
-indices 2, 3, ...), so a model file is self-contained for prediction.  The
-config alone fixes the tensors: exactly `model.param_shapes(cfg,
-len(vocab) + 2)`, in that order, back to back.  The trailing CRC32 covers
-every byte before it, manifest included, and is checked before anything is
-parsed.  Files of earlier versions are rejected, not converted.
+`config` (exactly the `ModelConfig` fields, seed included) and `vocab` (the
+tokens of indices 2, 3, ...), so a model file is self-contained for
+prediction.  The config alone fixes the tensors: exactly
+`model.param_shapes(cfg, len(vocab) + 2)`, in that order, back to back.  The
+trailing CRC32 covers every byte before it, manifest included, and is checked
+before anything is parsed.  Files of earlier versions are rejected, not
+converted.
 save -> load -> save is byte-identical.
 
 `load_model` never holds the whole file as one `bytes`.  It reads the length
@@ -33,11 +34,12 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import check_words, parse_json_object
+from .corpus import check_words, parse_json_object, require_fields
 from .embed import EmbeddingMatrix, Vocabulary, all_finite
 from .model import Model, ModelConfig, param_shapes
 
@@ -104,7 +106,14 @@ def load_model(path: str | Path) -> tuple[Model, Vocabulary]:
     if version != FORMAT_VERSION:
         raise ModelFileError(f"format version mismatch: file has {version}, expected {FORMAT_VERSION}")
     cfg_dict = _require(manifest, "config")
-    try:
+    names = [f.name for f in fields(ModelConfig)]
+    try:  # a key of another format, or a field left out, is named, not read or defaulted
+        if not isinstance(cfg_dict, dict):
+            raise TypeError("not a JSON object")
+        for key in cfg_dict:
+            if key not in names:
+                raise TypeError(f"unknown field '{key}'")
+        require_fields(cfg_dict, names)
         cfg = ModelConfig(**cfg_dict)
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"corrupted manifest: bad config ({exc})") from None

@@ -20,10 +20,17 @@ from .corpus import RiskLabel
 from .embed import PAD_INDEX, EmbeddingMatrix
 from .layers import NumericsError, RowGrad, check_finite_grad
 from .metrics import Metrics, compute_metrics
-from .model import Model, ModelConfig, init_params, usable_cpus
+from .model import Model, ModelConfig, check_bounds, init_params, usable_cpus
 from .rng import STREAM_EPOCH, derive_seed, shuffled_indices
 
 CLIP_EPS = 1e-7
+# Adam's step size, moment decay rates and denominator epsilon: the first
+# three are the published defaults (Kingma & Ba 2014, arXiv:1412.6980), the
+# epsilon is Keras's 1e-7 rather than the paper's 1e-8
+ADAM_LR = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-7
 # elements per in-place Adam block: 128k float32 values make six 512 KiB
 # operands, and each pass of the update touches two of them, so a pass's
 # 1 MiB fits in an L2 cache of 2 MiB or more.  When `Adam.start_rows` runs
@@ -60,14 +67,6 @@ def cce_grad_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return g / B
 
 
-@dataclass
-class AdamHyper:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-
-
 class Adam:
     """Adam with bias correction; moments keyed by parameter name.
 
@@ -94,8 +93,7 @@ class Adam:
     block by block, so no copy of those rows is held in the meantime.
     """
 
-    def __init__(self, named_params, hyper: AdamHyper | None = None):
-        self.hyper = hyper or AdamHyper()
+    def __init__(self, named_params):
         named_params = list(named_params)
         self.m = {n: np.zeros_like(a) for n, a in named_params}
         self.v = {n: np.zeros_like(a) for n, a in named_params}
@@ -108,8 +106,8 @@ class Adam:
         over `rows` (ascending): run its g = 0 pass on the executor `pool`.
         Nothing may read `theta` or the moments until `step` has finished the
         update with that gradient, which must list exactly `rows`."""
-        h, t = self.hyper, self.t + 1
-        job = pool.submit(_adam_blocks, h, 1.0 - h.beta1**t, 1.0 - h.beta2**t, theta, None,
+        t = self.t + 1
+        job = pool.submit(_adam_blocks, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t, theta, None,
                           self.m[name], self.v[name], *self._blocks(name, theta), keep=rows)
         self._started[name] = (rows, job)
 
@@ -125,10 +123,9 @@ class Adam:
     def step(self, named_params, grads: dict) -> None:
         """In-place parameter update from a name -> gradient map; a gradient
         is an array of the parameter's shape or a `RowGrad`."""
-        h = self.hyper
         self.t += 1
-        bc1 = 1.0 - h.beta1**self.t
-        bc2 = 1.0 - h.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, theta in named_params:
             g = grads[name]
             m, v = self.m[name], self.v[name]
@@ -145,16 +142,15 @@ class Adam:
                 # pre-step values: gathered before the g = 0 pass, or kept by it
                 th_r, m_r = theta[g.rows], m[g.rows]
                 if started is None:
-                    _adam_blocks(h, bc1, bc2, theta, None, m, v, *scratch)
+                    _adam_blocks(bc1, bc2, theta, None, m, v, *scratch)
                 v_r = v[g.rows]
-                _adam_blocks(h, bc1, bc2, th_r, g.values, m_r, v_r, *scratch, v_scaled=True)
+                _adam_blocks(bc1, bc2, th_r, g.values, m_r, v_r, *scratch, v_scaled=True)
                 theta[g.rows], m[g.rows], v[g.rows] = th_r, m_r, v_r
             else:
-                _adam_blocks(h, bc1, bc2, theta, g, m, v, *scratch)
+                _adam_blocks(bc1, bc2, theta, g, m, v, *scratch)
 
 
-def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2,
-                 v_scaled=False, keep=None) -> None:
+def _adam_blocks(bc1, bc2, theta, g, m, v, rows, s1, s2, v_scaled=False, keep=None) -> None:
     """`_adam_block` over `rows` leading-axis rows at a time; g None is
     g = 0.  The rows listed in `keep` (ascending) get their `theta` and `m`
     back once their block is done, so only their `v` moves."""
@@ -165,37 +161,40 @@ def _adam_blocks(h: AdamHyper, bc1, bc2, theta, g, m, v, rows, s1, s2,
             lo, hi = np.searchsorted(keep, (r, r + n))
             kept = keep[lo:hi]
             saved = theta[kept], m[kept]
-        _adam_block(h, bc1, bc2, theta[b], None if g is None else g[b], m[b], v[b],
+        _adam_block(bc1, bc2, theta[b], None if g is None else g[b], m[b], v[b],
                     s1[:n], s2[:n], v_scaled)
         if keep is not None:
             theta[kept], m[kept] = saved
 
 
-def _adam_block(h: AdamHyper, bc1, bc2, theta, g, m, v, s1, s2, v_scaled) -> None:
+def _adam_block(bc1, bc2, theta, g, m, v, s1, s2, v_scaled) -> None:
     """One in-place update; `v_scaled` says `v` holds ``beta2*v`` already."""
-    np.multiply(m, h.beta1, out=m)
+    np.multiply(m, ADAM_BETA1, out=m)
     if not v_scaled:
-        np.multiply(v, h.beta2, out=v)
-    if g is None:
-        # (1-beta1)*0 is +0.0, and adding it turns a -0.0 in m into +0.0;
-        # (1-beta2)*(0*0) is +0.0 too, but v is never -0.0, so v is done
-        np.add(m, 0.0, out=m)
-    else:
+        np.multiply(v, ADAM_BETA2, out=v)
+    # g = 0 leaves beta1*m and beta2*v as they are: adding +0.0 would change
+    # only a -0.0, and neither moment ever holds one (both start at +0.0;
+    # beta1*m is -0.0 only where m is, and a sum only where both terms are)
+    if g is not None:
         # m = beta1*m + (1-beta1)*g
-        np.multiply(g, 1.0 - h.beta1, out=s1)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
         np.add(m, s1, out=m)
         # v = beta2*v + (1-beta2)*(g*g)
         np.multiply(g, g, out=s1)
-        np.multiply(s1, 1.0 - h.beta2, out=s1)
+        np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
         np.add(v, s1, out=v)
     # theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
     np.divide(m, bc1, out=s1)
-    np.multiply(s1, h.lr, out=s1)
+    np.multiply(s1, ADAM_LR, out=s1)
     np.divide(v, bc2, out=s2)
     np.sqrt(s2, out=s2)
-    np.add(s2, h.epsilon, out=s2)
+    np.add(s2, ADAM_EPSILON, out=s2)
     np.divide(s1, s2, out=s1)
     np.subtract(theta, s1, out=theta)
+
+
+# TrainConfig's ranges, as `model.BOUNDS` states ModelConfig's
+BOUNDS = ((("epochs", "batch_size"), lambda v: v >= 1, "be >= 1"),)
 
 
 @dataclass
@@ -203,13 +202,9 @@ class TrainConfig:
     model: ModelConfig
     epochs: int = 10
     batch_size: int = 32
-    adam: AdamHyper = field(default_factory=AdamHyper)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_bounds(vars(self), BOUNDS)
 
 
 @dataclass
@@ -267,7 +262,7 @@ def fit(
     params = init_params(cfg.model, embedding)
     del embedding
     model = Model(cfg.model, params)
-    opt = Adam(params.items(), cfg.adam)
+    opt = Adam(params.items())
     history = History()
     n = X.shape[0]
     pool = None

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from risknet.cli import main, write_tokens
+from risknet.embed import PAD_INDEX, EmbeddingMatrix
 from risknet.model import Model
 
 # `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples on
@@ -101,3 +102,21 @@ def dlogits_through_softmax(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray
     turns a projection loss on the probabilities into one.
     """
     return probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
+
+
+def overflowing(embedding: EmbeddingMatrix) -> EmbeddingMatrix:
+    """`embedding` with every entry but the PAD row's at float32's largest
+    value: finite, so a fit takes it, but dropout's 1/(1 - rate) scale
+    overflows on it in every neural fit, and without dropout the first conv
+    GEMM of a `cnn` fit does."""
+    m = np.full_like(embedding.matrix, np.finfo(np.float32).max)
+    m[PAD_INDEX] = 0.0
+    return EmbeddingMatrix(m)
+
+
+# out-of-range values for each wording of a `check_bounds` rule in
+# `model.BOUNDS` and `train.BOUNDS`, by test id
+OUT_OF_RANGE = {
+    "be >= 1": {"0": 0, "neg": -3},
+    "be in [0, 1)": {"1": 1.0, "neg": -0.5, "nan": float("nan")},
+}

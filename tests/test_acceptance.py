@@ -48,7 +48,6 @@ from risknet.textprep import preprocess
 from risknet.metrics import compute_metrics
 from risknet.train import (
     Adam,
-    AdamHyper,
     TrainConfig,
     cce_grad_logits,
     fit,
@@ -342,13 +341,13 @@ def test_macro_metrics_match_independent_tally_exactly():
 
 def test_adam_first_step_value_and_zero_gradient_stasis():
     theta = np.array([1.0])
-    opt = Adam([("p", theta)], AdamHyper())
+    opt = Adam([("p", theta)])
     opt.step([("p", theta)], {"p": np.array([1.0])})
     assert abs(theta[0] - (1.0 - 0.001 / (1.0 + 1e-7))) < 1e-9
 
     frozen = np.array([0.25, -1.5])
     before = frozen.tobytes()
-    opt2 = Adam([("p", frozen)], AdamHyper())
+    opt2 = Adam([("p", frozen)])
     for _ in range(3):
         opt2.step([("p", frozen)], {"p": np.zeros(2)})
     assert frozen.tobytes() == before

@@ -1,15 +1,13 @@
 """Mean-embedding SVM baseline and the five-variant ablation table."""
 
 import contextlib
-import dataclasses
-import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import fit_on_tiny_corpus
+from conftest import fit_on_tiny_corpus, overflowing
 from risknet import baselines
 from risknet.baselines import (
     ABLATION_VARIANTS,
@@ -23,7 +21,7 @@ from risknet.baselines import (
 from risknet.embed import PAD_INDEX, UNK_INDEX, EmbeddingMatrix
 from risknet.layers import NumericsError
 from risknet.model import ModelConfig
-from risknet.train import AdamHyper, TrainConfig
+from risknet.train import TrainConfig
 
 
 def embedding_with_rows(rows):
@@ -175,8 +173,8 @@ def test_svm_baseline_separable_vocab_bands():
 # ----------------------------------------------------------------- ablation
 
 
-def small_cfg(seed=0):
-    model = ModelConfig(max_len=6, embed_dim=4, lstm_units=4, dropout_rate=0.0,
+def small_cfg(seed=0, dropout_rate=0.0):
+    model = ModelConfig(max_len=6, embed_dim=4, lstm_units=4, dropout_rate=dropout_rate,
                         filters=2, kernel=3, pool=2, seed=seed)
     return TrainConfig(model=model, epochs=2, batch_size=8)
 
@@ -226,18 +224,19 @@ def test_ablation_pool_equals_in_process_rows(variants):
     assert pooled == [_ablation_row(*args, v) for v in variants]
 
 
-def diverging_cfg():
-    # an infinite step turns every parameter non-finite inside the worker,
-    # and the embedding is the first layer of the next batch to read one
-    return dataclasses.replace(small_cfg(), adam=AdamHyper(lr=math.inf))
-
-
 def test_ablation_error_is_the_first_failing_variant_in_order():
     X, y, emb = band_task()
-    # the SVM has no Adam step; every neural fit fails, cnn first in order
+    args = (small_cfg(dropout_rate=0.5), X[:32], y[:32], X[32:], y[32:], overflowing(emb))
+    # dropout scales the overflowing embedding to inf, so every neural fit
+    # fails, lstm_attention_cnn, the first submitted, too; the SVM's float64
+    # features take it
+    for variant in ABLATION_VARIANTS[1:]:
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match=(
+                rf"^{variant}: epoch 1, step 0, batch 0: non-finite values after layer 'dropout'$")):
+            _ablation_row(*args, variant)
     with pytest.raises(NumericsError, match=(
-            r"^cnn: epoch 1, step 1, batch 1: non-finite values after layer 'embedding'$")):
-        ablation_suite(diverging_cfg(), X[:32], y[:32], X[32:], y[32:], emb)
+            r"^cnn: epoch 1, step 0, batch 0: non-finite values after layer 'dropout'$")):
+        ablation_suite(*args)
     keep = y[:32] != 3
     with pytest.raises(ValueError, match="^class 3 has no training examples$"):
         ablation_suite(small_cfg(), X[:32][keep], y[:32][keep], X[32:], y[32:], emb)
@@ -250,9 +249,9 @@ def test_ablation_restores_the_callers_blas_environment(monkeypatch, diverge):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     before = dict(os.environ)
     X, y, emb = band_task()
-    cfg = diverging_cfg() if diverge else small_cfg()
+    emb = overflowing(emb) if diverge else emb
     with pytest.raises(NumericsError) if diverge else contextlib.nullcontext():
-        ablation_suite(cfg, X[:32], y[:32], X[32:], y[32:], emb, variants=("svm", "cnn"))
+        ablation_suite(small_cfg(), X[:32], y[:32], X[32:], y[32:], emb, variants=("svm", "cnn"))
     assert dict(os.environ) == before
 
 

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risknet
-from conftest import needs_digit_limit
+from conftest import OUT_OF_RANGE, needs_digit_limit, overflowing
 from risknet import baselines, cli, embed
 from risknet.cli import main, read_tokens, write_tokens
-from risknet.model import PREDICT_BATCH
+from risknet.model import PREDICT_BATCH, ModelConfig
 from risknet.modelio import load_model
-from risknet.train import Adam, AdamHyper
+from risknet.train import Adam, TrainConfig
 
 
 def run(*argv):
@@ -212,6 +212,17 @@ def test_malformed_config_exits_1_naming_config(tmp_path, capsys, cmd, write):
     assert not (tmp_path / "s").exists()
 
 
+def test_config_not_utf8_exits_1_in_the_token_readers_words(tmp_path, capsys):
+    # used to print the codec's "'utf-8' codec can't decode byte 0xff in
+    # position 0: invalid start byte"
+    config = tmp_path / "run.json"
+    config.write_bytes(b'\xff{"command": "synth"}')
+    assert run("synth", "--out", tmp_path / "s", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: --config {config}: not UTF-8 text (byte 0xff: invalid start byte)\n")
+    assert not (tmp_path / "s").exists()
+
+
 @needs_digit_limit
 def test_config_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
     config = tmp_path / "run.json"
@@ -265,7 +276,7 @@ def _config_bytes(draw, cmd):
 def test_config_replay_fuzz_exits_0_or_1_with_an_error(tmp_path_factory, data):
     """A drawn run.json, replayed into a subcommand whose work is a no-op,
     either runs or stops with exit 1 and `error:`: only `_replay_config` and
-    `_check_bounds` see it."""
+    the flag bounds see it."""
     cmd = data.draw(st.sampled_from(sorted(FIRST_RUNS)), label="subcommand")
     root = tmp_path_factory.getbasetemp() / "config_fuzz"
     root.mkdir(exist_ok=True)
@@ -906,16 +917,16 @@ def test_train_is_byte_identical_for_one_or_two_usable_cpus(tmp_path, monkeypatc
 
 
 def test_ablate_numerics_error_in_a_worker_exits_2(pipeline, tmp_path, monkeypatch, capsys):
-    # an infinite learning rate, sent with the config, makes every neural
-    # fit's parameters non-finite inside its worker
+    # an embedding that dropout scales to inf in every neural fit, sent to
+    # the workers with the data; cnn is the first of them in table order
     suite = baselines.ablation_suite
-    monkeypatch.setattr(baselines, "ablation_suite", lambda cfg, *a: suite(
-        dataclasses.replace(cfg, adam=AdamHyper(lr=math.inf)), *a))
+    monkeypatch.setattr(baselines, "ablation_suite",
+                        lambda *a: suite(*a[:-1], overflowing(a[-1])))
     assert run("ablate", "--dataset", pipeline / "prep" / "tokens.jsonl", "--out", tmp_path / "o",
-               *ABLATE_FLAGS) == 2
+               *ABLATE_FLAGS, "--dropout", 0.5) == 2
     assert capsys.readouterr().err == (
-        "runtime error: NumericsError: cnn: epoch 1, step 1, batch 1: "
-        "non-finite values after layer 'embedding'\n")
+        "runtime error: NumericsError: cnn: epoch 1, step 0, batch 0: "
+        "non-finite values after layer 'dropout'\n")
 
 
 # -------------------------------------------------------------- exit codes
@@ -1096,8 +1107,10 @@ def _flip_last_byte(blob):
     (lambda m, b: _flip_last_byte(b), "checksum mismatch"),
     (lambda m, _: m["config"].update(dropout_rate="x"), "dropout_rate must be of type float"),
     (lambda m, _: m["config"].update(seed="7"), "seed must be of type int"),
-    # format 4's config keys, and a format 4 file
-    (lambda m, _: m["config"].update(classes=4), "unexpected keyword argument 'classes')"),
+    # format 4's config keys, and a format 4 file; the key used to be named
+    # in the wording of the interpreter's keyword error
+    (lambda m, _: m["config"].update(classes=4),
+     "error: corrupted manifest: bad config (unknown field 'classes')\n"),
     (lambda m, _: m.update(format_version=4) or m["config"].update(classes=4, dtype="float32"),
      "error: format version mismatch: file has 4, expected 5\n"),
     (lambda m, _: m["config"].update(filters=5), "blob length mismatch: the config and"),
@@ -1108,14 +1121,20 @@ def _flip_last_byte(blob):
      "bad config (dropout_rate must be in [0, 1), got 1.0)"),
     # used to end in a ZeroDivisionError, exit 2
     (lambda m, _: m["config"].update(pool=0), "bad config (pool must be >= 1, got 0)"),
+    # a shape field left out used to end in "blob length mismatch", and any
+    # other one to load with the field's default
+    (lambda m, _: m["config"].pop("pool"),
+     "error: corrupted manifest: bad config (missing field 'pool')\n"),
+    (lambda m, _: m["config"].pop("dropout_rate"),
+     "error: corrupted manifest: bad config (missing field 'dropout_rate')\n"),
     # used to load and predict, exit 0, with a row that no token could reach
     *[(lambda m, _, t=token: m["vocab"].__setitem__(2, t),
        "'vocab': each token must be non-empty and contain no whitespace")
       for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "max_len_float", "pool_bool", "vocab_repeated", "blob_byte_flipped",
         "dropout_string", "seed_string", "classes_4", "format_4", "filters_5", "lstm_units_5",
-        "kernel_3",
-        "dropout_1", "pool_0", "token_empty", "token_space", "token_two_words", "token_tab"])
+        "kernel_3", "dropout_1", "pool_0", "pool_missing", "dropout_missing", "token_empty",
+        "token_space", "token_two_words", "token_tab"])
 def test_malformed_model_manifest_exits_1(pipeline, tmp_path, capsys, mutate, message):
     model = tmp_path / "model.rkn"
     _rewrite_manifest(pipeline / "train" / "model.rkn", model, mutate)
@@ -1163,6 +1182,19 @@ def test_help_exits_0():
     assert run("--help") == 0
 
 
+@pytest.mark.parametrize("cmd", ["train", "ablate"])
+def test_fit_flag_help_prints_each_config_default(capsys, cmd):
+    # every ModelConfig and TrainConfig field with a default has a fit flag
+    # (ablate has no --variant: it runs every variant) whose help prints it
+    assert run(cmd, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())  # unwrapped
+    actions = {a.dest: a for a in cli.build_parser().commands[cmd]._actions}
+    for cfg in (ModelConfig, TrainConfig):
+        for f in dataclasses.fields(cfg):
+            if f.default is not dataclasses.MISSING and (cmd, f.name) != ("ablate", "variant"):
+                assert f"{actions[f.name].help} (default: {f.default})" in text, f.name
+
+
 def test_train_flags_override_config(pipeline, tmp_path):
     # replay the training run but override the seed; models must differ
     out = tmp_path / "t2"
@@ -1177,27 +1209,23 @@ def test_train_flags_override_config(pipeline, tmp_path):
     assert a != b
 
 
-@pytest.mark.parametrize("flag,value,wording", [
-    # each used to be found only once the dataset was read, split and encoded,
-    # in a message that named the config field: "epochs must be >= 1", say
-    ("--epochs", 0, "be >= 1"),
-    ("--batch-size", 0, "be >= 1"),
-    ("--max-len", 0, "be >= 1"),
-    ("--embed-dim", 0, "be >= 1"),
-    ("--embed-dim", -3, "be >= 1"),
-    ("--lstm-units", 0, "be >= 1"),
-    ("--lstm-units", -3, "be >= 1"),
-    ("--filters", 0, "be >= 1"),
-    ("--kernel", 0, "be >= 1"),
-    ("--pool", 0, "be >= 1"),
-    ("--dropout", 1.0, "be in [0, 1)"),
-    ("--dropout", -0.5, "be in [0, 1)"),
-    ("--dropout", math.nan, "be in [0, 1)"),
-    # used to end in "max_len shorter than pool window", naming neither flag
-    ("--max-len", 1, "be >= --pool (2)"),
-], ids=["epochs_0", "batch_size_0", "max_len_0", "embed_dim_0", "embed_dim_neg",
-        "lstm_units_0", "lstm_units_neg", "filters_0", "kernel_0", "pool_0", "dropout_1",
-        "dropout_neg", "dropout_nan", "max_len_below_pool"])
+def _fit_flag_cases():
+    """(flag, value, wording) for each rule of `train.BOUNDS` and
+    `model.BOUNDS` and each of its `OUT_OF_RANGE` values, the wording as the
+    CLI words it.  Each case used to be found only once the dataset was read,
+    split and encoded, in a message that named the config field, "epochs
+    must be >= 1" say, and max_len below the pool ended in "max_len shorter
+    than pool window", naming neither flag."""
+    flags = {a.dest: a.option_strings[0] for a in cli.build_parser().commands["train"]._actions}
+    for names, _, wording in (*risknet.train.BOUNDS, *risknet.model.BOUNDS):
+        for flag in map(flags.get, names):
+            for label, value in OUT_OF_RANGE[wording].items():
+                yield pytest.param(flag, value, wording, id=f"{flag[2:].replace('-', '_')}_{label}")
+    # the default pool is 2
+    yield pytest.param("--max-len", 1, "be >= --pool (2)", id="max_len_below_pool")
+
+
+@pytest.mark.parametrize("flag,value,wording", _fit_flag_cases())
 @pytest.mark.parametrize("cmd", ["train", "ablate"])
 def test_fit_flag_out_of_range_exits_1_before_reading(tmp_path, capsys, cmd, flag, value,
                                                       wording):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import risknet.model
 import risknet.train
-from conftest import dense, dlogits_through_softmax, fd_check, float64_model, projection_loss
+from conftest import (
+    OUT_OF_RANGE,
+    dense,
+    dlogits_through_softmax,
+    fd_check,
+    float64_model,
+    projection_loss,
+)
 from risknet.corpus import RiskLabel
 from risknet.embed import EmbeddingMatrix, PAD_INDEX, Vocabulary
 from risknet.layers import BPTT_BLOCK, CONV_BLOCK, NumericsError
@@ -83,18 +90,16 @@ def test_config_validation():
         ModelConfig(max_len=1, pool=2)
 
 
-@pytest.mark.parametrize("field", ["max_len", "embed_dim", "lstm_units", "filters", "kernel",
-                                   "pool"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_config_sizes_below_one_rejected(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+@pytest.mark.parametrize("field,value,wording", [
+    *(pytest.param(field, value, wording, id=f"{field}_{label}")
+      for names, _, wording in risknet.model.BOUNDS for field in names
+      for label, value in OUT_OF_RANGE[wording].items()),
+    # small_cfg's pool is 2
+    pytest.param("max_len", 1, "be >= pool (2)", id="max_len_below_pool")])
+def test_config_field_out_of_range_rejected(field, value, wording):
+    with pytest.raises(ValueError) as info:
         small_cfg(**{field: value})
-
-
-@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
-def test_config_dropout_rate_outside_unit_interval_rejected(rate):
-    with pytest.raises(ValueError, match=r"^dropout_rate must be in \[0, 1\)"):
-        small_cfg(dropout_rate=rate)
+    assert str(info.value) == f"{field} must {wording}, got {value}"
 
 
 @pytest.mark.parametrize("field,value", [

@@ -351,10 +351,12 @@ def test_vocab_longer_than_embedding(tmp_path):
      r"bad config \(dropout_rate must be of type float"),
     (lambda m: m["config"].update(seed="7"), r"bad config \(seed must be of type int"),
     # format 4's keys: the class count is the risk tiers', the dtype float32
-    (lambda m: m["config"].update(classes=4),
-     r"bad config \(.*unexpected keyword argument 'classes'\)"),
-    (lambda m: m["config"].update(dtype="float32"),
-     r"bad config \(.*unexpected keyword argument 'dtype'\)"),
+    (lambda m: m["config"].update(classes=4), r"bad config \(unknown field 'classes'\)$"),
+    (lambda m: m["config"].update(dtype="float32"), r"bad config \(unknown field 'dtype'\)$"),
+    # a config of no object, or with a field left out, used to be read by
+    # `ModelConfig(**config)`: the seed loaded as 0
+    (lambda m: m.update(config=[6]), r"bad config \(not a JSON object\)$"),
+    (lambda m: m["config"].pop("seed"), r"bad config \(missing field 'seed'\)$"),
     (lambda m: m["config"].update(filters=5), "need 988 bytes, the file has 724"),
     (lambda m: m["config"].update(lstm_units=5), "need 1196 bytes, the file has 724"),
     (lambda m: m["config"].update(kernel=5), "need 772 bytes, the file has 724"),
@@ -365,9 +367,9 @@ def test_vocab_longer_than_embedding(tmp_path):
        "'vocab': each token must be non-empty and contain no whitespace")
       for token in ("", " ", "a b", "\t")],
 ], ids=["vocab_number", "vocab_ints", "max_len_float", "vocab_repeated", "pool_bool",
-        "dropout_string", "seed_string", "classes_4", "dtype_float32", "filters_5", "lstm_units_5", "kernel_5",
-        "embed_dim_5", "max_len_8", "token_empty", "token_space", "token_two_words",
-        "token_tab"])
+        "dropout_string", "seed_string", "classes_4", "dtype_float32", "config_list",
+        "seed_missing", "filters_5", "lstm_units_5", "kernel_5", "embed_dim_5", "max_len_8",
+        "token_empty", "token_space", "token_two_words", "token_tab"])
 def test_malformed_manifest_raises_model_file_error(tmp_path, mutate, message):
     path = saved(tmp_path)
     rewrite(path, mutate)

@@ -16,8 +16,11 @@ from risknet.embed import EmbeddingMatrix, PAD_INDEX
 from risknet.layers import NumericsError, lstm_backward, softmax
 from risknet.model import ModelConfig
 from risknet.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    ADAM_LR,
     Adam,
-    AdamHyper,
     History,
     TrainConfig,
     cce_grad_logits,
@@ -133,9 +136,9 @@ def test_adam_bias_correction_uses_step_count():
     # g=2 at t=1: m=0.2, v=0.004; bias correction gives m_hat=2, v_hat=4,
     # so the step is lr * 2 / (2 + eps)
     params = scalar_param(1.0)
-    opt = Adam(params, AdamHyper(lr=0.01))
+    opt = Adam(params)
     opt.step(params, {"theta": np.array([2.0])})
-    assert params[0][1][0] == pytest.approx(1.0 - 0.01 * 2.0 / (2.0 + 1e-7), abs=1e-12)
+    assert params[0][1][0] == pytest.approx(1.0 - 0.001 * 2.0 / (2.0 + 1e-7), abs=1e-12)
     assert opt.t == 1
     assert opt.m["theta"][0] == pytest.approx(0.2, abs=1e-15)
     assert opt.v["theta"][0] == pytest.approx(0.004, abs=1e-15)
@@ -150,8 +153,7 @@ def test_adam_aborts_on_nonfinite_gradient_naming_param():
 
 
 def test_adam_default_hyper():
-    h = AdamHyper()
-    assert (h.lr, h.beta1, h.beta2, h.epsilon) == (0.001, 0.9, 0.999, 1e-7)
+    assert (ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.001, 0.9, 0.999, 1e-7)
 
 
 # ------------------------------------------------------------------ history
@@ -273,10 +275,13 @@ def test_fit_validation_errors():
         fit(small_train_cfg(), X, y[:-1], emb)
     with pytest.raises(ValueError, match="label out of range"):
         fit(small_train_cfg(), X, y + 10, emb)
-    with pytest.raises(ValueError, match="epochs"):
+    with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
         TrainConfig(model=ModelConfig(max_len=8), epochs=0)
-    with pytest.raises(ValueError, match="batch_size"):
-        TrainConfig(model=ModelConfig(max_len=8), batch_size=0)
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got -3$"):
+        TrainConfig(model=ModelConfig(max_len=8), batch_size=-3)
+    for field in ("epochs", "batch_size"):  # None is no count
+        with pytest.raises(TypeError):
+            TrainConfig(model=ModelConfig(max_len=8), **{field: None})
 
 
 def test_fit_numerics_error_names_epoch_step_and_batch(monkeypatch):
